@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -148,12 +149,48 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
         normalized["budget"] = budget
         normalized["biobjective"] = _resolve_biobjective(bio_raw, surrogate)
 
+    unknown = sorted(set(algo_cfg) - _ALGORITHM_KEYS[(task, algorithm)])
+    _require(not unknown, f"algorithm_config has unknown keys for {task}/{algorithm}: {unknown}")
     # constructing the runner validates the algorithm config block up front
     try:
         _build_runner(normalized)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid algorithm_config: {exc}") from None
     return normalized
+
+
+# ShsadeConfig fields an algorithm_config may set besides pop_size and max_generations
+_SHSADE_KEYS = (
+    "memory_size",
+    "p_best_fraction",
+    "archive_capacity",
+    "learning_period",
+    "p_min",
+    "strategy_epsilon",
+    "memory_learning_rate",
+    "freq_init",
+    "sigma_gauss_f",
+    "sigma_cauchy_f",
+    "sigma_cr",
+    "f_second_half",
+    "use_sinusoidal",
+    "use_trigonometric",
+)
+
+# the algorithm_config keys _build_runner reads, per (task, algorithm)
+_ALGORITHM_KEYS = {
+    ("benchmark", "shsade"): {
+        "pop_size", "max_generations", "max_evaluations", "target_fitness", *_SHSADE_KEYS,
+    },
+    ("benchmark", "vanilla_de"): {
+        "pop_size", "max_generations", "max_evaluations", "target_fitness", "f", "cr",
+    },
+    ("nas", "shsade"): {
+        "pop_size", "max_generations", "sigma_init_noise", "sigma_trial_noise", "mutation_fraction",
+        *_SHSADE_KEYS,
+    },
+    ("nas", "regularized_ea"): {"population_size", "tournament_size"},
+}
 
 
 def _shsade_config(acfg: dict, budget_evals: int | None, crossover_target: str) -> shsade.ShsadeConfig:
@@ -164,23 +201,7 @@ def _shsade_config(acfg: dict, budget_evals: int | None, crossover_target: str) 
             max_generations = max(1, budget_evals // max(pop_size, 1))
         else:
             max_generations = 1000
-    keys = (
-        "memory_size",
-        "p_best_fraction",
-        "archive_capacity",
-        "learning_period",
-        "p_min",
-        "strategy_epsilon",
-        "memory_learning_rate",
-        "freq_init",
-        "sigma_gauss_f",
-        "sigma_cauchy_f",
-        "sigma_cr",
-        "f_second_half",
-        "use_sinusoidal",
-        "use_trigonometric",
-    )
-    extra = {k: acfg[k] for k in keys if k in acfg}
+    extra = {k: acfg[k] for k in _SHSADE_KEYS if k in acfg}
     return shsade.ShsadeConfig(
         pop_size=pop_size,
         max_generations=int(max_generations),
@@ -432,21 +453,20 @@ def dump_oracle(
         space = DiscreteSpace.from_json_dict(space_doc)
         surrogate = objectives.TabularSurrogate(space, seed)
         biobjective = _resolve_biobjective(
-            {"omega": omega, "cost_budget": cost_budget} if cost_budget else {"omega": omega},
+            {"omega": omega, "cost_budget": cost_budget} if cost_budget is not None else {"omega": omega},
             surrogate,
         )
-        _, ranking = nas_search.brute_force_optimum(space, surrogate, biobjective)
+        order, accuracy, cost, scores = nas_search.rank_space(space, surrogate, biobjective)
     except (ConfigError, ValueError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     header = ["rank", "score", "accuracy", "cost"] + [a.name for a in space.axes]
     lines = [",".join(header)]
-    for rank, (genotype, value) in enumerate(ranking, start=1):
-        accuracy = surrogate.predict_accuracy(genotype)
-        cost = surrogate.predict_cost(genotype)
-        cells = [str(rank), repr(float(value)), repr(float(accuracy)), repr(float(cost))]
-        cells.extend(str(c) for c in genotype.choices)
+    columns = zip(scores[order].tolist(), accuracy[order].tolist(), cost[order].tolist())
+    choices = list(itertools.product(*(a.values for a in space.axes)))
+    for rank, (i, values) in enumerate(zip(order.tolist(), columns), start=1):
+        cells = [str(rank)] + [repr(v) for v in values] + [str(c) for c in choices[i]]
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if output:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -89,6 +90,22 @@ class DiscreteSpace:
     def genotype_from_indices(self, indices) -> Genotype:
         return Genotype(tuple(a.values[int(i)] for a, i in zip(self.axes, indices)))
 
+    @cached_property
+    def _value_arrays(self) -> tuple[np.ndarray, ...]:
+        arrays = []
+        for axis in self.axes:
+            values = np.empty(axis.size, dtype=object)
+            for k, value in enumerate(axis.values):
+                values[k] = value  # one by one, so tuple values stay whole
+            arrays.append(values)
+        return tuple(arrays)
+
+    def choices_from_indices(self, indices) -> list[tuple]:
+        """The genotype choices of each row of a ``(rows, num_axes)`` matrix
+        of value indices, without building ``Genotype`` objects."""
+        columns = np.asarray(indices).T
+        return list(zip(*(values[col] for values, col in zip(self._value_arrays, columns))))
+
     def random_genotype(self, rng) -> Genotype:
         rng = ensure_rng(rng)
         return Genotype(tuple(a.values[int(rng.integers(a.size))] for a in self.axes))
@@ -148,20 +165,29 @@ def encode(genotype: Genotype, space: DiscreteSpace) -> np.ndarray:
     return out
 
 
-def decode(u, space: DiscreteSpace) -> Genotype:
-    """Map any real vector to the genotype with the nearest encoding.
+def decode_indices(us, space: DiscreteSpace) -> np.ndarray:
+    """Map each row of a real matrix to the value indices of the genotype
+    with the nearest encoding, as a ``(rows, num_axes)`` integer array.
 
     Coordinates are clamped into [0, 1] first; index ties round half away
-    from zero, i.e. toward the higher index.
+    from zero, i.e. toward the higher index. Single-value axes decode to 0.
     """
+    us = np.asarray(us, dtype=float)
+    if us.ndim != 2 or us.shape[1] != space.num_axes:
+        raise ValueError("row length does not match the space")
+    if np.isnan(us).any():
+        raise ValueError("cannot decode a NaN coordinate")
+    top = np.array(space.sizes, dtype=float) - 1.0
+    return np.floor(np.clip(us, 0.0, 1.0) * top + 0.5).astype(np.intp)
+
+
+def decode(u, space: DiscreteSpace) -> Genotype:
+    """Map any real vector to the genotype with the nearest encoding; see
+    ``decode_indices`` for the rounding rule."""
     u = np.asarray(u, dtype=float)
     if u.shape != (space.num_axes,):
         raise ValueError("vector length does not match the space")
-    clamped = np.clip(u, 0.0, 1.0)
-    indices = []
-    for i, axis in enumerate(space.axes):
-        indices.append(0 if axis.size == 1 else int(np.floor(clamped[i] * (axis.size - 1) + 0.5)))
-    return space.genotype_from_indices(indices)
+    return space.genotype_from_indices(decode_indices(u[None], space)[0])
 
 
 def perturb(u, sigma: float, rng) -> np.ndarray:

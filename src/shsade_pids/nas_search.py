@@ -8,7 +8,6 @@ genotype counts exactly once against the sampled-architecture budget.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -16,7 +15,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .de_core import Bounds, ensure_rng
-from .discrete_codec import DiscreteSpace, Axis, Genotype, decode, encode, genotype_to_dict, perturb
+from .discrete_codec import DiscreteSpace, Axis, Genotype, decode_indices, encode, genotype_to_dict, perturb
 from .shsade import (
     CURRENT_TO_PBEST,
     ParameterMemories,
@@ -29,11 +28,20 @@ from .shsade import (
 from .trace import SearchTrace
 
 MAX_ENUMERATION = 10**6
+# rows of value indices scored per predictor call while enumerating a space
+ENUMERATION_CHUNK = 1 << 16
 
 
 @runtime_checkable
 class PredictorInterface(Protocol):
-    """Pure, total estimators of a genotype's accuracy and cost."""
+    """Pure, total estimators of a genotype's accuracy and cost.
+
+    A predictor may also offer ``predict_many(indices) -> (accuracy, cost)``
+    over a ``(rows, num_axes)`` integer matrix of value indices into the
+    space being searched; the search then scores each batch of new genotypes
+    with one call. Without it, every genotype goes through the two methods
+    below, one genotype after another.
+    """
 
     def predict_accuracy(self, genotype: Genotype) -> float: ...
 
@@ -59,15 +67,43 @@ class BiObjectiveConfig:
             raise ValueError("omega must be non-negative")
 
 
+def score_many(accuracy, cost, config: BiObjectiveConfig) -> np.ndarray:
+    """Minimization fitness of accuracy and cost arrays: lower is better.
+
+    Over-budget penalties are raised to omega by Python's float power, one
+    at a time, because numpy's vectorized power may round the last bit
+    differently.
+    """
+    accuracy = np.asarray(accuracy, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    penalty = np.ones_like(cost)
+    over = ~(cost <= config.cost_budget)
+    penalty[over] = [(config.cost_budget / c) ** config.omega for c in cost[over].tolist()]
+    return -accuracy * penalty
+
+
 def score(genotype: Genotype, predictor: PredictorInterface, config: BiObjectiveConfig) -> float:
-    """Minimization fitness: lower is better."""
+    """Minimization fitness of one genotype: lower is better."""
     accuracy = float(predictor.predict_accuracy(genotype))
     cost = float(predictor.predict_cost(genotype))
-    if cost <= config.cost_budget:
-        penalty = 1.0
-    else:
-        penalty = (config.cost_budget / cost) ** config.omega
-    return -accuracy * penalty
+    return float(score_many([accuracy], [cost], config)[0])
+
+
+def _predict_rows(predictor: PredictorInterface, space: DiscreteSpace, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracy and cost arrays for rows of value indices into ``space``:
+    one ``predict_many`` call when the predictor has it, otherwise its
+    one-genotype methods in row order."""
+    predict_many = getattr(predictor, "predict_many", None)
+    if predict_many is not None:
+        accuracy, cost = predict_many(indices)
+        return np.asarray(accuracy, dtype=float), np.asarray(cost, dtype=float)
+    accuracy = np.empty(len(indices))
+    cost = np.empty(len(indices))
+    for k, row in enumerate(indices):
+        genotype = space.genotype_from_indices(row)
+        accuracy[k] = float(predictor.predict_accuracy(genotype))
+        cost[k] = float(predictor.predict_cost(genotype))
+    return accuracy, cost
 
 
 @dataclass
@@ -101,7 +137,11 @@ class NasConfig:
 
 
 class BudgetedScorer:
-    """Memoizing scorer; each distinct genotype costs one budget unit."""
+    """Memoizing scorer; each distinct genotype costs one budget unit.
+
+    The memo is keyed by a genotype's choices, so genotypes scored one at a
+    time and rows of a batch share it.
+    """
 
     def __init__(self, predictor: PredictorInterface, biobjective: BiObjectiveConfig, budget: int):
         self.predictor = predictor
@@ -129,6 +169,44 @@ class BudgetedScorer:
             self.best_genotype = genotype
         return value
 
+    def score_rows(self, space: DiscreteSpace, indices) -> tuple[np.ndarray, np.ndarray]:
+        """Score rows of value indices into ``space`` as ``try_score`` would
+        score their genotypes one after another, with one predictor call for
+        the rows new to the memo. Returns the scores and a mask of the rows
+        scored; a row left unscored for want of budget reads +inf."""
+        indices = np.asarray(indices)
+        keys = space.choices_from_indices(indices)
+        values = np.full(len(keys), np.inf)
+        scored = np.zeros(len(keys), dtype=bool)
+        fresh: dict[tuple, int] = {}  # genotype new to the memo -> its first row
+        pending = []  # rows holding a genotype new to the memo
+        for k, key in enumerate(keys):
+            cached = self.scores.get(key)
+            if cached is not None:
+                values[k] = cached
+                scored[k] = True
+            elif key in fresh or self.evaluations + len(fresh) < self.budget:
+                fresh.setdefault(key, k)
+                pending.append(k)
+                scored[k] = True
+        if not fresh:
+            return values, scored
+
+        rows = list(fresh.values())
+        accuracy, cost = _predict_rows(self.predictor, space, indices[rows])
+        best_row = None
+        for key, row, value in zip(fresh, rows, score_many(accuracy, cost, self.biobjective).tolist()):
+            self.scores[key] = value
+            if value < self.best_score:
+                self.best_score = value
+                best_row = row
+        self.evaluations += len(fresh)
+        if best_row is not None:
+            self.best_genotype = Genotype(keys[best_row])
+        for k in pending:
+            values[k] = self.scores[keys[k]]
+        return values, scored
+
 
 def nas_evolve(
     space: DiscreteSpace,
@@ -153,13 +231,11 @@ def nas_evolve(
     bounds = Bounds(np.zeros(m), np.ones(m))
 
     x0 = np.empty((sh.pop_size, m))
-    f0 = np.empty(sh.pop_size)
     for i in range(sh.pop_size):
         seed_genotype = space.random_genotype(rng)
         x0[i] = perturb(encode(seed_genotype, space), config.sigma_init_noise, rng)
-        value = scorer.try_score(decode(x0[i], space))
-        assert value is not None  # budget >= pop_size makes initialization affordable
-        f0[i] = value
+    f0, scored = scorer.score_rows(space, decode_indices(x0, space))
+    assert scored.all()  # budget >= pop_size makes initialization affordable
 
     best_idx = int(np.argmin(f0))
     strategy = (
@@ -200,12 +276,9 @@ def nas_evolve(
             rows = np.sort(rng.choice(sh.pop_size, size=count, replace=False))
         else:
             rows = np.arange(sh.pop_size)
-        for i in rows:
-            value = scorer.try_score(decode(batch.x[i], space))
-            if value is None:
-                continue  # budget spent; this parent survives unchallenged
-            trial_fitness[i] = value
-            evaluated[i] = True
+        # rows left unscored once the budget is spent keep +inf, so their
+        # parents survive unchallenged
+        trial_fitness[rows], evaluated[rows] = scorer.score_rows(space, decode_indices(batch.x[rows], space))
         commit_generation(state, batch, trial_fitness, rng, evaluated)
         trace.append(
             state.generation, scorer.evaluations, scorer.best_score, float(np.mean(state.fitness))
@@ -222,15 +295,34 @@ def brute_force_optimum(
 ) -> tuple[Genotype, list[tuple[Genotype, float]]]:
     """Exhaustively score every genotype; ties break by lexicographic index
     order. Test oracle for the evolutionary pipeline, guarded to 10^6 configs."""
+    order, _, _, scores = rank_space(space, predictor, config)
+    genotypes = list(space.iter_genotypes())
+    ranking = [(genotypes[i], value) for i, value in zip(order.tolist(), scores[order].tolist())]
+    return ranking[0][0], ranking
+
+
+def rank_space(
+    space: DiscreteSpace,
+    predictor: PredictorInterface,
+    config: BiObjectiveConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score every genotype of a space of at most 10^6 configurations.
+
+    Returns ``(order, accuracy, cost, scores)``: the last three hold one entry
+    per genotype in lexicographic index order (the order of
+    ``space.iter_genotypes()``), and ``order`` lists those positions from
+    the best score to the worst, ties in lexicographic index order.
+    """
     if space.size > MAX_ENUMERATION:
         raise ValueError(f"space has {space.size} configurations, enumeration caps at {MAX_ENUMERATION}")
-    scored = []
-    for indices in itertools.product(*(range(a.size) for a in space.axes)):
-        genotype = space.genotype_from_indices(indices)
-        scored.append((score(genotype, predictor, config), indices, genotype))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    ranking = [(genotype, value) for value, _, genotype in scored]
-    return ranking[0][0], ranking
+    accuracy = np.empty(space.size)
+    cost = np.empty(space.size)
+    for start in range(0, space.size, ENUMERATION_CHUNK):
+        stop = min(start + ENUMERATION_CHUNK, space.size)
+        indices = np.stack(np.unravel_index(np.arange(start, stop), space.sizes), axis=1)
+        accuracy[start:stop], cost[start:stop] = _predict_rows(predictor, space, indices)
+    scores = score_many(accuracy, cost, config)
+    return np.argsort(scores, kind="stable"), accuracy, cost, scores
 
 
 def pids_space(

@@ -100,6 +100,9 @@ def eval_benchmark(f: BenchmarkFunction, x) -> float:
     return f.evaluate(x)
 
 
+# elements of one (terms, rows) gather in TabularSurrogate._accuracy
+_GATHER_ELEMENTS = 1 << 18
+
 _BLOCK_AXIS = re.compile(r"^(?P<block>.+)_(?P<role>width|expansion|depth)$")
 
 
@@ -120,6 +123,12 @@ class TabularSurrogate:
     seeded positive per-axis term for everything else; it strictly increases
     along every axis's value order. Rebuilding from the same seed reproduces
     identical tables.
+
+    ``predict_many`` scores a matrix of value indices at once, and the
+    one-genotype methods are one-row calls into the same kernels. The sums
+    run term by term in a fixed order (axis weights, then pairs in ``(i, j)``
+    order; block products, then additive axes), so every row's result is
+    the same to the bit whatever the batch around it.
     """
 
     def __init__(self, space: DiscreteSpace, seed: int):
@@ -127,49 +136,99 @@ class TabularSurrogate:
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
         m = space.num_axes
+        sizes = space.sizes
         n_pairs = max(1, m * (m - 1) // 2)
         main_sd = 2.0 / np.sqrt(m)
         pair_sd = 1.6 / np.sqrt(n_pairs)
-        self._axis_weights = [rng.normal(0.0, main_sd, size=a.size) for a in space.axes]
-        self._pair_tables = {}
+        # accuracy term t reads the flattened tables at
+        # offset[t] + index[first[t]] * stride[t] + index[second[t]]
+        tables = [rng.normal(0.0, main_sd, size=n) for n in sizes]
+        first, second, stride = list(range(m)), list(range(m)), [0] * m
         for i in range(m):
             for j in range(i + 1, m):
-                self._pair_tables[(i, j)] = rng.normal(
-                    0.0, pair_sd, size=(space.axes[i].size, space.axes[j].size)
-                )
-        self._cost_weights = rng.uniform(0.5, 1.5, size=m)
+                tables.append(rng.normal(0.0, pair_sd, size=(sizes[i], sizes[j])).ravel())
+                first.append(i)
+                second.append(j)
+                stride.append(sizes[j])
+        self._table = np.concatenate(tables)
+        self._offsets = np.cumsum([0] + [t.size for t in tables[:-1]])[:, None]
+        self._first = np.array(first)
+        self._second = np.array(second)
+        self._strides = np.array(stride)[:, None]
+        cost_weights = rng.uniform(0.5, 1.5, size=m)
 
         # axes following the <block>_{width,expansion,depth} convention cost a
-        # per-block product; any other axis contributes an additive term
-        self._blocks: dict[str, list[int]] = {}
-        self._additive_axes: list[int] = []
+        # per-block product; any other axis contributes an additive term.
+        # Each axis gets a table of its per-index factor or term.
+        blocks: dict[str, list[int]] = {}
+        additive: list[int] = []
+        factors = []
         for i, axis in enumerate(space.axes):
             match = _BLOCK_AXIS.match(axis.name)
             if match:
-                self._blocks.setdefault(match.group("block"), []).append(i)
+                blocks.setdefault(match.group("block"), []).append(i)
+                factors.append([_cost_factor(axis, k) for k in range(axis.size)])
             else:
-                self._additive_axes.append(i)
+                additive.append(i)
+                factors.append(cost_weights[i] * np.arange(1, axis.size + 1))
+        self._cost_table = np.concatenate(factors)
+        self._cost_offsets = np.cumsum((0,) + sizes[:-1])[:, None]
+        # blocks shorter than the longest are padded with row m, a row of ones
+        self._block_axes = np.full((len(blocks), max(map(len, blocks.values()), default=1)), m)
+        for k, axes in enumerate(blocks.values()):
+            self._block_axes[k, : len(axes)] = axes
+        self._additive_axes = np.array(additive, dtype=int)
+        self._sizes = np.array(sizes)
 
+    def _columns(self, indices) -> np.ndarray:
+        """Validated value indices, one row per genotype, returned transposed."""
+        idx = np.asarray(indices)
+        if idx.ndim != 2 or idx.shape[1] != len(self._sizes):
+            raise ValueError("index rows do not match the space")
+        if idx.dtype.kind not in "iu":
+            raise ValueError("value indices must be integers")
+        if (idx < 0).any() or (idx >= self._sizes).any():
+            raise ValueError("value index out of range for the space")
+        return idx.astype(np.intp, copy=False).T  # offsets overflow narrow dtypes
+
+    def _accuracy(self, cols: np.ndarray) -> np.ndarray:
+        out = np.empty(cols.shape[1])
+        # bounds the (terms, rows) gather when a caller passes many rows
+        step = max(1, _GATHER_ELEMENTS // len(self._offsets))
+        for start in range(0, cols.shape[1], step):
+            part = cols[:, start : start + step]
+            # in place, so no more than two (terms, rows) arrays are alive
+            flat = part[self._first]
+            flat *= self._strides
+            flat += self._offsets
+            flat += part[self._second]
+            terms = self._table[flat]
+            # accumulate adds row by row at every batch size; a reduce would
+            # switch to pairwise summation when there is a single row
+            np.add.accumulate(terms, axis=0, out=terms)
+            out[start : start + step] = 1.0 / (1.0 + np.exp(-terms[-1]))
+        return out
+
+    def _cost(self, cols: np.ndarray) -> np.ndarray:
+        factors = self._cost_table[self._cost_offsets + cols]
+        factors = np.concatenate([factors, np.ones((1, cols.shape[1]))])
+        products = np.multiply.accumulate(factors[self._block_axes], axis=1)[:, -1]
+        terms = np.concatenate([products, factors[self._additive_axes]])
+        return np.add.accumulate(terms, axis=0)[-1]
+
+    def predict_many(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """(accuracy, cost) arrays for a ``(rows, num_axes)`` matrix of value
+        indices into ``self.space``."""
+        cols = self._columns(indices)
+        return self._accuracy(cols), self._cost(cols)
+
+    # indices_of checks membership, so the one-genotype methods pass its
+    # indices straight to the kernels as a one-row column matrix
     def predict_accuracy(self, genotype: Genotype) -> float:
-        idx = self.space.indices_of(genotype)
-        z = 0.0
-        for i, weights in enumerate(self._axis_weights):
-            z += weights[idx[i]]
-        for (i, j), table in self._pair_tables.items():
-            z += table[idx[i], idx[j]]
-        return float(1.0 / (1.0 + np.exp(-z)))
+        return float(self._accuracy(self.space.indices_of(genotype)[:, None])[0])
 
     def predict_cost(self, genotype: Genotype) -> float:
-        idx = self.space.indices_of(genotype)
-        cost = 0.0
-        for axes in self._blocks.values():
-            product = 1.0
-            for i in axes:
-                product *= _cost_factor(self.space.axes[i], idx[i])
-            cost += product
-        for i in self._additive_axes:
-            cost += self._cost_weights[i] * (idx[i] + 1)
-        return float(cost)
+        return float(self._cost(self.space.indices_of(genotype)[:, None])[0])
 
     def predict(self, genotype: Genotype) -> tuple[float, float]:
         return self.predict_accuracy(genotype), self.predict_cost(genotype)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from shsade_pids import cli
+from shsade_pids import cli, nas_search, objectives
+from shsade_pids.discrete_codec import DiscreteSpace
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -117,6 +118,46 @@ class TestRunValidation:
     def test_invalid_configs_exit_1(self, tmp_path, overrides):
         cfg = write_config(tmp_path / "config.json", **overrides)
         assert cli.main(["run", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "task, algorithm, key",
+        [
+            ("benchmark", "shsade", "pop_szie"),
+            ("benchmark", "vanilla_de", "memory_size"),  # an SHSADE-only key
+            ("nas", "shsade", "max_evaluations"),  # read by benchmark runs only
+            ("nas", "regularized_ea", "pop_size"),
+        ],
+    )
+    def test_unknown_algorithm_config_key_exits_1(self, tmp_path, monkeypatch, capsys, task, algorithm, key):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        if task == "benchmark":
+            doc = json.loads(write_config(tmp_path / "config.json", algorithm=algorithm).read_text())
+        else:
+            doc = nas_config(algorithm=algorithm)
+        doc["algorithm_config"][key] = 10
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / doc["output"]).exists()
+
+    def test_every_read_key_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = nas_config()
+        doc["algorithm_config"].update(
+            {"sigma_init_noise": 0.05, "sigma_trial_noise": 0.1, "mutation_fraction": 0.5,
+             "memory_size": 4, "use_trigonometric": False}
+        )
+        doc["seeds"] = [5]
+        path = tmp_path / "nas.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 0
+        cfg = write_config(
+            tmp_path / "de.json", algorithm="vanilla_de", seeds=[1], output="de",
+            algorithm_config={"pop_size": 8, "max_generations": 5, "max_evaluations": 400,
+                              "target_fitness": 0.0, "f": 0.6, "cr": 0.8},
+        )
+        assert cli.main(["run", str(cfg)]) == 0
 
     def test_nas_budget_below_population_exits_1(self, tmp_path):
         doc = nas_config()
@@ -267,6 +308,31 @@ class TestOracle:
         out = tmp_path / "ranking.csv"
         assert cli.main(["oracle", str(space_path), "--seed", "3", "-o", str(out)]) == 0
         assert out.read_text().startswith("rank,")
+
+    @pytest.mark.parametrize("cost_budget", ["0", "-1"])
+    def test_nonpositive_cost_budget_exits_1(self, tmp_path, capsys, cost_budget):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space_doc(num_axes=2, values=[0, 1])))
+        argv = ["oracle", str(space_path), "--seed", "3", "--cost-budget", cost_budget]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "cost_budget must be positive" in captured.err
+        assert captured.out == ""
+
+    def test_columns_match_the_one_genotype_predictions(self, tmp_path, capsys):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space_doc(num_axes=3, values=[0, 1, 2])))
+        assert cli.main(["oracle", str(space_path), "--seed", "3", "--cost-budget", "5.5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        space = DiscreteSpace.load(space_path)
+        surrogate = objectives.TabularSurrogate(space, 3)
+        bio = nas_search.BiObjectiveConfig(cost_budget=5.5)
+        _, ranking = nas_search.brute_force_optimum(space, surrogate, bio)
+        assert len(lines) == 1 + len(ranking)
+        for rank, (line, (genotype, value)) in enumerate(zip(lines[1:], ranking), start=1):
+            expected = [str(rank), repr(value), repr(surrogate.predict_accuracy(genotype)),
+                        repr(surrogate.predict_cost(genotype))] + [str(c) for c in genotype.choices]
+            assert line.split(",") == expected
 
     def test_oversized_space_exits_1(self, tmp_path, capsys):
         space_path = tmp_path / "space.json"

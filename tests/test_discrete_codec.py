@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shsade_pids.discrete_codec import (
     Axis,
     DiscreteSpace,
     Genotype,
     decode,
+    decode_indices,
     encode,
     genotype_from_dict,
     genotype_to_dict,
@@ -19,6 +22,9 @@ from shsade_pids.discrete_codec import (
 
 def grid_space(num_axes=5, values=(0, 1, 2, 3)):
     return DiscreteSpace(tuple(Axis(f"a{i}", values) for i in range(num_axes)))
+
+
+from space_strategies import index_rows, spaces
 
 
 def random_space(rng):
@@ -105,6 +111,53 @@ class TestDecode:
         for _ in range(500):
             g = decode(rng.uniform(-2, 3, size=4), space)
             space.indices_of(g)  # membership-valid by construction
+
+
+def loop_decode_indices(u, space):
+    """The original one-axis-at-a-time decode, kept as the reference."""
+    clamped = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    indices = []
+    for i, axis in enumerate(space.axes):
+        indices.append(0 if axis.size == 1 else int(np.floor(clamped[i] * (axis.size - 1) + 0.5)))
+    return indices
+
+
+class TestDecodeIndices:
+    @settings(max_examples=80, deadline=None)
+    @given(space=spaces(), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_loop_and_the_scalar_decode(self, space, rows, seed):
+        rng = np.random.default_rng(seed)
+        us = rng.uniform(-0.5, 1.5, size=(rows, space.num_axes))
+        # exact codepoints and half-way points between them, where rounding matters
+        tops = np.array(space.sizes) - 1
+        us[::2] = rng.integers(0, 2 * tops + 1, size=us[::2].shape) / np.maximum(2 * tops, 1)
+        batch = decode_indices(us, space)
+        assert batch.shape == (rows, space.num_axes)
+        for u, row in zip(us, batch):
+            assert row.tolist() == loop_decode_indices(u, space)
+            assert decode(u, space) == space.genotype_from_indices(row)
+
+    @settings(max_examples=40, deadline=None)
+    @given(space=spaces(), rows=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+    def test_choices_from_indices_matches_genotypes(self, space, rows, seed):
+        indices = index_rows(space, rows, seed)
+        expected = [space.genotype_from_indices(row).choices for row in indices]
+        assert space.choices_from_indices(indices) == expected
+
+    def test_tuple_values_stay_whole(self):
+        space = DiscreteSpace((Axis("kernel", ((1, 1), (3, 3))), Axis("w", (8,))))
+        assert space.choices_from_indices(np.array([[1, 0], [0, 0]])) == [((3, 3), 8), ((1, 1), 8)]
+
+    def test_rejects_bad_shapes_and_nan(self):
+        space = grid_space(3)
+        with pytest.raises(ValueError):
+            decode_indices(np.zeros(3), space)
+        with pytest.raises(ValueError):
+            decode_indices(np.zeros((2, 4)), space)
+        with pytest.raises(ValueError):
+            decode_indices(np.array([[0.1, np.nan, 0.2]]), space)
+        with pytest.raises(ValueError):
+            decode(np.array([0.1, np.nan, 0.2]), space)
 
 
 class TestPerturb:

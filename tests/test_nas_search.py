@@ -1,10 +1,13 @@
 """Architecture-search pipeline: scoring, budget accounting, the evolve loop
 and its brute-force oracle."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shsade_pids.discrete_codec import Axis, DiscreteSpace, Genotype
 from shsade_pids.nas_search import (
@@ -14,11 +17,14 @@ from shsade_pids.nas_search import (
     brute_force_optimum,
     nas_evolve,
     pids_space,
+    rank_space,
     result_document,
     score,
+    score_many,
 )
 from shsade_pids.objectives import TabularSurrogate
 from shsade_pids.shsade import ShsadeConfig
+from space_strategies import index_rows, spaces
 
 
 def grid_space(num_axes=5, values=(0, 1, 2, 3)):
@@ -53,6 +59,62 @@ class ConstPredictor:
         return self.cost
 
 
+class LoggingPredictor:
+    """One-genotype predictor (no predict_many) over a surrogate that logs
+    every call in order."""
+
+    def __init__(self, surrogate):
+        self.surrogate = surrogate
+        self.log = []
+
+    def predict_accuracy(self, genotype):
+        self.log.append(("accuracy", genotype.choices))
+        return self.surrogate.predict_accuracy(genotype)
+
+    def predict_cost(self, genotype):
+        self.log.append(("cost", genotype.choices))
+        return self.surrogate.predict_cost(genotype)
+
+
+class BatchLoggingPredictor:
+    """Surrogate whose predict_many logs the rows of every call."""
+
+    def __init__(self, surrogate):
+        self.surrogate = surrogate
+        self.batches = []
+
+    def predict_many(self, indices):
+        self.batches.append(np.array(indices))
+        return self.surrogate.predict_many(indices)
+
+    def predict_accuracy(self, genotype):
+        raise AssertionError("a batch predictor should not be called per genotype")
+
+    predict_cost = predict_accuracy
+
+
+def loop_score(accuracy, cost, config):
+    """The original one-genotype scalarization, kept as the reference."""
+    accuracy = float(accuracy)
+    cost = float(cost)
+    if cost <= config.cost_budget:
+        penalty = 1.0
+    else:
+        penalty = (config.cost_budget / cost) ** config.omega
+    return -accuracy * penalty
+
+
+def loop_brute_force(space, predictor, config):
+    """The original enumerate-score-sort oracle, kept as the reference."""
+    scored = []
+    for indices in itertools.product(*(range(a.size) for a in space.axes)):
+        genotype = space.genotype_from_indices(indices)
+        value = loop_score(predictor.predict_accuracy(genotype), predictor.predict_cost(genotype), config)
+        scored.append((value, indices, genotype))
+    scored.sort(key=lambda item: (item[0], item[1]))
+    return [(genotype, value) for value, _, genotype in scored]
+
+
 class TestScore:
     def test_at_budget_no_penalty(self):
         cfg = BiObjectiveConfig(cost_budget=4.0, omega=3.0)
@@ -69,6 +131,21 @@ class TestScore:
     def test_under_budget_no_bonus(self):
         cfg = BiObjectiveConfig(cost_budget=10.0, omega=2.0)
         assert score(Genotype((0,)), ConstPredictor(0.6, 1.0), cfg) == pytest.approx(-0.6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        accuracy=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+        costs=st.lists(st.floats(1e-3, 1e4), min_size=20, max_size=20),
+        cost_budget=st.floats(1e-2, 1e3),
+        omega=st.floats(0.0, 4.0),
+    )
+    def test_score_many_matches_the_loop_bit_for_bit(self, accuracy, costs, cost_budget, omega):
+        cfg = BiObjectiveConfig(cost_budget=cost_budget, omega=omega)
+        cost = costs[: len(accuracy)]
+        values = score_many(accuracy, cost, cfg)
+        for k, (a, c) in enumerate(zip(accuracy, cost)):
+            assert values[k] == loop_score(a, c, cfg)
+            assert score(Genotype((0,)), ConstPredictor(a, c), cfg) == values[k]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -108,6 +185,39 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_optimum(space, ConstPredictor(), BiObjectiveConfig(cost_budget=1.0))
 
+    @settings(max_examples=30, deadline=None)
+    @given(space=spaces(max_axes=5), seed=st.integers(0, 2**32 - 1), omega=st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+    def test_matches_the_loop_oracle(self, space, seed, omega):
+        surrogate = TabularSurrogate(space, seed)
+        mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
+        cfg = BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid), omega=omega)
+        expected = loop_brute_force(space, surrogate, cfg)
+        best, ranking = brute_force_optimum(space, surrogate, cfg)
+        assert ranking == expected
+        assert best == expected[0][0]
+        # the one-genotype path gives the same ranking, ties included
+        assert brute_force_optimum(space, LoggingPredictor(surrogate), cfg)[1] == expected
+
+    def test_rank_space_columns(self):
+        space = grid_space(3)
+        surrogate = TabularSurrogate(space, seed=5)
+        cfg = BiObjectiveConfig(cost_budget=20.0)
+        order, accuracy, cost, scores = rank_space(space, surrogate, cfg)
+        genotypes = list(space.iter_genotypes())
+        assert [genotypes[i] for i in order] == [g for g, _ in brute_force_optimum(space, surrogate, cfg)[1]]
+        for g, a, c, v in zip(genotypes, accuracy, cost, scores):
+            assert (a, c) == surrogate.predict(g)
+            assert v == score(g, surrogate, cfg)
+
+    def test_chunked_enumeration_matches_the_loop(self, monkeypatch):
+        import shsade_pids.nas_search as nas_search
+
+        monkeypatch.setattr(nas_search, "ENUMERATION_CHUNK", 7)  # many partial chunks
+        space = DiscreteSpace((Axis("b0_width", (8, 16, 32)), Axis("x", ("p", "q")), Axis("y", (1, 2, 3, 4))))
+        surrogate = TabularSurrogate(space, seed=3)
+        cfg = BiObjectiveConfig(cost_budget=30.0)
+        assert brute_force_optimum(space, surrogate, cfg)[1] == loop_brute_force(space, surrogate, cfg)
+
 
 class TestBudgetedScorer:
     def test_memoizes_and_counts_once(self):
@@ -135,6 +245,95 @@ class TestBudgetedScorer:
             scorer.try_score(Genotype(c))
         assert scorer.best_genotype.choices == (1,)
         assert scorer.best_score == pytest.approx(-0.9)
+
+
+class TestScoreRows:
+    def scorer(self, predictor, budget=100):
+        return BudgetedScorer(predictor, BiObjectiveConfig(cost_budget=1.0, omega=0.0), budget)
+
+    def test_in_batch_duplicates_pay_once(self):
+        space = grid_space(1, (0, 1, 2))
+        predictor = TablePredictor({(0,): 0.1, (1,): 0.5, (2,): 0.3})
+        scorer = self.scorer(predictor)
+        values, scored = scorer.score_rows(space, np.array([[1], [2], [1], [0], [2]]))
+        assert values.tolist() == [-0.5, -0.3, -0.5, -0.1, -0.3]
+        assert scored.all()
+        assert predictor.calls == 3
+        assert scorer.evaluations == 3
+        # a second batch only hits the memo
+        values, scored = scorer.score_rows(space, np.array([[0], [1]]))
+        assert values.tolist() == [-0.1, -0.5] and scored.all()
+        assert predictor.calls == 3 and scorer.evaluations == 3
+
+    def test_budget_runs_out_mid_batch(self):
+        space = grid_space(1, (0, 1, 2, 3))
+        predictor = TablePredictor({(i,): 0.1 * (i + 1) for i in range(4)})
+        scorer = self.scorer(predictor, budget=2)
+        values, scored = scorer.score_rows(space, np.array([[0], [1], [0], [2], [3], [1], [2]]))
+        assert scored.tolist() == [True, True, True, False, False, True, False]
+        assert values[scored].tolist() == [-0.1, -0.2, -0.1, -0.2]
+        assert np.isinf(values[~scored]).all() and (values[~scored] > 0).all()
+        assert scorer.evaluations == 2 and predictor.calls == 2
+        assert scorer.best_genotype.choices == (1,)
+
+    def test_tie_keeps_the_first_best(self):
+        space = grid_space(1, (0, 1, 2, 3))
+        predictor = TablePredictor({(0,): 0.2, (1,): 0.7, (2,): 0.7, (3,): 0.7})
+        scorer = self.scorer(predictor)
+        scorer.score_rows(space, np.array([[0], [2], [1]]))
+        assert scorer.best_genotype.choices == (2,)
+        assert scorer.best_score == -0.7
+        scorer.score_rows(space, np.array([[3]]))
+        assert scorer.best_genotype.choices == (2,)
+
+    def test_predict_many_once_per_batch_on_new_rows_only(self):
+        space = grid_space(3)
+        predictor = BatchLoggingPredictor(TabularSurrogate(space, seed=4))
+        scorer = self.scorer(predictor, budget=4)
+        scorer.score_rows(space, np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0]]))
+        scorer.score_rows(space, np.array([[1, 1, 1], [2, 2, 2], [3, 3, 3], [2, 2, 2], [0, 1, 2]]))
+        scorer.score_rows(space, np.array([[0, 0, 0]]))  # all hits: no call
+        assert [b.tolist() for b in predictor.batches] == [
+            [[0, 0, 0], [1, 1, 1]],
+            [[2, 2, 2], [3, 3, 3]],
+        ]
+
+    def test_one_genotype_fallback_calls_in_row_order(self):
+        space = grid_space(2, (0, 1, 2))
+        predictor = LoggingPredictor(TabularSurrogate(space, seed=2))
+        scorer = self.scorer(predictor)
+        scorer.score_rows(space, np.array([[2, 1], [0, 0], [2, 1], [1, 2]]))
+        assert predictor.log == [
+            ("accuracy", (2, 1)), ("cost", (2, 1)),
+            ("accuracy", (0, 0)), ("cost", (0, 0)),
+            ("accuracy", (1, 2)), ("cost", (1, 2)),
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space=spaces(max_axes=4),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 40),
+        batches=st.lists(st.integers(1, 25), min_size=1, max_size=6),
+        batch_predictor=st.booleans(),
+    )
+    def test_matches_try_score_row_by_row(self, space, seed, budget, batches, batch_predictor):
+        surrogate = TabularSurrogate(space, seed)
+        mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
+        cfg = BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid), omega=1.0)
+        predictor = surrogate if batch_predictor else LoggingPredictor(surrogate)
+        batched = BudgetedScorer(predictor, cfg, budget)
+        reference = BudgetedScorer(surrogate, cfg, budget)
+        for k, rows in enumerate(batches):
+            indices = index_rows(space, rows, seed + k)
+            values, scored = batched.score_rows(space, indices)
+            for row, value, ok in zip(indices, values.tolist(), scored.tolist()):
+                expected = reference.try_score(space.genotype_from_indices(row))
+                assert (value if ok else None) == expected
+            assert batched.evaluations == reference.evaluations
+            assert batched.best_score == reference.best_score
+            assert batched.best_genotype == reference.best_genotype
+        assert batched.scores == reference.scores
 
 
 class TestNasEvolve:
@@ -233,6 +432,20 @@ class TestNasEvolve:
         )
         best_a, trace_a = nas_evolve(space, surrogate, cfg, np.random.default_rng(9))
         best_b, trace_b = nas_evolve(space, surrogate, cfg, np.random.default_rng(9))
+        assert best_a == best_b
+        assert [r.as_tuple() for r in trace_a.rows] == [r.as_tuple() for r in trace_b.rows]
+
+    def test_batch_and_one_genotype_predictors_give_the_same_run(self):
+        space = pids_space(num_blocks=2)
+        surrogate = TabularSurrogate(space, seed=4)
+        mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
+        cfg = NasConfig(
+            biobjective=BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid)),
+            shsade=ShsadeConfig(pop_size=16, max_generations=25, crossover_target="best"),
+            budget=200,
+        )
+        best_a, trace_a = nas_evolve(space, surrogate, cfg, np.random.default_rng(3))
+        best_b, trace_b = nas_evolve(space, LoggingPredictor(surrogate), cfg, np.random.default_rng(3))
         assert best_a == best_b
         assert [r.as_tuple() for r in trace_a.rows] == [r.as_tuple() for r in trace_b.rows]
 
