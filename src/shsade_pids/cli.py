@@ -48,6 +48,16 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    """JSON integers. ``true`` and ``false`` load as bools, which
+    ``isinstance`` counts as ints, but no config field means them as numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _load_json(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
@@ -65,13 +75,13 @@ def _midpoint_genotype(space: DiscreteSpace):
 
 def _resolve_biobjective(raw: dict, surrogate) -> nas_search.BiObjectiveConfig:
     omega = raw.get("omega", 1.0)
-    _require(isinstance(omega, (int, float)) and omega >= 0, "biobjective.omega must be >= 0")
+    _require(_is_number(omega) and omega >= 0, "biobjective.omega must be >= 0")
     cost_budget = raw.get("cost_budget")
     if cost_budget is None:
         # default reference cost: the mid-grid architecture
         cost_budget = surrogate.predict_cost(_midpoint_genotype(surrogate.space))
     _require(
-        isinstance(cost_budget, (int, float)) and cost_budget > 0,
+        _is_number(cost_budget) and cost_budget > 0,
         "biobjective.cost_budget must be positive",
     )
     return nas_search.BiObjectiveConfig(cost_budget=float(cost_budget), omega=float(omega))
@@ -87,7 +97,7 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
     algorithm = raw.get("algorithm")
     seeds = raw.get("seeds")
     _require(isinstance(seeds, list) and seeds, "seeds must be a non-empty list")
-    _require(all(isinstance(s, int) for s in seeds), "seeds must be integers")
+    _require(all(_is_int(s) for s in seeds), "seeds must be integers")
     _require(len(set(seeds)) == len(seeds), "seeds must be duplicate-free")
     output = raw.get("output")
     _require(isinstance(output, str) and output, "output must be a non-empty path string")
@@ -138,9 +148,9 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
         except ValueError as exc:
             raise ConfigError(f"invalid space document: {exc}") from None
         surrogate_seed = raw.get("surrogate_seed")
-        _require(isinstance(surrogate_seed, int), "nas task needs an integer surrogate_seed")
+        _require(_is_int(surrogate_seed), "nas task needs an integer surrogate_seed")
         budget = raw.get("budget", 500)
-        _require(isinstance(budget, int) and budget >= 1, "budget must be a positive integer")
+        _require(_is_int(budget) and budget >= 1, "budget must be a positive integer")
         surrogate = objectives.TabularSurrogate(space, surrogate_seed)
         bio_raw = raw.get("biobjective", {})
         _require(isinstance(bio_raw, dict), "biobjective must be an object")
@@ -344,21 +354,17 @@ def run_experiment(config_path: str, threads: int = 1) -> int:
             trace.metadata.update({"seed": str(seed), "config_hash": cfg["hash"]})
             path = outdir / f"trace_seed{seed}.csv"
             trace.write_csv(path)
-            return path, entry
+            # recorded here, not as the pool yields in seed order, so a failed
+            # seed's cleanup also sees the traces later seeds already wrote
+            written.append(path)
+            return entry
 
-        entries = []
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                for path, entry in pool.map(run_and_write, cfg["seeds"]):
-                    written.append(path)
-                    entries.append(entry)
+                entries = list(pool.map(run_and_write, cfg["seeds"]))
         else:
-            for seed in cfg["seeds"]:
-                path, entry = run_and_write(seed)
-                written.append(path)
-                entries.append(entry)
+            entries = [run_and_write(seed) for seed in cfg["seeds"]]
 
-        entries.sort(key=lambda e: cfg["seeds"].index(e["seed"]))
         finals = [e["final_best"] for e in entries]
         summary = {
             "task": cfg["task"],

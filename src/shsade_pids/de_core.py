@@ -153,9 +153,8 @@ def init_population(spec: ObjectiveSpec, pop_size: int, rng) -> Population:
 
 def repair_bounds_matrix(v: np.ndarray, bounds: Bounds, base: np.ndarray) -> np.ndarray:
     """Row-wise midpoint repair: a violated coordinate moves to the midpoint
-    between the violated bound and the base vector's coordinate."""
-    v = np.asarray(v, dtype=float)
-    base = np.asarray(base, dtype=float)
+    between the violated bound and the base vector's coordinate. ``v`` and
+    ``base`` are float arrays; ``repair_bounds`` checks and converts."""
     out = np.where(v < bounds.lower, 0.5 * (bounds.lower + base), v)
     out = np.where(out > bounds.upper, 0.5 * (bounds.upper + base), out)
     return out
@@ -175,11 +174,11 @@ def repair_bounds(v, bounds: Bounds, base) -> np.ndarray:
 def binomial_crossover_matrix(
     targets: np.ndarray, donors: np.ndarray, cr: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Row-wise binomial crossover with one forced donor coordinate per row."""
-    targets = np.asarray(targets, dtype=float)
-    donors = np.asarray(donors, dtype=float)
+    """Row-wise binomial crossover with one forced donor coordinate per row.
+    ``targets``, ``donors`` and ``cr`` are float arrays; ``binomial_crossover``
+    checks and converts."""
     n, dim = targets.shape
-    mask = rng.random((n, dim)) < np.asarray(cr, dtype=float)[:, None]
+    mask = rng.random((n, dim)) < cr[:, None]
     j_rand = rng.integers(0, dim, size=n)
     mask[np.arange(n), j_rand] = True
     return np.where(mask, donors, targets)
@@ -207,24 +206,28 @@ def greedy_select(target: Individual, trial: Individual) -> tuple[Individual, bo
     return target, False
 
 
+def redraw_clashes(values: np.ndarray, clashes: Callable, draw: Callable) -> np.ndarray:
+    """Redraw the entries of ``values`` where ``clashes(values)`` holds until
+    none do; each round redraws every clashing entry with one ``draw(count)``."""
+    bad = clashes(values)
+    count = np.count_nonzero(bad)
+    while count:
+        values[bad] = draw(count)
+        bad = clashes(values)
+        count = np.count_nonzero(bad)
+    return values
+
+
 def sample_distinct_triplets(
     pop_size: int, rows: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each row index i, draw r1, r2, r3 mutually distinct and distinct
     from i, uniformly over the population. Needs pop_size >= 4."""
-    r1 = rng.integers(0, pop_size, size=rows.size)
-    bad = r1 == rows
-    while bad.any():
-        r1[bad] = rng.integers(0, pop_size, size=int(bad.sum()))
-        bad = r1 == rows
-    r2 = rng.integers(0, pop_size, size=rows.size)
-    bad = (r2 == rows) | (r2 == r1)
-    while bad.any():
-        r2[bad] = rng.integers(0, pop_size, size=int(bad.sum()))
-        bad = (r2 == rows) | (r2 == r1)
-    r3 = rng.integers(0, pop_size, size=rows.size)
-    bad = (r3 == rows) | (r3 == r1) | (r3 == r2)
-    while bad.any():
-        r3[bad] = rng.integers(0, pop_size, size=int(bad.sum()))
-        bad = (r3 == rows) | (r3 == r1) | (r3 == r2)
+
+    def draw(count):
+        return rng.integers(0, pop_size, size=count)
+
+    r1 = redraw_clashes(draw(rows.size), lambda r: r == rows, draw)
+    r2 = redraw_clashes(draw(rows.size), lambda r: (r == rows) | (r == r1), draw)
+    r3 = redraw_clashes(draw(rows.size), lambda r: (r == rows) | (r == r1) | (r == r2), draw)
     return r1, r2, r3

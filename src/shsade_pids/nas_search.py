@@ -317,11 +317,14 @@ def rank_space(
         raise ValueError(f"space has {space.size} configurations, enumeration caps at {MAX_ENUMERATION}")
     accuracy = np.empty(space.size)
     cost = np.empty(space.size)
+    scores = np.empty(space.size)
     for start in range(0, space.size, ENUMERATION_CHUNK):
         stop = min(start + ENUMERATION_CHUNK, space.size)
         indices = np.stack(np.unravel_index(np.arange(start, stop), space.sizes), axis=1)
         accuracy[start:stop], cost[start:stop] = _predict_rows(predictor, space, indices)
-    scores = score_many(accuracy, cost, config)
+        # scored per chunk: score_many's over-budget penalties go through a
+        # Python list, which for a whole space would dwarf the arrays
+        scores[start:stop] = score_many(accuracy[start:stop], cost[start:stop], config)
     return np.argsort(scores, kind="stable"), accuracy, cost, scores
 
 

@@ -28,6 +28,7 @@ from .de_core import (
     binomial_crossover_matrix,
     ensure_rng,
     init_population,
+    redraw_clashes,
     repair_bounds_matrix,
     sample_distinct_triplets,
 )
@@ -227,8 +228,17 @@ def sample_cr(memories: ParameterMemories, rng, sigma: float = 0.1, size: int | 
     """CR ~ normal(MCR_r, sigma) around a random memory entry, clamped to [0, 1]."""
     n = 1 if size is None else int(size)
     r = rng.integers(0, memories.size, size=n)
-    values = np.clip(rng.normal(memories.mcr[r], sigma), 0.0, 1.0)
+    # min/max instead of np.clip: the same values for the never-NaN normal
+    # draws, without np.clip's dispatch overhead
+    values = np.minimum(np.maximum(_normal(memories.mcr[r], sigma, rng), 0.0), 1.0)
     return float(values[0]) if size is None else values
+
+
+def _normal(loc: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """``rng.normal(loc, sigma)`` for a vector ``loc``, computed the way numpy
+    computes it (loc + sigma * z, z standard normal): the same values and the
+    same stream state, without the broadcasting set-up of an array ``loc``."""
+    return loc + sigma * rng.standard_normal(loc.size)
 
 
 def _resampled_cauchy(loc, sigma, rng, upper_reject: bool, max_retries: int):
@@ -243,14 +253,16 @@ def _resampled_cauchy(loc, sigma, rng, upper_reject: bool, max_retries: int):
         return bad
 
     bad = bad_mask(values)
+    n_bad = np.count_nonzero(bad)
     retries = 0
-    while bad.any():
+    while n_bad:
         retries += 1
         if retries > max_retries:
             values[bad] = loc[bad]
             break
-        values[bad] = loc[bad] + sigma * rng.standard_cauchy(int(bad.sum()))
+        values[bad] = loc[bad] + sigma * rng.standard_cauchy(n_bad)
         bad = bad_mask(values)
+        n_bad = np.count_nonzero(bad)
     return values
 
 
@@ -282,16 +294,18 @@ def sample_f_gaussian(
     n = 1 if size is None else int(size)
     r = rng.integers(0, memories.size, size=n)
     loc = memories.mf[r]
-    values = rng.normal(loc, sigma)
+    values = _normal(loc, sigma, rng)
     bad = values <= 0.0
+    n_bad = np.count_nonzero(bad)
     retries = 0
-    while bad.any():
+    while n_bad:
         retries += 1
         if retries > max_retries:
             values[bad] = loc[bad]
             break
-        values[bad] = rng.normal(loc[bad], sigma)
+        values[bad] = _normal(loc[bad], sigma, rng)
         bad = values <= 0.0
+        n_bad = np.count_nonzero(bad)
     values = np.minimum(values, 1.0)
     return float(values[0]) if size is None else values
 
@@ -402,21 +416,19 @@ def _select_pbest_partners(
     pop_size = fitness.size
     k = min(pop_size, max(2, math.ceil(p_best_fraction * pop_size)))
     top = np.argsort(fitness, kind="stable")[:k]
-    pbest = top[rng.integers(0, k, size=rows.size)]
-    bad = pbest == rows
-    while bad.any():
-        pbest[bad] = top[rng.integers(0, k, size=int(bad.sum()))]
-        bad = pbest == rows
-    r1 = rng.integers(0, pop_size, size=rows.size)
-    bad = (r1 == rows) | (r1 == pbest)
-    while bad.any():
-        r1[bad] = rng.integers(0, pop_size, size=int(bad.sum()))
-        bad = (r1 == rows) | (r1 == pbest)
-    r2 = rng.integers(0, pop_size + archive_size, size=rows.size)
-    bad = (r2 == rows) | (r2 == pbest) | (r2 == r1)
-    while bad.any():
-        r2[bad] = rng.integers(0, pop_size + archive_size, size=int(bad.sum()))
-        bad = (r2 == rows) | (r2 == pbest) | (r2 == r1)
+
+    def draw_top(count):
+        return top[rng.integers(0, k, size=count)]
+
+    def draw_population(count):
+        return rng.integers(0, pop_size, size=count)
+
+    def draw_pool(count):
+        return rng.integers(0, pop_size + archive_size, size=count)
+
+    pbest = redraw_clashes(draw_top(rows.size), lambda r: r == rows, draw_top)
+    r1 = redraw_clashes(draw_population(rows.size), lambda r: (r == rows) | (r == pbest), draw_population)
+    r2 = redraw_clashes(draw_pool(rows.size), lambda r: (r == rows) | (r == pbest) | (r == r1), draw_pool)
     return pbest, r1, r2
 
 
@@ -449,19 +461,14 @@ def mutate_trigonometric(population: Population, i: int, rng) -> np.ndarray:
 def _trigonometric_donors(
     x: np.ndarray, fitness: np.ndarray, r1: np.ndarray, r2: np.ndarray, r3: np.ndarray
 ) -> np.ndarray:
-    a1, a2, a3 = np.abs(fitness[r1]), np.abs(fitness[r2]), np.abs(fitness[r3])
-    total = a1 + a2 + a3
-    centroid = (x[r1] + x[r2] + x[r3]) / 3.0
-    safe = np.where(total > 0, total, 1.0)
-    w1 = np.where(total > 0, a1 / safe, 0.0)[:, None]
-    w2 = np.where(total > 0, a2 / safe, 0.0)[:, None]
-    w3 = np.where(total > 0, a3 / safe, 0.0)[:, None]
-    return (
-        centroid
-        + (w2 - w1) * (x[r1] - x[r2])
-        + (w3 - w2) * (x[r2] - x[r3])
-        + (w1 - w3) * (x[r3] - x[r1])
-    )
+    picks = np.array((r1, r2, r3))
+    a = np.abs(fitness[picks])
+    x1, x2, x3 = x[picks]
+    total = a[0] + a[1] + a[2]
+    centroid = (x1 + x2 + x3) / 3.0
+    positive = total > 0
+    w1, w2, w3 = np.where(positive, a / np.where(positive, total, 1.0), 0.0)[:, :, None]
+    return centroid + (w2 - w1) * (x1 - x2) + (w3 - w2) * (x2 - x3) + (w1 - w3) * (x3 - x1)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +568,11 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     pop_size, _ = x.shape
     gen = state.generation + 1
 
-    strategies = rng.choice(len(state.strategy.probabilities), size=pop_size, p=state.strategy.probabilities)
+    # rng.choice(2, pop_size, p=probabilities) written out: the same draws
+    # and the same stream state, without choice's argument checks
+    cdf = state.strategy.probabilities.cumsum()
+    cdf /= cdf[-1]
+    strategies = cdf.searchsorted(rng.random(pop_size), side="right")
     cr = sample_cr(state.memories, rng, cfg.sigma_cr, size=pop_size)
 
     if cfg.use_sinusoidal and gen <= cfg.max_generations / 2:
@@ -584,21 +595,20 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     pbest_rows = np.flatnonzero(strategies == CURRENT_TO_PBEST)
     trig_rows = np.flatnonzero(strategies == TRIGONOMETRIC)
 
-    def cross_targets(rows: np.ndarray) -> np.ndarray:
-        if cfg.crossover_target == "best":
-            return np.broadcast_to(x[int(np.argmin(fitness))], (rows.size, x.shape[1]))
-        return x[rows]
+    best = x[int(np.argmin(fitness))] if cfg.crossover_target == "best" else None
+
+    def cross_targets(own: np.ndarray) -> np.ndarray:
+        return own if best is None else np.broadcast_to(best, own.shape)
 
     if pbest_rows.size:
         pbest, r1, r2 = _select_pbest_partners(
             fitness, len(state.archive), pbest_rows, cfg.p_best_fraction, rng
         )
-        pool = x if not state.archive else np.vstack([x, np.asarray(state.archive)])
+        pool = np.concatenate((x, state.archive)) if state.archive else x
         step = f[pbest_rows][:, None]
-        donors = x[pbest_rows] + step * (x[pbest] - x[pbest_rows]) + step * (x[r1] - pool[r2])
-        trials[pbest_rows] = binomial_crossover_matrix(
-            cross_targets(pbest_rows), donors, cr[pbest_rows], rng
-        )
+        own = x[pbest_rows]
+        donors = own + step * (x[pbest] - own) + step * (x[r1] - pool[r2])
+        trials[pbest_rows] = binomial_crossover_matrix(cross_targets(own), donors, cr[pbest_rows], rng)
     if trig_rows.size:
         # no F is involved here; the donor recombines with the target like any
         # other unless trigonometric crossover is switched off
@@ -606,20 +616,48 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
         donors = _trigonometric_donors(x, fitness, t1, t2, t3)
         if cfg.crossover_trigonometric:
             trials[trig_rows] = binomial_crossover_matrix(
-                cross_targets(trig_rows), donors, cr[trig_rows], rng
+                cross_targets(x[trig_rows]), donors, cr[trig_rows], rng
             )
         else:
             trials[trig_rows] = donors
 
     trials = repair_bounds_matrix(trials, state.bounds, x)
-    trig = strategies == TRIGONOMETRIC
-    return TrialBatch(
-        x=trials,
-        strategies=strategies,
-        f=np.where(trig, np.nan, f),
-        cr=np.where(trig, np.nan, cr),
-        freq=np.where(trig, np.nan, freq_used),
-    )
+    # f, cr and freq_used are fresh arrays, read for the last time above
+    f[trig_rows] = np.nan
+    cr[trig_rows] = np.nan
+    freq_used[trig_rows] = np.nan
+    return TrialBatch(x=trials, strategies=strategies, f=f, cr=cr, freq=freq_used)
+
+
+def _used(values: np.ndarray) -> list[float]:
+    """The values a trial used; NaN marks a parameter the trial did not use."""
+    return values[~np.isnan(values)].tolist()
+
+
+def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Generator) -> None:
+    """Append replaced parents to the archive in row order. Each append that
+    overflows the capacity deletes a uniformly drawn row, shifting the later
+    rows down, so the archive keeps its list order.
+
+    All of a generation's deletions are drawn in one call. Every one of them
+    has the bound capacity + 1, and a batched ``rng.integers`` yields the
+    same values and leaves the stream where the scalar calls would; a bound
+    of 1 (capacity 0) draws nothing.
+    """
+    archive = state.archive
+    capacity = state.archive_capacity
+    # one array per row: views of ``parents`` would keep the whole block
+    # alive while any one of its rows stays archived
+    rows = [row.copy() for row in parents]
+    overflow = len(archive) + len(rows) - capacity
+    if overflow <= 0:
+        archive.extend(rows)
+        return
+    free = len(rows) - overflow
+    archive.extend(rows[:free])
+    for row, j in zip(rows[free:], rng.integers(0, capacity + 1, size=overflow).tolist()):
+        archive.append(row)
+        del archive[j]
 
 
 def commit_generation(
@@ -638,37 +676,28 @@ def commit_generation(
     cfg = state.config
     x = state.x
     fitness = state.fitness
-    pop_size = fitness.size
     tf = np.asarray(trial_fitness, dtype=float)
-    if evaluated is None:
-        evaluated = np.ones(pop_size, dtype=bool)
-    else:
+    accepted = tf <= fitness
+    improved = tf < fitness
+    tried = batch.strategies
+    if evaluated is not None:
         evaluated = np.asarray(evaluated, dtype=bool)
-    safe_tf = np.where(evaluated, tf, np.inf)
-    accepted = evaluated & (safe_tf <= fitness)
-    improved = evaluated & (safe_tf < fitness)
+        accepted &= evaluated
+        improved &= evaluated
+        tried = tried[evaluated]
 
-    success = SuccessSets()
-    for i in np.flatnonzero(improved):
-        if not np.isnan(batch.cr[i]):
-            success.scr.append(float(batch.cr[i]))
-        if not np.isnan(batch.f[i]):
-            success.sf.append(float(batch.f[i]))
-        if not np.isnan(batch.freq[i]):
-            success.sfreq.append(float(batch.freq[i]))
-
-    for i in np.flatnonzero(accepted):
-        state.archive.append(x[i].copy())
-        while len(state.archive) > state.archive_capacity:
-            del state.archive[int(rng.integers(0, len(state.archive)))]
+    success = SuccessSets(
+        scr=_used(batch.cr[improved]), sf=_used(batch.f[improved]), sfreq=_used(batch.freq[improved])
+    )
+    _archive_parents(state, x[accepted], rng)
 
     x[accepted] = batch.x[accepted]
-    fitness[accepted] = safe_tf[accepted]
+    fitness[accepted] = tf[accepted]
 
-    for s in (CURRENT_TO_PBEST, TRIGONOMETRIC):
-        attempted = evaluated & (batch.strategies == s)
-        state.strategy.success_counts[s] += int(np.count_nonzero(attempted & improved))
-        state.strategy.failure_counts[s] += int(np.count_nonzero(attempted & ~improved))
+    n_strategies = state.strategy.success_counts.size
+    won = np.bincount(batch.strategies[improved], minlength=n_strategies)
+    state.strategy.success_counts += won
+    state.strategy.failure_counts += np.bincount(tried, minlength=n_strategies) - won
     state.strategy.generations_in_window += 1
     if cfg.use_trigonometric and state.strategy.generations_in_window >= cfg.learning_period:
         update_strategy_probs(state.strategy, cfg.p_min, cfg.strategy_epsilon)
@@ -681,7 +710,7 @@ def commit_generation(
         state.best_fitness = float(fitness[best_idx])
         state.best_x = x[best_idx].copy()
     state.generation += 1
-    state.evaluations += int(np.count_nonzero(evaluated))
+    state.evaluations += tried.size
     return state
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the experiment harness and its file contracts."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,36 @@ class TestRunValidation:
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("biobjective", "cost_budget"), "biobjective.cost_budget must be positive"),
+            (("biobjective", "omega"), "biobjective.omega must be >= 0"),
+            (("budget",), "budget must be a positive integer"),
+            (("surrogate_seed",), "integer surrogate_seed"),
+        ],
+    )
+    def test_json_boolean_in_numeric_nas_field_exits_1(self, tmp_path, monkeypatch, capsys, path, message):
+        # true loads as a Python bool, which isinstance counts as the int 1
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = nas_config()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = True
+        config = tmp_path / "nas.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["run", str(config)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / doc["output"]).exists()
+
+    def test_json_boolean_seed_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        cfg = write_config(tmp_path / "config.json", seeds=[2, True])
+        assert cli.main(["run", str(cfg)]) == 1
+        assert "seeds must be integers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_space_file_exits_1(self, tmp_path):
         doc = nas_config()
         doc["space"] = "nowhere/space.json"
@@ -194,6 +225,29 @@ class TestRunValidation:
         leftovers = list(outdir.iterdir()) if outdir.exists() else []
         assert leftovers == []
         assert "runtime error" in capsys.readouterr().err
+
+    def test_threaded_failure_removes_outputs_written_by_other_seeds(self, tmp_path, monkeypatch, capsys):
+        # the first seed fails only after the other seeds have written their
+        # traces, which a pool yields after the failure in seed order
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        cfg = write_config(tmp_path / "config.json")
+        real_build_runner = cli._build_runner
+
+        def build_runner(config):
+            runner = real_build_runner(config)
+
+            def run_seed(seed):
+                if seed == config["seeds"][0]:
+                    time.sleep(0.5)
+                    raise RuntimeError("simulated delayed failure")
+                return runner(seed)
+
+            return run_seed
+
+        monkeypatch.setattr(cli, "_build_runner", build_runner)
+        assert cli.main(["run", str(cfg), "--threads", "2"]) == 2
+        assert list((tmp_path / "out").glob("trace_*.csv")) == []
+        assert "simulated delayed failure" in capsys.readouterr().err
 
 
 class TestRunNas:

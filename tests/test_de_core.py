@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shsade_pids.de_core import (
     Bounds,
@@ -9,11 +11,16 @@ from shsade_pids.de_core import (
     ObjectiveSpec,
     Population,
     binomial_crossover,
+    binomial_crossover_matrix,
     greedy_select,
     init_population,
+    redraw_clashes,
     repair_bounds,
+    repair_bounds_matrix,
     sample_distinct_triplets,
 )
+
+import reference_generation
 
 
 def sphere_spec(dim=2, lo=0.0, hi=1.0):
@@ -201,3 +208,46 @@ def test_sample_distinct_triplets():
             picks = {int(r1[i]), int(r2[i]), int(r3[i])}
             assert len(picks) == 3
             assert i not in picks
+
+
+@settings(max_examples=100, deadline=None)
+@given(pop_size=st.integers(4, 20), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sample_distinct_triplets_match_loop_reference(pop_size, seed, data):
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, pop_size - 1), min_size=1))))
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = sample_distinct_triplets(pop_size, rows, rng_new)
+    ref = reference_generation.sample_distinct_triplets(pop_size, rows, rng_ref)
+    assert [a.tolist() for a in new] == [a.tolist() for a in ref]
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 20),
+    dim=st.integers(1, 12),
+    cr=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_crossover_and_repair_match_loop_reference(rows, dim, cr, seed):
+    values = np.random.default_rng(seed)
+    targets = values.uniform(-1, 1, size=(rows, dim))
+    donors = values.uniform(-3, 3, size=(rows, dim))  # many out of bounds
+    rates = np.minimum(values.random(rows), cr)
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = binomial_crossover_matrix(targets, donors, rates, rng_new)
+    ref = reference_generation.binomial_crossover_matrix(targets, donors, rates, rng_ref)
+    assert new.tobytes() == ref.tobytes()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    bounds = Bounds.cube(-1, 1, dim)
+    repaired = repair_bounds_matrix(new, bounds, targets)
+    assert repaired.tobytes() == reference_generation.repair_bounds_matrix(ref, bounds, targets).tobytes()
+    assert np.all((repaired >= -1) & (repaired <= 1))
+
+
+def test_redraw_clashes_redraws_only_clashing_entries():
+    draws = iter([np.array([7, 8])])
+    values = redraw_clashes(np.array([1, 5, 5]), lambda v: v == 5, lambda count: next(draws)[:count])
+    assert values.tolist() == [1, 7, 8]
+    draws = iter([np.array([5, 3]), np.array([4])])  # the first round clashes again
+    values = redraw_clashes(np.array([5, 5]), lambda v: v == 5, lambda count: next(draws)[:count])
+    assert values.tolist() == [4, 3]

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shsade_pids.de_core import Bounds, ObjectiveSpec, Population
 from shsade_pids.objectives import make_benchmark
@@ -15,6 +17,7 @@ from shsade_pids.shsade import (
     StrategyState,
     SuccessSets,
     Termination,
+    _select_pbest_partners,
     adaptive_sinusoidal_f,
     build_trials,
     commit_generation,
@@ -36,6 +39,8 @@ from shsade_pids.shsade import (
     update_memories,
     update_strategy_probs,
 )
+
+import reference_generation
 
 
 def memories_all(value_cr=0.5, value_f=0.5, value_freq=0.5, size=5):
@@ -505,3 +510,187 @@ class TestRun:
         cfg = ShsadeConfig(pop_size=10, max_generations=30, f_second_half="gaussian")
         best, _ = run(cfg, sphere_spec(3), rng=5)
         assert math.isfinite(best.fitness)
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the loop-written generation step in reference_generation
+
+
+def _plateau_batch(xs):
+    # whole-number plateaus: many ties, so most trials are accepted and the
+    # archive overflows in nearly every generation
+    return np.floor(np.sum(xs * xs, axis=1))
+
+
+def _state_snapshot(state):
+    return (
+        state.x.tobytes(),
+        state.fitness.tobytes(),
+        state.memories.mcr.tobytes(),
+        state.memories.mf.tobytes(),
+        state.memories.mfreq.tobytes(),
+        state.memories.next_update_index,
+        state.strategy.probabilities.tobytes(),
+        state.strategy.success_counts.tolist(),
+        state.strategy.failure_counts.tolist(),
+        state.strategy.generations_in_window,
+        [row.tobytes() for row in state.archive],
+        state.generation,
+        state.evaluations,
+        state.best_x.tobytes(),
+        state.best_fitness,
+    )
+
+
+def _batch_snapshot(batch):
+    return (
+        batch.x.tobytes(),
+        batch.strategies.tolist(),
+        batch.f.tobytes(),
+        batch.cr.tobytes(),
+        batch.freq.tobytes(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pop_size=st.integers(4, 20),
+    dim=st.integers(1, 12),
+    archive_capacity=st.sampled_from([0, 1, None, 3, 40]),
+    crossover_target=st.sampled_from(["self", "best"]),
+    use_trigonometric=st.booleans(),
+    crossover_trigonometric=st.booleans(),
+    use_sinusoidal=st.booleans(),
+    f_second_half=st.sampled_from(["cauchy", "gaussian"]),
+    plateaus=st.booleans(),
+    drop_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generation_step_matches_loop_reference(
+    pop_size, dim, archive_capacity, crossover_target, use_trigonometric, crossover_trigonometric,
+    use_sinusoidal, f_second_half, plateaus, drop_rows, seed,
+):
+    generations = 10
+    cfg = ShsadeConfig(
+        pop_size=pop_size,
+        max_generations=generations,
+        memory_size=3,
+        learning_period=3,
+        archive_capacity=archive_capacity,
+        crossover_target=crossover_target,
+        use_trigonometric=use_trigonometric,
+        crossover_trigonometric=crossover_trigonometric,
+        use_sinusoidal=use_sinusoidal,
+        f_second_half=f_second_half,
+    )
+    batch_evaluator = _plateau_batch if plateaus else lambda xs: np.sum(xs * xs, axis=1)
+    spec = ObjectiveSpec(dim, Bounds.cube(-3, 3, dim), lambda x: float(batch_evaluator(x[None])[0]), batch_evaluator)
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    new, ref = init_state(cfg, spec, rng_new), init_state(cfg, spec, rng_ref)
+    masks = np.random.default_rng(seed + 1)
+    for _ in range(generations):
+        batch_new = build_trials(new, rng_new)
+        batch_ref = reference_generation.build_trials(ref, rng_ref)
+        assert _batch_snapshot(batch_new) == _batch_snapshot(batch_ref)
+        trial_fitness = spec.evaluate_many(batch_new.x)
+        # rows left unevaluated carry a value that would win, so a row that
+        # is wrongly committed shows up in the state
+        evaluated = masks.random(pop_size) < 0.7 if drop_rows else None
+        if evaluated is not None:
+            trial_fitness = np.where(evaluated, trial_fitness, -np.inf)
+        commit_generation(new, batch_new, trial_fitness, rng_new, evaluated)
+        reference_generation.commit_generation(ref, batch_ref, trial_fitness.copy(), rng_ref, evaluated)
+        assert _state_snapshot(new) == _state_snapshot(ref)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pop_size=st.integers(4, 20),
+    archive_size=st.integers(0, 25),
+    p_best_fraction=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pbest_partners_match_loop_reference(pop_size, archive_size, p_best_fraction, seed, data):
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, pop_size - 1), min_size=1))))
+    fitness = np.random.default_rng(seed).integers(0, 3, size=pop_size).astype(float)  # with ties
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = _select_pbest_partners(fitness, archive_size, rows, p_best_fraction, rng_new)
+    ref = reference_generation.select_pbest_partners(fitness, archive_size, rows, p_best_fraction, rng_ref)
+    assert [a.tolist() for a in new] == [a.tolist() for a in ref]
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(1, 60),
+    memory=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    sigma=st.sampled_from([0.0, 0.1, 0.37, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parameter_samplers_match_loop_reference(size, memory, sigma, seed):
+    positive = [min(max(v, 1e-3), 1.0) for v in memory]
+    memories = ParameterMemories(memory, positive, positive)
+    for name in ("sample_cr", "sample_f_cauchy", "sample_f_gaussian", "sample_freq"):
+        for n in (None, size):
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = globals()[name](memories, rng_new, sigma, size=n)
+            ref = getattr(reference_generation, name)(memories, rng_ref, sigma, size=n)
+            assert np.asarray(new).tobytes() == np.asarray(ref).tobytes(), name
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state, name
+
+
+class TestNumpyStreamAssumptions:
+    """The array code draws in fewer or cheaper calls than the code it
+    replaced, relying on numpy producing the same values and leaving the
+    stream in the same state. A numpy upgrade that breaks one of these
+    breaks bit-identical trajectories, and must fail here first."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bound=st.sampled_from([1, 2, 7, 51, 101, 2**20]) | st.integers(1, 10**6),
+        size=st.integers(1, 333),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_integers_equal_scalar_calls(self, bound, size, seed):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        values = batched.integers(0, bound, size=size).tolist()
+        assert values == [int(scalar.integers(0, bound)) for _ in range(size)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_bound_one_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        assert rng.integers(0, 1, size=7).tolist() == [0] * 7
+        assert int(rng.integers(0, 1)) == 0
+        assert rng.bit_generator.state == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p0=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]) | st.floats(0.0, 1.0),
+        size=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cdf_searchsorted_equals_choice(self, p0, size, seed):
+        probabilities = np.array([p0, 1.0 - p0])
+        by_choice, by_cdf = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = by_choice.choice(2, size=size, p=probabilities)
+        cdf = probabilities.cumsum()
+        cdf /= cdf[-1]
+        drawn = cdf.searchsorted(by_cdf.random(size), side="right")
+        assert drawn.dtype == expected.dtype and drawn.tolist() == expected.tolist()
+        assert by_choice.bit_generator.state == by_cdf.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        loc=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=60),
+        sigma=st.sampled_from([0.0, 0.1, 0.37, 1e-3, 2.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_normal_equals_shifted_standard_normal(self, loc, sigma, seed):
+        loc = np.array(loc)
+        direct, shifted = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = direct.normal(loc, sigma)
+        assert (loc + sigma * shifted.standard_normal(loc.size)).tobytes() == expected.tobytes()
+        assert direct.bit_generator.state == shifted.bit_generator.state
