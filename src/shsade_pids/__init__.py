@@ -1,16 +1,7 @@
 """Adaptive differential evolution with success-history parameter control,
 plus a discrete-continuous architecture-search pipeline built on top of it."""
 
-from .de_core import (
-    Bounds,
-    Individual,
-    ObjectiveSpec,
-    Population,
-    binomial_crossover,
-    greedy_select,
-    init_population,
-    repair_bounds,
-)
+from .de_core import Bounds, Individual, ObjectiveSpec, init_population
 from .discrete_codec import Axis, DiscreteSpace, Genotype, decode, encode, perturb
 from .nas_search import (
     BiObjectiveConfig,
@@ -36,23 +27,19 @@ __all__ = [
     "Individual",
     "NasConfig",
     "ObjectiveSpec",
-    "Population",
     "SearchTrace",
     "ShsadeConfig",
     "ShsadeState",
     "TabularSurrogate",
     "Termination",
-    "binomial_crossover",
     "brute_force_optimum",
     "decode",
     "encode",
-    "greedy_select",
     "init_population",
     "make_benchmark",
     "nas_evolve",
     "perturb",
     "pids_space",
-    "repair_bounds",
     "run",
     "score",
 ]

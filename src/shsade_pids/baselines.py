@@ -22,7 +22,7 @@ from .de_core import (
 )
 from .discrete_codec import DiscreteSpace, Genotype
 from .nas_search import BiObjectiveConfig, BudgetedScorer, PredictorInterface
-from .shsade import Termination
+from .shsade import Termination, drive
 from .trace import SearchTrace
 
 
@@ -46,6 +46,18 @@ class VanillaDeConfig:
             raise ValueError("max_generations must be at least 1")
 
 
+@dataclass
+class VanillaDeState:
+    """The population, its counters and the best point it has held."""
+
+    x: np.ndarray
+    fitness: np.ndarray
+    generation: int
+    evaluations: int
+    best_x: np.ndarray
+    best_fitness: float
+
+
 def vanilla_de_run(
     config: VanillaDeConfig,
     spec: ObjectiveSpec,
@@ -53,48 +65,41 @@ def vanilla_de_run(
     rng=None,
 ) -> tuple[Individual, SearchTrace]:
     """Fixed-parameter DE sharing the core primitives and trace format."""
-    term = termination or Termination()
     rng = ensure_rng(rng)
-    pop = init_population(spec, config.pop_size, rng)
-    x, fitness = pop.as_arrays()
-    pop_size = config.pop_size
-    rows = np.arange(pop_size)
-    cr = np.full(pop_size, config.cr)
-
+    x, fitness = init_population(spec, config.pop_size, rng)
     best_idx = int(np.argmin(fitness))
-    best_x = x[best_idx].copy()
-    best_fitness = float(fitness[best_idx])
-    evaluations = pop_size
-    generation = 0
+    state = VanillaDeState(x, fitness, 0, config.pop_size, x[best_idx].copy(), float(fitness[best_idx]))
+    rows = np.arange(config.pop_size)
+    cr = np.full(config.pop_size, config.cr)
 
-    trace = SearchTrace(metadata={"algorithm": "vanilla_de"})
-    trace.append(0, evaluations, best_fitness, float(np.mean(fitness)))
+    def ask():
+        r1, r2, r3 = sample_distinct_triplets(config.pop_size, rows, rng)
+        donors = state.x[r1] + config.f * (state.x[r2] - state.x[r3])
+        trials = binomial_crossover_matrix(state.x, donors, cr, rng)
+        return repair_bounds_matrix(trials, spec.bounds, state.x)
 
-    gen_limit = config.max_generations
-    if term.max_generations is not None:
-        gen_limit = min(gen_limit, term.max_generations)
-    while generation < gen_limit:
-        if term.target_fitness is not None and best_fitness <= term.target_fitness:
-            break
-        if term.max_evaluations is not None and evaluations + pop_size > term.max_evaluations:
-            break
-        r1, r2, r3 = sample_distinct_triplets(pop_size, rows, rng)
-        donors = x[r1] + config.f * (x[r2] - x[r3])
-        trials = binomial_crossover_matrix(x, donors, cr, rng)
-        trials = repair_bounds_matrix(trials, spec.bounds, x)
-        trial_fitness = spec.evaluate_many(trials)
-        accepted = trial_fitness <= fitness
-        x[accepted] = trials[accepted]
-        fitness[accepted] = trial_fitness[accepted]
-        evaluations += pop_size
-        generation += 1
-        idx = int(np.argmin(fitness))
-        if fitness[idx] < best_fitness:
-            best_fitness = float(fitness[idx])
-            best_x = x[idx].copy()
-        trace.append(generation, evaluations, best_fitness, float(np.mean(fitness)))
+    def tell(trials, trial_fitness, _evaluated):
+        # greedy selection; ties accept the trial
+        accepted = trial_fitness <= state.fitness
+        state.x[accepted] = trials[accepted]
+        state.fitness[accepted] = trial_fitness[accepted]
+        state.evaluations += config.pop_size
+        state.generation += 1
+        idx = int(np.argmin(state.fitness))
+        if state.fitness[idx] < state.best_fitness:
+            state.best_fitness = float(state.fitness[idx])
+            state.best_x = state.x[idx].copy()
 
-    return Individual(best_x, best_fitness, True), trace
+    trace = drive(
+        state,
+        ask,
+        evaluate=lambda trials: (spec.evaluate_many(trials), None),
+        tell=tell,
+        algorithm="vanilla_de",
+        max_generations=config.max_generations,
+        termination=termination,
+    )
+    return Individual(state.best_x, state.best_fitness), trace
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,14 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
 
     unknown = sorted(set(algo_cfg) - _ALGORITHM_KEYS[(task, algorithm)])
     _require(not unknown, f"algorithm_config has unknown keys for {task}/{algorithm}: {unknown}")
+    for key, value in algo_cfg.items():
+        if key in _INTEGER_KEYS:
+            low = _INTEGER_KEYS[key]
+            _require(_is_int(value) and value >= low, f"algorithm_config.{key} must be an integer >= {low}")
+        elif key in _FLAG_KEYS:
+            _require(isinstance(value, bool), f"algorithm_config.{key} must be true or false")
+        elif key != "f_second_half":
+            _require(_is_number(value), f"algorithm_config.{key} must be a number")
     # constructing the runner validates the algorithm config block up front
     try:
         _build_runner(normalized)
@@ -186,143 +195,85 @@ _SHSADE_KEYS = (
     "use_sinusoidal",
     "use_trigonometric",
 )
+_NAS_KEYS = ("sigma_init_noise", "sigma_trial_noise", "mutation_fraction")
+_TERMINATION_KEYS = ("max_evaluations", "target_fitness")
 
 # the algorithm_config keys _build_runner reads, per (task, algorithm)
 _ALGORITHM_KEYS = {
-    ("benchmark", "shsade"): {
-        "pop_size", "max_generations", "max_evaluations", "target_fitness", *_SHSADE_KEYS,
-    },
-    ("benchmark", "vanilla_de"): {
-        "pop_size", "max_generations", "max_evaluations", "target_fitness", "f", "cr",
-    },
-    ("nas", "shsade"): {
-        "pop_size", "max_generations", "sigma_init_noise", "sigma_trial_noise", "mutation_fraction",
-        *_SHSADE_KEYS,
-    },
+    ("benchmark", "shsade"): {"pop_size", "max_generations", *_TERMINATION_KEYS, *_SHSADE_KEYS},
+    ("benchmark", "vanilla_de"): {"pop_size", "max_generations", *_TERMINATION_KEYS, "f", "cr"},
+    ("nas", "shsade"): {"pop_size", "max_generations", *_NAS_KEYS, *_SHSADE_KEYS},
     ("nas", "regularized_ea"): {"population_size", "tournament_size"},
 }
 
-
-def _shsade_config(acfg: dict, budget_evals: int | None, crossover_target: str) -> shsade.ShsadeConfig:
-    pop_size = int(acfg.get("pop_size", 50))
-    max_generations = acfg.get("max_generations")
-    if max_generations is None:
-        if budget_evals is not None:
-            max_generations = max(1, budget_evals // max(pop_size, 1))
-        else:
-            max_generations = 1000
-    extra = {k: acfg[k] for k in _SHSADE_KEYS if k in acfg}
-    return shsade.ShsadeConfig(
-        pop_size=pop_size,
-        max_generations=int(max_generations),
-        crossover_target=crossover_target,
-        **extra,
-    )
+# the smallest value of each integer key; "use_*" keys are flags, and every
+# other key but f_second_half holds a number
+_INTEGER_KEYS = {
+    "pop_size": 1,
+    "max_generations": 1,
+    "max_evaluations": 1,
+    "population_size": 1,
+    "tournament_size": 1,
+    "memory_size": 1,
+    "learning_period": 1,
+    "archive_capacity": 0,
+}
+_FLAG_KEYS = ("use_sinusoidal", "use_trigonometric")
 
 
 def _build_runner(cfg: dict):
-    """Return a callable seed -> (trace, per-seed summary entry)."""
+    """Return a callable seed -> (trace, per-seed summary entry). Each
+    algorithm config takes the keys present in ``algorithm_config`` and the
+    dataclass defaults for the rest."""
     task = cfg["task"]
     algorithm = cfg["algorithm"]
     acfg = cfg["algorithm_config"]
 
+    def present(*keys) -> dict:
+        return {k: acfg[k] for k in keys if k in acfg}
+
     if task == "benchmark":
         spec = cfg["benchmark"].to_objective_spec()
-        termination = shsade.Termination(
-            max_evaluations=acfg.get("max_evaluations"),
-            target_fitness=acfg.get("target_fitness"),
-        )
+        termination = shsade.Termination(**present(*_TERMINATION_KEYS))
         if algorithm == "shsade":
-            sh_cfg = _shsade_config(acfg, acfg.get("max_evaluations"), "self")
-
-            def run_seed(seed: int):
-                best, trace = shsade.run(sh_cfg, spec, termination, np.random.default_rng(seed))
-                entry = {
-                    "seed": seed,
-                    "final_best": trace.final_best,
-                    "evaluations": trace.final_evaluations,
-                }
-                return trace, entry
-
+            config = shsade.ShsadeConfig(**present("pop_size", "max_generations", *_SHSADE_KEYS))
         else:
-            pop_size = int(acfg.get("pop_size", 50))
-            max_generations = acfg.get("max_generations")
-            if max_generations is None:
-                max_evals = acfg.get("max_evaluations")
-                max_generations = max(1, max_evals // pop_size) if max_evals else 1000
-            de_cfg = baselines.VanillaDeConfig(
-                f=float(acfg.get("f", 0.5)),
-                cr=float(acfg.get("cr", 0.9)),
-                pop_size=pop_size,
-                max_generations=int(max_generations),
-            )
+            config = baselines.VanillaDeConfig(**present("pop_size", "max_generations", "f", "cr"))
+        if "max_generations" not in acfg and "max_evaluations" in acfg:
+            # the generation cap follows the evaluation budget
+            config = replace(config, max_generations=max(1, acfg["max_evaluations"] // config.pop_size))
 
-            def run_seed(seed: int):
-                best, trace = baselines.vanilla_de_run(
-                    de_cfg, spec, termination, np.random.default_rng(seed)
-                )
-                entry = {
-                    "seed": seed,
-                    "final_best": trace.final_best,
-                    "evaluations": trace.final_evaluations,
-                }
-                return trace, entry
-
-        return run_seed
-
-    space = cfg["space"]
-    surrogate = cfg["surrogate"]
-    biobjective = cfg["biobjective"]
-    budget = cfg["budget"]
-
-    if algorithm == "shsade":
-        pop_size = int(acfg.get("pop_size", 50))
-        sh_acfg = dict(acfg)
-        if "max_generations" not in sh_acfg:
-            sh_acfg["max_generations"] = max(10, (10 * budget) // pop_size)
-        nas_cfg = nas_search.NasConfig(
-            biobjective=biobjective,
-            shsade=_shsade_config(sh_acfg, None, "best"),
-            budget=budget,
-            sigma_init_noise=float(acfg.get("sigma_init_noise", 0.05)),
-            sigma_trial_noise=float(acfg.get("sigma_trial_noise", 0.15)),
-            mutation_fraction=float(acfg.get("mutation_fraction", 1.0)),
-        )
-
-        def run_seed(seed: int):
-            best, trace = nas_search.nas_evolve(
-                space, surrogate, nas_cfg, np.random.default_rng(seed)
-            )
-            entry = {
-                "seed": seed,
-                "final_best": trace.final_best,
-                "evaluations": trace.final_evaluations,
-                "result": nas_search.result_document(
-                    best, trace.final_best, trace.final_evaluations, trace, space
-                ),
-            }
-            return trace, entry
+        def search(rng):
+            optimize = shsade.run if algorithm == "shsade" else baselines.vanilla_de_run
+            return optimize(config, spec, termination, rng)
 
     else:
-        ea_cfg = baselines.RegularizedEaConfig(
-            population_size=int(acfg.get("population_size", 25)),
-            tournament_size=int(acfg.get("tournament_size", 5)),
-            budget=budget,
-        )
+        space = cfg["space"]
+        surrogate = cfg["surrogate"]
+        biobjective = cfg["biobjective"]
+        budget = cfg["budget"]
+        if algorithm == "shsade":
+            sh_fields = present("pop_size", "max_generations", *_SHSADE_KEYS)
+            sh_cfg = nas_search.search_shsade_config(budget, **sh_fields)
+            nas_cfg = nas_search.NasConfig(biobjective, sh_cfg, budget, **present(*_NAS_KEYS))
 
-        def run_seed(seed: int):
-            best, trace = baselines.regularized_ea_run(
-                space, surrogate, ea_cfg, biobjective, np.random.default_rng(seed)
+            def search(rng):
+                return nas_search.nas_evolve(space, surrogate, nas_cfg, rng)
+
+        else:
+            ea_cfg = baselines.RegularizedEaConfig(budget=budget, **present("population_size", "tournament_size"))
+
+            def search(rng):
+                return baselines.regularized_ea_run(space, surrogate, ea_cfg, biobjective, rng)
+
+    def run_seed(seed: int):
+        best, trace = search(np.random.default_rng(seed))
+        entry = {"seed": seed, "final_best": trace.final_best, "evaluations": trace.final_evaluations}
+        if task == "nas":
+            entry["result"] = nas_search.result_document(
+                best, trace.final_best, trace.final_evaluations, trace, space
             )
-            entry = {
-                "seed": seed,
-                "final_best": trace.final_best,
-                "evaluations": trace.final_evaluations,
-                "result": nas_search.result_document(
-                    best, trace.final_best, trace.final_evaluations, trace, space
-                ),
-            }
-            return trace, entry
+        return trace, entry
 
     return run_seed
 

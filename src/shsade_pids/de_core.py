@@ -1,14 +1,14 @@
 """Shared differential-evolution primitives.
 
-Populations, box bounds, boundary repair, binomial crossover and greedy
-selection, kept free of any parameter-adaptation logic so every optimizer
-in this package builds on the same pieces. All randomness flows through an
-explicit numpy Generator: the same seed reproduces the same run, bit for bit.
+Box bounds, population initialisation, boundary repair, binomial crossover
+and partner sampling, kept free of any parameter-adaptation logic so every
+optimizer in this package builds on the same pieces. All randomness flows
+through an explicit numpy Generator: the same seed reproduces the same run,
+bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,57 +60,10 @@ class Bounds:
 
 @dataclass
 class Individual:
-    """A decision vector with its cached objective value."""
+    """A decision vector with its objective value."""
 
     x: np.ndarray
-    fitness: float = math.nan
-    evaluated: bool = False
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.evaluated and not math.isfinite(self.fitness):
-            raise ValueError("evaluated individuals need a finite fitness")
-
-    @property
-    def dimension(self) -> int:
-        return int(self.x.size)
-
-
-@dataclass
-class Population:
-    members: list[Individual]
-
-    def __post_init__(self):
-        if len(self.members) < MIN_POP_SIZE:
-            raise ValueError(f"population needs at least {MIN_POP_SIZE} members")
-        dim = self.members[0].dimension
-        if any(m.dimension != dim for m in self.members):
-            raise ValueError("all members must share one dimension")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def dimension(self) -> int:
-        return self.members[0].dimension
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.array([m.x for m in self.members], dtype=float)
-        fitness = np.array([m.fitness for m in self.members], dtype=float)
-        return x, fitness
-
-    @classmethod
-    def from_arrays(cls, x: np.ndarray, fitness: np.ndarray) -> "Population":
-        members = [
-            Individual(np.array(row, dtype=float), float(f), True)
-            for row, f in zip(np.asarray(x, dtype=float), np.asarray(fitness, dtype=float))
-        ]
-        return cls(members)
-
-    def best(self) -> Individual:
-        _, fitness = self.as_arrays()
-        return self.members[int(np.argmin(fitness))]
+    fitness: float
 
 
 @dataclass(frozen=True)
@@ -141,69 +94,39 @@ class ObjectiveSpec:
         return np.array([float(self.evaluator(row)) for row in xs], dtype=float)
 
 
-def init_population(spec: ObjectiveSpec, pop_size: int, rng) -> Population:
-    """Sample ``pop_size`` individuals uniformly within bounds and evaluate them."""
+def init_population(spec: ObjectiveSpec, pop_size: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``pop_size`` points uniformly within bounds and evaluate them.
+    Returns ``(x, fitness)``; a non-finite fitness raises ``ValueError``."""
     if pop_size < MIN_POP_SIZE:
         raise ValueError(f"pop_size must be at least {MIN_POP_SIZE}, got {pop_size}")
     rng = ensure_rng(rng)
     x = rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(pop_size, spec.dimension))
     fitness = spec.evaluate_many(x)
-    return Population.from_arrays(x, fitness)
+    if not np.isfinite(fitness).all():
+        raise ValueError("the initial population needs a finite fitness for every member")
+    return x, fitness
 
 
 def repair_bounds_matrix(v: np.ndarray, bounds: Bounds, base: np.ndarray) -> np.ndarray:
     """Row-wise midpoint repair: a violated coordinate moves to the midpoint
-    between the violated bound and the base vector's coordinate. ``v`` and
-    ``base`` are float arrays; ``repair_bounds`` checks and converts."""
+    between the violated bound and the base vector's coordinate, which must
+    lie within bounds. ``v`` and ``base`` are float arrays."""
     out = np.where(v < bounds.lower, 0.5 * (bounds.lower + base), v)
     out = np.where(out > bounds.upper, 0.5 * (bounds.upper + base), out)
     return out
 
 
-def repair_bounds(v, bounds: Bounds, base) -> np.ndarray:
-    """Repair one vector; ``base`` must already lie within bounds."""
-    v = np.asarray(v, dtype=float)
-    base = np.asarray(base, dtype=float)
-    if v.shape != base.shape or v.size != bounds.dimension:
-        raise ValueError("v, base and bounds must share one dimension")
-    if not bounds.contains(base):
-        raise ValueError("base vector must lie within bounds")
-    return repair_bounds_matrix(v, bounds, base)
-
-
 def binomial_crossover_matrix(
     targets: np.ndarray, donors: np.ndarray, cr: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Row-wise binomial crossover with one forced donor coordinate per row.
-    ``targets``, ``donors`` and ``cr`` are float arrays; ``binomial_crossover``
-    checks and converts."""
+    """Row-wise binomial crossover: each coordinate comes from the donor with
+    the row's probability ``cr``, and one random coordinate per row always
+    does. ``targets``, ``donors`` and ``cr`` are float arrays."""
     n, dim = targets.shape
     mask = rng.random((n, dim)) < cr[:, None]
     j_rand = rng.integers(0, dim, size=n)
     mask[np.arange(n), j_rand] = True
     return np.where(mask, donors, targets)
-
-
-def binomial_crossover(target, donor, cr: float, rng) -> np.ndarray:
-    """Take each coordinate from the donor with probability ``cr``; one random
-    coordinate always comes from the donor."""
-    if not 0.0 <= cr <= 1.0:
-        raise ValueError("cr must lie in [0, 1]")
-    target = np.asarray(target, dtype=float)
-    donor = np.asarray(donor, dtype=float)
-    if target.shape != donor.shape:
-        raise ValueError("target and donor must share one dimension")
-    rng = ensure_rng(rng)
-    return binomial_crossover_matrix(target[None, :], donor[None, :], np.array([cr]), rng)[0]
-
-
-def greedy_select(target: Individual, trial: Individual) -> tuple[Individual, bool]:
-    """Return the trial iff it is no worse than the target (ties accept the trial)."""
-    if not (target.evaluated and trial.evaluated):
-        raise ValueError("greedy selection requires evaluated individuals")
-    if trial.fitness <= target.fitness:
-        return trial, True
-    return target, False
 
 
 def redraw_clashes(values: np.ndarray, clashes: Callable, draw: Callable) -> np.ndarray:

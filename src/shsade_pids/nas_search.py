@@ -9,22 +9,14 @@ genotype counts exactly once against the sampled-architecture budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .de_core import Bounds, ensure_rng
 from .discrete_codec import DiscreteSpace, Axis, Genotype, decode_indices, encode, genotype_to_dict, perturb
-from .shsade import (
-    CURRENT_TO_PBEST,
-    ParameterMemories,
-    ShsadeConfig,
-    ShsadeState,
-    StrategyState,
-    build_trials,
-    commit_generation,
-)
+from .shsade import ShsadeConfig, ShsadeState, Termination, build_trials, commit_generation, drive
 from .trace import SearchTrace
 
 MAX_ENUMERATION = 10**6
@@ -126,14 +118,19 @@ class NasConfig:
         if not 0 < self.mutation_fraction <= 1:
             raise ValueError("mutation_fraction must lie in (0, 1]")
         if self.shsade is None:
-            pop = 50
-            self.shsade = ShsadeConfig(
-                pop_size=pop,
-                max_generations=max(10, (10 * self.budget) // pop),
-                crossover_target="best",
-            )
+            self.shsade = search_shsade_config(self.budget)
         if self.budget < self.shsade.pop_size:
             raise ValueError("budget must cover at least one full population")
+
+
+def search_shsade_config(budget: int, **fields) -> ShsadeConfig:
+    """The SHSADE settings of a search with this budget: donors recombine
+    with the best encoding, and unless ``fields`` set it, the generation cap
+    is max(10, 10 * budget // pop_size)."""
+    config = ShsadeConfig(crossover_target="best", **fields)
+    if "max_generations" in fields:
+        return config
+    return replace(config, max_generations=max(10, (10 * budget) // config.pop_size))
 
 
 class BudgetedScorer:
@@ -228,7 +225,6 @@ def nas_evolve(
     sh = config.shsade
     scorer = BudgetedScorer(predictor, config.biobjective, config.budget)
     m = space.num_axes
-    bounds = Bounds(np.zeros(m), np.ones(m))
 
     x0 = np.empty((sh.pop_size, m))
     for i in range(sh.pop_size):
@@ -236,54 +232,43 @@ def nas_evolve(
         x0[i] = perturb(encode(seed_genotype, space), config.sigma_init_noise, rng)
     f0, scored = scorer.score_rows(space, decode_indices(x0, space))
     assert scored.all()  # budget >= pop_size makes initialization affordable
+    state = ShsadeState.initial(sh, x0, f0, Bounds(np.zeros(m), np.ones(m)))
 
-    best_idx = int(np.argmin(f0))
-    strategy = (
-        StrategyState.uniform(2) if sh.use_trigonometric else StrategyState.single(CURRENT_TO_PBEST, 2)
-    )
-    state = ShsadeState(
-        x=x0,
-        fitness=f0,
-        bounds=bounds,
-        memories=ParameterMemories.initial(sh.memory_size, freq=sh.freq_init),
-        strategy=strategy,
-        archive=[],
-        archive_capacity=sh.resolved_archive_capacity(),
-        generation=0,
-        evaluations=sh.pop_size,
-        best_x=x0[best_idx].copy(),
-        best_fitness=float(f0[best_idx]),
-        config=sh,
-    )
-
-    trace = SearchTrace(metadata={"algorithm": "shsade_pids"})
-    trace.append(0, scorer.evaluations, scorer.best_score, float(np.mean(f0)))
-
-    while (
-        state.generation < sh.max_generations
-        and scorer.evaluations < config.budget
-        and scorer.evaluations < space.size
-    ):
+    def ask():
         batch = build_trials(state, rng)
         if config.sigma_trial_noise > 0:
             batch.x = np.clip(
                 batch.x + rng.normal(0.0, config.sigma_trial_noise, size=batch.x.shape), 0.0, 1.0
             )
-        trial_fitness = np.full(sh.pop_size, np.inf)
-        evaluated = np.zeros(sh.pop_size, dtype=bool)
         if config.mutation_fraction < 1.0:
             count = max(1, round(config.mutation_fraction * sh.pop_size))
             rows = np.sort(rng.choice(sh.pop_size, size=count, replace=False))
         else:
             rows = np.arange(sh.pop_size)
+        return batch, rows
+
+    def evaluate(trials):
+        batch, rows = trials
         # rows left unscored once the budget is spent keep +inf, so their
         # parents survive unchallenged
+        trial_fitness = np.full(sh.pop_size, np.inf)
+        evaluated = np.zeros(sh.pop_size, dtype=bool)
         trial_fitness[rows], evaluated[rows] = scorer.score_rows(space, decode_indices(batch.x[rows], space))
-        commit_generation(state, batch, trial_fitness, rng, evaluated)
-        trace.append(
-            state.generation, scorer.evaluations, scorer.best_score, float(np.mean(state.fitness))
-        )
+        return trial_fitness, evaluated
 
+    # the budget counts distinct genotypes, so a generation starts while one
+    # is left and drops the rows it cannot afford
+    trace = drive(
+        state,
+        ask,
+        evaluate,
+        tell=lambda trials, fitness, evaluated: commit_generation(state, trials[0], fitness, rng, evaluated),
+        algorithm="shsade_pids",
+        max_generations=sh.max_generations,
+        termination=Termination(max_evaluations=min(config.budget, space.size)),
+        room=1,
+        spent=lambda: scorer.evaluations,
+    )
     assert scorer.best_genotype is not None
     return scorer.best_genotype, trace
 

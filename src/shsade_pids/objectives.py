@@ -96,10 +96,6 @@ def make_benchmark(name: str, dimension: int) -> BenchmarkFunction:
     )
 
 
-def eval_benchmark(f: BenchmarkFunction, x) -> float:
-    return f.evaluate(x)
-
-
 # elements of one (terms, rows) gather in TabularSurrogate._accuracy
 _GATHER_ELEMENTS = 1 << 18
 
@@ -230,9 +226,6 @@ class TabularSurrogate:
     def predict_cost(self, genotype: Genotype) -> float:
         return float(self._cost(self.space.indices_of(genotype)[:, None])[0])
 
-    def predict(self, genotype: Genotype) -> tuple[float, float]:
-        return self.predict_accuracy(genotype), self.predict_cost(genotype)
-
     def to_json_dict(self) -> dict:
         return {"space": self.space.to_json_dict(), "seed": self.seed}
 
@@ -251,7 +244,3 @@ class TabularSurrogate:
     def load(cls, path) -> "TabularSurrogate":
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
-
-def surrogate_predict(surrogate: TabularSurrogate, genotype: Genotype) -> tuple[float, float]:
-    """(accuracy in [0, 1], cost > 0) for a membership-valid genotype."""
-    return surrogate.predict(genotype)

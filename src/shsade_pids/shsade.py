@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .de_core import (
     Bounds,
     Individual,
     ObjectiveSpec,
-    Population,
     binomial_crossover_matrix,
     ensure_rng,
     init_population,
@@ -85,14 +84,15 @@ class ParameterMemories:
 
 @dataclass
 class SuccessSets:
-    """Parameter values of trials that strictly improved this generation."""
+    """Parameter values of trials that strictly improved this generation;
+    ``commit_generation`` fills them with arrays."""
 
-    scr: list[float] = field(default_factory=list)
-    sf: list[float] = field(default_factory=list)
-    sfreq: list[float] = field(default_factory=list)
+    scr: Sequence[float] = field(default_factory=list)
+    sf: Sequence[float] = field(default_factory=list)
+    sfreq: Sequence[float] = field(default_factory=list)
 
     def any(self) -> bool:
-        return bool(self.scr or self.sf or self.sfreq)
+        return bool(len(self.scr) or len(self.sf) or len(self.sfreq))
 
 
 @dataclass
@@ -195,13 +195,34 @@ class ShsadeState:
     best_fitness: float
     config: ShsadeConfig
 
-    @property
-    def population(self) -> Population:
-        return Population.from_arrays(self.x, self.fitness)
+    @classmethod
+    def initial(cls, config: ShsadeConfig, x: np.ndarray, fitness: np.ndarray, bounds: Bounds) -> "ShsadeState":
+        """Generation 0 of a run from an evaluated population: initial
+        memories, an empty archive and the population's best point."""
+        best_idx = int(np.argmin(fitness))
+        strategy = (
+            StrategyState.uniform(2)
+            if config.use_trigonometric
+            else StrategyState.single(CURRENT_TO_PBEST, 2)
+        )
+        return cls(
+            x=x,
+            fitness=fitness,
+            bounds=bounds,
+            memories=ParameterMemories.initial(config.memory_size, freq=config.freq_init),
+            strategy=strategy,
+            archive=[],
+            archive_capacity=config.resolved_archive_capacity(),
+            generation=0,
+            evaluations=config.pop_size,
+            best_x=x[best_idx].copy(),
+            best_fitness=float(fitness[best_idx]),
+            config=config,
+        )
 
     @property
     def best(self) -> Individual:
-        return Individual(self.best_x.copy(), float(self.best_fitness), True)
+        return Individual(self.best_x.copy(), float(self.best_fitness))
 
 
 @dataclass
@@ -224,27 +245,25 @@ class TrialBatch:
 # parameter sampling
 
 
-def sample_cr(memories: ParameterMemories, rng, sigma: float = 0.1, size: int | None = None):
-    """CR ~ normal(MCR_r, sigma) around a random memory entry, clamped to [0, 1]."""
-    n = 1 if size is None else int(size)
-    r = rng.integers(0, memories.size, size=n)
-    # min/max instead of np.clip: the same values for the never-NaN normal
-    # draws, without np.clip's dispatch overhead
-    values = np.minimum(np.maximum(_normal(memories.mcr[r], sigma, rng), 0.0), 1.0)
-    return float(values[0]) if size is None else values
+def sample_cr(memories: ParameterMemories, rng, size: int, sigma: float = 0.1) -> np.ndarray:
+    """CR ~ normal(MCR_r, sigma) around random memory entries, clamped to [0, 1]."""
+    r = rng.integers(0, memories.size, size=size)
+    # loc + sigma * z is how numpy computes rng.normal(loc, sigma): the same
+    # values and the same stream state, without the broadcasting set-up of an
+    # array loc. min/max instead of np.clip: the same values for these
+    # never-NaN draws, without np.clip's dispatch overhead
+    return np.minimum(np.maximum(memories.mcr[r] + sigma * rng.standard_normal(size), 0.0), 1.0)
 
 
-def _normal(loc: np.ndarray, sigma: float, rng) -> np.ndarray:
-    """``rng.normal(loc, sigma)`` for a vector ``loc``, computed the way numpy
-    computes it (loc + sigma * z, z standard normal): the same values and the
-    same stream state, without the broadcasting set-up of an array ``loc``."""
-    return loc + sigma * rng.standard_normal(loc.size)
-
-
-def _resampled_cauchy(loc, sigma, rng, upper_reject: bool, max_retries: int):
-    """Cauchy draws around ``loc`` resampled while non-positive (and above 1
-    when ``upper_reject``); leftovers after ``max_retries`` fall back to loc."""
-    values = loc + sigma * rng.standard_cauchy(loc.size)
+def _resampled(
+    memory: np.ndarray, rng, size: int, sigma: float, draw: Callable, upper_reject: bool, max_retries: int
+) -> np.ndarray:
+    """``loc + sigma * draw(n)`` around random entries ``loc`` of ``memory``,
+    resampled while non-positive (and above 1 when ``upper_reject``), then
+    truncated to 1 from above; entries still rejected after ``max_retries``
+    rounds fall back to their loc."""
+    loc = memory[rng.integers(0, memory.size, size=size)]
+    values = loc + sigma * draw(size)
 
     def bad_mask(v):
         bad = v <= 0.0
@@ -260,69 +279,33 @@ def _resampled_cauchy(loc, sigma, rng, upper_reject: bool, max_retries: int):
         if retries > max_retries:
             values[bad] = loc[bad]
             break
-        values[bad] = loc[bad] + sigma * rng.standard_cauchy(n_bad)
+        values[bad] = loc[bad] + sigma * draw(n_bad)
         bad = bad_mask(values)
         n_bad = np.count_nonzero(bad)
-    return values
+    return np.minimum(values, 1.0)
 
 
 def sample_f_cauchy(
-    memories: ParameterMemories,
-    rng,
-    sigma: float = 0.1,
-    size: int | None = None,
-    max_retries: int = MAX_SAMPLE_RETRIES,
-):
+    memories: ParameterMemories, rng, size: int, sigma: float = 0.1, max_retries: int = MAX_SAMPLE_RETRIES
+) -> np.ndarray:
     """F ~ Cauchy(MF_r, sigma): truncated to 1 from above, resampled while
     non-positive, falling back to MF_r after ``max_retries`` rejections."""
-    n = 1 if size is None else int(size)
-    r = rng.integers(0, memories.size, size=n)
-    values = _resampled_cauchy(memories.mf[r], sigma, rng, upper_reject=False, max_retries=max_retries)
-    values = np.minimum(values, 1.0)
-    return float(values[0]) if size is None else values
+    return _resampled(memories.mf, rng, size, sigma, rng.standard_cauchy, False, max_retries)
 
 
 def sample_f_gaussian(
-    memories: ParameterMemories,
-    rng,
-    sigma: float = 0.1,
-    size: int | None = None,
-    max_retries: int = MAX_SAMPLE_RETRIES,
-):
+    memories: ParameterMemories, rng, size: int, sigma: float = 0.1, max_retries: int = MAX_SAMPLE_RETRIES
+) -> np.ndarray:
     """Gaussian alternative for second-half F: normal(MF_r, sigma) with the
     same resample-below-zero, truncate-above-one handling as the Cauchy form."""
-    n = 1 if size is None else int(size)
-    r = rng.integers(0, memories.size, size=n)
-    loc = memories.mf[r]
-    values = _normal(loc, sigma, rng)
-    bad = values <= 0.0
-    n_bad = np.count_nonzero(bad)
-    retries = 0
-    while n_bad:
-        retries += 1
-        if retries > max_retries:
-            values[bad] = loc[bad]
-            break
-        values[bad] = _normal(loc[bad], sigma, rng)
-        bad = values <= 0.0
-        n_bad = np.count_nonzero(bad)
-    values = np.minimum(values, 1.0)
-    return float(values[0]) if size is None else values
+    return _resampled(memories.mf, rng, size, sigma, rng.standard_normal, False, max_retries)
 
 
 def sample_freq(
-    memories: ParameterMemories,
-    rng,
-    sigma: float = 0.1,
-    size: int | None = None,
-    max_retries: int = MAX_SAMPLE_RETRIES,
-):
+    memories: ParameterMemories, rng, size: int, sigma: float = 0.1, max_retries: int = MAX_SAMPLE_RETRIES
+) -> np.ndarray:
     """freq ~ Cauchy(Mfreq_r, sigma) resampled into (0, 1]."""
-    n = 1 if size is None else int(size)
-    r = rng.integers(0, memories.size, size=n)
-    values = _resampled_cauchy(memories.mfreq[r], sigma, rng, upper_reject=True, max_retries=max_retries)
-    values = np.minimum(values, 1.0)  # only reachable through the fallback path
-    return float(values[0]) if size is None else values
+    return _resampled(memories.mfreq, rng, size, sigma, rng.standard_cauchy, True, max_retries)
 
 
 def decreasing_sinusoidal_f(generation: int, max_generations: int, freq: float) -> float:
@@ -341,32 +324,6 @@ def adaptive_sinusoidal_f(generation: int, max_generations: int, freq):
     return 0.5 * (np.sin(2.0 * np.pi * np.asarray(freq, dtype=float) * g) * g / gmax + 1.0)
 
 
-def sample_f_sinusoidal(
-    variant: str,
-    generation: int,
-    max_generations: int,
-    freq: float,
-    rng,
-    memories: ParameterMemories | None = None,
-    sigma: float = 0.1,
-) -> tuple[float, float]:
-    """Draw a first-half F value. Returns (F, frequency used).
-
-    ``decreasing`` uses the fixed ``freq``; ``adaptive_increasing`` draws its
-    frequency around a random entry of the frequency memory.
-    """
-    if not 1 <= generation <= max_generations / 2:
-        raise ValueError("sinusoidal schedules only cover the first half of the run")
-    if variant == "decreasing":
-        return decreasing_sinusoidal_f(generation, max_generations, freq), freq
-    if variant == "adaptive_increasing":
-        if memories is None:
-            raise ValueError("the adaptive variant needs the frequency memory")
-        f_i = sample_freq(memories, rng, sigma)
-        return float(adaptive_sinusoidal_f(generation, max_generations, f_i)), f_i
-    raise ValueError(f"unknown sinusoidal variant {variant!r}")
-
-
 def lehmer_mean(values) -> float:
     """Contraharmonic mean sum(v^2) / sum(v); never below the arithmetic mean."""
     values = np.asarray(values, dtype=float)
@@ -381,26 +338,14 @@ def lehmer_mean(values) -> float:
 # mutation
 
 
-def current_to_pbest_donor(x, x_pbest, x_r1, x_r2, f: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x + f * (np.asarray(x_pbest) - x) + f * (np.asarray(x_r1) - np.asarray(x_r2))
-
-
 def trigonometric_donor(x1, x2, x3, f1: float, f2: float, f3: float) -> np.ndarray:
     """Centroid of three points plus fitness-weighted leg perturbations.
 
     When all three |fitness| values are zero the weights are undefined and the
     donor degenerates to the plain centroid.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    x3 = np.asarray(x3, dtype=float)
-    centroid = (x1 + x2 + x3) / 3.0
-    total = abs(f1) + abs(f2) + abs(f3)
-    if total == 0.0:
-        return centroid
-    w1, w2, w3 = abs(f1) / total, abs(f2) / total, abs(f3) / total
-    return centroid + (w2 - w1) * (x1 - x2) + (w3 - w2) * (x2 - x3) + (w1 - w3) * (x3 - x1)
+    points = np.array([x1, x2, x3], dtype=float)
+    return _trigonometric_donors(points, np.array([f1, f2, f3], dtype=float), [0], [1], [2])[0]
 
 
 def _select_pbest_partners(
@@ -432,30 +377,21 @@ def _select_pbest_partners(
     return pbest, r1, r2
 
 
-def mutate_current_to_pbest(
-    population: Population, archive: Sequence[np.ndarray], i: int, f: float, p: float, rng
+def _current_to_pbest_donors(
+    x: np.ndarray,
+    pool: np.ndarray,
+    rows: np.ndarray,
+    pbest: np.ndarray,
+    r1: np.ndarray,
+    r2: np.ndarray,
+    f: np.ndarray,
 ) -> np.ndarray:
-    """Donor x_i + F (x_pbest - x_i) + F (x_r1 - x_r2), r2 drawn from the
-    population united with the archive. Returned before boundary repair."""
-    if not 0 < p <= 1:
-        raise ValueError("p must lie in (0, 1]")
-    rng = ensure_rng(rng)
-    x, fitness = population.as_arrays()
-    rows = np.array([i])
-    pbest, r1, r2 = _select_pbest_partners(fitness, len(archive), rows, p, rng)
-    x_r2 = x[r2[0]] if r2[0] < population.size else np.asarray(archive[r2[0] - population.size])
-    return current_to_pbest_donor(x[i], x[pbest[0]], x[r1[0]], x_r2, f)
-
-
-def mutate_trigonometric(population: Population, i: int, rng) -> np.ndarray:
-    """Trigonometric donor from three random members distinct from i."""
-    rng = ensure_rng(rng)
-    x, fitness = population.as_arrays()
-    rows = np.array([i])
-    r1, r2, r3 = sample_distinct_triplets(population.size, rows, rng)
-    return trigonometric_donor(
-        x[r1[0]], x[r2[0]], x[r3[0]], fitness[r1[0]], fitness[r2[0]], fitness[r3[0]]
-    )
+    """Donors x_i + F_i (x_pbest - x_i) + F_i (x_r1 - x_r2) for the rows i in
+    ``rows``, before boundary repair; ``r2`` indexes ``pool``, the population
+    followed by the archive."""
+    own = x[rows]
+    step = f[rows][:, None]
+    return own + step * (x[pbest] - own) + step * (x[r1] - pool[r2])
 
 
 def _trigonometric_donors(
@@ -473,12 +409,6 @@ def _trigonometric_donors(
 
 # ---------------------------------------------------------------------------
 # strategy adaptation and memory updates
-
-
-def select_strategy(state: StrategyState, rng) -> int:
-    """Categorical draw over the strategy pool."""
-    rng = ensure_rng(rng)
-    return int(rng.choice(state.probabilities.size, p=state.probabilities))
 
 
 def update_strategy_probs(
@@ -516,13 +446,13 @@ def update_memories(
         return memories
     k = memories.next_update_index
     c = learning_rate
-    if success.scr:
+    if len(success.scr):
         new = (1.0 - c) * memories.mcr[k] + c * float(np.mean(success.scr))
         memories.mcr[k] = min(max(new, 0.0), 1.0)
-    if success.sf:
+    if len(success.sf):
         new = (1.0 - c) * memories.mf[k] + c * float(np.mean(success.sf))
         memories.mf[k] = min(new, 1.0)
-    if success.sfreq:
+    if len(success.sfreq):
         new = (1.0 - c) * memories.mfreq[k] + c * lehmer_mean(success.sfreq)
         memories.mfreq[k] = min(new, 1.0)
     memories.next_update_index = (k + 1) % memories.size
@@ -534,29 +464,8 @@ def update_memories(
 
 
 def init_state(config: ShsadeConfig, spec: ObjectiveSpec, rng) -> ShsadeState:
-    rng = ensure_rng(rng)
-    pop = init_population(spec, config.pop_size, rng)
-    x, fitness = pop.as_arrays()
-    best_idx = int(np.argmin(fitness))
-    strategy = (
-        StrategyState.uniform(2)
-        if config.use_trigonometric
-        else StrategyState.single(CURRENT_TO_PBEST, 2)
-    )
-    return ShsadeState(
-        x=x,
-        fitness=fitness,
-        bounds=spec.bounds,
-        memories=ParameterMemories.initial(config.memory_size, freq=config.freq_init),
-        strategy=strategy,
-        archive=[],
-        archive_capacity=config.resolved_archive_capacity(),
-        generation=0,
-        evaluations=config.pop_size,
-        best_x=x[best_idx].copy(),
-        best_fitness=float(fitness[best_idx]),
-        config=config,
-    )
+    x, fitness = init_population(spec, config.pop_size, ensure_rng(rng))
+    return ShsadeState.initial(config, x, fitness, spec.bounds)
 
 
 def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
@@ -573,11 +482,11 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     cdf = state.strategy.probabilities.cumsum()
     cdf /= cdf[-1]
     strategies = cdf.searchsorted(rng.random(pop_size), side="right")
-    cr = sample_cr(state.memories, rng, cfg.sigma_cr, size=pop_size)
+    cr = sample_cr(state.memories, rng, pop_size, cfg.sigma_cr)
 
     if cfg.use_sinusoidal and gen <= cfg.max_generations / 2:
         decreasing = rng.random(pop_size) < 0.5
-        freqs = sample_freq(state.memories, rng, cfg.sigma_cauchy_f, size=pop_size)
+        freqs = sample_freq(state.memories, rng, pop_size, cfg.sigma_cauchy_f)
         f = np.where(
             decreasing,
             decreasing_sinusoidal_f(gen, cfg.max_generations, cfg.freq_init),
@@ -586,9 +495,9 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
         freq_used = np.where(decreasing, np.nan, freqs)
     else:
         if cfg.f_second_half == "gaussian":
-            f = sample_f_gaussian(state.memories, rng, cfg.sigma_gauss_f, size=pop_size)
+            f = sample_f_gaussian(state.memories, rng, pop_size, cfg.sigma_gauss_f)
         else:
-            f = sample_f_cauchy(state.memories, rng, cfg.sigma_cauchy_f, size=pop_size)
+            f = sample_f_cauchy(state.memories, rng, pop_size, cfg.sigma_cauchy_f)
         freq_used = np.full(pop_size, np.nan)
 
     trials = np.empty_like(x)
@@ -597,27 +506,23 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
 
     best = x[int(np.argmin(fitness))] if cfg.crossover_target == "best" else None
 
-    def cross_targets(own: np.ndarray) -> np.ndarray:
-        return own if best is None else np.broadcast_to(best, own.shape)
+    def cross_targets(rows: np.ndarray) -> np.ndarray:
+        return x[rows] if best is None else np.broadcast_to(best, (rows.size, x.shape[1]))
 
     if pbest_rows.size:
         pbest, r1, r2 = _select_pbest_partners(
             fitness, len(state.archive), pbest_rows, cfg.p_best_fraction, rng
         )
         pool = np.concatenate((x, state.archive)) if state.archive else x
-        step = f[pbest_rows][:, None]
-        own = x[pbest_rows]
-        donors = own + step * (x[pbest] - own) + step * (x[r1] - pool[r2])
-        trials[pbest_rows] = binomial_crossover_matrix(cross_targets(own), donors, cr[pbest_rows], rng)
+        donors = _current_to_pbest_donors(x, pool, pbest_rows, pbest, r1, r2, f)
+        trials[pbest_rows] = binomial_crossover_matrix(cross_targets(pbest_rows), donors, cr[pbest_rows], rng)
     if trig_rows.size:
         # no F is involved here; the donor recombines with the target like any
         # other unless trigonometric crossover is switched off
         t1, t2, t3 = sample_distinct_triplets(pop_size, trig_rows, rng)
         donors = _trigonometric_donors(x, fitness, t1, t2, t3)
         if cfg.crossover_trigonometric:
-            trials[trig_rows] = binomial_crossover_matrix(
-                cross_targets(x[trig_rows]), donors, cr[trig_rows], rng
-            )
+            trials[trig_rows] = binomial_crossover_matrix(cross_targets(trig_rows), donors, cr[trig_rows], rng)
         else:
             trials[trig_rows] = donors
 
@@ -629,9 +534,9 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     return TrialBatch(x=trials, strategies=strategies, f=f, cr=cr, freq=freq_used)
 
 
-def _used(values: np.ndarray) -> list[float]:
+def _used(values: np.ndarray) -> np.ndarray:
     """The values a trial used; NaN marks a parameter the trial did not use."""
-    return values[~np.isnan(values)].tolist()
+    return values[~np.isnan(values)]
 
 
 def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Generator) -> None:
@@ -726,6 +631,52 @@ def shsade_generation(state: ShsadeState, spec: ObjectiveSpec, rng) -> ShsadeSta
     return commit_generation(state, batch, trial_fitness, rng)
 
 
+def drive(
+    state,
+    ask: Callable[[], object],
+    evaluate: Callable[[object], tuple[np.ndarray, np.ndarray | None]],
+    tell: Callable[[object, np.ndarray, np.ndarray | None], object],
+    algorithm: str,
+    max_generations: int,
+    termination: Termination | None = None,
+    room: int | None = None,
+    spent: Callable[[], int] | None = None,
+) -> SearchTrace:
+    """Run generations until a termination criterion holds; return the trace.
+
+    A generation asks for trials, evaluates them and tells the optimizer the
+    results: ``ask()`` builds trials from ``state``, ``evaluate(trials)``
+    returns their fitness and a mask of the rows evaluated (None: every row),
+    and ``tell(trials, fitness, evaluated)`` commits them to ``state``.
+
+    The trace has a row for generation 0 and one after each generation, read
+    from ``state.generation``, ``state.best_fitness``, ``state.fitness`` and
+    ``spent()``, the evaluations charged so far (``state.evaluations`` unless
+    given). A generation starts only while the generation count is below
+    ``max_generations`` and the termination's cap, the target fitness is not
+    reached, and ``room`` more evaluations fit within ``max_evaluations``;
+    ``room`` defaults to the population size, so only whole generations run.
+    """
+    term = termination or Termination()
+    spent = spent or (lambda: state.evaluations)
+    room = state.fitness.size if room is None else room
+    gen_limit = max_generations
+    if term.max_generations is not None:
+        gen_limit = min(gen_limit, term.max_generations)
+    trace = SearchTrace(metadata={"algorithm": algorithm})
+    while True:
+        trace.append(state.generation, spent(), state.best_fitness, float(np.mean(state.fitness)))
+        if state.generation >= gen_limit:
+            break
+        if term.target_fitness is not None and state.best_fitness <= term.target_fitness:
+            break
+        if term.max_evaluations is not None and spent() + room > term.max_evaluations:
+            break
+        trials = ask()
+        tell(trials, *evaluate(trials))
+    return trace
+
+
 def run(
     config: ShsadeConfig,
     spec: ObjectiveSpec,
@@ -737,24 +688,15 @@ def run(
     Returns the overall best individual and a per-generation trace whose
     first row records the initialized population.
     """
-    term = termination or Termination()
     rng = ensure_rng(rng)
     state = init_state(config, spec, rng)
-    trace = SearchTrace(metadata={"algorithm": "shsade"})
-    trace.append(0, state.evaluations, state.best_fitness, float(np.mean(state.fitness)))
-    gen_limit = config.max_generations
-    if term.max_generations is not None:
-        gen_limit = min(gen_limit, term.max_generations)
-    while state.generation < gen_limit:
-        if term.target_fitness is not None and state.best_fitness <= term.target_fitness:
-            break
-        if (
-            term.max_evaluations is not None
-            and state.evaluations + config.pop_size > term.max_evaluations
-        ):
-            break
-        shsade_generation(state, spec, rng)
-        trace.append(
-            state.generation, state.evaluations, state.best_fitness, float(np.mean(state.fitness))
-        )
+    trace = drive(
+        state,
+        ask=lambda: build_trials(state, rng),
+        evaluate=lambda batch: (spec.evaluate_many(batch.x), None),
+        tell=lambda batch, fitness, evaluated: commit_generation(state, batch, fitness, rng, evaluated),
+        algorithm="shsade",
+        max_generations=config.max_generations,
+        termination=termination,
+    )
     return state.best, trace

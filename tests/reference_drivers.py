@@ -1,0 +1,192 @@
+"""The generation loops of ``shsade.run``, ``baselines.vanilla_de_run`` and
+``nas_search.nas_evolve`` (with ``shsade.init_state``) as they were written
+before ``shsade.drive`` took them over.
+
+Kept verbatim as the reference that the drivers must match row for row and
+draw for draw. The only edits: ``init_population`` returns ``(x, fitness)``
+instead of a population object, and ``Individual`` takes no ``evaluated``
+flag. Nothing here is used outside the tests.
+"""
+
+import numpy as np
+
+from shsade_pids.de_core import (
+    Bounds,
+    Individual,
+    binomial_crossover_matrix,
+    ensure_rng,
+    init_population,
+    repair_bounds_matrix,
+    sample_distinct_triplets,
+)
+from shsade_pids.discrete_codec import decode_indices, encode, perturb
+from shsade_pids.nas_search import BudgetedScorer
+from shsade_pids.shsade import (
+    CURRENT_TO_PBEST,
+    ParameterMemories,
+    ShsadeState,
+    StrategyState,
+    Termination,
+    build_trials,
+    commit_generation,
+    shsade_generation,
+)
+from shsade_pids.trace import SearchTrace
+
+
+def init_state(config, spec, rng):
+    rng = ensure_rng(rng)
+    x, fitness = init_population(spec, config.pop_size, rng)
+    best_idx = int(np.argmin(fitness))
+    strategy = (
+        StrategyState.uniform(2)
+        if config.use_trigonometric
+        else StrategyState.single(CURRENT_TO_PBEST, 2)
+    )
+    return ShsadeState(
+        x=x,
+        fitness=fitness,
+        bounds=spec.bounds,
+        memories=ParameterMemories.initial(config.memory_size, freq=config.freq_init),
+        strategy=strategy,
+        archive=[],
+        archive_capacity=config.resolved_archive_capacity(),
+        generation=0,
+        evaluations=config.pop_size,
+        best_x=x[best_idx].copy(),
+        best_fitness=float(fitness[best_idx]),
+        config=config,
+    )
+
+
+def run(config, spec, termination=None, rng=None):
+    term = termination or Termination()
+    rng = ensure_rng(rng)
+    state = init_state(config, spec, rng)
+    trace = SearchTrace(metadata={"algorithm": "shsade"})
+    trace.append(0, state.evaluations, state.best_fitness, float(np.mean(state.fitness)))
+    gen_limit = config.max_generations
+    if term.max_generations is not None:
+        gen_limit = min(gen_limit, term.max_generations)
+    while state.generation < gen_limit:
+        if term.target_fitness is not None and state.best_fitness <= term.target_fitness:
+            break
+        if (
+            term.max_evaluations is not None
+            and state.evaluations + config.pop_size > term.max_evaluations
+        ):
+            break
+        shsade_generation(state, spec, rng)
+        trace.append(
+            state.generation, state.evaluations, state.best_fitness, float(np.mean(state.fitness))
+        )
+    return state.best, trace
+
+
+def vanilla_de_run(config, spec, termination=None, rng=None):
+    term = termination or Termination()
+    rng = ensure_rng(rng)
+    x, fitness = init_population(spec, config.pop_size, rng)
+    pop_size = config.pop_size
+    rows = np.arange(pop_size)
+    cr = np.full(pop_size, config.cr)
+
+    best_idx = int(np.argmin(fitness))
+    best_x = x[best_idx].copy()
+    best_fitness = float(fitness[best_idx])
+    evaluations = pop_size
+    generation = 0
+
+    trace = SearchTrace(metadata={"algorithm": "vanilla_de"})
+    trace.append(0, evaluations, best_fitness, float(np.mean(fitness)))
+
+    gen_limit = config.max_generations
+    if term.max_generations is not None:
+        gen_limit = min(gen_limit, term.max_generations)
+    while generation < gen_limit:
+        if term.target_fitness is not None and best_fitness <= term.target_fitness:
+            break
+        if term.max_evaluations is not None and evaluations + pop_size > term.max_evaluations:
+            break
+        r1, r2, r3 = sample_distinct_triplets(pop_size, rows, rng)
+        donors = x[r1] + config.f * (x[r2] - x[r3])
+        trials = binomial_crossover_matrix(x, donors, cr, rng)
+        trials = repair_bounds_matrix(trials, spec.bounds, x)
+        trial_fitness = spec.evaluate_many(trials)
+        accepted = trial_fitness <= fitness
+        x[accepted] = trials[accepted]
+        fitness[accepted] = trial_fitness[accepted]
+        evaluations += pop_size
+        generation += 1
+        idx = int(np.argmin(fitness))
+        if fitness[idx] < best_fitness:
+            best_fitness = float(fitness[idx])
+            best_x = x[idx].copy()
+        trace.append(generation, evaluations, best_fitness, float(np.mean(fitness)))
+
+    return Individual(best_x, best_fitness), trace
+
+
+def nas_evolve(space, predictor, config, rng=None):
+    rng = ensure_rng(rng)
+    sh = config.shsade
+    scorer = BudgetedScorer(predictor, config.biobjective, config.budget)
+    m = space.num_axes
+    bounds = Bounds(np.zeros(m), np.ones(m))
+
+    x0 = np.empty((sh.pop_size, m))
+    for i in range(sh.pop_size):
+        seed_genotype = space.random_genotype(rng)
+        x0[i] = perturb(encode(seed_genotype, space), config.sigma_init_noise, rng)
+    f0, scored = scorer.score_rows(space, decode_indices(x0, space))
+    assert scored.all()  # budget >= pop_size makes initialization affordable
+
+    best_idx = int(np.argmin(f0))
+    strategy = (
+        StrategyState.uniform(2) if sh.use_trigonometric else StrategyState.single(CURRENT_TO_PBEST, 2)
+    )
+    state = ShsadeState(
+        x=x0,
+        fitness=f0,
+        bounds=bounds,
+        memories=ParameterMemories.initial(sh.memory_size, freq=sh.freq_init),
+        strategy=strategy,
+        archive=[],
+        archive_capacity=sh.resolved_archive_capacity(),
+        generation=0,
+        evaluations=sh.pop_size,
+        best_x=x0[best_idx].copy(),
+        best_fitness=float(f0[best_idx]),
+        config=sh,
+    )
+
+    trace = SearchTrace(metadata={"algorithm": "shsade_pids"})
+    trace.append(0, scorer.evaluations, scorer.best_score, float(np.mean(f0)))
+
+    while (
+        state.generation < sh.max_generations
+        and scorer.evaluations < config.budget
+        and scorer.evaluations < space.size
+    ):
+        batch = build_trials(state, rng)
+        if config.sigma_trial_noise > 0:
+            batch.x = np.clip(
+                batch.x + rng.normal(0.0, config.sigma_trial_noise, size=batch.x.shape), 0.0, 1.0
+            )
+        trial_fitness = np.full(sh.pop_size, np.inf)
+        evaluated = np.zeros(sh.pop_size, dtype=bool)
+        if config.mutation_fraction < 1.0:
+            count = max(1, round(config.mutation_fraction * sh.pop_size))
+            rows = np.sort(rng.choice(sh.pop_size, size=count, replace=False))
+        else:
+            rows = np.arange(sh.pop_size)
+        # rows left unscored once the budget is spent keep +inf, so their
+        # parents survive unchallenged
+        trial_fitness[rows], evaluated[rows] = scorer.score_rows(space, decode_indices(batch.x[rows], space))
+        commit_generation(state, batch, trial_fitness, rng, evaluated)
+        trace.append(
+            state.generation, scorer.evaluations, scorer.best_score, float(np.mean(state.fitness))
+        )
+
+    assert scorer.best_genotype is not None
+    return scorer.best_genotype, trace

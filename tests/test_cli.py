@@ -142,6 +142,43 @@ class TestRunValidation:
         assert key in capsys.readouterr().err
         assert not (tmp_path / doc["output"]).exists()
 
+    @pytest.mark.parametrize(
+        "task, algorithm, key, value",
+        [
+            ("benchmark", "shsade", "max_evaluations", True),
+            ("benchmark", "shsade", "max_evaluations", 0),
+            ("benchmark", "shsade", "max_evaluations", -5),
+            ("benchmark", "shsade", "max_evaluations", "5000"),
+            ("benchmark", "shsade", "pop_size", 10.0),
+            ("benchmark", "shsade", "memory_size", 0),
+            ("benchmark", "shsade", "learning_period", "3"),
+            ("benchmark", "shsade", "archive_capacity", 2.5),
+            ("benchmark", "shsade", "target_fitness", True),
+            ("benchmark", "shsade", "p_best_fraction", "0.1"),
+            ("benchmark", "shsade", "use_sinusoidal", "no"),
+            ("benchmark", "vanilla_de", "max_generations", False),
+            ("benchmark", "vanilla_de", "f", "0.5"),
+            ("benchmark", "vanilla_de", "cr", True),
+            ("nas", "shsade", "max_generations", 0),
+            ("nas", "shsade", "sigma_trial_noise", "0.1"),
+            ("nas", "shsade", "mutation_fraction", True),
+            ("nas", "regularized_ea", "population_size", True),
+            ("nas", "regularized_ea", "tournament_size", 2.5),
+        ],
+    )
+    def test_bad_algorithm_config_value_exits_1(self, tmp_path, monkeypatch, capsys, task, algorithm, key, value):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        if task == "benchmark":
+            doc = json.loads(write_config(tmp_path / "config.json", algorithm=algorithm).read_text())
+        else:
+            doc = nas_config(algorithm=algorithm)
+        doc["algorithm_config"][key] = value
+        path = tmp_path / "bad_value.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 1
+        assert f"algorithm_config.{key}" in capsys.readouterr().err
+        assert not (tmp_path / doc["output"]).exists()
+
     def test_every_read_key_is_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         doc = nas_config()

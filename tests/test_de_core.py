@@ -5,17 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shsade_pids import baselines, shsade
 from shsade_pids.de_core import (
     Bounds,
-    Individual,
     ObjectiveSpec,
-    Population,
-    binomial_crossover,
     binomial_crossover_matrix,
-    greedy_select,
     init_population,
     redraw_clashes,
-    repair_bounds,
     repair_bounds_matrix,
     sample_distinct_triplets,
 )
@@ -54,149 +50,149 @@ class TestBounds:
 
 class TestInitPopulation:
     def test_containment_and_evaluation(self):
-        pop = init_population(sphere_spec(), 4, np.random.default_rng(0))
-        assert pop.size == 4
-        for member in pop.members:
-            assert member.evaluated
-            assert np.all(member.x >= 0.0) and np.all(member.x <= 1.0)
-            assert member.fitness == pytest.approx(float(np.sum(member.x**2)))
+        x, fitness = init_population(sphere_spec(), 4, np.random.default_rng(0))
+        assert x.shape == (4, 2) and fitness.shape == (4,)
+        assert np.all(x >= 0.0) and np.all(x <= 1.0)
+        assert np.array_equal(fitness, [float(np.sum(row**2)) for row in x])
 
     def test_rejects_small_population(self):
         with pytest.raises(ValueError):
             init_population(sphere_spec(), 3, np.random.default_rng(0))
 
     def test_seeded_determinism(self):
-        a = init_population(sphere_spec(5), 10, np.random.default_rng(42))
-        b = init_population(sphere_spec(5), 10, np.random.default_rng(42))
-        xa, fa = a.as_arrays()
-        xb, fb = b.as_arrays()
+        xa, fa = init_population(sphere_spec(5), 10, np.random.default_rng(42))
+        xb, fb = init_population(sphere_spec(5), 10, np.random.default_rng(42))
         assert np.array_equal(xa, xb)
         assert np.array_equal(fa, fb)
+
+    def test_non_finite_initial_fitness_is_rejected(self):
+        # NaN wherever x[0] > 0.5: some member of a 20-point population hits it
+        def batch(xs):
+            return np.where(xs[:, 0] > 0.5, np.nan, np.sum(xs * xs, axis=1))
+
+        spec = ObjectiveSpec(3, Bounds.cube(0, 1, 3), lambda x: float(batch(x[None])[0]), batch)
+        # the population's own check, not the trace's, which would also fail
+        with pytest.raises(ValueError, match="initial population needs a finite fitness"):
+            shsade.run(shsade.ShsadeConfig(pop_size=20), spec, rng=0)
+        with pytest.raises(ValueError, match="initial population needs a finite fitness"):
+            baselines.vanilla_de_run(baselines.VanillaDeConfig(pop_size=20), spec, rng=0)
+
+
+class TestPopulation:
+    def test_array_round_trip_and_best(self):
+        # an SHSADE run starts from the evaluated arrays as given
+        x = np.arange(8.0).reshape(4, 2)
+        f = np.array([3.0, 1.0, 2.0, 4.0])
+        state = shsade.ShsadeState.initial(shsade.ShsadeConfig(pop_size=4), x, f, Bounds.cube(0, 8, 2))
+        assert state.x is x and state.fitness is f
+        assert (state.best.fitness, state.best.x.tolist()) == (1.0, [2.0, 3.0])
+        assert (state.generation, state.evaluations, state.archive) == (0, 4, [])
+
+
+def one_row(values):
+    return np.array([values], dtype=float)
 
 
 class TestRepairBounds:
     def test_in_bounds_identity(self):
-        out = repair_bounds([0.5], Bounds([0.0], [1.0]), [0.2])
-        assert out[0] == 0.5
+        out = repair_bounds_matrix(one_row([0.5]), Bounds([0.0], [1.0]), one_row([0.2]))
+        assert out[0, 0] == 0.5
 
     def test_lower_violation_midpoint(self):
-        out = repair_bounds([-0.4], Bounds([0.0], [1.0]), [0.2])
-        assert out[0] == pytest.approx(0.1, abs=1e-15)
+        out = repair_bounds_matrix(one_row([-0.4]), Bounds([0.0], [1.0]), one_row([0.2]))
+        assert out[0, 0] == pytest.approx(0.1, abs=1e-15)
 
     def test_upper_violation_midpoint(self):
-        out = repair_bounds([1.6], Bounds([0.0], [1.0]), [0.8])
-        assert out[0] == pytest.approx(0.9, abs=1e-15)
-
-    def test_rejects_out_of_bounds_base(self):
-        with pytest.raises(ValueError):
-            repair_bounds([0.5], Bounds([0.0], [1.0]), [2.0])
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            repair_bounds([0.5, 0.5], Bounds([0.0], [1.0]), [0.2])
+        out = repair_bounds_matrix(one_row([1.6]), Bounds([0.0], [1.0]), one_row([0.8]))
+        assert out[0, 0] == pytest.approx(0.9, abs=1e-15)
 
     def test_fuzz_always_lands_in_bounds(self):
         rng = np.random.default_rng(7)
         bounds = Bounds([0.0, -2.0, 1.0], [1.0, 2.0, 3.0])
-        for _ in range(10_000):
-            v = rng.uniform(-5.0, 8.0, size=3)
-            base = rng.uniform(bounds.lower, bounds.upper)
-            out = repair_bounds(v, bounds, base)
-            assert np.all(out >= bounds.lower) and np.all(out <= bounds.upper)
+        v = rng.uniform(-5.0, 8.0, size=(10_000, 3))
+        base = rng.uniform(bounds.lower, bounds.upper, size=(10_000, 3))
+        out = repair_bounds_matrix(v, bounds, base)
+        assert np.all(out >= bounds.lower) and np.all(out <= bounds.upper)
 
 
 class TestBinomialCrossover:
     def test_cr_one_copies_donor(self):
         rng = np.random.default_rng(0)
-        target = np.zeros(6)
-        donor = np.arange(1.0, 7.0)
-        out = binomial_crossover(target, donor, 1.0, rng)
-        assert np.array_equal(out, donor)
+        targets = np.zeros((3, 6))
+        donors = np.arange(18.0).reshape(3, 6)
+        out = binomial_crossover_matrix(targets, donors, np.ones(3), rng)
+        assert np.array_equal(out, donors)
 
     def test_cr_zero_changes_exactly_one_coordinate(self):
         rng = np.random.default_rng(1)
-        target = np.zeros(8)
-        donor = np.ones(8)
-        for _ in range(50):
-            out = binomial_crossover(target, donor, 0.0, rng)
-            assert int(np.sum(out != target)) == 1
+        targets = np.zeros((50, 8))
+        out = binomial_crossover_matrix(targets, np.ones((50, 8)), np.zeros(50), rng)
+        assert np.array_equal(np.sum(out != targets, axis=1), np.ones(50))
 
     def test_identical_vectors_are_fixed_point(self):
         rng = np.random.default_rng(2)
-        v = np.array([0.3, -1.0, 2.5])
-        out = binomial_crossover(v, v.copy(), 0.4, rng)
+        v = np.array([[0.3, -1.0, 2.5], [4.0, 0.0, -7.5]])
+        out = binomial_crossover_matrix(v, v.copy(), np.full(2, 0.4), rng)
         assert np.array_equal(out, v)
 
     def test_coordinates_come_from_target_or_donor(self):
         rng = np.random.default_rng(3)
-        target = rng.normal(size=5)
-        donor = rng.normal(size=5)
-        for _ in range(200):
-            out = binomial_crossover(target, donor, 0.5, rng)
-            for d in range(5):
-                assert out[d] in (target[d], donor[d])
+        targets = np.tile(rng.normal(size=5), (200, 1))
+        donors = np.tile(rng.normal(size=5), (200, 1))
+        out = binomial_crossover_matrix(targets, donors, np.full(200, 0.5), rng)
+        assert np.all((out == targets) | (out == donors))
 
-    def test_rejects_bad_cr(self):
-        with pytest.raises(ValueError):
-            binomial_crossover([0.0], [1.0], 1.5, np.random.default_rng(0))
+
+def selection_state(fitness):
+    """An SHSADE state whose rows i sit at x = i with the given fitness."""
+    fitness = np.array(fitness, dtype=float)
+    x = np.arange(float(fitness.size))[:, None]
+    config = shsade.ShsadeConfig(pop_size=fitness.size, archive_capacity=0)
+    return shsade.ShsadeState.initial(config, x, fitness, Bounds.cube(-100, 100, 1))
+
+
+def select(state, trial_fitness, evaluated=None):
+    """Commit trials at x = -1 - i with the given fitness; returns which rows
+    took their trial."""
+    n = state.fitness.size
+    trials = -1.0 - np.arange(float(n))[:, None]
+    half, unused = np.full(n, 0.5), np.full(n, np.nan)
+    batch = shsade.TrialBatch(trials, np.zeros(n, dtype=int), f=half, cr=half, freq=unused)
+    trial_fitness = np.array(trial_fitness, dtype=float)
+    shsade.commit_generation(state, batch, trial_fitness, np.random.default_rng(0), evaluated)
+    return state.x[:, 0] < 0
 
 
 class TestGreedySelect:
+    """Greedy selection as ``shsade.commit_generation`` applies it."""
+
     def test_strict_improvement(self):
-        target = Individual(np.zeros(2), 2.0, True)
-        trial = Individual(np.ones(2), 1.0, True)
-        winner, success = greedy_select(target, trial)
-        assert winner is trial and success
+        state = selection_state([2.0, 2.0, 2.0, 2.0])
+        assert select(state, [1.0, 3.0, 3.0, 3.0]).tolist() == [True, False, False, False]
+        assert state.fitness[0] == 1.0
 
     def test_tie_accepts_trial(self):
-        target = Individual(np.zeros(2), 2.0, True)
-        trial = Individual(np.ones(2), 2.0, True)
-        winner, success = greedy_select(target, trial)
-        assert winner is trial and success
+        state = selection_state([2.0, 2.0, 2.0, 2.0])
+        assert select(state, [2.0, 3.0, 3.0, 3.0]).tolist() == [True, False, False, False]
 
     def test_worse_trial_rejected(self):
-        target = Individual(np.zeros(2), 2.0, True)
-        trial = Individual(np.ones(2), 3.0, True)
-        winner, success = greedy_select(target, trial)
-        assert winner is target and not success
+        state = selection_state([2.0, 2.0, 2.0, 2.0])
+        assert not select(state, [3.0, 3.0, 3.0, 3.0]).any()
+        assert state.fitness.tolist() == [2.0, 2.0, 2.0, 2.0]
 
     def test_rejects_unevaluated(self):
-        with pytest.raises(ValueError):
-            greedy_select(Individual(np.zeros(1)), Individual(np.ones(1), 1.0, True))
+        # a row not evaluated keeps its parent, whatever its trial fitness reads
+        state = selection_state([2.0, 2.0, 2.0, 2.0])
+        taken = select(state, [-np.inf, 1.0, 1.0, 1.0], evaluated=np.array([False, True, True, True]))
+        assert taken.tolist() == [False, True, True, True]
+        assert state.fitness[0] == 2.0
 
     def test_never_increases_best_fitness(self):
         rng = np.random.default_rng(5)
-        fitness = rng.uniform(0, 10, size=20)
-        best = fitness.min()
-        for i in range(20):
-            trial = Individual(np.zeros(1), float(rng.uniform(0, 10)), True)
-            winner, _ = greedy_select(Individual(np.zeros(1), float(fitness[i]), True), trial)
-            fitness[i] = winner.fitness
-        assert fitness.min() <= best
-
-
-class TestPopulation:
-    def test_rejects_too_small(self):
-        with pytest.raises(ValueError):
-            Population([Individual(np.zeros(2), 0.0, True)] * 3)
-
-    def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            Population(
-                [Individual(np.zeros(2), 0.0, True)] * 3 + [Individual(np.zeros(3), 0.0, True)]
-            )
-
-    def test_array_round_trip_and_best(self):
-        x = np.arange(8.0).reshape(4, 2)
-        f = np.array([3.0, 1.0, 2.0, 4.0])
-        pop = Population.from_arrays(x, f)
-        x2, f2 = pop.as_arrays()
-        assert np.array_equal(x, x2) and np.array_equal(f, f2)
-        assert pop.best().fitness == 1.0
-
-    def test_individual_rejects_non_finite_fitness(self):
-        with pytest.raises(ValueError):
-            Individual(np.zeros(2), float("nan"), True)
+        state = selection_state(rng.uniform(0, 10, size=20))
+        best = state.fitness.min()
+        select(state, rng.uniform(0, 10, size=20))
+        assert state.fitness.min() <= best
 
 
 def test_sample_distinct_triplets():

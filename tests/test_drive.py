@@ -1,0 +1,123 @@
+"""``shsade.drive`` against the generation loops it replaced.
+
+``run``, ``vanilla_de_run`` and ``nas_evolve`` each supply ask, evaluate and
+tell steps to the one driver loop. ``reference_drivers`` keeps their earlier
+hand-written loops; both sides start from one seed and must agree with
+``==`` on every trace row, the best result and the generator state after
+the run.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shsade_pids import baselines, nas_search, objectives, shsade
+from shsade_pids.de_core import Bounds, ObjectiveSpec
+from space_strategies import spaces
+
+import reference_drivers
+
+
+def _rows(trace):
+    return [row.as_tuple() for row in trace.rows]
+
+
+def _plateau_batch(xs):
+    # whole-number plateaus give ties, so the target and the best can sit
+    # still for several generations
+    return np.floor(np.sum(xs * xs, axis=1))
+
+
+@st.composite
+def terminations(draw, pop_size):
+    """No criterion, or one of: a generation cap, an evaluation cap that is
+    not a multiple of the population size, a target fitness."""
+    kind = draw(st.sampled_from(["none", "generations", "evaluations", "target"]))
+    if kind == "generations":
+        return shsade.Termination(max_generations=draw(st.integers(0, 30)))
+    if kind == "evaluations":
+        whole = draw(st.integers(1, 20))
+        return shsade.Termination(max_evaluations=whole * pop_size + draw(st.integers(1, pop_size - 1)))
+    if kind == "target":
+        return shsade.Termination(target_fitness=draw(st.sampled_from([0.0, 0.5, 2.0, 5.0, -math.inf, math.inf])))
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    optimizer=st.sampled_from(["shsade", "vanilla_de"]),
+    pop_size=st.integers(4, 12),
+    dim=st.integers(1, 6),
+    max_generations=st.integers(1, 25),
+    plateaus=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_continuous_runs_match_the_loop_reference(optimizer, pop_size, dim, max_generations, plateaus, seed, data):
+    termination = data.draw(terminations(pop_size))
+    batch = _plateau_batch if plateaus else (lambda xs: np.sum(xs * xs, axis=1))
+    spec = ObjectiveSpec(dim, Bounds.cube(-2, 2, dim), lambda x: float(batch(x[None])[0]), batch)
+    if optimizer == "shsade":
+        config = shsade.ShsadeConfig(pop_size=pop_size, max_generations=max_generations, learning_period=3)
+        new, ref = shsade.run, reference_drivers.run
+    else:
+        config = baselines.VanillaDeConfig(pop_size=pop_size, max_generations=max_generations)
+        new, ref = baselines.vanilla_de_run, reference_drivers.vanilla_de_run
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    best_new, trace_new = new(config, spec, termination, rng_new)
+    best_ref, trace_ref = ref(config, spec, termination, rng_ref)
+    assert _rows(trace_new) == _rows(trace_ref)
+    assert trace_new.metadata == trace_ref.metadata
+    assert (best_new.x.tobytes(), best_new.fitness) == (best_ref.x.tobytes(), best_ref.fitness)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=spaces(max_axes=5),
+    pop_size=st.integers(4, 10),
+    extra_budget=st.integers(0, 60),
+    max_generations=st.integers(1, 30),
+    mutation_fraction=st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0),
+    sigma_trial_noise=st.sampled_from([0.0, 0.15]),
+    use_trigonometric=st.booleans(),
+    surrogate_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nas_runs_match_the_loop_reference(
+    space, pop_size, extra_budget, max_generations, mutation_fraction, sigma_trial_noise, use_trigonometric,
+    surrogate_seed, seed,
+):
+    # budgets that run out mid-generation, and spaces smaller than the budget
+    surrogate = objectives.TabularSurrogate(space, surrogate_seed)
+    mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
+    config = nas_search.NasConfig(
+        biobjective=nas_search.BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid), omega=1.0),
+        shsade=shsade.ShsadeConfig(
+            pop_size=pop_size,
+            max_generations=max_generations,
+            crossover_target="best",
+            use_trigonometric=use_trigonometric,
+        ),
+        budget=pop_size + extra_budget,
+        sigma_trial_noise=sigma_trial_noise,
+        mutation_fraction=mutation_fraction,
+    )
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    best_new, trace_new = nas_search.nas_evolve(space, surrogate, config, rng_new)
+    best_ref, trace_ref = reference_drivers.nas_evolve(space, surrogate, config, rng_ref)
+    assert _rows(trace_new) == _rows(trace_ref)
+    assert trace_new.metadata == trace_ref.metadata
+    assert best_new.choices == best_ref.choices
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_nas_defaults_state_the_generation_cap_once():
+    bio = nas_search.BiObjectiveConfig(cost_budget=1.0)
+    assert nas_search.NasConfig(biobjective=bio, budget=500).shsade == nas_search.search_shsade_config(500)
+    config = nas_search.search_shsade_config(500, pop_size=20)
+    assert (config.max_generations, config.crossover_target) == (250, "best")
+    assert nas_search.search_shsade_config(15, pop_size=20).max_generations == 10
+    assert nas_search.search_shsade_config(500, max_generations=7).max_generations == 7

@@ -206,7 +206,7 @@ class TestBruteForce:
         genotypes = list(space.iter_genotypes())
         assert [genotypes[i] for i in order] == [g for g, _ in brute_force_optimum(space, surrogate, cfg)[1]]
         for g, a, c, v in zip(genotypes, accuracy, cost, scores):
-            assert (a, c) == surrogate.predict(g)
+            assert (a, c) == (surrogate.predict_accuracy(g), surrogate.predict_cost(g))
             assert v == score(g, surrogate, cfg)
 
     def test_chunked_enumeration_matches_the_loop(self, monkeypatch):

@@ -12,9 +12,7 @@ from shsade_pids.nas_search import pids_space
 from shsade_pids.objectives import (
     BENCHMARK_NAMES,
     TabularSurrogate,
-    eval_benchmark,
     make_benchmark,
-    surrogate_predict,
 )
 
 
@@ -23,6 +21,10 @@ from space_strategies import index_rows, spaces
 
 def grid_space(num_axes=5, values=(0, 1, 2, 3)):
     return DiscreteSpace(tuple(Axis(f"a{i}", values) for i in range(num_axes)))
+
+
+def predict(surrogate, genotype):
+    return surrogate.predict_accuracy(genotype), surrogate.predict_cost(genotype)
 
 
 class LoopSurrogate:
@@ -121,7 +123,7 @@ class TestBenchmarks:
     def test_spec_round_trip(self):
         spec = make_benchmark("sphere", 3).to_objective_spec()
         assert spec.evaluate([1.0, 2.0, 3.0]) == pytest.approx(14.0)
-        assert eval_benchmark(make_benchmark("sphere", 3), [1.0, 2.0, 3.0]) == pytest.approx(14.0)
+        assert make_benchmark("sphere", 3).evaluate([1.0, 2.0, 3.0]) == pytest.approx(14.0)
 
     def test_rejects_unknown_and_bad_dimension(self):
         with pytest.raises(ValueError):
@@ -140,7 +142,7 @@ class TestTabularSurrogate:
         b = TabularSurrogate(space, seed=5)
         for _ in range(100):
             g = space.random_genotype(rng)
-            assert surrogate_predict(a, g) == surrogate_predict(b, g)
+            assert predict(a, g) == predict(b, g)
 
     def test_different_seeds_differ(self):
         space = grid_space()
@@ -154,7 +156,7 @@ class TestTabularSurrogate:
         surrogate = TabularSurrogate(space, seed=3)
         rng = np.random.default_rng(1)
         for _ in range(300):
-            accuracy, cost = surrogate_predict(surrogate, space.random_genotype(rng))
+            accuracy, cost = predict(surrogate, space.random_genotype(rng))
             assert 0.0 <= accuracy <= 1.0
             assert cost > 0.0
 
@@ -196,10 +198,10 @@ class TestTabularSurrogate:
         assert doc["seed"] == 11
         clone = TabularSurrogate.from_json_dict(doc)
         g = space.genotype_from_indices([0, 3, 2])
-        assert clone.predict(g) == surrogate.predict(g)
+        assert predict(clone, g) == predict(surrogate, g)
         path = tmp_path / "surrogate.json"
         surrogate.save(path)
-        assert TabularSurrogate.load(path).predict(g) == surrogate.predict(g)
+        assert predict(TabularSurrogate.load(path), g) == predict(surrogate, g)
 
     def test_predict_many_shape_and_validation(self):
         space = grid_space(3)
@@ -243,8 +245,7 @@ class TestSurrogateKernelsBitIdentical:
             genotype = space.genotype_from_indices(row)
             expected = (reference.predict_accuracy(genotype), reference.predict_cost(genotype))
             assert (accuracy[k], cost[k]) == expected
-            assert (surrogate.predict_accuracy(genotype), surrogate.predict_cost(genotype)) == expected
-            assert surrogate.predict(genotype) == expected
+            assert predict(surrogate, genotype) == expected
 
     @pytest.mark.parametrize("space", [pids_space(7), grid_space()], ids=["pids7", "grid1024"])
     def test_workload_spaces(self, space):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shsade_pids.de_core import Bounds, ObjectiveSpec, Population
+from shsade_pids.de_core import Bounds, ObjectiveSpec, sample_distinct_triplets
 from shsade_pids.objectives import make_benchmark
 from shsade_pids.shsade import (
     TRIGONOMETRIC,
@@ -17,23 +17,20 @@ from shsade_pids.shsade import (
     StrategyState,
     SuccessSets,
     Termination,
+    _current_to_pbest_donors,
     _select_pbest_partners,
+    _trigonometric_donors,
     adaptive_sinusoidal_f,
     build_trials,
     commit_generation,
-    current_to_pbest_donor,
     decreasing_sinusoidal_f,
     init_state,
     lehmer_mean,
-    mutate_current_to_pbest,
-    mutate_trigonometric,
     run,
     sample_cr,
     sample_f_cauchy,
     sample_f_gaussian,
-    sample_f_sinusoidal,
     sample_freq,
-    select_strategy,
     shsade_generation,
     trigonometric_donor,
     update_memories,
@@ -56,64 +53,64 @@ def sphere_spec(dim):
 class _AlwaysNegativeCauchyRng:
     """Minimal generator stand-in whose Cauchy draws never become positive."""
 
-    def integers(self, low, high=None, size=None):
-        return np.zeros(size if size is not None else 1, dtype=int)
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=int)
 
-    def standard_cauchy(self, size=None):
-        return -1000.0 * np.ones(size if size is not None else 1)
+    def standard_cauchy(self, size):
+        return -1000.0 * np.ones(size)
 
 
 class TestSampleCr:
     def test_zero_sigma_returns_memory_entry(self):
-        value = sample_cr(memories_all(0.5), np.random.default_rng(0), sigma=0.0)
-        assert value == 0.5
+        values = sample_cr(memories_all(0.5), np.random.default_rng(0), 20, sigma=0.0)
+        assert values.tolist() == [0.5] * 20
 
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(1)
-        values = sample_cr(memories_all(value_cr=1.0), rng, size=10_000)
+        values = sample_cr(memories_all(value_cr=1.0), rng, 10_000)
         assert np.all(values <= 1.0) and np.all(values >= 0.0)
         assert np.any(values == 1.0)  # draws above 1 clamp onto the bound
 
     def test_monte_carlo_mean(self):
         rng = np.random.default_rng(2)
-        values = sample_cr(memories_all(0.5), rng, size=100_000)
+        values = sample_cr(memories_all(0.5), rng, 100_000)
         assert 0.49 <= values.mean() <= 0.51
 
 
 class TestSampleFCauchy:
     def test_range(self):
         rng = np.random.default_rng(3)
-        values = sample_f_cauchy(memories_all(), rng, size=50_000)
+        values = sample_f_cauchy(memories_all(), rng, 50_000)
         assert np.all(values > 0.0) and np.all(values <= 1.0)
 
     def test_truncation_hits_upper_bound(self):
         rng = np.random.default_rng(4)
-        values = sample_f_cauchy(memories_all(value_f=1.0), rng, size=1_000)
+        values = sample_f_cauchy(memories_all(value_f=1.0), rng, 1_000)
         assert np.any(values == 1.0)
 
     def test_monte_carlo_median(self):
         rng = np.random.default_rng(5)
-        values = sample_f_cauchy(memories_all(value_f=0.5), rng, size=100_000)
+        values = sample_f_cauchy(memories_all(value_f=0.5), rng, 100_000)
         assert 0.48 <= np.median(values) <= 0.52
 
     def test_fallback_after_exhausted_retries(self):
-        value = sample_f_cauchy(memories_all(value_f=0.37), _AlwaysNegativeCauchyRng())
-        assert value == 0.37
+        values = sample_f_cauchy(memories_all(value_f=0.37), _AlwaysNegativeCauchyRng(), 3)
+        assert values.tolist() == [0.37] * 3
 
     def test_gaussian_variant_range(self):
         rng = np.random.default_rng(6)
-        values = sample_f_gaussian(memories_all(), rng, size=20_000)
+        values = sample_f_gaussian(memories_all(), rng, 20_000)
         assert np.all(values > 0.0) and np.all(values <= 1.0)
 
 
 class TestSampleFreq:
     def test_range(self):
         rng = np.random.default_rng(7)
-        values = sample_freq(memories_all(), rng, size=50_000)
+        values = sample_freq(memories_all(), rng, 50_000)
         assert np.all(values > 0.0) and np.all(values <= 1.0)
 
     def test_fallback(self):
-        assert sample_freq(memories_all(value_freq=0.25), _AlwaysNegativeCauchyRng()) == 0.25
+        assert sample_freq(memories_all(value_freq=0.25), _AlwaysNegativeCauchyRng(), 3).tolist() == [0.25] * 3
 
 
 class TestSinusoidal:
@@ -129,29 +126,34 @@ class TestSinusoidal:
         assert adaptive_sinusoidal_f(1, 2, 0.25) == pytest.approx(0.75, abs=1e-12)
 
     def test_sampler_rejects_second_half(self):
-        with pytest.raises(ValueError):
-            sample_f_sinusoidal("decreasing", 501, 1000, 0.5, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_f_sinusoidal("decreasing", 0, 1000, 0.5, np.random.default_rng(0))
+        # past the half-way generation F comes from the memory, not a schedule
+        cfg = ShsadeConfig(pop_size=40, max_generations=100)
+        state = init_state(cfg, sphere_spec(2), np.random.default_rng(0))
+        state.generation = 49  # builds generation 50, the last of the first half
+        assert not np.isnan(build_trials(state, np.random.default_rng(1)).freq).all()
+        state.generation = 50
+        assert np.isnan(build_trials(state, np.random.default_rng(1)).freq).all()
 
     def test_sampler_decreasing_passes_frequency_through(self):
-        f, freq = sample_f_sinusoidal("decreasing", 10, 100, 0.3, np.random.default_rng(0))
-        assert freq == 0.3
-        assert f == pytest.approx(decreasing_sinusoidal_f(10, 100, 0.3))
+        # first-half rows without an adapted frequency follow the decreasing
+        # schedule at the fixed initial frequency
+        cfg = ShsadeConfig(pop_size=40, max_generations=100, freq_init=0.3)
+        state = init_state(cfg, sphere_spec(2), np.random.default_rng(0))
+        state.generation = 9
+        batch = build_trials(state, np.random.default_rng(1))
+        decreasing = np.isnan(batch.freq) & (batch.strategies != TRIGONOMETRIC)
+        assert decreasing.any()
+        assert np.all(batch.f[decreasing] == decreasing_sinusoidal_f(10, 100, 0.3))
 
     def test_sampler_adaptive_draws_frequency_from_memory(self):
-        rng = np.random.default_rng(8)
-        f, freq = sample_f_sinusoidal(
-            "adaptive_increasing", 10, 100, 0.5, rng, memories=memories_all()
-        )
-        assert 0.0 < freq <= 1.0
-        assert f == pytest.approx(float(adaptive_sinusoidal_f(10, 100, freq)))
-
-    def test_sampler_rejects_unknown_variant_and_missing_memory(self):
-        with pytest.raises(ValueError):
-            sample_f_sinusoidal("sideways", 1, 100, 0.5, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_f_sinusoidal("adaptive_increasing", 1, 100, 0.5, np.random.default_rng(0))
+        cfg = ShsadeConfig(pop_size=40, max_generations=100)
+        state = init_state(cfg, sphere_spec(2), np.random.default_rng(8))
+        state.generation = 9
+        batch = build_trials(state, np.random.default_rng(9))
+        adaptive = ~np.isnan(batch.freq)
+        assert adaptive.any()
+        assert np.all((batch.freq[adaptive] > 0.0) & (batch.freq[adaptive] <= 1.0))
+        assert np.array_equal(batch.f[adaptive], adaptive_sinusoidal_f(10, 100, batch.freq[adaptive]))
 
 
 class TestLehmerMean:
@@ -180,32 +182,34 @@ class TestLehmerMean:
 
 class TestCurrentToPbest:
     def test_donor_hand_value(self):
-        donor = current_to_pbest_donor([0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 2.0], 0.5)
-        assert np.allclose(donor, [1.5, -0.5], atol=1e-15)
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        pool = np.vstack([x, [[0.0, 2.0]]])  # the archive row is pool index 3
+        rows, pbest, r1, r2 = np.array([0]), np.array([1]), np.array([2]), np.array([3])
+        donor = _current_to_pbest_donors(x, pool, rows, pbest, r1, r2, np.full(3, 0.5))
+        assert np.allclose(donor, [[1.5, -0.5]], atol=1e-15)
 
     def test_zero_step_returns_target(self):
-        pop = Population.from_arrays(np.arange(8.0).reshape(4, 2), np.array([1.0, 2.0, 3.0, 4.0]))
-        donor = mutate_current_to_pbest(pop, [], 2, 0.0, 0.5, np.random.default_rng(0))
-        assert np.array_equal(donor, pop.members[2].x)
+        x = np.arange(8.0).reshape(4, 2)
+        rows = np.arange(4)
+        pbest, r1, r2 = _select_pbest_partners(np.arange(4.0), 0, rows, 0.5, np.random.default_rng(0))
+        donors = _current_to_pbest_donors(x, x, rows, pbest, r1, r2, np.zeros(4))
+        assert np.array_equal(donors, x)
 
     def test_identical_population_returns_target(self):
         x = np.tile([1.5, -2.0], (5, 1))
-        pop = Population.from_arrays(x, np.full(5, 3.0))
-        donor = mutate_current_to_pbest(pop, [], 1, 0.7, 0.3, np.random.default_rng(1))
-        assert np.allclose(donor, [1.5, -2.0], atol=1e-15)
+        rows = np.arange(5)
+        pbest, r1, r2 = _select_pbest_partners(np.full(5, 3.0), 0, rows, 0.3, np.random.default_rng(1))
+        donors = _current_to_pbest_donors(x, x, rows, pbest, r1, r2, np.full(5, 0.7))
+        assert np.allclose(donors, x, atol=1e-15)
 
     def test_archive_member_can_be_drawn(self):
         x = np.tile([0.0, 0.0], (4, 1))
-        pop = Population.from_arrays(x, np.array([1.0, 2.0, 3.0, 4.0]))
-        archive = [np.array([10.0, 10.0])]
-        rng = np.random.default_rng(2)
-        donors = [mutate_current_to_pbest(pop, archive, 0, 1.0, 0.5, rng) for _ in range(200)]
+        pool = np.vstack([x, [[10.0, 10.0]]])
+        rows = np.zeros(200, dtype=int)  # row 0, drawn for 200 times over
+        fitness = np.array([1.0, 2.0, 3.0, 4.0])
+        pbest, r1, r2 = _select_pbest_partners(fitness, 1, rows, 0.5, np.random.default_rng(2))
+        donors = _current_to_pbest_donors(x, pool, rows, pbest, r1, r2, np.ones(4))
         assert any(np.allclose(d, [-10.0, -10.0]) for d in donors)
-
-    def test_rejects_bad_fraction(self):
-        pop = Population.from_arrays(np.zeros((4, 2)), np.arange(4.0))
-        with pytest.raises(ValueError):
-            mutate_current_to_pbest(pop, [], 0, 0.5, 0.0, np.random.default_rng(0))
 
 
 class TestTrigonometric:
@@ -227,16 +231,16 @@ class TestTrigonometric:
 
     def test_mutation_on_constant_population(self):
         x = np.tile([4.0, -1.0], (6, 1))
-        pop = Population.from_arrays(x, np.arange(6.0) + 1)
-        donor = mutate_trigonometric(pop, 0, np.random.default_rng(3))
-        assert np.allclose(donor, [4.0, -1.0], atol=1e-12)
+        rows = np.arange(6)
+        triplets = sample_distinct_triplets(6, rows, np.random.default_rng(3))
+        donors = _trigonometric_donors(x, np.arange(6.0) + 1, *triplets)
+        assert np.allclose(donors, x, atol=1e-12)
 
     def test_mutation_matches_some_triplet(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 2))
         f = np.full(5, 2.0)  # equal fitness: the donor is a plain centroid
-        pop = Population.from_arrays(x, f)
-        donor = mutate_trigonometric(pop, 0, rng)
+        donor = _trigonometric_donors(x, f, *sample_distinct_triplets(5, np.array([0]), rng))[0]
         candidates = [
             (x[a] + x[b] + x[c]) / 3.0
             for a in range(1, 5)
@@ -264,15 +268,14 @@ class TestTrigonometric:
 
 class TestStrategyAdaptation:
     def test_degenerate_probabilities(self):
-        state = StrategyState(np.array([1.0, 0.0]), np.zeros(2, int), np.zeros(2, int))
-        rng = np.random.default_rng(6)
-        assert all(select_strategy(state, rng) == 0 for _ in range(100))
+        state = init_state(ShsadeConfig(pop_size=100), sphere_spec(1), np.random.default_rng(6))
+        state.strategy = StrategyState(np.array([1.0, 0.0]), np.zeros(2, int), np.zeros(2, int))
+        assert not build_trials(state, np.random.default_rng(6)).strategies.any()
 
     def test_monte_carlo_frequencies(self):
-        state = StrategyState.uniform(2)
-        rng = np.random.default_rng(7)
-        draws = np.array([select_strategy(state, rng) for _ in range(100_000)])
-        share = draws.mean()
+        # build_trials draws one strategy per row from the uniform start
+        state = init_state(ShsadeConfig(pop_size=100_000), sphere_spec(1), np.random.default_rng(7))
+        share = build_trials(state, np.random.default_rng(7)).strategies.mean()
         assert 0.49 <= share <= 0.51
 
     def test_equal_rates_return_to_uniform(self):
@@ -633,12 +636,11 @@ def test_parameter_samplers_match_loop_reference(size, memory, sigma, seed):
     positive = [min(max(v, 1e-3), 1.0) for v in memory]
     memories = ParameterMemories(memory, positive, positive)
     for name in ("sample_cr", "sample_f_cauchy", "sample_f_gaussian", "sample_freq"):
-        for n in (None, size):
-            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = globals()[name](memories, rng_new, sigma, size=n)
-            ref = getattr(reference_generation, name)(memories, rng_ref, sigma, size=n)
-            assert np.asarray(new).tobytes() == np.asarray(ref).tobytes(), name
-            assert rng_new.bit_generator.state == rng_ref.bit_generator.state, name
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = globals()[name](memories, rng_new, size, sigma)
+        ref = getattr(reference_generation, name)(memories, rng_ref, sigma, size=size)
+        assert new.tobytes() == ref.tobytes(), name
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state, name
 
 
 class TestNumpyStreamAssumptions:
