@@ -25,6 +25,10 @@ from .nas_search import BiObjectiveConfig, BudgetedScorer, PredictorInterface
 from .shsade import Termination, drive
 from .trace import SearchTrace
 
+# aging evolution stops after this many steps per budget unit even when
+# mutations keep landing on cached genotypes
+REA_STEPS_PER_BUDGET_UNIT = 40
+
 
 @dataclass(frozen=True)
 class VanillaDeConfig:
@@ -110,7 +114,6 @@ class RegularizedEaConfig:
     population_size: int = 25
     tournament_size: int = 5
     budget: int = 500
-    max_steps: int | None = None  # None resolves to 40 * budget
 
     def __post_init__(self):
         if self.population_size < 1:
@@ -119,11 +122,6 @@ class RegularizedEaConfig:
             raise ValueError("tournament_size must lie in [1, population_size]")
         if self.budget < self.population_size:
             raise ValueError("budget must cover the initial population")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError("max_steps must be non-negative")
-
-    def resolved_max_steps(self) -> int:
-        return 40 * self.budget if self.max_steps is None else int(self.max_steps)
 
 
 def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, rng) -> Genotype:
@@ -161,7 +159,7 @@ def regularized_ea_run(
     trace.append(0, scorer.evaluations, scorer.best_score, mean)
 
     steps = 0
-    max_steps = config.resolved_max_steps()
+    max_steps = REA_STEPS_PER_BUDGET_UNIT * config.budget
     while (
         scorer.evaluations < config.budget
         and scorer.evaluations < space.size

@@ -12,12 +12,11 @@ partial outputs removed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
-import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -170,9 +169,17 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
             _require(isinstance(value, bool), f"algorithm_config.{key} must be true or false")
         elif key != "f_second_half":
             _require(_is_number(value), f"algorithm_config.{key} must be a number")
+    if task == "benchmark" and "max_evaluations" in algo_cfg:
+        # the initial population alone spends pop_size evaluations
+        config_class = shsade.ShsadeConfig if algorithm == "shsade" else baselines.VanillaDeConfig
+        pop_size = algo_cfg.get("pop_size", config_class.pop_size)
+        _require(
+            algo_cfg["max_evaluations"] >= pop_size,
+            f"algorithm_config.max_evaluations must be >= pop_size ({pop_size})",
+        )
     # constructing the runner validates the algorithm config block up front
     try:
-        _build_runner(normalized)
+        normalized["runner"] = _build_runner(normalized)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid algorithm_config: {exc}") from None
     return normalized
@@ -241,7 +248,7 @@ def _build_runner(cfg: dict):
             config = baselines.VanillaDeConfig(**present("pop_size", "max_generations", "f", "cr"))
         if "max_generations" not in acfg and "max_evaluations" in acfg:
             # the generation cap follows the evaluation budget
-            config = replace(config, max_generations=max(1, acfg["max_evaluations"] // config.pop_size))
+            config = replace(config, max_generations=acfg["max_evaluations"] // config.pop_size)
 
         def search(rng):
             optimize = shsade.run if algorithm == "shsade" else baselines.vanilla_de_run
@@ -284,7 +291,7 @@ def resolve_output_dir(output: str) -> Path:
     return out if out.is_absolute() else root / out
 
 
-def run_experiment(config_path: str, threads: int = 1) -> int:
+def run_experiment(config_path: str) -> int:
     config_path = Path(config_path)
     try:
         raw = _load_json(config_path)
@@ -293,28 +300,19 @@ def run_experiment(config_path: str, threads: int = 1) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    runner = _build_runner(cfg)
     outdir = resolve_output_dir(cfg["output"])
     written: list[Path] = []
+    entries = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-
-        def run_and_write(seed: int):
-            trace, entry = runner(seed)
+        for seed in cfg["seeds"]:
+            trace, entry = cfg["runner"](seed)
             trace.metadata.setdefault("algorithm", cfg["algorithm"])
             trace.metadata.update({"seed": str(seed), "config_hash": cfg["hash"]})
             path = outdir / f"trace_seed{seed}.csv"
             trace.write_csv(path)
-            # recorded here, not as the pool yields in seed order, so a failed
-            # seed's cleanup also sees the traces later seeds already wrote
             written.append(path)
-            return entry
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                entries = list(pool.map(run_and_write, cfg["seeds"]))
-        else:
-            entries = [run_and_write(seed) for seed in cfg["seeds"]]
+            entries.append(entry)
 
         finals = [e["final_best"] for e in entries]
         summary = {
@@ -419,17 +417,20 @@ def dump_oracle(
         return EXIT_CONFIG
 
     header = ["rank", "score", "accuracy", "cost"] + [a.name for a in space.axes]
-    lines = [",".join(header)]
-    columns = zip(scores[order].tolist(), accuracy[order].tolist(), cost[order].tolist())
-    choices = list(itertools.product(*(a.values for a in space.axes)))
-    for rank, (i, values) in enumerate(zip(order.tolist(), columns), start=1):
-        cells = [str(rank)] + [repr(v) for v in values] + [str(c) for c in choices[i]]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    sink = open(output, "w", encoding="utf-8", newline="\n") if output else contextlib.nullcontext(sys.stdout)
+    with sink as out:
+        out.write(",".join(header) + "\n")
+        # written a chunk of ranked rows at a time, so that no whole-space
+        # list of choices or of lines is ever held
+        for start in range(0, order.size, nas_search.ENUMERATION_CHUNK):
+            part = order[start : start + nas_search.ENUMERATION_CHUNK]
+            choices = space.choices_from_indices(np.stack(np.unravel_index(part, space.sizes), axis=1))
+            rows = zip(scores[part].tolist(), accuracy[part].tolist(), cost[part].tolist(), choices)
+            lines = [
+                ",".join([str(rank), repr(s), repr(a), repr(c)] + [str(v) for v in values])
+                for rank, (s, a, c, values) in enumerate(rows, start=start + 1)
+            ]
+            out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -442,7 +443,10 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run all seeds of a JSON experiment config")
     p_run.add_argument("config", help="path to the experiment config JSON")
-    p_run.add_argument("--threads", type=int, default=1, help="parallel seeds (default 1)")
+    p_run.add_argument(
+        "--threads", type=int, default=1,
+        help="ignored: seeds run one after another, which measured faster than a thread pool",
+    )
 
     p_cmp = sub.add_parser("compare", help="compare two trace directories")
     p_cmp.add_argument("dir_a")
@@ -461,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            code = run_experiment(args.config, threads=args.threads)
+            code = run_experiment(args.config)
         elif args.command == "compare":
             code = compare_traces(args.dir_a, args.dir_b, step=args.step, output=args.output)
         else:

@@ -255,13 +255,11 @@ def sample_cr(memories: ParameterMemories, rng, size: int, sigma: float = 0.1) -
     return np.minimum(np.maximum(memories.mcr[r] + sigma * rng.standard_normal(size), 0.0), 1.0)
 
 
-def _resampled(
-    memory: np.ndarray, rng, size: int, sigma: float, draw: Callable, upper_reject: bool, max_retries: int
-) -> np.ndarray:
+def _resampled(memory: np.ndarray, rng, size: int, sigma: float, draw: Callable, upper_reject: bool) -> np.ndarray:
     """``loc + sigma * draw(n)`` around random entries ``loc`` of ``memory``,
     resampled while non-positive (and above 1 when ``upper_reject``), then
-    truncated to 1 from above; entries still rejected after ``max_retries``
-    rounds fall back to their loc."""
+    truncated to 1 from above; entries still rejected after
+    ``MAX_SAMPLE_RETRIES`` rounds fall back to their loc."""
     loc = memory[rng.integers(0, memory.size, size=size)]
     values = loc + sigma * draw(size)
 
@@ -276,7 +274,7 @@ def _resampled(
     retries = 0
     while n_bad:
         retries += 1
-        if retries > max_retries:
+        if retries > MAX_SAMPLE_RETRIES:
             values[bad] = loc[bad]
             break
         values[bad] = loc[bad] + sigma * draw(n_bad)
@@ -285,27 +283,21 @@ def _resampled(
     return np.minimum(values, 1.0)
 
 
-def sample_f_cauchy(
-    memories: ParameterMemories, rng, size: int, sigma: float = 0.1, max_retries: int = MAX_SAMPLE_RETRIES
-) -> np.ndarray:
+def sample_f_cauchy(memories: ParameterMemories, rng, size: int, sigma: float = 0.1) -> np.ndarray:
     """F ~ Cauchy(MF_r, sigma): truncated to 1 from above, resampled while
-    non-positive, falling back to MF_r after ``max_retries`` rejections."""
-    return _resampled(memories.mf, rng, size, sigma, rng.standard_cauchy, False, max_retries)
+    non-positive, falling back to MF_r after ``MAX_SAMPLE_RETRIES`` rejections."""
+    return _resampled(memories.mf, rng, size, sigma, rng.standard_cauchy, False)
 
 
-def sample_f_gaussian(
-    memories: ParameterMemories, rng, size: int, sigma: float = 0.1, max_retries: int = MAX_SAMPLE_RETRIES
-) -> np.ndarray:
+def sample_f_gaussian(memories: ParameterMemories, rng, size: int, sigma: float = 0.1) -> np.ndarray:
     """Gaussian alternative for second-half F: normal(MF_r, sigma) with the
     same resample-below-zero, truncate-above-one handling as the Cauchy form."""
-    return _resampled(memories.mf, rng, size, sigma, rng.standard_normal, False, max_retries)
+    return _resampled(memories.mf, rng, size, sigma, rng.standard_normal, False)
 
 
-def sample_freq(
-    memories: ParameterMemories, rng, size: int, sigma: float = 0.1, max_retries: int = MAX_SAMPLE_RETRIES
-) -> np.ndarray:
+def sample_freq(memories: ParameterMemories, rng, size: int, sigma: float = 0.1) -> np.ndarray:
     """freq ~ Cauchy(Mfreq_r, sigma) resampled into (0, 1]."""
-    return _resampled(memories.mfreq, rng, size, sigma, rng.standard_cauchy, True, max_retries)
+    return _resampled(memories.mfreq, rng, size, sigma, rng.standard_cauchy, True)
 
 
 def decreasing_sinusoidal_f(generation: int, max_generations: int, freq: float) -> float:

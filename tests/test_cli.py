@@ -1,6 +1,7 @@
 """End-to-end tests of the experiment harness and its file contracts."""
 
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -77,6 +78,25 @@ class TestRunBenchmark:
         cfg2 = write_config(tmp_path / "config.json")
         assert cli.main(["run", str(cfg2), "--threads", "3"]) == 0
         assert read_all_bytes(tmp_path / "out") == serial
+
+    def test_threads_option_runs_seeds_in_order_on_the_calling_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        cfg = write_config(tmp_path / "config.json", seeds=[3, 1, 2])
+        real_build_runner = cli._build_runner
+        calls = []
+
+        def build_runner(config):
+            runner = real_build_runner(config)
+
+            def run_seed(seed):
+                calls.append((threading.current_thread(), seed))
+                return runner(seed)
+
+            return run_seed
+
+        monkeypatch.setattr(cli, "_build_runner", build_runner)
+        assert cli.main(["run", str(cfg), "--threads", "2"]) == 0
+        assert calls == [(threading.current_thread(), seed) for seed in (3, 1, 2)]
 
     def test_vanilla_de_runs(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
@@ -203,6 +223,30 @@ class TestRunValidation:
         path = tmp_path / "nas.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "algorithm, algorithm_config, pop_size",
+        [
+            ("shsade", {"pop_size": 50, "max_evaluations": 5}, 50),
+            ("shsade", {"max_evaluations": 49}, 50),
+            ("vanilla_de", {"pop_size": 50, "max_evaluations": 5}, 50),
+            ("vanilla_de", {"max_evaluations": 49}, 50),
+        ],
+        ids=["shsade", "shsade-default-pop", "vanilla_de", "vanilla_de-default-pop"],
+    )
+    def test_benchmark_max_evaluations_below_population_exits_1(
+        self, tmp_path, monkeypatch, capsys, algorithm, algorithm_config, pop_size
+    ):
+        # the initial population alone spends pop_size evaluations
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        cfg = write_config(tmp_path / "config.json", algorithm=algorithm,
+                           algorithm_config=algorithm_config, seeds=[1])
+        assert cli.main(["run", str(cfg)]) == 1
+        assert "algorithm_config.max_evaluations" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cfg = write_config(tmp_path / "config.json", algorithm=algorithm,
+                           algorithm_config={**algorithm_config, "max_evaluations": pop_size}, seeds=[1])
+        assert cli.main(["run", str(cfg)]) == 0
 
     @pytest.mark.parametrize(
         "path, message",
@@ -424,6 +468,16 @@ class TestOracle:
             expected = [str(rank), repr(value), repr(surrogate.predict_accuracy(genotype)),
                         repr(surrogate.predict_cost(genotype))] + [str(c) for c in genotype.choices]
             assert line.split(",") == expected
+
+    def test_rows_written_across_chunks_match_one_chunk(self, tmp_path, capsys, monkeypatch):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space_doc(num_axes=3, values=["x", True, 2.5])))
+        assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 0
+        one_chunk = capsys.readouterr().out
+        monkeypatch.setattr(nas_search, "ENUMERATION_CHUNK", 5)  # 27 rows: chunks of 5, 5, ..., 2
+        assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 0
+        assert capsys.readouterr().out == one_chunk
+        assert len(one_chunk.splitlines()) == 1 + 27
 
     def test_oversized_space_exits_1(self, tmp_path, capsys):
         space_path = tmp_path / "space.json"
