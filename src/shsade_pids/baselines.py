@@ -28,6 +28,8 @@ from .trace import SearchTrace
 # aging evolution stops after this many steps per budget unit even when
 # mutations keep landing on cached genotypes
 REA_STEPS_PER_BUDGET_UNIT = 40
+# aging-evolution steps whose uniforms are drawn in one call
+REA_DRAW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -124,14 +126,31 @@ class RegularizedEaConfig:
             raise ValueError("budget must cover the initial population")
 
 
-def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, rng) -> Genotype:
-    """Replace one uniformly chosen axis with a uniform draw from its values."""
-    rng = ensure_rng(rng)
-    axis_idx = int(rng.integers(space.num_axes))
+def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, offset: int) -> Genotype:
+    """Move axis ``axis_idx`` of ``genotype`` to a different value: the
+    ``offset``-th, in axis order, of the values other than the current one,
+    so ``offset`` lies in [0, size - 2]. A single-value axis keeps its value."""
+    if not 0 <= axis_idx < space.num_axes:
+        raise ValueError(f"axis index {axis_idx} is outside [0, {space.num_axes - 1}]")
     axis = space.axes[axis_idx]
+    if not 0 <= offset < max(axis.size - 1, 1):
+        raise ValueError(f"offset {offset} is outside [0, {max(axis.size - 2, 0)}] on axis {axis.name!r}")
     choices = list(genotype.choices)
-    choices[axis_idx] = axis.values[int(rng.integers(axis.size))]
+    if axis.size > 1:
+        current = axis.index_of(choices[axis_idx])
+        choices[axis_idx] = axis.values[offset + (offset >= current)]
     return Genotype(tuple(choices))
+
+
+@dataclass
+class RegularizedEaState:
+    """The population in age order, oldest first, with its genotypes beside
+    its fitness, the step count and the best score found so far."""
+
+    genotypes: list[Genotype]
+    fitness: np.ndarray
+    generation: int
+    best_fitness: float
 
 
 def regularized_ea_run(
@@ -143,38 +162,67 @@ def regularized_ea_run(
 ) -> tuple[Genotype, SearchTrace]:
     """Aging-evolution search with the same budget accounting as the
     evolutionary pipeline: memoized scores, one budget unit per distinct
-    genotype. The population is a FIFO queue of constant size after warm-up."""
+    genotype. The population is a FIFO queue of constant size after warm-up.
+
+    Each step is one ``drive`` generation: the fittest of a uniform
+    tournament (ties to the oldest) is mutated on one uniform axis to a
+    uniform different value, the child is scored and joins the population,
+    and the oldest member dies. Steps draw their uniforms in blocks of
+    ``REA_DRAW_BLOCK`` rows of ``population_size + 2``: the tournament is
+    the ``tournament_size`` smallest of a row's first ``population_size``,
+    the axis ``floor(u * num_axes)`` and the offset ``floor(u * (size - 1))``.
+    The run stops once the budget is spent, the whole space has been scored,
+    or after ``REA_STEPS_PER_BUDGET_UNIT * budget`` steps.
+    """
     rng = ensure_rng(rng)
     scorer = BudgetedScorer(predictor, biobjective, config.budget)
+    pop_size = config.population_size
+    genotypes = [space.random_genotype(rng) for _ in range(pop_size)]
+    fitness = np.array([scorer.try_score(g) for g in genotypes])  # budget >= population_size
+    state = RegularizedEaState(genotypes, fitness, 0, scorer.best_score)
+    draws = _step_draws(space, config, rng)
 
-    population: list[tuple[Genotype, float]] = []
-    for _ in range(config.population_size):
-        genotype = space.random_genotype(rng)
-        value = scorer.try_score(genotype)
-        assert value is not None  # budget >= population_size
-        population.append((genotype, value))
+    def ask():
+        picks, axis_idx, offset = next(draws)
+        parent = picks[state.fitness[picks].argmin()]
+        return mutate_one_axis(state.genotypes[parent], space, axis_idx, offset)
 
-    trace = SearchTrace(metadata={"algorithm": "regularized_ea"})
-    mean = float(np.mean([v for _, v in population]))
-    trace.append(0, scorer.evaluations, scorer.best_score, mean)
+    def tell(child, value, _evaluated):
+        del state.genotypes[0]  # oldest dies
+        state.genotypes.append(child)
+        state.fitness[:-1] = state.fitness[1:]
+        state.fitness[-1] = value
+        state.generation += 1
+        state.best_fitness = scorer.best_score
 
-    steps = 0
-    max_steps = REA_STEPS_PER_BUDGET_UNIT * config.budget
-    while (
-        scorer.evaluations < config.budget
-        and scorer.evaluations < space.size
-        and steps < max_steps
-    ):
-        picks = rng.choice(config.population_size, size=config.tournament_size, replace=False)
-        parent = min((population[int(i)] for i in picks), key=lambda item: item[1])
-        child = mutate_one_axis(parent[0], space, rng)
-        value = scorer.try_score(child)
-        assert value is not None  # loop guard leaves budget for one new genotype
-        population.append((child, value))
-        population.pop(0)  # oldest dies
-        steps += 1
-        mean = float(np.mean([v for _, v in population]))
-        trace.append(steps, scorer.evaluations, scorer.best_score, mean)
-
+    # a step starts while one unit of budget is left, so every child is scored
+    trace = drive(
+        state,
+        ask,
+        evaluate=lambda child: (scorer.try_score(child), None),
+        tell=tell,
+        algorithm="regularized_ea",
+        max_generations=REA_STEPS_PER_BUDGET_UNIT * config.budget,
+        termination=Termination(max_evaluations=min(config.budget, space.size)),
+        room=1,
+        spent=lambda: scorer.evaluations,
+    )
     assert scorer.best_genotype is not None
     return scorer.best_genotype, trace
+
+
+def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, rng):
+    """Yield each step's tournament (population slots in age order, sorted),
+    axis index and value offset, drawing a block of steps at a time."""
+    pop_size, tournament_size = config.population_size, config.tournament_size
+    num_axes = space.num_axes
+    spans = np.array(space.sizes) - 1  # the values an axis can move to
+    while True:
+        u = rng.random((REA_DRAW_BLOCK, pop_size + 2))
+        smallest = np.argpartition(u[:, :pop_size], tournament_size - 1, axis=1)[:, :tournament_size]
+        tournaments = np.sort(smallest, axis=1)
+        # floor(u * n) of a u just below 1 can round up to n
+        axes = np.minimum((u[:, pop_size] * num_axes).astype(np.intp), num_axes - 1)
+        span = spans[axes]
+        offsets = np.minimum((u[:, pop_size + 1] * span).astype(np.intp), np.maximum(span - 1, 0))
+        yield from zip(tournaments, axes.tolist(), offsets.tolist())

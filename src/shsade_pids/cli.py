@@ -201,6 +201,7 @@ _SHSADE_KEYS = (
     "f_second_half",
     "use_sinusoidal",
     "use_trigonometric",
+    "crossover_trigonometric",
 )
 _NAS_KEYS = ("sigma_init_noise", "sigma_trial_noise", "mutation_fraction")
 _TERMINATION_KEYS = ("max_evaluations", "target_fitness")
@@ -213,7 +214,7 @@ _ALGORITHM_KEYS = {
     ("nas", "regularized_ea"): {"population_size", "tournament_size"},
 }
 
-# the smallest value of each integer key; "use_*" keys are flags, and every
+# the smallest value of each integer key; _FLAG_KEYS are booleans, and every
 # other key but f_second_half holds a number
 _INTEGER_KEYS = {
     "pop_size": 1,
@@ -225,7 +226,7 @@ _INTEGER_KEYS = {
     "learning_period": 1,
     "archive_capacity": 0,
 }
-_FLAG_KEYS = ("use_sinusoidal", "use_trigonometric")
+_FLAG_KEYS = ("use_sinusoidal", "use_trigonometric", "crossover_trigonometric")
 
 
 def _build_runner(cfg: dict):

@@ -29,7 +29,14 @@ class Axis:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError(f"axis {self.name!r} needs at least one value")
-        if len(set(self.values)) != len(self.values):
+        try:
+            distinct = len(set(self.values))
+        except TypeError:
+            raise ValueError(
+                f"axis {self.name!r} has an unhashable value (a list or a mapping); "
+                "values must be numbers, strings, booleans or null"
+            ) from None
+        if distinct != len(self.values):
             raise ValueError(f"axis {self.name!r} has duplicate values")
 
     @property

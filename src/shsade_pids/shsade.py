@@ -569,6 +569,13 @@ def commit_generation(
     Rows with ``evaluated`` False are skipped entirely (parent survives, no
     strategy tally, no archive entry); this is how budget-limited drivers
     drop trials they could not afford to score.
+
+    Non-finite trials: after initialisation, an evaluated trial whose
+    fitness is NaN or +inf never replaces its parent. ``NaN <= parent`` is
+    false, and so is ``inf <= parent`` for any parent that began finite,
+    since a parent is only ever replaced by a trial at or below it. Such a
+    trial enters neither the success sets nor the archive, and it counts as
+    a failed try for its strategy.
     """
     cfg = state.config
     x = state.x
@@ -657,7 +664,9 @@ def drive(
         gen_limit = min(gen_limit, term.max_generations)
     trace = SearchTrace(metadata={"algorithm": algorithm})
     while True:
-        trace.append(state.generation, spent(), state.best_fitness, float(np.mean(state.fitness)))
+        # the same bits as np.mean, without its Python-level wrapper
+        mean = np.add.reduce(state.fitness) / state.fitness.size
+        trace.append(state.generation, spent(), state.best_fitness, mean)
         if state.generation >= gen_limit:
             break
         if term.target_fitness is not None and state.best_fitness <= term.target_fitness:

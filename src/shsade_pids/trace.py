@@ -7,6 +7,9 @@ runs of different algorithms can be compared point for point.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +31,26 @@ class TraceRow:
         return (self.generation, self.evaluations, self.best_fitness, self.mean_fitness)
 
 
+class _RowView(Sequence):
+    """Read-only rows of a ``SearchTrace``, built as ``TraceRow`` on access."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [TraceRow(*values) for values in zip(*(column[index] for column in self._columns))]
+        return TraceRow(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return (TraceRow(*values) for values in zip(*self._columns))
+
+
 class SearchTrace:
     """Append-only record of (generation, evaluations, best, mean) rows.
 
@@ -35,65 +58,75 @@ class SearchTrace:
     down the rows and the best fitness never increases. Appending a row at
     an unchanged evaluation count replaces the previous row, so generations
     that consumed no new evaluations collapse into a single record.
+
+    Rows are stored as four typed columns; ``rows`` is a read-only sequence
+    of ``TraceRow`` views over them.
     """
 
     def __init__(self, metadata: dict | None = None):
         self.metadata: dict[str, str] = {str(k): str(v) for k, v in (metadata or {}).items()}
-        self.rows: list[TraceRow] = []
+        # generation, evaluations, best_fitness, mean_fitness
+        self._columns = (array("q"), array("q"), array("d"), array("d"))
+        self._rows = _RowView(self._columns)
+
+    @property
+    def rows(self) -> _RowView:
+        return self._rows
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._columns[0])
 
     def append(self, generation, evaluations, best_fitness, mean_fitness) -> None:
-        row = TraceRow(int(generation), int(evaluations), float(best_fitness), float(mean_fitness))
-        if not math.isfinite(row.best_fitness) or not math.isfinite(row.mean_fitness):
+        generation, evaluations = int(generation), int(evaluations)
+        best_fitness, mean_fitness = float(best_fitness), float(mean_fitness)
+        if not math.isfinite(best_fitness) or not math.isfinite(mean_fitness):
             raise TraceError("trace rows require finite fitness values")
-        if self.rows:
-            last = self.rows[-1]
-            if row.evaluations < last.evaluations:
+        gens, evals, best, mean = self._columns
+        if evals:
+            if evaluations < evals[-1]:
                 raise TraceError("evaluation counts must not decrease")
-            if row.best_fitness > last.best_fitness:
+            if best_fitness > best[-1]:
                 raise TraceError("best fitness must not increase")
-            if row.evaluations == last.evaluations:
-                self.rows[-1] = row
+            if evaluations == evals[-1]:
+                gens[-1], best[-1], mean[-1] = generation, best_fitness, mean_fitness
                 return
-        self.rows.append(row)
+        gens.append(generation)
+        evals.append(evaluations)
+        best.append(best_fitness)
+        mean.append(mean_fitness)
 
     @property
     def final_best(self) -> float:
-        if not self.rows:
+        if not self:
             raise TraceError("empty trace")
-        return self.rows[-1].best_fitness
+        return self._columns[2][-1]
 
     @property
     def final_evaluations(self) -> int:
-        if not self.rows:
+        if not self:
             raise TraceError("empty trace")
-        return self.rows[-1].evaluations
+        return self._columns[1][-1]
 
     def best_at(self, evaluations: int) -> float:
         """Best fitness recorded at or before the given evaluation count."""
-        best = None
-        for row in self.rows:
-            if row.evaluations <= evaluations:
-                best = row.best_fitness
-            else:
-                break
-        if best is None:
+        # evaluation counts strictly increase down the rows
+        k = bisect_right(self._columns[1], evaluations)
+        if k == 0:
             raise TraceError(f"no trace rows at or before {evaluations} evaluations")
-        return best
+        return self._columns[2][k - 1]
 
     def validate(self) -> None:
+        _, evals, best, mean = self._columns
         prev = None
-        for row in self.rows:
-            if not math.isfinite(row.best_fitness) or not math.isfinite(row.mean_fitness):
+        for evaluations, best_fitness, mean_fitness in zip(evals, best, mean):
+            if not math.isfinite(best_fitness) or not math.isfinite(mean_fitness):
                 raise TraceError("non-finite fitness in trace")
             if prev is not None:
-                if row.evaluations <= prev.evaluations:
+                if evaluations <= prev[0]:
                     raise TraceError("evaluations not strictly increasing")
-                if row.best_fitness > prev.best_fitness:
+                if best_fitness > prev[1]:
                     raise TraceError("best fitness increased")
-            prev = row
+            prev = (evaluations, best_fitness)
 
     def write_csv(self, path) -> None:
         self.validate()
@@ -101,11 +134,8 @@ class SearchTrace:
         for key in sorted(self.metadata):
             lines.append(f"# {key}: {self.metadata[key]}")
         lines.append(",".join(COLUMNS))
-        for row in self.rows:
-            lines.append(
-                f"{row.generation},{row.evaluations},"
-                f"{float(row.best_fitness)!r},{float(row.mean_fitness)!r}"
-            )
+        for generation, evaluations, best_fitness, mean_fitness in zip(*self._columns):
+            lines.append(f"{generation},{evaluations},{best_fitness!r},{mean_fitness!r}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     @classmethod
@@ -132,10 +162,10 @@ class SearchTrace:
             if len(parts) != len(COLUMNS):
                 raise TraceError(f"{path}:{lineno}: expected {len(COLUMNS)} columns")
             try:
-                trace.rows.append(
-                    TraceRow(int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
-                )
-            except ValueError as exc:
+                row = (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
+                for column, value in zip(trace._columns, row):
+                    column.append(value)
+            except (ValueError, OverflowError) as exc:
                 raise TraceError(f"{path}:{lineno}: {exc}") from None
         if not header_seen:
             raise TraceError(f"{path}: missing column header")

@@ -5,7 +5,9 @@ before ``shsade.drive`` took them over.
 Kept verbatim as the reference that the drivers must match row for row and
 draw for draw. The only edits: ``init_population`` returns ``(x, fitness)``
 instead of a population object, and ``Individual`` takes no ``evaluated``
-flag. Nothing here is used outside the tests.
+flag. ``regularized_ea_run`` is aging evolution written as a plain list
+loop over the block-drawn stream that ``baselines.regularized_ea_run``
+consumes. Nothing here is used outside the tests.
 """
 
 import numpy as np
@@ -19,7 +21,8 @@ from shsade_pids.de_core import (
     repair_bounds_matrix,
     sample_distinct_triplets,
 )
-from shsade_pids.discrete_codec import decode_indices, encode, perturb
+from shsade_pids.baselines import REA_DRAW_BLOCK, REA_STEPS_PER_BUDGET_UNIT
+from shsade_pids.discrete_codec import Genotype, decode_indices, encode, perturb
 from shsade_pids.nas_search import BudgetedScorer
 from shsade_pids.shsade import (
     CURRENT_TO_PBEST,
@@ -189,4 +192,45 @@ def nas_evolve(space, predictor, config, rng=None):
         )
 
     assert scorer.best_genotype is not None
+    return scorer.best_genotype, trace
+
+
+def regularized_ea_run(space, predictor, config, biobjective, rng=None):
+    rng = ensure_rng(rng)
+    scorer = BudgetedScorer(predictor, biobjective, config.budget)
+    pop_size = config.population_size
+
+    population = []  # (genotype, score), oldest first
+    for _ in range(pop_size):
+        genotype = space.random_genotype(rng)
+        population.append((genotype, scorer.try_score(genotype)))
+
+    trace = SearchTrace(metadata={"algorithm": "regularized_ea"})
+    trace.append(0, scorer.evaluations, scorer.best_score, float(np.mean([v for _, v in population])))
+
+    steps = 0
+    while (
+        scorer.evaluations < config.budget
+        and scorer.evaluations < space.size
+        and steps < REA_STEPS_PER_BUDGET_UNIT * config.budget
+    ):
+        if steps % REA_DRAW_BLOCK == 0:
+            block = rng.random((REA_DRAW_BLOCK, pop_size + 2)).tolist()
+        u = block[steps % REA_DRAW_BLOCK]
+        # the tournament_size members with the smallest uniforms; the first
+        # fittest in age order wins
+        picks = sorted(sorted(range(pop_size), key=lambda i: u[i])[: config.tournament_size])
+        parent = min((population[i] for i in picks), key=lambda item: item[1])[0]
+        axis_idx = min(int(u[pop_size] * space.num_axes), space.num_axes - 1)
+        axis = space.axes[axis_idx]
+        choices = list(parent.choices)
+        if axis.size > 1:
+            others = [value for value in axis.values if value != choices[axis_idx]]
+            choices[axis_idx] = others[min(int(u[pop_size + 1] * (axis.size - 1)), axis.size - 2)]
+        child = Genotype(tuple(choices))
+        population.append((child, scorer.try_score(child)))
+        population.pop(0)  # oldest dies
+        steps += 1
+        trace.append(steps, scorer.evaluations, scorer.best_score, float(np.mean([v for _, v in population])))
+
     return scorer.best_genotype, trace

@@ -74,14 +74,28 @@ class TestVanillaDe:
 
 class TestMutateOneAxis:
     def test_changes_at_most_one_axis(self):
-        space = grid_space(6)
+        # exactly the chosen axis moves, unless it has a single value
+        space = DiscreteSpace(
+            (Axis("a", (0, 1, 2, 3)), Axis("only", ("x",)), Axis("b", ("p", "q")), Axis("c", (1.5, 2.5, 3.5)))
+        )
         rng = np.random.default_rng(3)
         for _ in range(300):
             parent = space.random_genotype(rng)
-            child = mutate_one_axis(parent, space, rng)
+            axis_idx = int(rng.integers(space.num_axes))
+            size = space.axes[axis_idx].size
+            child = mutate_one_axis(parent, space, axis_idx, int(rng.integers(max(size - 1, 1))))
             space.indices_of(child)
-            diffs = sum(a != b for a, b in zip(parent.choices, child.choices))
-            assert diffs <= 1
+            changed = [k for k, (a, b) in enumerate(zip(parent.choices, child.choices)) if a != b]
+            assert changed == ([axis_idx] if size > 1 else [])
+
+    def test_offsets_enumerate_the_other_values_in_axis_order(self):
+        space = grid_space(2)
+        parent = space.genotype_from_indices([2, 0])
+        assert [mutate_one_axis(parent, space, 0, k).choices for k in range(3)] == [(0, 0), (1, 0), (3, 0)]
+        assert [mutate_one_axis(parent, space, 1, k).choices for k in range(3)] == [(2, 1), (2, 2), (2, 3)]
+        for axis_idx, offset in [(-1, 0), (2, 0), (0, -1), (0, 3)]:
+            with pytest.raises(ValueError):
+                mutate_one_axis(parent, space, axis_idx, offset)
 
 
 class TestRegularizedEa:

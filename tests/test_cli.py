@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from shsade_pids import cli, nas_search, objectives
+from shsade_pids import cli, nas_search, objectives, shsade
 from shsade_pids.discrete_codec import DiscreteSpace
 
 
@@ -176,6 +176,8 @@ class TestRunValidation:
             ("benchmark", "shsade", "target_fitness", True),
             ("benchmark", "shsade", "p_best_fraction", "0.1"),
             ("benchmark", "shsade", "use_sinusoidal", "no"),
+            ("benchmark", "shsade", "crossover_trigonometric", 0),
+            ("nas", "shsade", "crossover_trigonometric", "false"),
             ("benchmark", "vanilla_de", "max_generations", False),
             ("benchmark", "vanilla_de", "f", "0.5"),
             ("benchmark", "vanilla_de", "cr", True),
@@ -270,6 +272,44 @@ class TestRunValidation:
         assert cli.main(["run", str(config)]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / doc["output"]).exists()
+
+    def test_array_axis_value_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = nas_config()
+        doc["space"] = {"axes": [{"name": "k", "values": [[1, 2], [3, 4]]}]}
+        path = tmp_path / "nas.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid space document: axis 'k' has an unhashable value")
+        assert "Traceback" not in err
+        assert not (tmp_path / doc["output"]).exists()
+
+    def test_crossover_trigonometric_reaches_the_shsade_config(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        seen = []
+        run, nas_evolve = shsade.run, nas_search.nas_evolve
+
+        def spy_run(config, *args):
+            seen.append(config)
+            return run(config, *args)
+
+        def spy_nas_evolve(space, predictor, config, rng):
+            seen.append(config.shsade)
+            return nas_evolve(space, predictor, config, rng)
+
+        monkeypatch.setattr(shsade, "run", spy_run)
+        monkeypatch.setattr(nas_search, "nas_evolve", spy_nas_evolve)
+        cfg = write_config(tmp_path / "bench.json", seeds=[1],
+                           algorithm_config={"pop_size": 8, "max_evaluations": 80, "crossover_trigonometric": False})
+        assert cli.main(["run", str(cfg)]) == 0
+        doc = nas_config()
+        doc["algorithm_config"]["crossover_trigonometric"] = False
+        doc["seeds"] = [5]
+        path = tmp_path / "nas.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 0
+        assert [config.crossover_trigonometric for config in seen] == [False, False]
 
     def test_json_boolean_seed_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
@@ -488,6 +528,16 @@ class TestOracle:
         space_path = tmp_path / "space.json"
         space_path.write_text(json.dumps({"axes": "nope"}))
         assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 1
+
+
+    def test_array_axis_value_exits_1(self, tmp_path, capsys):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps({"axes": [{"name": "k", "values": [[1, 2], [3, 4]]}]}))
+        assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("oracle error: axis 'k' has an unhashable value")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestConfigHash:

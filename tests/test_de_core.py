@@ -187,6 +187,26 @@ class TestGreedySelect:
         assert taken.tolist() == [False, True, True, True]
         assert state.fitness[0] == 2.0
 
+    def test_non_finite_trials_lose_and_count_as_failed_tries(self):
+        # after initialisation a NaN or +inf trial keeps its parent, enters
+        # neither the success sets nor the archive, and fails its strategy
+        config = shsade.ShsadeConfig(pop_size=4)
+        state = shsade.ShsadeState.initial(config, np.arange(4.0)[:, None], np.full(4, 2.0), Bounds.cube(-100, 100, 1))
+        batch = shsade.TrialBatch(
+            -1.0 - np.arange(4.0)[:, None],
+            strategies=np.array([1, 1, 0, 0]),
+            f=np.array([0.1, 0.2, 0.8, 0.4]),
+            cr=np.array([0.1, 0.2, 0.9, 0.4]),
+            freq=np.full(4, np.nan),
+        )
+        shsade.commit_generation(state, batch, np.array([np.nan, np.inf, 1.0, 3.0]), np.random.default_rng(0))
+        assert state.x[:, 0].tolist() == [0.0, 1.0, -3.0, 3.0]
+        assert state.fitness.tolist() == [2.0, 2.0, 1.0, 2.0]
+        assert [row.tolist() for row in state.archive] == [[2.0]]
+        assert (state.memories.mcr[0], state.memories.mf[0]) == (0.9, 0.8)
+        assert state.strategy.success_counts.tolist() == [1, 0]
+        assert state.strategy.failure_counts.tolist() == [1, 2]
+
     def test_never_increases_best_fitness(self):
         rng = np.random.default_rng(5)
         state = selection_state(rng.uniform(0, 10, size=20))

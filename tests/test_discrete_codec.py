@@ -42,6 +42,10 @@ class TestSpaceValidation:
         with pytest.raises(ValueError):
             Axis("a", ())
 
+    def test_axis_rejects_unhashable_values(self):
+        with pytest.raises(ValueError, match="axis 'k' has an unhashable value"):
+            Axis("k", ([1, 2], [3, 4]))
+
     def test_axis_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Axis("a", (1, 2, 1))

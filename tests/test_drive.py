@@ -1,10 +1,10 @@
 """``shsade.drive`` against the generation loops it replaced.
 
-``run``, ``vanilla_de_run`` and ``nas_evolve`` each supply ask, evaluate and
-tell steps to the one driver loop. ``reference_drivers`` keeps their earlier
-hand-written loops; both sides start from one seed and must agree with
-``==`` on every trace row, the best result and the generator state after
-the run.
+``run``, ``vanilla_de_run``, ``nas_evolve`` and ``regularized_ea_run`` each
+supply ask, evaluate and tell steps to the one driver loop.
+``reference_drivers`` keeps hand-written loops for them; both sides start
+from one seed and must agree with ``==`` on every trace row, the best result
+and the generator state after the run.
 """
 
 import math
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from shsade_pids import baselines, nas_search, objectives, shsade
 from shsade_pids.de_core import Bounds, ObjectiveSpec
+from shsade_pids.discrete_codec import Axis, DiscreteSpace
 from space_strategies import spaces
 
 import reference_drivers
@@ -121,3 +122,64 @@ def test_nas_defaults_state_the_generation_cap_once():
     assert (config.max_generations, config.crossover_target) == (250, "best")
     assert nas_search.search_shsade_config(15, pop_size=20).max_generations == 10
     assert nas_search.search_shsade_config(500, max_generations=7).max_generations == 7
+
+
+def _assert_rea_matches_reference(space, predictor, config, seed):
+    bio = nas_search.BiObjectiveConfig(cost_budget=1e9)
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    best_new, trace_new = baselines.regularized_ea_run(space, predictor, config, bio, rng_new)
+    best_ref, trace_ref = reference_drivers.regularized_ea_run(space, predictor, config, bio, rng_ref)
+    assert _rows(trace_new) == _rows(trace_ref)
+    assert trace_new.metadata == trace_ref.metadata
+    assert best_new.choices == best_ref.choices
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return trace_new
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=spaces(max_axes=5),
+    pop_size=st.integers(1, 8),
+    extra_budget=st.sampled_from([0, 1]) | st.integers(0, 40),
+    surrogate_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_regularized_ea_runs_match_the_loop_reference(space, pop_size, extra_budget, surrogate_seed, seed, data):
+    # single-value axes, whole-population tournaments, budgets equal to the
+    # population size and spaces smaller than the budget
+    tournament_size = data.draw(st.just(pop_size) | st.integers(1, pop_size))
+    config = baselines.RegularizedEaConfig(pop_size, tournament_size, pop_size + extra_budget)
+    _assert_rea_matches_reference(space, objectives.TabularSurrogate(space, surrogate_seed), config, seed)
+
+
+class _FirstAxisPredictor:
+    """Accuracy read from the first axis alone, so distinct genotypes tie
+    and tournaments must break ties the same way on both sides."""
+
+    def __init__(self, space):
+        self.axis = space.axes[0]
+
+    def predict_accuracy(self, genotype):
+        return (1 + self.axis.index_of(genotype.choices[0])) / (1 + self.axis.size)
+
+    def predict_cost(self, genotype):
+        return 1.0
+
+
+def test_regularized_ea_run_with_tied_scores_matches_the_loop_reference():
+    space = DiscreteSpace((Axis("a", (0, 1)),) + tuple(Axis(f"b{i}", (0, 1, 2, 3)) for i in range(4)))
+    config = baselines.RegularizedEaConfig(population_size=8, tournament_size=4, budget=100)
+    _assert_rea_matches_reference(space, _FirstAxisPredictor(space), config, seed=0)
+
+
+def test_regularized_ea_run_stopped_by_the_step_cap_matches_the_loop_reference():
+    # mostly single-value axes: most mutations cannot move, and the
+    # tournament keeps proposing the scored neighbours of the best
+    space = DiscreteSpace(
+        tuple(Axis(f"x{i}", (0, 1, 2)) for i in range(2)) + tuple(Axis(f"s{i}", ("only",)) for i in range(10))
+    )
+    config = baselines.RegularizedEaConfig(population_size=5, tournament_size=2, budget=12)
+    trace = _assert_rea_matches_reference(space, objectives.TabularSurrogate(space, 3), config, seed=1)
+    assert trace.rows[-1].generation == baselines.REA_STEPS_PER_BUDGET_UNIT * config.budget
+    assert trace.final_evaluations < min(config.budget, space.size)

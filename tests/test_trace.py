@@ -91,3 +91,35 @@ def test_read_rejects_violated_invariants(tmp_path):
     )
     with pytest.raises(TraceError):
         SearchTrace.read_csv(path)
+
+
+def test_rows_is_a_read_only_view_of_the_columns(tmp_path):
+    t = make_trace()
+    rows = t.rows
+    t.append(3, 150, 7.5, 11.0)  # same evaluation count: replaces the last row
+    t.append(4, 200, 7.0, 9.5)
+    expected = [(0, 50, 10.0, 20.0), (1, 100, 8.0, 15.0), (3, 150, 7.5, 11.0), (4, 200, 7.0, 9.5)]
+    assert len(rows) == len(t) == 4
+    assert rows[-1].as_tuple() == expected[-1]
+    assert rows[-4].as_tuple() == expected[0]
+    assert [r.as_tuple() for r in rows[1:3]] == expected[1:3]
+    assert [r.as_tuple() for r in rows[::-2]] == expected[::-2]
+    assert [r.as_tuple() for r in rows] == expected
+    with pytest.raises(IndexError):
+        rows[4]
+    with pytest.raises(AttributeError):
+        t.rows = []
+    with pytest.raises(TypeError):
+        rows[0] = rows[1]
+
+    path = tmp_path / "trace.csv"
+    t.write_csv(path)
+    assert path.read_text() == (
+        "# algorithm: demo\n# seed: 1\ngeneration,evaluations,best_fitness,mean_fitness\n"
+        "0,50,10.0,20.0\n1,100,8.0,15.0\n3,150,7.5,11.0\n4,200,7.0,9.5\n"
+    )
+    back = SearchTrace.read_csv(path)
+    assert [r.as_tuple() for r in back.rows] == expected
+    again = tmp_path / "again.csv"
+    back.write_csv(again)
+    assert again.read_bytes() == path.read_bytes()
