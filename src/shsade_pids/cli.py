@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """JSON numbers that are finite as floats. ``json`` also reads ``NaN`` and
+    ``Infinity``, and integers of any size."""
+    return (_is_int(value) or isinstance(value, float)) and -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _load_json(path: Path) -> dict:
@@ -159,20 +161,24 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
         normalized["budget"] = budget
         normalized["biobjective"] = _resolve_biobjective(bio_raw, surrogate)
 
-    unknown = sorted(set(algo_cfg) - _ALGORITHM_KEYS[(task, algorithm)])
+    classes = _CONFIG_CLASSES[(task, algorithm)]
+    keys = _config_keys(*classes)
+    unknown = sorted(set(algo_cfg) - set(keys))
     _require(not unknown, f"algorithm_config has unknown keys for {task}/{algorithm}: {unknown}")
     for key, value in algo_cfg.items():
-        if key in _INTEGER_KEYS:
-            low = _INTEGER_KEYS[key]
+        kind = keys[key]
+        if kind == "int":
+            low = 0 if key == "archive_capacity" else 1
             _require(_is_int(value) and value >= low, f"algorithm_config.{key} must be an integer >= {low}")
-        elif key in _FLAG_KEYS:
+        elif kind == "bool":
             _require(isinstance(value, bool), f"algorithm_config.{key} must be true or false")
-        elif key != "f_second_half":
+        elif kind == "float":
             _require(_is_number(value), f"algorithm_config.{key} must be a number")
+        else:
+            _require(isinstance(value, str), f"algorithm_config.{key} must be a string")
     if task == "benchmark" and "max_evaluations" in algo_cfg:
         # the initial population alone spends pop_size evaluations
-        config_class = shsade.ShsadeConfig if algorithm == "shsade" else baselines.VanillaDeConfig
-        pop_size = algo_cfg.get("pop_size", config_class.pop_size)
+        pop_size = algo_cfg.get("pop_size", classes[0].pop_size)
         _require(
             algo_cfg["max_evaluations"] >= pop_size,
             f"algorithm_config.max_evaluations must be >= pop_size ({pop_size})",
@@ -185,48 +191,28 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
     return normalized
 
 
-# ShsadeConfig fields an algorithm_config may set besides pop_size and max_generations
-_SHSADE_KEYS = (
-    "memory_size",
-    "p_best_fraction",
-    "archive_capacity",
-    "learning_period",
-    "p_min",
-    "strategy_epsilon",
-    "memory_learning_rate",
-    "freq_init",
-    "sigma_gauss_f",
-    "sigma_cauchy_f",
-    "sigma_cr",
-    "f_second_half",
-    "use_sinusoidal",
-    "use_trigonometric",
-    "crossover_trigonometric",
-)
-_NAS_KEYS = ("sigma_init_noise", "sigma_trial_noise", "mutation_fraction")
-_TERMINATION_KEYS = ("max_evaluations", "target_fitness")
-
-# the algorithm_config keys _build_runner reads, per (task, algorithm)
-_ALGORITHM_KEYS = {
-    ("benchmark", "shsade"): {"pop_size", "max_generations", *_TERMINATION_KEYS, *_SHSADE_KEYS},
-    ("benchmark", "vanilla_de"): {"pop_size", "max_generations", *_TERMINATION_KEYS, "f", "cr"},
-    ("nas", "shsade"): {"pop_size", "max_generations", *_NAS_KEYS, *_SHSADE_KEYS},
-    ("nas", "regularized_ea"): {"population_size", "tournament_size"},
+# the config classes each (task, algorithm) builds; their fields, less those
+# the CLI fills in from the rest of the config, are its algorithm_config keys
+_CONFIG_CLASSES = {
+    ("benchmark", "shsade"): (shsade.ShsadeConfig, shsade.Termination),
+    ("benchmark", "vanilla_de"): (baselines.VanillaDeConfig, shsade.Termination),
+    ("nas", "shsade"): (shsade.ShsadeConfig, nas_search.NasConfig),
+    ("nas", "regularized_ea"): (baselines.RegularizedEaConfig,),
 }
+_CLI_SET_FIELDS = ("budget", "biobjective", "shsade", "crossover_target")
 
-# the smallest value of each integer key; _FLAG_KEYS are booleans, and every
-# other key but f_second_half holds a number
-_INTEGER_KEYS = {
-    "pop_size": 1,
-    "max_generations": 1,
-    "max_evaluations": 1,
-    "population_size": 1,
-    "tournament_size": 1,
-    "memory_size": 1,
-    "learning_period": 1,
-    "archive_capacity": 0,
-}
-_FLAG_KEYS = ("use_sinusoidal", "use_trigonometric", "crossover_trigonometric")
+
+def _config_keys(*classes) -> dict:
+    """The algorithm_config keys of config classes, each with the type its
+    field's annotation names: "bool", "int", "float" or "str". The classes'
+    modules postpone annotations, so these are source text; ``X | None``
+    names X."""
+    return {
+        f.name: f.type.removesuffix(" | None")
+        for config_class in classes
+        for f in fields(config_class)
+        if f.name not in _CLI_SET_FIELDS
+    }
 
 
 def _build_runner(cfg: dict):
@@ -237,16 +223,14 @@ def _build_runner(cfg: dict):
     algorithm = cfg["algorithm"]
     acfg = cfg["algorithm_config"]
 
-    def present(*keys) -> dict:
-        return {k: acfg[k] for k in keys if k in acfg}
+    def settings(config_class) -> dict:
+        return {f.name: acfg[f.name] for f in fields(config_class) if f.name in acfg}
 
     if task == "benchmark":
         spec = cfg["benchmark"].to_objective_spec()
-        termination = shsade.Termination(**present(*_TERMINATION_KEYS))
-        if algorithm == "shsade":
-            config = shsade.ShsadeConfig(**present("pop_size", "max_generations", *_SHSADE_KEYS))
-        else:
-            config = baselines.VanillaDeConfig(**present("pop_size", "max_generations", "f", "cr"))
+        termination = shsade.Termination(**settings(shsade.Termination))
+        config_class = _CONFIG_CLASSES[(task, algorithm)][0]
+        config = config_class(**settings(config_class))
         if "max_generations" not in acfg and "max_evaluations" in acfg:
             # the generation cap follows the evaluation budget
             config = replace(config, max_generations=acfg["max_evaluations"] // config.pop_size)
@@ -261,15 +245,14 @@ def _build_runner(cfg: dict):
         biobjective = cfg["biobjective"]
         budget = cfg["budget"]
         if algorithm == "shsade":
-            sh_fields = present("pop_size", "max_generations", *_SHSADE_KEYS)
-            sh_cfg = nas_search.search_shsade_config(budget, **sh_fields)
-            nas_cfg = nas_search.NasConfig(biobjective, sh_cfg, budget, **present(*_NAS_KEYS))
+            sh_cfg = nas_search.search_shsade_config(budget, **settings(shsade.ShsadeConfig))
+            nas_cfg = nas_search.NasConfig(biobjective, sh_cfg, budget, **settings(nas_search.NasConfig))
 
             def search(rng):
                 return nas_search.nas_evolve(space, surrogate, nas_cfg, rng)
 
         else:
-            ea_cfg = baselines.RegularizedEaConfig(budget=budget, **present("population_size", "tournament_size"))
+            ea_cfg = baselines.RegularizedEaConfig(budget=budget, **settings(baselines.RegularizedEaConfig))
 
             def search(rng):
                 return baselines.regularized_ea_run(space, surrogate, ea_cfg, biobjective, rng)
@@ -382,10 +365,10 @@ def compare_traces(dir_a: str, dir_b: str, step: int = DEFAULT_COMPARE_STEP, out
         lines.append(f"{point},{med_a!r},{med_b!r}")
     csv_text = "\n".join(lines) + "\n"
 
-    if output:
-        Path(output).write_text(csv_text, encoding="utf-8", newline="\n")
-    else:
+    if not output:
         sys.stdout.write(csv_text)
+    elif _write_file(output, [csv_text], "compare") != EXIT_OK:
+        return EXIT_RUNTIME
 
     if med_a < med_b:
         verdict = name_a
@@ -417,12 +400,10 @@ def dump_oracle(
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    header = ["rank", "score", "accuracy", "cost"] + [a.name for a in space.axes]
-    sink = open(output, "w", encoding="utf-8", newline="\n") if output else contextlib.nullcontext(sys.stdout)
-    with sink as out:
-        out.write(",".join(header) + "\n")
-        # written a chunk of ranked rows at a time, so that no whole-space
-        # list of choices or of lines is ever held
+    def ranking():
+        # a chunk of ranked rows at a time, so that no whole-space list of
+        # choices or of lines is ever held
+        yield ",".join(["rank", "score", "accuracy", "cost"] + [a.name for a in space.axes]) + "\n"
         for start in range(0, order.size, nas_search.ENUMERATION_CHUNK):
             part = order[start : start + nas_search.ENUMERATION_CHUNK]
             choices = space.choices_from_indices(np.stack(np.unravel_index(part, space.sizes), axis=1))
@@ -431,7 +412,28 @@ def dump_oracle(
                 ",".join([str(rank), repr(s), repr(a), repr(c)] + [str(v) for v in values])
                 for rank, (s, a, c, values) in enumerate(rows, start=start + 1)
             ]
-            out.write("\n".join(lines) + "\n")
+            yield "\n".join(lines) + "\n"
+
+    if output:
+        return _write_file(output, ranking(), "oracle")
+    sys.stdout.writelines(ranking())
+    return EXIT_OK
+
+
+def _write_file(path: str, chunks, command: str) -> int:
+    """Write text chunks to ``path`` and return the exit code. An OSError is
+    reported as a runtime failure, and the file is removed if it was opened."""
+    opened = False
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            opened = True
+            out.writelines(chunks)
+    except OSError as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        print(f"{command} error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

@@ -55,7 +55,7 @@ class BiObjectiveConfig:
     def __post_init__(self):
         if not self.cost_budget > 0:
             raise ValueError("cost_budget must be positive")
-        if self.omega < 0:
+        if not self.omega >= 0:
             raise ValueError("omega must be non-negative")
 
 
@@ -113,8 +113,9 @@ class NasConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.sigma_init_noise < 0 or self.sigma_trial_noise < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        for name in ("sigma_init_noise", "sigma_trial_noise"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if not 0 < self.mutation_fraction <= 1:
             raise ValueError("mutation_fraction must lie in (0, 1]")
         if self.shsade is None:

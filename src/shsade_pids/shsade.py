@@ -162,6 +162,9 @@ class ShsadeConfig:
             raise ValueError("memory_learning_rate must lie in [0, 1]")
         if not 0 < self.freq_init <= 1:
             raise ValueError("freq_init must lie in (0, 1]")
+        for name in ("strategy_epsilon", "sigma_gauss_f", "sigma_cauchy_f", "sigma_cr"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.f_second_half not in ("cauchy", "gaussian"):
             raise ValueError("f_second_half must be 'cauchy' or 'gaussian'")
         if self.crossover_target not in ("self", "best"):
@@ -175,7 +178,6 @@ class ShsadeConfig:
 
 @dataclass
 class Termination:
-    max_generations: int | None = None
     max_evaluations: int | None = None
     target_fitness: float | None = None
 
@@ -652,22 +654,19 @@ def drive(
     from ``state.generation``, ``state.best_fitness``, ``state.fitness`` and
     ``spent()``, the evaluations charged so far (``state.evaluations`` unless
     given). A generation starts only while the generation count is below
-    ``max_generations`` and the termination's cap, the target fitness is not
-    reached, and ``room`` more evaluations fit within ``max_evaluations``;
+    ``max_generations``, the termination's target fitness is not reached, and
+    ``room`` more evaluations fit within its ``max_evaluations``;
     ``room`` defaults to the population size, so only whole generations run.
     """
     term = termination or Termination()
     spent = spent or (lambda: state.evaluations)
     room = state.fitness.size if room is None else room
-    gen_limit = max_generations
-    if term.max_generations is not None:
-        gen_limit = min(gen_limit, term.max_generations)
     trace = SearchTrace(metadata={"algorithm": algorithm})
     while True:
         # the same bits as np.mean, without its Python-level wrapper
         mean = np.add.reduce(state.fitness) / state.fitness.size
         trace.append(state.generation, spent(), state.best_fitness, mean)
-        if state.generation >= gen_limit:
+        if state.generation >= max_generations:
             break
         if term.target_fitness is not None and state.best_fitness <= term.target_fitness:
             break

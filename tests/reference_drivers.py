@@ -68,10 +68,7 @@ def run(config, spec, termination=None, rng=None):
     state = init_state(config, spec, rng)
     trace = SearchTrace(metadata={"algorithm": "shsade"})
     trace.append(0, state.evaluations, state.best_fitness, float(np.mean(state.fitness)))
-    gen_limit = config.max_generations
-    if term.max_generations is not None:
-        gen_limit = min(gen_limit, term.max_generations)
-    while state.generation < gen_limit:
+    while state.generation < config.max_generations:
         if term.target_fitness is not None and state.best_fitness <= term.target_fitness:
             break
         if (
@@ -103,10 +100,7 @@ def vanilla_de_run(config, spec, termination=None, rng=None):
     trace = SearchTrace(metadata={"algorithm": "vanilla_de"})
     trace.append(0, evaluations, best_fitness, float(np.mean(fitness)))
 
-    gen_limit = config.max_generations
-    if term.max_generations is not None:
-        gen_limit = min(gen_limit, term.max_generations)
-    while generation < gen_limit:
+    while generation < config.max_generations:
         if term.target_fitness is not None and best_fitness <= term.target_fitness:
             break
         if term.max_evaluations is not None and evaluations + pop_size > term.max_evaluations:

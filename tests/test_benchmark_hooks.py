@@ -25,10 +25,9 @@ def test_instrumented_drivers_record_kernel_spans(monkeypatch):
     layers.instrument(tracer)
     try:
         spec = objectives.make_benchmark("sphere", 3).to_objective_spec()
-        termination = shsade.Termination(max_generations=3)
-        shsade.run(shsade.ShsadeConfig(pop_size=6), spec, termination, np.random.default_rng(0))
-        de_config = baselines.VanillaDeConfig(pop_size=6)
-        baselines.vanilla_de_run(de_config, spec, termination, np.random.default_rng(0))
+        shsade.run(shsade.ShsadeConfig(pop_size=6, max_generations=3), spec, None, np.random.default_rng(0))
+        de_config = baselines.VanillaDeConfig(pop_size=6, max_generations=3)
+        baselines.vanilla_de_run(de_config, spec, None, np.random.default_rng(0))
         space = DiscreteSpace(tuple(Axis(f"a{i}", (0, 1, 2)) for i in range(3)))
         config = nas_search.NasConfig(
             biobjective=nas_search.BiObjectiveConfig(cost_budget=10.0),

@@ -1,13 +1,15 @@
 """End-to-end tests of the experiment harness and its file contracts."""
 
+import dataclasses
 import json
+import math
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from shsade_pids import cli, nas_search, objectives, shsade
+from shsade_pids import baselines, cli, nas_search, objectives, shsade
 from shsade_pids.discrete_codec import DiscreteSpace
 
 
@@ -43,6 +45,12 @@ def nas_config(output="out_nas", algorithm="shsade"):
         "seeds": [5, 6],
         "output": output,
     }
+
+
+def algorithm_doc(tmp_path: Path, task: str, algorithm: str) -> dict:
+    if task == "benchmark":
+        return json.loads(write_config(tmp_path / "config.json", algorithm=algorithm).read_text())
+    return nas_config(algorithm=algorithm)
 
 
 def read_all_bytes(directory: Path) -> dict:
@@ -151,10 +159,7 @@ class TestRunValidation:
     )
     def test_unknown_algorithm_config_key_exits_1(self, tmp_path, monkeypatch, capsys, task, algorithm, key):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-        if task == "benchmark":
-            doc = json.loads(write_config(tmp_path / "config.json", algorithm=algorithm).read_text())
-        else:
-            doc = nas_config(algorithm=algorithm)
+        doc = algorithm_doc(tmp_path, task, algorithm)
         doc["algorithm_config"][key] = 10
         path = tmp_path / "typo.json"
         path.write_text(json.dumps(doc))
@@ -186,14 +191,19 @@ class TestRunValidation:
             ("nas", "shsade", "mutation_fraction", True),
             ("nas", "regularized_ea", "population_size", True),
             ("nas", "regularized_ea", "tournament_size", 2.5),
+            # json reads the non-standard NaN and Infinity literals as floats
+            ("benchmark", "shsade", "sigma_cr", math.nan),
+            ("benchmark", "shsade", "target_fitness", -math.inf),
+            ("benchmark", "vanilla_de", "f", math.nan),
+            ("nas", "shsade", "sigma_init_noise", math.nan),
+            ("nas", "shsade", "sigma_trial_noise", math.nan),
+            ("nas", "shsade", "sigma_trial_noise", math.inf),
+            pytest.param("nas", "shsade", "sigma_cr", 10**400, id="nas-shsade-sigma_cr-10**400"),
         ],
     )
     def test_bad_algorithm_config_value_exits_1(self, tmp_path, monkeypatch, capsys, task, algorithm, key, value):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-        if task == "benchmark":
-            doc = json.loads(write_config(tmp_path / "config.json", algorithm=algorithm).read_text())
-        else:
-            doc = nas_config(algorithm=algorithm)
+        doc = algorithm_doc(tmp_path, task, algorithm)
         doc["algorithm_config"][key] = value
         path = tmp_path / "bad_value.json"
         path.write_text(json.dumps(doc))
@@ -201,23 +211,89 @@ class TestRunValidation:
         assert f"algorithm_config.{key}" in capsys.readouterr().err
         assert not (tmp_path / doc["output"]).exists()
 
-    def test_every_read_key_is_accepted(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "task, algorithm, key, value, message",
+        [
+            # range checks of the config classes
+            ("benchmark", "shsade", "strategy_epsilon", 0, "strategy_epsilon must be positive and finite"),
+            ("benchmark", "shsade", "sigma_cauchy_f", -0.5, "sigma_cauchy_f must be positive and finite"),
+            ("benchmark", "shsade", "sigma_gauss_f", 0.0, "sigma_gauss_f must be positive and finite"),
+            ("nas", "shsade", "sigma_cr", 0, "sigma_cr must be positive and finite"),
+            ("nas", "shsade", "sigma_init_noise", -0.1, "sigma_init_noise must be non-negative and finite"),
+            # config fields the CLI fills in from the rest of the config
+            ("benchmark", "shsade", "crossover_target", "best", "benchmark/shsade: ['crossover_target']"),
+            ("nas", "shsade", "crossover_target", "self", "nas/shsade: ['crossover_target']"),
+            ("nas", "shsade", "budget", 60, "nas/shsade: ['budget']"),
+            ("nas", "shsade", "biobjective", {"omega": 1.0}, "nas/shsade: ['biobjective']"),
+            ("nas", "shsade", "shsade", {}, "nas/shsade: ['shsade']"),
+            ("nas", "regularized_ea", "budget", 60, "nas/regularized_ea: ['budget']"),
+        ],
+    )
+    def test_rejected_algorithm_config_value_names_the_key(
+        self, tmp_path, monkeypatch, capsys, task, algorithm, key, value, message
+    ):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-        doc = nas_config()
-        doc["algorithm_config"].update(
-            {"sigma_init_noise": 0.05, "sigma_trial_noise": 0.1, "mutation_fraction": 0.5,
-             "memory_size": 4, "use_trigonometric": False}
-        )
-        doc["seeds"] = [5]
-        path = tmp_path / "nas.json"
+        doc = algorithm_doc(tmp_path, task, algorithm)
+        doc["algorithm_config"][key] = value
+        path = tmp_path / "bad_value.json"
         path.write_text(json.dumps(doc))
-        assert cli.main(["run", str(path)]) == 0
-        cfg = write_config(
-            tmp_path / "de.json", algorithm="vanilla_de", seeds=[1], output="de",
-            algorithm_config={"pop_size": 8, "max_generations": 5, "max_evaluations": 400,
-                              "target_fitness": 0.0, "f": 0.6, "cr": 0.8},
-        )
-        assert cli.main(["run", str(cfg)]) == 0
+        assert cli.main(["run", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / doc["output"]).exists()
+
+    def test_every_read_key_is_accepted(self, tmp_path, monkeypatch):
+        # every field of the classes each (task, algorithm) builds, but those
+        # the CLI fills in, set to a valid value other than its default
+        values = {
+            "pop_size": 9, "memory_size": 4, "max_generations": 7, "p_best_fraction": 0.2,
+            "archive_capacity": 0, "learning_period": 5, "p_min": 0.1, "strategy_epsilon": 0.02,
+            "memory_learning_rate": 0.5, "freq_init": 0.3, "sigma_gauss_f": 0.2, "sigma_cauchy_f": 0.3,
+            "sigma_cr": 0.05, "f_second_half": "gaussian", "crossover_trigonometric": False,
+            "use_sinusoidal": False, "use_trigonometric": False,
+            "max_evaluations": 90, "target_fitness": -1.0,
+            "f": 0.6, "cr": 0.8,
+            "sigma_init_noise": 0.02, "sigma_trial_noise": 0.1, "mutation_fraction": 0.5,
+            "population_size": 8, "tournament_size": 2,
+        }
+        cli_set = {"budget", "biobjective", "shsade", "crossover_target"}
+        pairs = {
+            ("benchmark", "shsade"): (shsade.ShsadeConfig, shsade.Termination),
+            ("benchmark", "vanilla_de"): (baselines.VanillaDeConfig, shsade.Termination),
+            ("nas", "shsade"): (shsade.ShsadeConfig, nas_search.NasConfig),
+            ("nas", "regularized_ea"): (baselines.RegularizedEaConfig,),
+        }
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        built = []
+
+        def spy(module, name, configs):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                built.extend(configs(*args))
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(shsade, "run", lambda config, spec, termination, rng: [config, termination])
+        spy(baselines, "vanilla_de_run", lambda config, spec, termination, rng: [config, termination])
+        spy(nas_search, "nas_evolve", lambda space, predictor, config, rng: [config.shsade, config])
+        spy(baselines, "regularized_ea_run", lambda space, predictor, config, bio, rng: [config])
+        for (task, algorithm), classes in pairs.items():
+            keys = [f for c in classes for f in dataclasses.fields(c) if f.name not in cli_set]
+            for f in keys:
+                assert values[f.name] != f.default, f.name
+            doc = algorithm_doc(tmp_path, task, algorithm)
+            doc["algorithm_config"] = {f.name: values[f.name] for f in keys}
+            doc["seeds"] = doc["seeds"][:1]
+            path = tmp_path / "every_key.json"
+            path.write_text(json.dumps(doc))
+            built.clear()
+            assert cli.main(["run", str(path)]) == 0, (task, algorithm)
+            assert [type(config) for config in built] == list(classes)
+            for config in built:
+                for f in dataclasses.fields(config):
+                    if f.name not in cli_set:
+                        assert getattr(config, f.name) == values[f.name], (task, algorithm, f.name)
 
     def test_nas_budget_below_population_exits_1(self, tmp_path):
         doc = nas_config()
@@ -267,6 +343,25 @@ class TestRunValidation:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = True
+        config = tmp_path / "nas.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["run", str(config)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / doc["output"]).exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("cost_budget", math.inf, "biobjective.cost_budget must be positive"),
+            ("omega", math.inf, "biobjective.omega must be >= 0"),
+            ("omega", math.nan, "biobjective.omega must be >= 0"),
+            pytest.param("cost_budget", 10**400, "biobjective.cost_budget must be positive", id="cost_budget-10**400"),
+        ],
+    )
+    def test_non_finite_biobjective_number_exits_1(self, tmp_path, monkeypatch, capsys, key, value, message):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = nas_config()
+        doc["biobjective"][key] = value
         config = tmp_path / "nas.json"
         config.write_text(json.dumps(doc))
         assert cli.main(["run", str(config)]) == 1
@@ -447,6 +542,18 @@ class TestCompare:
         assert report.exists()
         assert report.read_text().startswith("evaluations,")
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "alpha"
+        a.mkdir()
+        self.write_trace(a / "trace_seed1.csv", [1.0])
+        report = tmp_path / "missing" / "report.csv"
+        assert cli.main(["compare", str(a), str(a), "-o", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("compare error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not report.parent.exists()
+
     def test_schema_mismatch_exits_1(self, tmp_path, capsys):
         a = tmp_path / "alpha"
         b = tmp_path / "beta"
@@ -493,6 +600,53 @@ class TestOracle:
         captured = capsys.readouterr()
         assert "cost_budget must be positive" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--omega", "inf", "biobjective.omega must be >= 0"),
+            ("--omega", "nan", "biobjective.omega must be >= 0"),
+            ("--cost-budget", "inf", "biobjective.cost_budget must be positive"),
+            ("--cost-budget", "nan", "biobjective.cost_budget must be positive"),
+        ],
+    )
+    def test_non_finite_option_exits_1(self, tmp_path, capsys, option, value, message):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space_doc(num_axes=2, values=[0, 1])))
+        assert cli.main(["oracle", str(space_path), "--seed", "3", option, value]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space_doc(num_axes=2, values=[0, 1])))
+        out = tmp_path / "missing" / "ranking.csv"
+        assert cli.main(["oracle", str(space_path), "--seed", "3", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("oracle error: ")
+        assert "Traceback" not in captured.err
+        assert not out.parent.exists()
+
+    def test_failed_write_removes_the_output_file(self, tmp_path, capsys, monkeypatch):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space_doc(num_axes=3, values=[0, 1, 2])))
+        out = tmp_path / "ranking.csv"
+        choices_from_indices = DiscreteSpace.choices_from_indices
+        calls = []
+
+        def fail_on_second_chunk(space, indices):
+            calls.append(len(indices))
+            if len(calls) == 2:
+                raise OSError("No space left on device")
+            return choices_from_indices(space, indices)
+
+        monkeypatch.setattr(nas_search, "ENUMERATION_CHUNK", 5)
+        monkeypatch.setattr(DiscreteSpace, "choices_from_indices", fail_on_second_chunk)
+        assert cli.main(["oracle", str(space_path), "--seed", "3", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "oracle error: No space left on device\n"
+        assert calls == [5, 5]
+        assert not out.exists()
 
     def test_columns_match_the_one_genotype_predictions(self, tmp_path, capsys):
         space_path = tmp_path / "space.json"

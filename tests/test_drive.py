@@ -33,11 +33,9 @@ def _plateau_batch(xs):
 
 @st.composite
 def terminations(draw, pop_size):
-    """No criterion, or one of: a generation cap, an evaluation cap that is
-    not a multiple of the population size, a target fitness."""
-    kind = draw(st.sampled_from(["none", "generations", "evaluations", "target"]))
-    if kind == "generations":
-        return shsade.Termination(max_generations=draw(st.integers(0, 30)))
+    """No criterion, or one of: an evaluation cap that is not a multiple of
+    the population size, a target fitness. The config draws the generation cap."""
+    kind = draw(st.sampled_from(["none", "evaluations", "target"]))
     if kind == "evaluations":
         whole = draw(st.integers(1, 20))
         return shsade.Termination(max_evaluations=whole * pop_size + draw(st.integers(1, pop_size - 1)))

@@ -3,6 +3,7 @@ and its brute-force oracle."""
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -152,6 +153,8 @@ class TestScore:
             BiObjectiveConfig(cost_budget=0.0)
         with pytest.raises(ValueError):
             BiObjectiveConfig(cost_budget=1.0, omega=-1.0)
+        with pytest.raises(ValueError):
+            BiObjectiveConfig(cost_budget=1.0, omega=math.nan)
 
 
 class TestBruteForce:
@@ -337,6 +340,12 @@ class TestScoreRows:
 
 
 class TestNasEvolve:
+    @pytest.mark.parametrize("name", ["sigma_init_noise", "sigma_trial_noise"])
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_noise(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            NasConfig(biobjective=BiObjectiveConfig(cost_budget=1.0), **{name: value})
+
     def test_rejects_budget_below_population(self):
         with pytest.raises(ValueError):
             NasConfig(

@@ -509,6 +509,14 @@ class TestRun:
         with pytest.raises(ValueError):
             ShsadeConfig(p_min=0.6)
 
+    @pytest.mark.parametrize("name", ["strategy_epsilon", "sigma_gauss_f", "sigma_cauchy_f", "sigma_cr"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_scales(self, name, value):
+        # a zero strategy_epsilon turns a learning period without a success
+        # into 0/0 strategy probabilities
+        with pytest.raises(ValueError, match=name):
+            ShsadeConfig(**{name: value})
+
     def test_gaussian_second_half_switch_runs(self):
         cfg = ShsadeConfig(pop_size=10, max_generations=30, f_second_half="gaussian")
         best, _ = run(cfg, sphere_spec(3), rng=5)
