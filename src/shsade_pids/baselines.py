@@ -79,7 +79,7 @@ def vanilla_de_run(
     cr = np.full(config.pop_size, config.cr)
 
     def ask():
-        r1, r2, r3 = sample_distinct_triplets(config.pop_size, rows, rng)
+        r1, r2, r3 = sample_distinct_triplets(config.pop_size, rows, rng.random((3, config.pop_size)))
         donors = state.x[r1] + config.f * (state.x[r2] - state.x[r3])
         trials = binomial_crossover_matrix(state.x, donors, cr, rng)
         return repair_bounds_matrix(trials, spec.bounds, state.x)

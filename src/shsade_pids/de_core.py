@@ -116,41 +116,40 @@ def repair_bounds_matrix(v: np.ndarray, bounds: Bounds, base: np.ndarray) -> np.
     return out
 
 
+def uniform_index(u, m):
+    """``floor(u * m)`` of uniforms in [0, 1), clamped to ``m - 1`` so the
+    bound holds whatever the rounding; ``m`` broadcasts against ``u``."""
+    return np.minimum((u * m).astype(np.intp), m - 1)
+
+
+def skip(v: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    """The ``v``-th index, from 0, of those other than ``excluded``. Chained
+    skips pick distinct indices without redraws: ``skip(skip(v2, v1), i)``
+    skips the first pick's place ``v1`` among the indices other than i,
+    then i. Uniform ``v``s below the count of indices left give every
+    ordered tuple of distinct picks exactly once."""
+    return v + (v >= excluded)
+
+
 def binomial_crossover_matrix(
     targets: np.ndarray, donors: np.ndarray, cr: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Row-wise binomial crossover: each coordinate comes from the donor with
     the row's probability ``cr``, and one random coordinate per row always
-    does. ``targets``, ``donors`` and ``cr`` are float arrays."""
+    does. ``targets``, ``donors`` and ``cr`` are float arrays. One
+    ``rng.random((n, dim + 1))`` call draws the mask and, last, ``j_rand``."""
     n, dim = targets.shape
-    mask = rng.random((n, dim)) < cr[:, None]
-    j_rand = rng.integers(0, dim, size=n)
-    mask[np.arange(n), j_rand] = True
+    u = rng.random((n, dim + 1))
+    mask = u[:, :dim] < cr[:, None]
+    mask[np.arange(n), uniform_index(u[:, dim], dim)] = True
     return np.where(mask, donors, targets)
 
 
-def redraw_clashes(values: np.ndarray, clashes: Callable, draw: Callable) -> np.ndarray:
-    """Redraw the entries of ``values`` where ``clashes(values)`` holds until
-    none do; each round redraws every clashing entry with one ``draw(count)``."""
-    bad = clashes(values)
-    count = np.count_nonzero(bad)
-    while count:
-        values[bad] = draw(count)
-        bad = clashes(values)
-        count = np.count_nonzero(bad)
-    return values
-
-
 def sample_distinct_triplets(
-    pop_size: int, rows: np.ndarray, rng: np.random.Generator
+    pop_size: int, rows: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each row index i, draw r1, r2, r3 mutually distinct and distinct
-    from i, uniformly over the population. Needs pop_size >= 4."""
-
-    def draw(count):
-        return rng.integers(0, pop_size, size=count)
-
-    r1 = redraw_clashes(draw(rows.size), lambda r: r == rows, draw)
-    r2 = redraw_clashes(draw(rows.size), lambda r: (r == rows) | (r == r1), draw)
-    r3 = redraw_clashes(draw(rows.size), lambda r: (r == rows) | (r == r1) | (r == r2), draw)
-    return r1, r2, r3
+    """For each row index i, r1, r2, r3 mutually distinct and distinct from
+    i, uniformly over the population, from a ``(3, rows.size)`` block of
+    uniforms, one row of it per pick (see ``skip``). Needs pop_size >= 4."""
+    v1, v2, v3 = uniform_index(u, pop_size - np.array([[1], [2], [3]]))
+    return skip(v1, rows), skip(skip(v2, v1), rows), skip(skip(skip(v3, v2), v1), rows)

@@ -160,16 +160,17 @@ def genotype_from_dict(data: dict, space: DiscreteSpace) -> Genotype:
 
 
 def encode(genotype: Genotype, space: DiscreteSpace) -> np.ndarray:
-    """Map a genotype to [0, 1]^m by normalized value index.
+    """Map a genotype to [0, 1]^m by normalized value index; see
+    ``encode_indices``."""
+    return encode_indices(space.indices_of(genotype)[None], space)[0]
 
-    A choice at index k on an axis with n values maps to k / (n - 1).
-    Single-value axes carry no search information and map to 0.5.
-    """
-    indices = space.indices_of(genotype)
-    out = np.empty(space.num_axes, dtype=float)
-    for i, axis in enumerate(space.axes):
-        out[i] = 0.5 if axis.size == 1 else indices[i] / (axis.size - 1)
-    return out
+
+def encode_indices(indices, space: DiscreteSpace) -> np.ndarray:
+    """Map each row of a ``(rows, num_axes)`` matrix of value indices to
+    [0, 1]^m: index k on an axis with n values maps to k / (n - 1), and a
+    single-value axis, which carries no search information, to 0.5."""
+    top = np.array(space.sizes) - 1
+    return np.where(top > 0, np.asarray(indices) / np.maximum(top, 1), 0.5)
 
 
 def decode_indices(us, space: DiscreteSpace) -> np.ndarray:

@@ -14,8 +14,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .de_core import Bounds, ensure_rng
-from .discrete_codec import DiscreteSpace, Axis, Genotype, decode_indices, encode, genotype_to_dict, perturb
+from .de_core import Bounds, ensure_rng, uniform_index
+from .discrete_codec import DiscreteSpace, Axis, Genotype, decode_indices, encode_indices, genotype_to_dict
 from .shsade import ShsadeConfig, ShsadeState, Termination, build_trials, commit_generation, drive
 from .trace import SearchTrace
 
@@ -214,23 +214,28 @@ def nas_evolve(
 ) -> tuple[Genotype, SearchTrace]:
     """Evolve continuous encodings of a discrete space against a predictor.
 
-    The population starts from random genotypes, encoded with Gaussian
-    exploration noise. Each generation mutates (a configurable fraction of)
-    the population, recombines donors with the current best encoding, decodes
-    the trials and scores them under the architecture budget; trials that
-    would exceed the budget are dropped and their parents survive. The run
-    stops once the budget is spent, the whole space has been scored, or the
-    generation cap is reached, and returns the best genotype ever scored.
+    The population starts from random genotypes (one uniform block of value
+    indices), encoded with Gaussian exploration noise (one normal block).
+    Each generation mutates (a configurable fraction of) the population,
+    recombines donors with the current best encoding, decodes the trials
+    and scores them under the architecture budget; trials that would exceed
+    the budget are dropped and their parents survive. When every row of
+    the population decodes to one genotype, all rows but the first are
+    redrawn as at initialization. The run stops once the budget is spent,
+    the whole space has been scored, or the generation cap is reached, and
+    returns the best genotype ever scored.
     """
     rng = ensure_rng(rng)
     sh = config.shsade
     scorer = BudgetedScorer(predictor, config.biobjective, config.budget)
     m = space.num_axes
 
-    x0 = np.empty((sh.pop_size, m))
-    for i in range(sh.pop_size):
-        seed_genotype = space.random_genotype(rng)
-        x0[i] = perturb(encode(seed_genotype, space), config.sigma_init_noise, rng)
+    def random_encodings(rows):
+        seeds = uniform_index(rng.random((rows, m)), np.array(space.sizes))
+        noise = config.sigma_init_noise * rng.standard_normal((rows, m))
+        return np.minimum(np.maximum(encode_indices(seeds, space) + noise, 0.0), 1.0)
+
+    x0 = random_encodings(sh.pop_size)
     f0, scored = scorer.score_rows(space, decode_indices(x0, space))
     assert scored.all()  # budget >= pop_size makes initialization affordable
     state = ShsadeState.initial(sh, x0, f0, Bounds(np.zeros(m), np.ones(m)))
@@ -238,9 +243,8 @@ def nas_evolve(
     def ask():
         batch = build_trials(state, rng)
         if config.sigma_trial_noise > 0:
-            batch.x = np.clip(
-                batch.x + rng.normal(0.0, config.sigma_trial_noise, size=batch.x.shape), 0.0, 1.0
-            )
+            noise = config.sigma_trial_noise * rng.standard_normal(batch.x.shape)
+            batch.x = np.minimum(np.maximum(batch.x + noise, 0.0), 1.0)
         if config.mutation_fraction < 1.0:
             count = max(1, round(config.mutation_fraction * sh.pop_size))
             rows = np.sort(rng.choice(sh.pop_size, size=count, replace=False))
@@ -257,13 +261,34 @@ def nas_evolve(
         trial_fitness[rows], evaluated[rows] = scorer.score_rows(space, decode_indices(batch.x[rows], space))
         return trial_fitness, evaluated
 
+    def tell(trials, fitness, evaluated):
+        commit_generation(state, trials[0], fitness, rng, evaluated)
+        # equal scores are cheap to test and necessary for a collapse
+        if state.fitness.min() < state.fitness.max():
+            return
+        indices = decode_indices(state.x, space)
+        if (indices != indices[0]).any():
+            return
+        # every row decodes to one genotype: donor differences are zero, so
+        # only trial noise could still move the search, and it rarely leaves
+        # the neighbourhood of that genotype. Keep row 0 and redraw the rest
+        # as at initialization; rows the budget cannot pay for stay as they are.
+        x = random_encodings(sh.pop_size - 1)
+        f, scored = scorer.score_rows(space, decode_indices(x, space))
+        state.x[1:][scored] = x[scored]
+        state.fitness[1:][scored] = f[scored]
+        best = int(np.argmin(state.fitness))
+        if state.fitness[best] < state.best_fitness:
+            state.best_x = state.x[best].copy()
+            state.best_fitness = float(state.fitness[best])
+
     # the budget counts distinct genotypes, so a generation starts while one
     # is left and drops the rows it cannot afford
     trace = drive(
         state,
         ask,
         evaluate,
-        tell=lambda trials, fitness, evaluated: commit_generation(state, trials[0], fitness, rng, evaluated),
+        tell,
         algorithm="shsade_pids",
         max_generations=sh.max_generations,
         termination=Termination(max_evaluations=min(config.budget, space.size)),

@@ -27,9 +27,10 @@ from .de_core import (
     binomial_crossover_matrix,
     ensure_rng,
     init_population,
-    redraw_clashes,
     repair_bounds_matrix,
     sample_distinct_triplets,
+    skip,
+    uniform_index,
 )
 from .trace import SearchTrace
 
@@ -245,25 +246,26 @@ class TrialBatch:
 
 # ---------------------------------------------------------------------------
 # parameter sampling
+#
+# Each individual draws one memory slot per generation and reads its CR and
+# its F or frequency from that slot, as SHADE (Tanabe & Fukunaga 2013) does;
+# the samplers take those slots.
 
 
-def sample_cr(memories: ParameterMemories, rng, size: int, sigma: float = 0.1) -> np.ndarray:
-    """CR ~ normal(MCR_r, sigma) around random memory entries, clamped to [0, 1]."""
-    r = rng.integers(0, memories.size, size=size)
-    # loc + sigma * z is how numpy computes rng.normal(loc, sigma): the same
-    # values and the same stream state, without the broadcasting set-up of an
-    # array loc. min/max instead of np.clip: the same values for these
-    # never-NaN draws, without np.clip's dispatch overhead
-    return np.minimum(np.maximum(memories.mcr[r] + sigma * rng.standard_normal(size), 0.0), 1.0)
+def sample_cr(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float = 0.1) -> np.ndarray:
+    """CR ~ normal(MCR[s], sigma) for each memory slot s in ``slots``, clamped to [0, 1]."""
+    # min/max instead of np.clip: the same values for these never-NaN draws,
+    # without np.clip's dispatch overhead
+    return np.minimum(np.maximum(memories.mcr[slots] + sigma * rng.standard_normal(slots.size), 0.0), 1.0)
 
 
-def _resampled(memory: np.ndarray, rng, size: int, sigma: float, draw: Callable, upper_reject: bool) -> np.ndarray:
-    """``loc + sigma * draw(n)`` around random entries ``loc`` of ``memory``,
-    resampled while non-positive (and above 1 when ``upper_reject``), then
-    truncated to 1 from above; entries still rejected after
-    ``MAX_SAMPLE_RETRIES`` rounds fall back to their loc."""
-    loc = memory[rng.integers(0, memory.size, size=size)]
-    values = loc + sigma * draw(size)
+def _resampled(memory: np.ndarray, rng, slots, sigma: float, draw: Callable, upper_reject: bool) -> np.ndarray:
+    """``loc + sigma * draw(n)`` around the entries ``loc`` of ``memory`` at
+    ``slots``, resampled while non-positive (and above 1 when
+    ``upper_reject``), then truncated to 1 from above; entries still rejected
+    after ``MAX_SAMPLE_RETRIES`` rounds fall back to their loc."""
+    loc = memory[slots]
+    values = loc + sigma * draw(slots.size)
 
     def bad_mask(v):
         bad = v <= 0.0
@@ -285,21 +287,21 @@ def _resampled(memory: np.ndarray, rng, size: int, sigma: float, draw: Callable,
     return np.minimum(values, 1.0)
 
 
-def sample_f_cauchy(memories: ParameterMemories, rng, size: int, sigma: float = 0.1) -> np.ndarray:
-    """F ~ Cauchy(MF_r, sigma): truncated to 1 from above, resampled while
-    non-positive, falling back to MF_r after ``MAX_SAMPLE_RETRIES`` rejections."""
-    return _resampled(memories.mf, rng, size, sigma, rng.standard_cauchy, False)
+def sample_f_cauchy(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float = 0.1) -> np.ndarray:
+    """F ~ Cauchy(MF[s], sigma) for each slot s: truncated to 1 from above,
+    resampled while non-positive, falling back to MF[s] after
+    ``MAX_SAMPLE_RETRIES`` rejections."""
+    return _resampled(memories.mf, rng, slots, sigma, rng.standard_cauchy, False)
 
 
-def sample_f_gaussian(memories: ParameterMemories, rng, size: int, sigma: float = 0.1) -> np.ndarray:
-    """Gaussian alternative for second-half F: normal(MF_r, sigma) with the
-    same resample-below-zero, truncate-above-one handling as the Cauchy form."""
-    return _resampled(memories.mf, rng, size, sigma, rng.standard_normal, False)
+def sample_f_gaussian(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float = 0.1) -> np.ndarray:
+    """Second-half F ~ normal(MF[s], sigma), bounded as in ``sample_f_cauchy``."""
+    return _resampled(memories.mf, rng, slots, sigma, rng.standard_normal, False)
 
 
-def sample_freq(memories: ParameterMemories, rng, size: int, sigma: float = 0.1) -> np.ndarray:
-    """freq ~ Cauchy(Mfreq_r, sigma) resampled into (0, 1]."""
-    return _resampled(memories.mfreq, rng, size, sigma, rng.standard_cauchy, True)
+def sample_freq(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float = 0.1) -> np.ndarray:
+    """freq ~ Cauchy(Mfreq[s], sigma) for each slot s, resampled into (0, 1]."""
+    return _resampled(memories.mfreq, rng, slots, sigma, rng.standard_cauchy, True)
 
 
 def decreasing_sinusoidal_f(generation: int, max_generations: int, freq: float) -> float:
@@ -347,28 +349,22 @@ def _select_pbest_partners(
     archive_size: int,
     rows: np.ndarray,
     p_best_fraction: float,
-    rng: np.random.Generator,
+    u: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row i: a pbest index from the top ceil(p * NP) (at least 2, so an
     alternative to i always exists), r1 from the population and r2 from the
-    population plus archive, all distinct from i and from each other."""
+    population plus archive, all distinct from i and from each other, from a
+    ``(3, rows.size)`` block of uniforms: one row of it per index."""
     pop_size = fitness.size
     k = min(pop_size, max(2, math.ceil(p_best_fraction * pop_size)))
-    top = np.argsort(fitness, kind="stable")[:k]
-
-    def draw_top(count):
-        return top[rng.integers(0, k, size=count)]
-
-    def draw_population(count):
-        return rng.integers(0, pop_size, size=count)
-
-    def draw_pool(count):
-        return rng.integers(0, pop_size + archive_size, size=count)
-
-    pbest = redraw_clashes(draw_top(rows.size), lambda r: r == rows, draw_top)
-    r1 = redraw_clashes(draw_population(rows.size), lambda r: (r == rows) | (r == pbest), draw_population)
-    r2 = redraw_clashes(draw_pool(rows.size), lambda r: (r == rows) | (r == pbest) | (r == r1), draw_pool)
-    return pbest, r1, r2
+    order = np.argsort(fitness, kind="stable")
+    place = np.empty(pop_size, dtype=np.intp)
+    place[order] = np.arange(pop_size)
+    own = place[rows]  # i's place in the order; pbest skips it only when it lies in the top k
+    pbest = order[skip(uniform_index(u[0], k - (own < k)), own)]
+    v1, v2 = uniform_index(u[1:], np.array([[pop_size - 2], [pop_size + archive_size - 3]]))
+    p = pbest - (pbest > rows)  # pbest's place among the indices other than i
+    return pbest, skip(skip(v1, p), rows), skip(skip(skip(v2, v1), p), rows)
 
 
 def _current_to_pbest_donors(
@@ -440,11 +436,12 @@ def update_memories(
         return memories
     k = memories.next_update_index
     c = learning_rate
+    # np.add.reduce(v) / n: the bits of np.mean, without its Python-level wrapper
     if len(success.scr):
-        new = (1.0 - c) * memories.mcr[k] + c * float(np.mean(success.scr))
+        new = (1.0 - c) * memories.mcr[k] + c * float(np.add.reduce(success.scr) / len(success.scr))
         memories.mcr[k] = min(max(new, 0.0), 1.0)
     if len(success.sf):
-        new = (1.0 - c) * memories.mf[k] + c * float(np.mean(success.sf))
+        new = (1.0 - c) * memories.mf[k] + c * float(np.add.reduce(success.sf) / len(success.sf))
         memories.mf[k] = min(new, 1.0)
     if len(success.sfreq):
         new = (1.0 - c) * memories.mfreq[k] + c * lehmer_mean(success.sfreq)
@@ -464,23 +461,33 @@ def init_state(config: ShsadeConfig, spec: ObjectiveSpec, rng) -> ShsadeState:
 
 def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     """Construct one generation of repaired trial vectors from the current
-    population snapshot, without evaluating anything."""
+    population snapshot, without evaluating anything.
+
+    Draws, in order: ``rng.random((6, pop_size))``, the CR normals, the F
+    or frequency draws with their resampling rounds, and one crossover
+    block for both strategies. The first block's rows give each individual
+    its strategy, its one memory slot (read for CR and for F or the
+    frequency, as in SHADE), its sinusoid coin and three partner uniforms
+    (see ``de_core.skip``). Earlier versions made about 22 calls per
+    generation, redrew clashing partners and drew a slot per parameter, so
+    their runs differ from these from the same seed.
+    """
     cfg = state.config
     x = state.x
     fitness = state.fitness
-    pop_size, _ = x.shape
+    pop_size = fitness.size
     gen = state.generation + 1
 
-    # rng.choice(2, pop_size, p=probabilities) written out: the same draws
-    # and the same stream state, without choice's argument checks
+    u = rng.random((6, pop_size))
     cdf = state.strategy.probabilities.cumsum()
     cdf /= cdf[-1]
-    strategies = cdf.searchsorted(rng.random(pop_size), side="right")
-    cr = sample_cr(state.memories, rng, pop_size, cfg.sigma_cr)
+    strategies = cdf.searchsorted(u[0], side="right")
+    slots = uniform_index(u[1], state.memories.size)
+    cr = sample_cr(state.memories, rng, slots, cfg.sigma_cr)
 
     if cfg.use_sinusoidal and gen <= cfg.max_generations / 2:
-        decreasing = rng.random(pop_size) < 0.5
-        freqs = sample_freq(state.memories, rng, pop_size, cfg.sigma_cauchy_f)
+        decreasing = u[2] < 0.5
+        freqs = sample_freq(state.memories, rng, slots, cfg.sigma_cauchy_f)
         f = np.where(
             decreasing,
             decreasing_sinusoidal_f(gen, cfg.max_generations, cfg.freq_init),
@@ -489,38 +496,30 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
         freq_used = np.where(decreasing, np.nan, freqs)
     else:
         if cfg.f_second_half == "gaussian":
-            f = sample_f_gaussian(state.memories, rng, pop_size, cfg.sigma_gauss_f)
+            f = sample_f_gaussian(state.memories, rng, slots, cfg.sigma_gauss_f)
         else:
-            f = sample_f_cauchy(state.memories, rng, pop_size, cfg.sigma_cauchy_f)
+            f = sample_f_cauchy(state.memories, rng, slots, cfg.sigma_cauchy_f)
         freq_used = np.full(pop_size, np.nan)
 
-    trials = np.empty_like(x)
     pbest_rows = np.flatnonzero(strategies == CURRENT_TO_PBEST)
     trig_rows = np.flatnonzero(strategies == TRIGONOMETRIC)
-
-    best = x[int(np.argmin(fitness))] if cfg.crossover_target == "best" else None
-
-    def cross_targets(rows: np.ndarray) -> np.ndarray:
-        return x[rows] if best is None else np.broadcast_to(best, (rows.size, x.shape[1]))
-
+    donors = np.empty_like(x)
     if pbest_rows.size:
         pbest, r1, r2 = _select_pbest_partners(
-            fitness, len(state.archive), pbest_rows, cfg.p_best_fraction, rng
+            fitness, len(state.archive), pbest_rows, cfg.p_best_fraction, u[3:, pbest_rows]
         )
         pool = np.concatenate((x, state.archive)) if state.archive else x
-        donors = _current_to_pbest_donors(x, pool, pbest_rows, pbest, r1, r2, f)
-        trials[pbest_rows] = binomial_crossover_matrix(cross_targets(pbest_rows), donors, cr[pbest_rows], rng)
+        donors[pbest_rows] = _current_to_pbest_donors(x, pool, pbest_rows, pbest, r1, r2, f)
     if trig_rows.size:
         # no F is involved here; the donor recombines with the target like any
         # other unless trigonometric crossover is switched off
-        t1, t2, t3 = sample_distinct_triplets(pop_size, trig_rows, rng)
-        donors = _trigonometric_donors(x, fitness, t1, t2, t3)
-        if cfg.crossover_trigonometric:
-            trials[trig_rows] = binomial_crossover_matrix(cross_targets(trig_rows), donors, cr[trig_rows], rng)
-        else:
-            trials[trig_rows] = donors
+        triplets = sample_distinct_triplets(pop_size, trig_rows, u[3:, trig_rows])
+        donors[trig_rows] = _trigonometric_donors(x, fitness, *triplets)
+        if not cfg.crossover_trigonometric:
+            cr[trig_rows] = 1.0  # every coordinate from the donor
 
-    trials = repair_bounds_matrix(trials, state.bounds, x)
+    targets = x if cfg.crossover_target == "self" else np.broadcast_to(x[int(np.argmin(fitness))], x.shape)
+    trials = repair_bounds_matrix(binomial_crossover_matrix(targets, donors, cr, rng), state.bounds, x)
     # f, cr and freq_used are fresh arrays, read for the last time above
     f[trig_rows] = np.nan
     cr[trig_rows] = np.nan
@@ -538,13 +537,15 @@ def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Gen
     overflows the capacity deletes a uniformly drawn row, shifting the later
     rows down, so the archive keeps its list order.
 
-    All of a generation's deletions are drawn in one call. Every one of them
-    has the bound capacity + 1, and a batched ``rng.integers`` yields the
-    same values and leaves the stream where the scalar calls would; a bound
-    of 1 (capacity 0) draws nothing.
+    All of a generation's deletions are drawn in one ``rng.random`` call,
+    each as ``floor(u * (capacity + 1))``: a batched call yields the same
+    values as one call per deletion. Capacity 0 keeps nothing and draws
+    nothing.
     """
     archive = state.archive
     capacity = state.archive_capacity
+    if capacity == 0:
+        return
     # one array per row: views of ``parents`` would keep the whole block
     # alive while any one of its rows stays archived
     rows = [row.copy() for row in parents]
@@ -554,7 +555,7 @@ def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Gen
         return
     free = len(rows) - overflow
     archive.extend(rows[:free])
-    for row, j in zip(rows[free:], rng.integers(0, capacity + 1, size=overflow).tolist()):
+    for row, j in zip(rows[free:], uniform_index(rng.random(overflow), capacity + 1).tolist()):
         archive.append(row)
         del archive[j]
 

@@ -4,10 +4,13 @@ before ``shsade.drive`` took them over.
 
 Kept verbatim as the reference that the drivers must match row for row and
 draw for draw. The only edits: ``init_population`` returns ``(x, fitness)``
-instead of a population object, and ``Individual`` takes no ``evaluated``
-flag. ``regularized_ea_run`` is aging evolution written as a plain list
-loop over the block-drawn stream that ``baselines.regularized_ea_run``
-consumes. Nothing here is used outside the tests.
+instead of a population object, ``Individual`` takes no ``evaluated``
+flag, ``sample_distinct_triplets`` takes a block of uniforms, and
+``nas_evolve`` draws its initial population as one block of uniform value
+indices and one block of normal noise, and redraws all rows but the first
+the same way once every row decodes to one genotype. ``regularized_ea_run`` is aging
+evolution written as a plain list loop over the block-drawn stream that
+``baselines.regularized_ea_run`` consumes. Nothing here is used outside the tests.
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ from shsade_pids.de_core import (
     sample_distinct_triplets,
 )
 from shsade_pids.baselines import REA_DRAW_BLOCK, REA_STEPS_PER_BUDGET_UNIT
-from shsade_pids.discrete_codec import Genotype, decode_indices, encode, perturb
+from shsade_pids.discrete_codec import Genotype, decode_indices
 from shsade_pids.nas_search import BudgetedScorer
 from shsade_pids.shsade import (
     CURRENT_TO_PBEST,
@@ -105,7 +108,7 @@ def vanilla_de_run(config, spec, termination=None, rng=None):
             break
         if term.max_evaluations is not None and evaluations + pop_size > term.max_evaluations:
             break
-        r1, r2, r3 = sample_distinct_triplets(pop_size, rows, rng)
+        r1, r2, r3 = sample_distinct_triplets(pop_size, rows, rng.random((3, pop_size)))
         donors = x[r1] + config.f * (x[r2] - x[r3])
         trials = binomial_crossover_matrix(x, donors, cr, rng)
         trials = repair_bounds_matrix(trials, spec.bounds, x)
@@ -131,10 +134,19 @@ def nas_evolve(space, predictor, config, rng=None):
     m = space.num_axes
     bounds = Bounds(np.zeros(m), np.ones(m))
 
-    x0 = np.empty((sh.pop_size, m))
-    for i in range(sh.pop_size):
-        seed_genotype = space.random_genotype(rng)
-        x0[i] = perturb(encode(seed_genotype, space), config.sigma_init_noise, rng)
+    def random_rows(rows):
+        # a uniform value index per axis, its encoding, then clamped Gaussian noise
+        u = rng.random((rows, m))
+        noise = rng.standard_normal((rows, m))
+        x = np.empty((rows, m))
+        for i in range(rows):
+            for a, axis in enumerate(space.axes):
+                k = min(int(u[i, a] * axis.size), axis.size - 1)
+                encoded = 0.5 if axis.size == 1 else k / (axis.size - 1)
+                x[i, a] = min(max(encoded + config.sigma_init_noise * noise[i, a], 0.0), 1.0)
+        return x
+
+    x0 = random_rows(sh.pop_size)
     f0, scored = scorer.score_rows(space, decode_indices(x0, space))
     assert scored.all()  # budget >= pop_size makes initialization affordable
 
@@ -181,6 +193,14 @@ def nas_evolve(space, predictor, config, rng=None):
         # parents survive unchallenged
         trial_fitness[rows], evaluated[rows] = scorer.score_rows(space, decode_indices(batch.x[rows], space))
         commit_generation(state, batch, trial_fitness, rng, evaluated)
+        genotypes = {tuple(row) for row in decode_indices(state.x, space).tolist()}
+        if len(genotypes) == 1:
+            x = random_rows(sh.pop_size - 1)
+            f, scored = scorer.score_rows(space, decode_indices(x, space))
+            for i in range(sh.pop_size - 1):
+                if scored[i]:
+                    state.x[i + 1] = x[i]
+                    state.fitness[i + 1] = f[i]
         trace.append(
             state.generation, scorer.evaluations, scorer.best_score, float(np.mean(state.fitness))
         )

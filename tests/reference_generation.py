@@ -1,11 +1,18 @@
-"""The SHSADE generation step as it was written before it became array code:
-per-row loops for the success sets and the archive, one random draw per
-archive deletion, ``rng.choice`` for the strategies, ``rng.normal`` and
-``np.clip`` for CR, ``bad.any()`` resampling loops and ``np.where`` rebuilds.
+"""The SHSADE generation step written as per-row Python loops over its
+random draws.
 
-Kept verbatim as the reference that ``shsade.build_trials``,
-``shsade.commit_generation`` and the ``de_core`` kernels must match bit for
-bit, draw for draw. Nothing here is used outside the tests.
+Each generation draws one ``rng.random((6, pop_size))`` block (strategy,
+memory slot, sinusoid coin and three partner uniforms per row), the CR
+normals, the F or frequency draws with their resampling rounds, and one
+``rng.random((pop_size, dim + 1))`` crossover block. An index below m is
+``min(floor(u * m), m - 1)``, and a pick that must differ from earlier ones
+is the v-th element of the list of indices still allowed, built as a list.
+The commit side appends replaced parents one at a time, each overflow
+deleting a row drawn with its own ``rng.random()``.
+
+This is the reference that ``shsade.build_trials``,
+``shsade.commit_generation``, the samplers and the ``de_core`` kernels must
+match bit for bit, draw for draw. Nothing here is used outside the tests.
 """
 
 import math
@@ -26,6 +33,16 @@ from shsade_pids.shsade import (
 MAX_SAMPLE_RETRIES = 100
 
 
+def index(u, m):
+    """A uniform index below m from a uniform u in [0, 1)."""
+    return min(int(u * m), m - 1)
+
+
+def nth_allowed(v, m, excluded):
+    """The v-th element of the indices below m that are not excluded."""
+    return [j for j in range(m) if j not in excluded][v]
+
+
 def repair_bounds_matrix(v, bounds, base):
     v = np.asarray(v, dtype=float)
     base = np.asarray(base, dtype=float)
@@ -38,188 +55,149 @@ def binomial_crossover_matrix(targets, donors, cr, rng):
     targets = np.asarray(targets, dtype=float)
     donors = np.asarray(donors, dtype=float)
     n, dim = targets.shape
-    mask = rng.random((n, dim)) < np.asarray(cr, dtype=float)[:, None]
-    j_rand = rng.integers(0, dim, size=n)
-    mask[np.arange(n), j_rand] = True
-    return np.where(mask, donors, targets)
+    u = rng.random((n, dim + 1))
+    out = np.empty((n, dim))
+    for i in range(n):
+        j_rand = index(u[i, dim], dim)
+        for j in range(dim):
+            out[i, j] = donors[i, j] if u[i, j] < cr[i] or j == j_rand else targets[i, j]
+    return out
 
 
-def sample_distinct_triplets(pop_size, rows, rng):
-    r1 = rng.integers(0, pop_size, size=rows.size)
-    bad = r1 == rows
-    while bad.any():
-        r1[bad] = rng.integers(0, pop_size, size=int(bad.sum()))
-        bad = r1 == rows
-    r2 = rng.integers(0, pop_size, size=rows.size)
-    bad = (r2 == rows) | (r2 == r1)
-    while bad.any():
-        r2[bad] = rng.integers(0, pop_size, size=int(bad.sum()))
-        bad = (r2 == rows) | (r2 == r1)
-    r3 = rng.integers(0, pop_size, size=rows.size)
-    bad = (r3 == rows) | (r3 == r1) | (r3 == r2)
-    while bad.any():
-        r3[bad] = rng.integers(0, pop_size, size=int(bad.sum()))
-        bad = (r3 == rows) | (r3 == r1) | (r3 == r2)
-    return r1, r2, r3
+def sample_distinct_triplets(pop_size, rows, u):
+    picks = []
+    for c, i in enumerate(rows):
+        taken = [int(i)]
+        for t in range(3):
+            v = index(u[t][c], pop_size - len(taken))
+            taken.append(nth_allowed(v, pop_size, taken))
+        picks.append(taken[1:])
+    return tuple(np.array(column, dtype=np.intp) for column in zip(*picks))
 
 
-def sample_cr(memories, rng, sigma=0.1, size=None):
-    n = 1 if size is None else int(size)
-    r = rng.integers(0, memories.size, size=n)
-    values = np.clip(rng.normal(memories.mcr[r], sigma), 0.0, 1.0)
-    return float(values[0]) if size is None else values
+def sample_cr(memories, rng, slots, sigma):
+    z = rng.standard_normal(len(slots))
+    return np.array([min(max(memories.mcr[s] + sigma * z[c], 0.0), 1.0) for c, s in enumerate(slots)])
 
 
-def _resampled_cauchy(loc, sigma, rng, upper_reject, max_retries):
-    values = loc + sigma * rng.standard_cauchy(loc.size)
+def _resampled(memory, slots, sigma, draw, upper_reject):
+    loc = [float(memory[s]) for s in slots]
 
-    def bad_mask(v):
-        bad = v <= 0.0
-        if upper_reject:
-            bad |= v > 1.0
-        return bad
+    def rejected(v):
+        return v <= 0.0 or (upper_reject and v > 1.0)
 
-    bad = bad_mask(values)
-    retries = 0
-    while bad.any():
-        retries += 1
-        if retries > max_retries:
-            values[bad] = loc[bad]
+    values = [loc[c] + sigma * float(z) for c, z in enumerate(draw(len(loc)))]
+    bad = [c for c, v in enumerate(values) if rejected(v)]
+    for _ in range(MAX_SAMPLE_RETRIES):
+        if not bad:
             break
-        values[bad] = loc[bad] + sigma * rng.standard_cauchy(int(bad.sum()))
-        bad = bad_mask(values)
-    return values
+        for c, z in zip(bad, draw(len(bad))):
+            values[c] = loc[c] + sigma * float(z)
+        bad = [c for c in bad if rejected(values[c])]
+    for c in bad:
+        values[c] = loc[c]
+    return np.array([min(v, 1.0) for v in values])
 
 
-def sample_f_cauchy(memories, rng, sigma=0.1, size=None, max_retries=MAX_SAMPLE_RETRIES):
-    n = 1 if size is None else int(size)
-    r = rng.integers(0, memories.size, size=n)
-    values = _resampled_cauchy(memories.mf[r], sigma, rng, upper_reject=False, max_retries=max_retries)
-    values = np.minimum(values, 1.0)
-    return float(values[0]) if size is None else values
+def sample_f_cauchy(memories, rng, slots, sigma):
+    return _resampled(memories.mf, slots, sigma, rng.standard_cauchy, False)
 
 
-def sample_f_gaussian(memories, rng, sigma=0.1, size=None, max_retries=MAX_SAMPLE_RETRIES):
-    n = 1 if size is None else int(size)
-    r = rng.integers(0, memories.size, size=n)
-    loc = memories.mf[r]
-    values = rng.normal(loc, sigma)
-    bad = values <= 0.0
-    retries = 0
-    while bad.any():
-        retries += 1
-        if retries > max_retries:
-            values[bad] = loc[bad]
-            break
-        values[bad] = rng.normal(loc[bad], sigma)
-        bad = values <= 0.0
-    values = np.minimum(values, 1.0)
-    return float(values[0]) if size is None else values
+def sample_f_gaussian(memories, rng, slots, sigma):
+    return _resampled(memories.mf, slots, sigma, rng.standard_normal, False)
 
 
-def sample_freq(memories, rng, sigma=0.1, size=None, max_retries=MAX_SAMPLE_RETRIES):
-    n = 1 if size is None else int(size)
-    r = rng.integers(0, memories.size, size=n)
-    values = _resampled_cauchy(memories.mfreq[r], sigma, rng, upper_reject=True, max_retries=max_retries)
-    values = np.minimum(values, 1.0)
-    return float(values[0]) if size is None else values
+def sample_freq(memories, rng, slots, sigma):
+    return _resampled(memories.mfreq, slots, sigma, rng.standard_cauchy, True)
 
 
-def select_pbest_partners(fitness, archive_size, rows, p_best_fraction, rng):
+def _top(fitness, p_best_fraction):
     pop_size = fitness.size
     k = min(pop_size, max(2, math.ceil(p_best_fraction * pop_size)))
-    top = np.argsort(fitness, kind="stable")[:k]
-    pbest = top[rng.integers(0, k, size=rows.size)]
-    bad = pbest == rows
-    while bad.any():
-        pbest[bad] = top[rng.integers(0, k, size=int(bad.sum()))]
-        bad = pbest == rows
-    r1 = rng.integers(0, pop_size, size=rows.size)
-    bad = (r1 == rows) | (r1 == pbest)
-    while bad.any():
-        r1[bad] = rng.integers(0, pop_size, size=int(bad.sum()))
-        bad = (r1 == rows) | (r1 == pbest)
-    r2 = rng.integers(0, pop_size + archive_size, size=rows.size)
-    bad = (r2 == rows) | (r2 == pbest) | (r2 == r1)
-    while bad.any():
-        r2[bad] = rng.integers(0, pop_size + archive_size, size=int(bad.sum()))
-        bad = (r2 == rows) | (r2 == pbest) | (r2 == r1)
+    return sorted(range(pop_size), key=lambda j: fitness[j])[:k]
+
+
+def _pbest_partners(top, pop_size, archive_size, i, u):
+    candidates = [j for j in top if j != i]
+    pbest = candidates[index(u[0], len(candidates))]
+    r1 = nth_allowed(index(u[1], pop_size - 2), pop_size, [i, pbest])
+    r2 = nth_allowed(index(u[2], pop_size + archive_size - 3), pop_size + archive_size, [i, pbest, r1])
     return pbest, r1, r2
 
 
-def trigonometric_donors(x, fitness, r1, r2, r3):
-    a1, a2, a3 = np.abs(fitness[r1]), np.abs(fitness[r2]), np.abs(fitness[r3])
+def select_pbest_partners(fitness, archive_size, rows, p_best_fraction, u):
+    top = _top(fitness, p_best_fraction)
+    picks = [_pbest_partners(top, fitness.size, archive_size, int(i), u[:, c]) for c, i in enumerate(rows)]
+    return tuple(np.array(column, dtype=np.intp) for column in zip(*picks))
+
+
+def trigonometric_donor(x, fitness, t1, t2, t3):
+    a1, a2, a3 = abs(float(fitness[t1])), abs(float(fitness[t2])), abs(float(fitness[t3]))
     total = a1 + a2 + a3
-    centroid = (x[r1] + x[r2] + x[r3]) / 3.0
-    safe = np.where(total > 0, total, 1.0)
-    w1 = np.where(total > 0, a1 / safe, 0.0)[:, None]
-    w2 = np.where(total > 0, a2 / safe, 0.0)[:, None]
-    w3 = np.where(total > 0, a3 / safe, 0.0)[:, None]
-    return (
-        centroid
-        + (w2 - w1) * (x[r1] - x[r2])
-        + (w3 - w2) * (x[r2] - x[r3])
-        + (w1 - w3) * (x[r3] - x[r1])
-    )
+    w1, w2, w3 = (a1 / total, a2 / total, a3 / total) if total > 0 else (0.0, 0.0, 0.0)
+    centroid = (x[t1] + x[t2] + x[t3]) / 3.0
+    return centroid + (w2 - w1) * (x[t1] - x[t2]) + (w3 - w2) * (x[t2] - x[t3]) + (w1 - w3) * (x[t3] - x[t1])
 
 
 def build_trials(state, rng):
     cfg = state.config
     x = state.x
     fitness = state.fitness
-    pop_size, _ = x.shape
+    pop_size, dim = x.shape
     gen = state.generation + 1
 
-    strategies = rng.choice(len(state.strategy.probabilities), size=pop_size, p=state.strategy.probabilities)
-    cr = sample_cr(state.memories, rng, cfg.sigma_cr, size=pop_size)
+    u = rng.random((6, pop_size))
+    total = 0.0
+    cumulative = []
+    for p in state.strategy.probabilities:
+        total += p
+        cumulative.append(total)
+    cumulative = [c / total for c in cumulative]
+    strategies = np.array([next(s for s, c in enumerate(cumulative) if u[0][i] < c) for i in range(pop_size)])
+    slots = [index(u[1][i], state.memories.size) for i in range(pop_size)]
+    cr = sample_cr(state.memories, rng, slots, cfg.sigma_cr)
 
+    freq = np.full(pop_size, np.nan)
     if cfg.use_sinusoidal and gen <= cfg.max_generations / 2:
-        decreasing = rng.random(pop_size) < 0.5
-        freqs = sample_freq(state.memories, rng, cfg.sigma_cauchy_f, size=pop_size)
-        f = np.where(
-            decreasing,
-            decreasing_sinusoidal_f(gen, cfg.max_generations, cfg.freq_init),
-            adaptive_sinusoidal_f(gen, cfg.max_generations, freqs),
-        )
-        freq_used = np.where(decreasing, np.nan, freqs)
+        freqs = sample_freq(state.memories, rng, slots, cfg.sigma_cauchy_f)
+        adaptive = adaptive_sinusoidal_f(gen, cfg.max_generations, freqs)
+        f = np.empty(pop_size)
+        for i in range(pop_size):
+            if u[2][i] < 0.5:
+                f[i] = decreasing_sinusoidal_f(gen, cfg.max_generations, cfg.freq_init)
+            else:
+                f[i] = adaptive[i]
+                freq[i] = freqs[i]
+    elif cfg.f_second_half == "gaussian":
+        f = sample_f_gaussian(state.memories, rng, slots, cfg.sigma_gauss_f)
     else:
-        if cfg.f_second_half == "gaussian":
-            f = sample_f_gaussian(state.memories, rng, cfg.sigma_gauss_f, size=pop_size)
+        f = sample_f_cauchy(state.memories, rng, slots, cfg.sigma_cauchy_f)
+
+    top = _top(fitness, cfg.p_best_fraction)
+    pool = list(x) + list(state.archive)
+    best = x[int(np.argmin(fitness))]
+    donors = np.empty_like(x)
+    targets = np.empty_like(x)
+    cross_cr = cr.copy()
+    for i in range(pop_size):
+        if strategies[i] == CURRENT_TO_PBEST:
+            pbest, r1, r2 = _pbest_partners(top, pop_size, len(state.archive), i, u[3:, i])
+            donors[i] = x[i] + f[i] * (x[pbest] - x[i]) + f[i] * (x[r1] - pool[r2])
         else:
-            f = sample_f_cauchy(state.memories, rng, cfg.sigma_cauchy_f, size=pop_size)
-        freq_used = np.full(pop_size, np.nan)
+            (t1,), (t2,), (t3,) = sample_distinct_triplets(pop_size, [i], u[3:, i : i + 1])
+            donors[i] = trigonometric_donor(x, fitness, t1, t2, t3)
+            if not cfg.crossover_trigonometric:
+                cross_cr[i] = 1.0
+        targets[i] = best if cfg.crossover_target == "best" else x[i]
 
-    trials = np.empty_like(x)
-    pbest_rows = np.flatnonzero(strategies == CURRENT_TO_PBEST)
-    trig_rows = np.flatnonzero(strategies == TRIGONOMETRIC)
-
-    def cross_targets(rows):
-        if cfg.crossover_target == "best":
-            return np.broadcast_to(x[int(np.argmin(fitness))], (rows.size, x.shape[1]))
-        return x[rows]
-
-    if pbest_rows.size:
-        pbest, r1, r2 = select_pbest_partners(fitness, len(state.archive), pbest_rows, cfg.p_best_fraction, rng)
-        pool = x if not state.archive else np.vstack([x, np.asarray(state.archive)])
-        step = f[pbest_rows][:, None]
-        donors = x[pbest_rows] + step * (x[pbest] - x[pbest_rows]) + step * (x[r1] - pool[r2])
-        trials[pbest_rows] = binomial_crossover_matrix(cross_targets(pbest_rows), donors, cr[pbest_rows], rng)
-    if trig_rows.size:
-        t1, t2, t3 = sample_distinct_triplets(pop_size, trig_rows, rng)
-        donors = trigonometric_donors(x, fitness, t1, t2, t3)
-        if cfg.crossover_trigonometric:
-            trials[trig_rows] = binomial_crossover_matrix(cross_targets(trig_rows), donors, cr[trig_rows], rng)
-        else:
-            trials[trig_rows] = donors
-
-    trials = repair_bounds_matrix(trials, state.bounds, x)
+    trials = repair_bounds_matrix(binomial_crossover_matrix(targets, donors, cross_cr, rng), state.bounds, x)
     trig = strategies == TRIGONOMETRIC
     return TrialBatch(
         x=trials,
         strategies=strategies,
         f=np.where(trig, np.nan, f),
         cr=np.where(trig, np.nan, cr),
-        freq=np.where(trig, np.nan, freq_used),
+        freq=np.where(trig, np.nan, freq),
     )
 
 
@@ -246,10 +224,12 @@ def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
         if not np.isnan(batch.freq[i]):
             success.sfreq.append(float(batch.freq[i]))
 
-    for i in np.flatnonzero(accepted):
-        state.archive.append(x[i].copy())
-        while len(state.archive) > state.archive_capacity:
-            del state.archive[int(rng.integers(0, len(state.archive)))]
+    # capacity 0 keeps nothing and draws nothing
+    if state.archive_capacity > 0:
+        for i in np.flatnonzero(accepted):
+            state.archive.append(x[i].copy())
+            if len(state.archive) > state.archive_capacity:
+                del state.archive[index(rng.random(), len(state.archive))]
 
     x[accepted] = batch.x[accepted]
     fitness[accepted] = safe_tf[accepted]

@@ -11,9 +11,9 @@ from shsade_pids.de_core import (
     ObjectiveSpec,
     binomial_crossover_matrix,
     init_population,
-    redraw_clashes,
     repair_bounds_matrix,
     sample_distinct_triplets,
+    uniform_index,
 )
 
 import reference_generation
@@ -219,7 +219,7 @@ def test_sample_distinct_triplets():
     rng = np.random.default_rng(9)
     rows = np.arange(6)
     for _ in range(200):
-        r1, r2, r3 = sample_distinct_triplets(6, rows, rng)
+        r1, r2, r3 = sample_distinct_triplets(6, rows, rng.random((3, 6)))
         for i in range(6):
             picks = {int(r1[i]), int(r2[i]), int(r3[i])}
             assert len(picks) == 3
@@ -231,8 +231,8 @@ def test_sample_distinct_triplets():
 def test_sample_distinct_triplets_match_loop_reference(pop_size, seed, data):
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, pop_size - 1), min_size=1))))
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = sample_distinct_triplets(pop_size, rows, rng_new)
-    ref = reference_generation.sample_distinct_triplets(pop_size, rows, rng_ref)
+    new = sample_distinct_triplets(pop_size, rows, rng_new.random((3, rows.size)))
+    ref = reference_generation.sample_distinct_triplets(pop_size, rows, rng_ref.random((3, rows.size)))
     assert [a.tolist() for a in new] == [a.tolist() for a in ref]
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
@@ -260,10 +260,10 @@ def test_crossover_and_repair_match_loop_reference(rows, dim, cr, seed):
     assert np.all((repaired >= -1) & (repaired <= 1))
 
 
-def test_redraw_clashes_redraws_only_clashing_entries():
-    draws = iter([np.array([7, 8])])
-    values = redraw_clashes(np.array([1, 5, 5]), lambda v: v == 5, lambda count: next(draws)[:count])
-    assert values.tolist() == [1, 7, 8]
-    draws = iter([np.array([5, 3]), np.array([4])])  # the first round clashes again
-    values = redraw_clashes(np.array([5, 5]), lambda v: v == 5, lambda count: next(draws)[:count])
-    assert values.tolist() == [4, 3]
+def test_uniform_index_keeps_the_largest_uniform_below_the_bound():
+    largest = 1.0 - 2.0**-53  # the largest double below 1
+    bounds = np.array([1, 2, 3, 7, 10, 49, 50, 51, 100, 1023, 12345, 2**20 - 1, 2**20])
+    assert uniform_index(np.full(bounds.size, largest), bounds).tolist() == (bounds - 1).tolist()
+    every = np.arange(1, 2**20 + 1)
+    assert np.array_equal(uniform_index(largest, every), every - 1)
+    assert uniform_index(np.zeros(3), np.array([1, 5, 2**20])).tolist() == [0, 0, 0]

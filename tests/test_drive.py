@@ -10,6 +10,7 @@ and the generator state after the run.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,9 +105,39 @@ def test_nas_runs_match_the_loop_reference(
         sigma_trial_noise=sigma_trial_noise,
         mutation_fraction=mutation_fraction,
     )
+    _assert_nas_matches_reference(space, surrogate, config, seed)
+
+
+class _FlatPredictor:
+    def predict_accuracy(self, genotype):
+        return 0.5
+
+    def predict_cost(self, genotype):
+        return 1.0
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_nas_redraws_of_a_collapsed_population_match_the_loop_reference(flat):
+    # without trial noise the population collapses within a few generations
+    # and is redrawn; on a flat landscape every row scores the same, so equal
+    # scores alone must not count as a collapse
+    space = DiscreteSpace(tuple(Axis(f"a{i}", (0, 1, 2, 3)) for i in range(3)))
+    surrogate = objectives.TabularSurrogate(space, 7)
+    mid = space.genotype_from_indices([1, 1, 1])
+    config = nas_search.NasConfig(
+        biobjective=nas_search.BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid)),
+        shsade=shsade.ShsadeConfig(pop_size=20, max_generations=200, crossover_target="best"),
+        budget=space.size,
+        sigma_trial_noise=0.0,
+    )
+    for seed in range(5):
+        _assert_nas_matches_reference(space, _FlatPredictor() if flat else surrogate, config, seed)
+
+
+def _assert_nas_matches_reference(space, predictor, config, seed):
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    best_new, trace_new = nas_search.nas_evolve(space, surrogate, config, rng_new)
-    best_ref, trace_ref = reference_drivers.nas_evolve(space, surrogate, config, rng_ref)
+    best_new, trace_new = nas_search.nas_evolve(space, predictor, config, rng_new)
+    best_ref, trace_ref = reference_drivers.nas_evolve(space, predictor, config, rng_ref)
     assert _rows(trace_new) == _rows(trace_ref)
     assert trace_new.metadata == trace_ref.metadata
     assert best_new.choices == best_ref.choices

@@ -471,6 +471,24 @@ class TestNasEvolve:
         )
         assert hits >= 19  # at least 95 percent of seeds
 
+    def test_collapsed_population_is_redrawn(self):
+        # without trial noise a population whose rows all decode to one
+        # genotype proposes only that genotype; redrawing it lets the run
+        # score the whole space (about half of it otherwise)
+        space = grid_space(3)
+        surrogate = TabularSurrogate(space, seed=7)
+        mid = space.genotype_from_indices([1, 1, 1])
+        cfg = NasConfig(
+            biobjective=BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid)),
+            shsade=ShsadeConfig(pop_size=20, max_generations=200, crossover_target="best"),
+            budget=space.size,
+            sigma_trial_noise=0.0,
+        )
+        for seed in range(5):
+            best, trace = nas_evolve(space, surrogate, cfg, np.random.default_rng(seed))
+            assert trace.final_evaluations == space.size
+            assert best == brute_force_optimum(space, surrogate, cfg.biobjective)[0]
+
     def test_mutation_fraction_limits_trials_per_generation(self):
         space = grid_space(4)
         surrogate = TabularSurrogate(space, seed=10)

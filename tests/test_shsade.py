@@ -1,16 +1,20 @@
 """Tests for the adaptive optimizer: sampling, mutation, memories, the
 generation loop and full seeded runs."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shsade_pids.baselines import VanillaDeConfig, vanilla_de_run
 from shsade_pids.de_core import Bounds, ObjectiveSpec, sample_distinct_triplets
 from shsade_pids.objectives import make_benchmark
 from shsade_pids.shsade import (
+    MAX_SAMPLE_RETRIES,
     TRIGONOMETRIC,
     ParameterMemories,
     ShsadeConfig,
@@ -46,6 +50,11 @@ def memories_all(value_cr=0.5, value_f=0.5, value_freq=0.5, size=5):
     )
 
 
+def slots(n, size=5):
+    """Memory slots 0, 1, ..., size - 1, 0, 1, ... for n individuals."""
+    return np.arange(n) % size
+
+
 def sphere_spec(dim):
     return make_benchmark("sphere", dim).to_objective_spec()
 
@@ -53,64 +62,61 @@ def sphere_spec(dim):
 class _AlwaysNegativeCauchyRng:
     """Minimal generator stand-in whose Cauchy draws never become positive."""
 
-    def integers(self, low, high, size):
-        return np.zeros(size, dtype=int)
-
     def standard_cauchy(self, size):
         return -1000.0 * np.ones(size)
 
 
 class TestSampleCr:
     def test_zero_sigma_returns_memory_entry(self):
-        values = sample_cr(memories_all(0.5), np.random.default_rng(0), 20, sigma=0.0)
+        values = sample_cr(memories_all(0.5), np.random.default_rng(0), slots(20), sigma=0.0)
         assert values.tolist() == [0.5] * 20
 
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(1)
-        values = sample_cr(memories_all(value_cr=1.0), rng, 10_000)
+        values = sample_cr(memories_all(value_cr=1.0), rng, slots(10_000))
         assert np.all(values <= 1.0) and np.all(values >= 0.0)
         assert np.any(values == 1.0)  # draws above 1 clamp onto the bound
 
     def test_monte_carlo_mean(self):
         rng = np.random.default_rng(2)
-        values = sample_cr(memories_all(0.5), rng, 100_000)
+        values = sample_cr(memories_all(0.5), rng, slots(100_000))
         assert 0.49 <= values.mean() <= 0.51
 
 
 class TestSampleFCauchy:
     def test_range(self):
         rng = np.random.default_rng(3)
-        values = sample_f_cauchy(memories_all(), rng, 50_000)
+        values = sample_f_cauchy(memories_all(), rng, slots(50_000))
         assert np.all(values > 0.0) and np.all(values <= 1.0)
 
     def test_truncation_hits_upper_bound(self):
         rng = np.random.default_rng(4)
-        values = sample_f_cauchy(memories_all(value_f=1.0), rng, 1_000)
+        values = sample_f_cauchy(memories_all(value_f=1.0), rng, slots(1_000))
         assert np.any(values == 1.0)
 
     def test_monte_carlo_median(self):
         rng = np.random.default_rng(5)
-        values = sample_f_cauchy(memories_all(value_f=0.5), rng, 100_000)
+        values = sample_f_cauchy(memories_all(value_f=0.5), rng, slots(100_000))
         assert 0.48 <= np.median(values) <= 0.52
 
     def test_fallback_after_exhausted_retries(self):
-        values = sample_f_cauchy(memories_all(value_f=0.37), _AlwaysNegativeCauchyRng(), 3)
+        values = sample_f_cauchy(memories_all(value_f=0.37), _AlwaysNegativeCauchyRng(), slots(3))
         assert values.tolist() == [0.37] * 3
 
     def test_gaussian_variant_range(self):
         rng = np.random.default_rng(6)
-        values = sample_f_gaussian(memories_all(), rng, 20_000)
+        values = sample_f_gaussian(memories_all(), rng, slots(20_000))
         assert np.all(values > 0.0) and np.all(values <= 1.0)
 
 
 class TestSampleFreq:
     def test_range(self):
         rng = np.random.default_rng(7)
-        values = sample_freq(memories_all(), rng, 50_000)
+        values = sample_freq(memories_all(), rng, slots(50_000))
         assert np.all(values > 0.0) and np.all(values <= 1.0)
 
     def test_fallback(self):
-        assert sample_freq(memories_all(value_freq=0.25), _AlwaysNegativeCauchyRng(), 3).tolist() == [0.25] * 3
+        assert sample_freq(memories_all(value_freq=0.25), _AlwaysNegativeCauchyRng(), slots(3)).tolist() == [0.25] * 3
 
 
 class TestSinusoidal:
@@ -191,14 +197,14 @@ class TestCurrentToPbest:
     def test_zero_step_returns_target(self):
         x = np.arange(8.0).reshape(4, 2)
         rows = np.arange(4)
-        pbest, r1, r2 = _select_pbest_partners(np.arange(4.0), 0, rows, 0.5, np.random.default_rng(0))
+        pbest, r1, r2 = _select_pbest_partners(np.arange(4.0), 0, rows, 0.5, np.random.default_rng(0).random((3, 4)))
         donors = _current_to_pbest_donors(x, x, rows, pbest, r1, r2, np.zeros(4))
         assert np.array_equal(donors, x)
 
     def test_identical_population_returns_target(self):
         x = np.tile([1.5, -2.0], (5, 1))
         rows = np.arange(5)
-        pbest, r1, r2 = _select_pbest_partners(np.full(5, 3.0), 0, rows, 0.3, np.random.default_rng(1))
+        pbest, r1, r2 = _select_pbest_partners(np.full(5, 3.0), 0, rows, 0.3, np.random.default_rng(1).random((3, 5)))
         donors = _current_to_pbest_donors(x, x, rows, pbest, r1, r2, np.full(5, 0.7))
         assert np.allclose(donors, x, atol=1e-15)
 
@@ -207,7 +213,7 @@ class TestCurrentToPbest:
         pool = np.vstack([x, [[10.0, 10.0]]])
         rows = np.zeros(200, dtype=int)  # row 0, drawn for 200 times over
         fitness = np.array([1.0, 2.0, 3.0, 4.0])
-        pbest, r1, r2 = _select_pbest_partners(fitness, 1, rows, 0.5, np.random.default_rng(2))
+        pbest, r1, r2 = _select_pbest_partners(fitness, 1, rows, 0.5, np.random.default_rng(2).random((3, 200)))
         donors = _current_to_pbest_donors(x, pool, rows, pbest, r1, r2, np.ones(4))
         assert any(np.allclose(d, [-10.0, -10.0]) for d in donors)
 
@@ -232,7 +238,7 @@ class TestTrigonometric:
     def test_mutation_on_constant_population(self):
         x = np.tile([4.0, -1.0], (6, 1))
         rows = np.arange(6)
-        triplets = sample_distinct_triplets(6, rows, np.random.default_rng(3))
+        triplets = sample_distinct_triplets(6, rows, np.random.default_rng(3).random((3, 6)))
         donors = _trigonometric_donors(x, np.arange(6.0) + 1, *triplets)
         assert np.allclose(donors, x, atol=1e-12)
 
@@ -240,7 +246,7 @@ class TestTrigonometric:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 2))
         f = np.full(5, 2.0)  # equal fitness: the donor is a plain centroid
-        donor = _trigonometric_donors(x, f, *sample_distinct_triplets(5, np.array([0]), rng))[0]
+        donor = _trigonometric_donors(x, f, *sample_distinct_triplets(5, np.array([0]), rng.random((3, 1))))[0]
         candidates = [
             (x[a] + x[b] + x[c]) / 3.0
             for a in range(1, 5)
@@ -480,7 +486,7 @@ class TestRun:
         initial = trace.rows[0].best_fitness
         final = trace.final_best
         assert initial == pytest.approx(34.869110687217606, rel=1e-12)
-        assert final == pytest.approx(1.2031772704882933e-11, rel=1e-9)
+        assert final == pytest.approx(2.9197452493387046e-11, rel=1e-9)
         assert initial / final >= 1e3
 
     def test_reduces_to_plain_success_history_de(self):
@@ -627,8 +633,10 @@ def test_pbest_partners_match_loop_reference(pop_size, archive_size, p_best_frac
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, pop_size - 1), min_size=1))))
     fitness = np.random.default_rng(seed).integers(0, 3, size=pop_size).astype(float)  # with ties
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = _select_pbest_partners(fitness, archive_size, rows, p_best_fraction, rng_new)
-    ref = reference_generation.select_pbest_partners(fitness, archive_size, rows, p_best_fraction, rng_ref)
+    new = _select_pbest_partners(fitness, archive_size, rows, p_best_fraction, rng_new.random((3, rows.size)))
+    ref = reference_generation.select_pbest_partners(
+        fitness, archive_size, rows, p_best_fraction, rng_ref.random((3, rows.size))
+    )
     assert [a.tolist() for a in new] == [a.tolist() for a in ref]
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
@@ -643,54 +651,144 @@ def test_pbest_partners_match_loop_reference(pop_size, archive_size, p_best_frac
 def test_parameter_samplers_match_loop_reference(size, memory, sigma, seed):
     positive = [min(max(v, 1e-3), 1.0) for v in memory]
     memories = ParameterMemories(memory, positive, positive)
+    drawn = np.random.default_rng(seed).integers(0, len(memory), size=size)
     for name in ("sample_cr", "sample_f_cauchy", "sample_f_gaussian", "sample_freq"):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        new = globals()[name](memories, rng_new, size, sigma)
-        ref = getattr(reference_generation, name)(memories, rng_ref, sigma, size=size)
+        new = globals()[name](memories, rng_new, drawn, sigma)
+        ref = getattr(reference_generation, name)(memories, rng_ref, drawn.tolist(), sigma)
         assert new.tobytes() == ref.tobytes(), name
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state, name
 
 
+def _midpoints(*counts):
+    """One uniform per cell for each of ``counts`` index ranges, at the
+    cell's midpoint, over every combination: a ``(len(counts), cells)`` array."""
+    cells = np.array(list(itertools.product(*(range(m) for m in counts))), dtype=float).reshape(-1, len(counts))
+    return ((cells + 0.5) / np.array(counts)).T
+
+
+@pytest.mark.parametrize("pop_size", [4, 5, 6, 7])
+@pytest.mark.parametrize("archive_size", [0, 1, 2, 3])
+def test_partner_maps_hit_every_distinct_tuple_once(pop_size, archive_size):
+    # the midpoint of every index cell, fed to the maps, yields each ordered
+    # tuple of distinct partners exactly once per row
+    fitness = np.random.default_rng(pop_size).integers(0, 3, size=pop_size).astype(float)  # with ties
+    for p_best_fraction in (0.01, 0.5, 1.0):
+        k = min(pop_size, max(2, math.ceil(p_best_fraction * pop_size)))
+        top = np.argsort(fitness, kind="stable")[:k].tolist()
+        pool = pop_size + archive_size
+        for i in range(pop_size):
+            u = _midpoints(k - (i in top), pop_size - 2, pool - 3)
+            picks = _select_pbest_partners(fitness, archive_size, np.full(u.shape[1], i), p_best_fraction, u)
+            got = sorted(zip(*(a.tolist() for a in picks)))
+            expected = [
+                (b, r1, r2)
+                for b in sorted(top)
+                for r1 in range(pop_size)
+                for r2 in range(pool)
+                if len({i, b, r1, r2}) == 4
+            ]
+            assert got == expected
+    for i in range(pop_size):
+        u = _midpoints(pop_size - 1, pop_size - 2, pop_size - 3)
+        got = sorted(zip(*(a.tolist() for a in sample_distinct_triplets(pop_size, np.full(u.shape[1], i), u))))
+        assert got == [t for t in itertools.permutations(range(pop_size), 3) if i not in t]
+
+
+@pytest.mark.parametrize("use_sinusoidal", [True, False])
+def test_each_individual_reads_one_memory_slot(use_sinusoidal):
+    # distinct values per slot and tiny sigmas: each sampled value names the
+    # slot it came from, and CR, F and the frequency must name the same one
+    cfg = ShsadeConfig(
+        pop_size=60, max_generations=100, memory_size=5, use_trigonometric=False,
+        use_sinusoidal=use_sinusoidal, sigma_cr=1e-9, sigma_cauchy_f=1e-9,
+    )
+    state = init_state(cfg, sphere_spec(3), np.random.default_rng(0))
+    state.memories = ParameterMemories(
+        [0.1, 0.2, 0.3, 0.4, 0.5], [0.15, 0.35, 0.55, 0.75, 0.95], [0.12, 0.32, 0.52, 0.72, 0.92]
+    )
+    state.generation = 9  # the first half, where the sinusoidal schedules run
+
+    def slot_of(values, memory):
+        distance = np.abs(values[:, None] - memory[None, :])
+        assert np.all(distance.min(axis=1) < 1e-6)
+        return distance.argmin(axis=1)
+
+    batch = build_trials(state, np.random.default_rng(1))
+    cr_slots = slot_of(batch.cr, state.memories.mcr)
+    assert np.unique(cr_slots).size > 1
+    if use_sinusoidal:
+        adaptive = ~np.isnan(batch.freq)
+        assert adaptive.any()
+        assert np.array_equal(slot_of(batch.freq[adaptive], state.memories.mfreq), cr_slots[adaptive])
+    else:
+        assert np.array_equal(slot_of(batch.f, state.memories.mf), cr_slots)
+    state.generation = 60  # the second half: F from the memory
+    batch = build_trials(state, np.random.default_rng(2))
+    assert np.array_equal(slot_of(batch.f, state.memories.mf), slot_of(batch.cr, state.memories.mcr))
+
+
+class _CountingGenerator(np.random.Generator):
+    """A PCG64 Generator that counts calls to its public methods by name."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = Counter()
+
+    def __getattribute__(self, name):
+        attr = super().__getattribute__(name)
+        if name.startswith("_") or name in ("calls", "bit_generator") or not callable(attr):
+            return attr
+        calls = super().__getattribute__("calls")
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def test_shsade_generation_draw_counts():
+    # one uniform block, the CR normals, the frequency or F Cauchy draws with
+    # their resampling rounds, the crossover block and the archive deletions
+    spec = sphere_spec(4)
+    cfg = ShsadeConfig(pop_size=12, max_generations=40, archive_capacity=12)
+    state = init_state(cfg, spec, np.random.default_rng(0))
+    rng = _CountingGenerator(1)
+    random_calls = []
+    for _ in range(cfg.max_generations):  # both halves
+        rng.calls.clear()
+        batch = build_trials(state, rng)
+        commit_generation(state, batch, spec.evaluate_many(batch.x), rng)
+        calls = dict(rng.calls)
+        random_calls.append(calls.pop("random"))
+        assert calls.pop("standard_normal") == 1
+        assert 1 <= calls.pop("standard_cauchy") <= 1 + MAX_SAMPLE_RETRIES
+        assert not calls, calls  # no integers, choice or any other draw
+    assert random_calls[0] == 2  # the archive has room
+    assert max(random_calls) == 3  # generations that overflow it
+
+
+def test_vanilla_de_generation_draw_counts():
+    rng = _CountingGenerator(2)
+    vanilla_de_run(VanillaDeConfig(pop_size=8, max_generations=5), sphere_spec(3), None, rng)
+    # the initial population, then a partner block and a crossover block per generation
+    assert dict(rng.calls) == {"uniform": 1, "random": 10}
+
+
 class TestNumpyStreamAssumptions:
-    """The array code draws in fewer or cheaper calls than the code it
-    replaced, relying on numpy producing the same values and leaving the
-    stream in the same state. A numpy upgrade that breaks one of these
-    breaks bit-identical trajectories, and must fail here first."""
+    """The array code draws in fewer calls than the loop reference,
+    relying on numpy producing the same values and leaving the stream in the
+    same state. A numpy upgrade that breaks one of these breaks the
+    draw-for-draw comparisons, and must fail here first."""
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        bound=st.sampled_from([1, 2, 7, 51, 101, 2**20]) | st.integers(1, 10**6),
-        size=st.integers(1, 333),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_batched_integers_equal_scalar_calls(self, bound, size, seed):
+    @given(size=st.integers(1, 333), seed=st.integers(0, 2**32 - 1))
+    def test_batched_random_equals_scalar_calls(self, size, seed):
+        # commit_generation draws a generation's archive deletions in one call
         batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-        values = batched.integers(0, bound, size=size).tolist()
-        assert values == [int(scalar.integers(0, bound)) for _ in range(size)]
+        assert batched.random(size).tolist() == [scalar.random() for _ in range(size)]
         assert batched.bit_generator.state == scalar.bit_generator.state
-
-    def test_bound_one_draws_nothing(self):
-        rng = np.random.default_rng(5)
-        before = rng.bit_generator.state
-        assert rng.integers(0, 1, size=7).tolist() == [0] * 7
-        assert int(rng.integers(0, 1)) == 0
-        assert rng.bit_generator.state == before
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        p0=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]) | st.floats(0.0, 1.0),
-        size=st.integers(1, 60),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_cdf_searchsorted_equals_choice(self, p0, size, seed):
-        probabilities = np.array([p0, 1.0 - p0])
-        by_choice, by_cdf = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = by_choice.choice(2, size=size, p=probabilities)
-        cdf = probabilities.cumsum()
-        cdf /= cdf[-1]
-        drawn = cdf.searchsorted(by_cdf.random(size), side="right")
-        assert drawn.dtype == expected.dtype and drawn.tolist() == expected.tolist()
-        assert by_choice.bit_generator.state == by_cdf.bit_generator.state
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -699,6 +797,7 @@ class TestNumpyStreamAssumptions:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_normal_equals_shifted_standard_normal(self, loc, sigma, seed):
+        # nas_evolve's trial noise against the loop reference's rng.normal
         loc = np.array(loc)
         direct, shifted = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = direct.normal(loc, sigma)
