@@ -6,6 +6,7 @@ curves line up point for point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,17 @@ class RegularizedEaConfig:
             raise ValueError("budget must cover the initial population")
 
 
+def _move_axis(choices: tuple, axis_idx: int, offset: int, values: tuple, index_of) -> tuple:
+    """``choices`` with axis ``axis_idx``, whose values are ``values``, moved
+    to the ``offset``-th of its values other than the current one, in axis
+    order; ``index_of`` maps a value to its position. A single-value axis
+    keeps its value."""
+    if len(values) == 1:
+        return choices
+    moved = values[offset + (offset >= index_of(choices[axis_idx]))]
+    return choices[:axis_idx] + (moved,) + choices[axis_idx + 1 :]
+
+
 def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, offset: int) -> Genotype:
     """Move axis ``axis_idx`` of ``genotype`` to a different value: the
     ``offset``-th, in axis order, of the values other than the current one,
@@ -135,22 +147,22 @@ def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, off
     axis = space.axes[axis_idx]
     if not 0 <= offset < max(axis.size - 1, 1):
         raise ValueError(f"offset {offset} is outside [0, {max(axis.size - 2, 0)}] on axis {axis.name!r}")
-    choices = list(genotype.choices)
-    if axis.size > 1:
-        current = axis.index_of(choices[axis_idx])
-        choices[axis_idx] = axis.values[offset + (offset >= current)]
-    return Genotype(tuple(choices))
+    return Genotype(_move_axis(genotype.choices, axis_idx, offset, axis.values, axis.index_of))
 
 
 @dataclass
 class RegularizedEaState:
-    """The population in age order, oldest first, with its genotypes beside
-    its fitness, the step count and the best score found so far."""
+    """The population in age order, oldest first: each member's choices and
+    score, the scores as an array for the trace's mean, the step count and
+    the best score found so far. ``held`` is the next step's child, drawn
+    ahead because the memo does not know it."""
 
-    genotypes: list[Genotype]
+    population: list[tuple]
+    scores: list[float]
     fitness: np.ndarray
     generation: int
     best_fitness: float
+    held: tuple | None = None
 
 
 def regularized_ea_run(
@@ -164,46 +176,78 @@ def regularized_ea_run(
     evolutionary pipeline: memoized scores, one budget unit per distinct
     genotype. The population is a FIFO queue of constant size after warm-up.
 
-    Each step is one ``drive`` generation: the fittest of a uniform
-    tournament (ties to the oldest) is mutated on one uniform axis to a
-    uniform different value, the child is scored and joins the population,
-    and the oldest member dies. Steps draw their uniforms in blocks of
-    ``REA_DRAW_BLOCK`` rows of ``population_size + 2``: the tournament is
-    the ``tournament_size`` smallest of a row's first ``population_size``,
-    the axis ``floor(u * num_axes)`` and the offset ``floor(u * (size - 1))``.
-    The run stops once the budget is spent, the whole space has been scored,
-    or after ``REA_STEPS_PER_BUDGET_UNIT * budget`` steps.
+    Each step takes the fittest of a uniform tournament (ties to the
+    oldest), mutates it on one uniform axis to a uniform different value,
+    appends the child and drops the oldest member. Steps draw their
+    uniforms in blocks of ``REA_DRAW_BLOCK`` rows of ``population_size + 2``:
+    the tournament is the ``tournament_size`` smallest of a row's first
+    ``population_size``, the axis ``floor(u * num_axes)`` and the offset
+    ``floor(u * (size - 1))``. The run stops once the budget is spent, the
+    whole space has been scored, or after ``REA_STEPS_PER_BUDGET_UNIT *
+    budget`` steps. A NaN or infinite score fails the run with
+    ``TraceError`` at the trace row after it enters the population.
+
+    One ``drive`` generation covers one newly scored genotype: ``ask``
+    returns the held child, ``evaluate`` scores it, and ``tell`` commits it,
+    runs the following steps whose child the memo knows (they spend nothing),
+    and holds the first child it does not know. A step is drawn only when
+    the run would take it, so the trace, the best genotype and the
+    generator's state are those of one generation per step, whose rows
+    ``drive`` collapses at unchanged evaluation counts.
     """
     rng = ensure_rng(rng)
     scorer = BudgetedScorer(predictor, biobjective, config.budget)
-    pop_size = config.population_size
-    genotypes = [space.random_genotype(rng) for _ in range(pop_size)]
-    fitness = np.array([scorer.try_score(g) for g in genotypes])  # budget >= population_size
-    state = RegularizedEaState(genotypes, fitness, 0, scorer.best_score)
+    genotypes = [space.random_genotype(rng) for _ in range(config.population_size)]
+    scores = [scorer.try_score(g) for g in genotypes]  # budget >= population_size
+    state = RegularizedEaState([g.choices for g in genotypes], scores, np.array(scores), 0, scorer.best_score)
     draws = _step_draws(space, config, rng)
+    limit = min(config.budget, space.size)
+    max_steps = REA_STEPS_PER_BUDGET_UNIT * config.budget
+    values = [axis.values for axis in space.axes]
+    index_of = [{value: k for k, value in enumerate(axis.values)}.__getitem__ for axis in space.axes]
+    memo = scorer.scores
 
-    def ask():
-        picks, axis_idx, offset = next(draws)
-        parent = picks[state.fitness[picks].argmin()]
-        return mutate_one_axis(state.genotypes[parent], space, axis_idx, offset)
+    def run_hits(finite):
+        """Run the steps whose child the memo knows, hold the first child it
+        does not, and rebuild the fitness array. A step starts while budget
+        is left and the space is not all scored, which no hit changes; no
+        step follows a non-finite score, because it fails the next row."""
+        population, scores = state.population, state.scores
+        step = state.generation
+        if finite and scorer.evaluations < limit:
+            while step < max_steps:
+                picks, axis_idx, offset = next(draws)
+                parent = population[min(picks, key=scores.__getitem__)]  # ties to the oldest
+                child = _move_axis(parent, axis_idx, offset, values[axis_idx], index_of[axis_idx])
+                value = memo.get(child)
+                if value is None:
+                    state.held = child
+                    break
+                del population[0], scores[0]  # oldest dies
+                population.append(child)
+                scores.append(value)
+                step += 1
+        state.generation = step
+        state.fitness = np.array(scores)
 
     def tell(child, value, _evaluated):
-        del state.genotypes[0]  # oldest dies
-        state.genotypes.append(child)
-        state.fitness[:-1] = state.fitness[1:]
-        state.fitness[-1] = value
+        del state.population[0], state.scores[0]  # oldest dies
+        state.population.append(child.choices)
+        state.scores.append(value)
         state.generation += 1
         state.best_fitness = scorer.best_score
+        run_hits(math.isfinite(value))
 
-    # a step starts while one unit of budget is left, so every child is scored
+    run_hits(all(map(math.isfinite, scores)))
+    # a step starts while one unit of budget is left, so every held child is scored
     trace = drive(
         state,
-        ask,
+        ask=lambda: Genotype(state.held),
         evaluate=lambda child: (scorer.try_score(child), None),
         tell=tell,
         algorithm="regularized_ea",
-        max_generations=REA_STEPS_PER_BUDGET_UNIT * config.budget,
-        termination=Termination(max_evaluations=min(config.budget, space.size)),
+        max_generations=max_steps,
+        termination=Termination(max_evaluations=limit),
         room=1,
         spent=lambda: scorer.evaluations,
     )
@@ -225,4 +269,4 @@ def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, rng):
         axes = np.minimum((u[:, pop_size] * num_axes).astype(np.intp), num_axes - 1)
         span = spans[axes]
         offsets = np.minimum((u[:, pop_size + 1] * span).astype(np.intp), np.maximum(span - 1, 0))
-        yield from zip(tournaments, axes.tolist(), offsets.tolist())
+        yield from zip(tournaments.tolist(), axes.tolist(), offsets.tolist())

@@ -1,11 +1,14 @@
 """Fixed-parameter DE and aging-evolution baselines."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from shsade_pids.baselines import (
     RegularizedEaConfig,
     VanillaDeConfig,
+    _move_axis,
     mutate_one_axis,
     regularized_ea_run,
     vanilla_de_run,
@@ -87,6 +90,19 @@ class TestMutateOneAxis:
             space.indices_of(child)
             changed = [k for k, (a, b) in enumerate(zip(parent.choices, child.choices)) if a != b]
             assert changed == ([axis_idx] if size > 1 else [])
+
+    def test_agrees_with_the_kernel_the_run_uses(self):
+        # the run moves choices tuples with a value -> position dict per axis
+        space = DiscreteSpace(
+            (Axis("a", (0, 1, 2, 3)), Axis("only", ("x",)), Axis("b", ("p", "q", "r")), Axis("c", ("s", "t")))
+        )
+        index_of = [{value: k for k, value in enumerate(axis.values)}.__getitem__ for axis in space.axes]
+        for indices in itertools.product(*(range(size) for size in space.sizes)):
+            parent = space.genotype_from_indices(indices)
+            for axis_idx, axis in enumerate(space.axes):
+                for offset in range(max(axis.size - 1, 1)):
+                    moved = _move_axis(parent.choices, axis_idx, offset, axis.values, index_of[axis_idx])
+                    assert moved == mutate_one_axis(parent, space, axis_idx, offset).choices
 
     def test_offsets_enumerate_the_other_values_in_axis_order(self):
         space = grid_space(2)

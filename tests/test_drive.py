@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from shsade_pids import baselines, nas_search, objectives, shsade
 from shsade_pids.de_core import Bounds, ObjectiveSpec
 from shsade_pids.discrete_codec import Axis, DiscreteSpace
+from shsade_pids.trace import TraceError
 from space_strategies import spaces
 
 import reference_drivers
@@ -212,3 +213,125 @@ def test_regularized_ea_run_stopped_by_the_step_cap_matches_the_loop_reference()
     trace = _assert_rea_matches_reference(space, objectives.TabularSurrogate(space, 3), config, seed=1)
     assert trace.rows[-1].generation == baselines.REA_STEPS_PER_BUDGET_UNIT * config.budget
     assert trace.final_evaluations < min(config.budget, space.size)
+
+
+# two three-value axes and ten single-value ones: most mutations land on a
+# genotype the memo already holds
+_HIT_HEAVY_SPACE = DiscreteSpace(
+    tuple(Axis(f"x{i}", (0, 1, 2)) for i in range(2)) + tuple(Axis(f"s{i}", ("only",)) for i in range(10))
+)
+
+
+def test_regularized_ea_run_on_a_space_the_initial_population_covers_matches_the_loop_reference():
+    space = DiscreteSpace((Axis("a", (0, 1)), Axis("s", ("only",))))
+    config = baselines.RegularizedEaConfig(population_size=8, tournament_size=3, budget=20)
+    trace = _assert_rea_matches_reference(space, objectives.TabularSurrogate(space, 5), config, seed=0)
+    assert _rows(trace) == [(0, space.size, trace.final_best, trace.rows[0].mean_fitness)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 8])
+def test_regularized_ea_run_with_memo_hits_before_the_first_new_child_matches_the_loop_reference(seed):
+    config = baselines.RegularizedEaConfig(population_size=5, tournament_size=2, budget=12)
+    surrogate = objectives.TabularSurrogate(_HIT_HEAVY_SPACE, 3)
+    trace = _assert_rea_matches_reference(_HIT_HEAVY_SPACE, surrogate, config, seed)
+    assert trace.rows[0].generation > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_regularized_ea_run_with_budget_equal_to_the_population_matches_the_loop_reference(seed):
+    # steps run only when the initial population holds duplicates
+    config = baselines.RegularizedEaConfig(population_size=5, tournament_size=2, budget=5)
+    surrogate = objectives.TabularSurrogate(_HIT_HEAVY_SPACE, 3)
+    trace = _assert_rea_matches_reference(_HIT_HEAVY_SPACE, surrogate, config, seed)
+    assert trace.final_evaluations == config.budget
+
+
+def test_regularized_ea_runs_one_generation_per_scored_genotype(monkeypatch):
+    # aging evolution's memo hits run inside the tell: a later edit that
+    # goes back to one drive generation per step fails here
+    tells, hits = [], []
+    drive = baselines.drive
+
+    def spy_drive(state, ask, evaluate, tell, **kwargs):
+        def counted_tell(*args):
+            tells.append(args[0])
+            return tell(*args)
+
+        return drive(state, ask, evaluate, counted_tell, **kwargs)
+
+    class SpyScorer(nas_search.BudgetedScorer):
+        def try_score(self, genotype):
+            hits.append(genotype.choices in self.scores)
+            return super().try_score(genotype)
+
+    monkeypatch.setattr(baselines, "drive", spy_drive)
+    monkeypatch.setattr(baselines, "BudgetedScorer", SpyScorer)
+    space = DiscreteSpace(tuple(Axis(f"a{i}", (0, 1, 2, 3)) for i in range(5)))
+    config = baselines.RegularizedEaConfig(population_size=25, tournament_size=5, budget=500)
+    trace = _assert_rea_matches_reference(space, objectives.TabularSurrogate(space, 2024), config, seed=0)
+    scored = trace.final_evaluations - trace.rows[0].evaluations
+    assert len(tells) == scored == len(hits) - config.population_size
+    assert not any(hits[config.population_size :])
+    assert trace.rows[-1].generation > 5 * scored  # most steps were memo hits
+
+
+class _ScoreRecorder:
+    """A surrogate that records the genotypes it scores, in order."""
+
+    def __init__(self, surrogate):
+        self.surrogate = surrogate
+        self.scored = []
+
+    def predict_accuracy(self, genotype):
+        self.scored.append(genotype.choices)
+        return self.surrogate.predict_accuracy(genotype)
+
+    def predict_cost(self, genotype):
+        return self.surrogate.predict_cost(genotype)
+
+
+class _OneNonFinite:
+    """A surrogate whose accuracy for one genotype is ``value``."""
+
+    def __init__(self, surrogate, choices, value):
+        self.surrogate, self.choices, self.value = surrogate, choices, value
+
+    def predict_accuracy(self, genotype):
+        if genotype.choices == self.choices:
+            return self.value
+        return self.surrogate.predict_accuracy(genotype)
+
+    def predict_cost(self, genotype):
+        return self.surrogate.predict_cost(genotype)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["new child", "memo hit"])
+def test_regularized_ea_run_fails_on_a_non_finite_score_like_the_loop_reference(where, value):
+    bio = nas_search.BiObjectiveConfig(cost_budget=1e9)
+    surrogate = objectives.TabularSurrogate(_HIT_HEAVY_SPACE, 3)
+    config = baselines.RegularizedEaConfig(population_size=5, tournament_size=2, budget=12)
+    seed = 0
+    if where == "new child":
+        recorder = _ScoreRecorder(surrogate)
+        _, trace = baselines.regularized_ea_run(_HIT_HEAVY_SPACE, recorder, config, bio, np.random.default_rng(seed))
+        # the third genotype scored after initialisation; on a finite
+        # landscape more memo hits than the population size follow it, so
+        # a hit loop that did not stop would let it age out unrecorded
+        first = trace.rows[0].evaluations
+        target = recorder.scored[first + 2]
+        assert trace.rows[3].generation - trace.rows[2].generation - 1 > config.population_size
+    else:
+        # a non-finite child fails the row after it enters, so only the
+        # initial population can hit a non-finite score in the memo
+        rng = np.random.default_rng(seed)
+        initial = [_HIT_HEAVY_SPACE.random_genotype(rng).choices for _ in range(config.population_size)]
+        target = next(choices for choices in initial if initial.count(choices) > 1)
+    predictor = _OneNonFinite(surrogate, target, value)
+    outcomes = []
+    for run in (baselines.regularized_ea_run, reference_drivers.regularized_ea_run):
+        rng = np.random.default_rng(seed)
+        with pytest.raises(TraceError) as failure:
+            run(_HIT_HEAVY_SPACE, predictor, config, bio, rng)
+        outcomes.append((str(failure.value), rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
