@@ -127,15 +127,13 @@ class RegularizedEaConfig:
             raise ValueError("budget must cover the initial population")
 
 
-def _move_axis(choices: tuple, axis_idx: int, offset: int, values: tuple, index_of) -> tuple:
-    """``choices`` with axis ``axis_idx``, whose values are ``values``, moved
-    to the ``offset``-th of its values other than the current one, in axis
-    order; ``index_of`` maps a value to its position. A single-value axis
-    keeps its value."""
-    if len(values) == 1:
-        return choices
-    moved = values[offset + (offset >= index_of(choices[axis_idx]))]
-    return choices[:axis_idx] + (moved,) + choices[axis_idx + 1 :]
+def _move_axis(indices: tuple, axis_idx: int, offset: int, size: int) -> tuple:
+    """``indices`` with axis ``axis_idx``, of ``size`` values, moved to the
+    ``offset``-th of its value indices other than the current one. A
+    single-value axis keeps its value."""
+    if size == 1:
+        return indices
+    return indices[:axis_idx] + (offset + (offset >= indices[axis_idx]),) + indices[axis_idx + 1 :]
 
 
 def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, offset: int) -> Genotype:
@@ -147,15 +145,16 @@ def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, off
     axis = space.axes[axis_idx]
     if not 0 <= offset < max(axis.size - 1, 1):
         raise ValueError(f"offset {offset} is outside [0, {max(axis.size - 2, 0)}] on axis {axis.name!r}")
-    return Genotype(_move_axis(genotype.choices, axis_idx, offset, axis.values, axis.index_of))
+    indices = tuple(space.indices_of(genotype).tolist())
+    return space.genotype_from_indices(_move_axis(indices, axis_idx, offset, axis.size))
 
 
 @dataclass
 class RegularizedEaState:
-    """The population in age order, oldest first: each member's choices and
-    score, the scores as an array for the trace's mean, the step count and
-    the best score found so far. ``held`` is the next step's child, drawn
-    ahead because the memo does not know it."""
+    """The population in age order, oldest first: each member's value
+    indices (a tuple) and score, the scores as an array for the trace's
+    mean, the step count and the best score found so far. ``held`` is the
+    next step's child, drawn ahead because the memo does not know it."""
 
     population: list[tuple]
     scores: list[float]
@@ -196,15 +195,16 @@ def regularized_ea_run(
     ``drive`` collapses at unchanged evaluation counts.
     """
     rng = ensure_rng(rng)
-    scorer = BudgetedScorer(predictor, biobjective, config.budget)
-    genotypes = [space.random_genotype(rng) for _ in range(config.population_size)]
-    scores = [scorer.try_score(g) for g in genotypes]  # budget >= population_size
-    state = RegularizedEaState([g.choices for g in genotypes], scores, np.array(scores), 0, scorer.best_score)
+    scorer = BudgetedScorer(space, predictor, biobjective, config.budget)
+    sizes = space.sizes
+    # the draws of random_genotype, one genotype after another
+    population = [tuple(int(rng.integers(size)) for size in sizes) for _ in range(config.population_size)]
+    values, _ = scorer.score_rows(np.array(population))  # budget >= population_size
+    scores = values.tolist()
+    state = RegularizedEaState(population, scores, values, 0, scorer.best_score)
     draws = _step_draws(space, config, rng)
     limit = min(config.budget, space.size)
     max_steps = REA_STEPS_PER_BUDGET_UNIT * config.budget
-    values = [axis.values for axis in space.axes]
-    index_of = [{value: k for k, value in enumerate(axis.values)}.__getitem__ for axis in space.axes]
     memo = scorer.scores
 
     def run_hits(finite):
@@ -213,12 +213,13 @@ def regularized_ea_run(
         is left and the space is not all scored, which no hit changes; no
         step follows a non-finite score, because it fails the next row."""
         population, scores = state.population, state.scores
+        score_of = scores.__getitem__
         step = state.generation
         if finite and scorer.evaluations < limit:
             while step < max_steps:
                 picks, axis_idx, offset = next(draws)
-                parent = population[min(picks, key=scores.__getitem__)]  # ties to the oldest
-                child = _move_axis(parent, axis_idx, offset, values[axis_idx], index_of[axis_idx])
+                parent = population[min(picks, key=score_of)]  # ties to the oldest
+                child = _move_axis(parent, axis_idx, offset, sizes[axis_idx])
                 value = memo.get(child)
                 if value is None:
                     state.held = child
@@ -230,9 +231,10 @@ def regularized_ea_run(
         state.generation = step
         state.fitness = np.array(scores)
 
-    def tell(child, value, _evaluated):
+    def tell(child, values, _scored):
+        value = values.item()
         del state.population[0], state.scores[0]  # oldest dies
-        state.population.append(child.choices)
+        state.population.append(child)
         state.scores.append(value)
         state.generation += 1
         state.best_fitness = scorer.best_score
@@ -242,8 +244,8 @@ def regularized_ea_run(
     # a step starts while one unit of budget is left, so every held child is scored
     trace = drive(
         state,
-        ask=lambda: Genotype(state.held),
-        evaluate=lambda child: (scorer.try_score(child), None),
+        ask=lambda: state.held,
+        evaluate=lambda child: scorer.score_rows(np.array([child])),
         tell=tell,
         algorithm="regularized_ea",
         max_generations=max_steps,

@@ -99,7 +99,7 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
     algorithm = raw.get("algorithm")
     seeds = raw.get("seeds")
     _require(isinstance(seeds, list) and seeds, "seeds must be a non-empty list")
-    _require(all(_is_int(s) for s in seeds), "seeds must be integers")
+    _require(all(_is_int(s) and s >= 0 for s in seeds), "seeds must be integers >= 0")
     _require(len(set(seeds)) == len(seeds), "seeds must be duplicate-free")
     output = raw.get("output")
     _require(isinstance(output, str) and output, "output must be a non-empty path string")
@@ -125,8 +125,10 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
             isinstance(objective, dict) and "name" in objective and "dimension" in objective,
             "benchmark task needs objective {'name', 'dimension'}",
         )
+        dimension = objective["dimension"]
+        _require(_is_int(dimension) and dimension >= 1, "objective.dimension must be an integer >= 1")
         try:
-            bench = objectives.make_benchmark(str(objective["name"]), int(objective["dimension"]))
+            bench = objectives.make_benchmark(str(objective["name"]), dimension)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
         normalized["benchmark"] = bench
@@ -150,7 +152,7 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
         except ValueError as exc:
             raise ConfigError(f"invalid space document: {exc}") from None
         surrogate_seed = raw.get("surrogate_seed")
-        _require(_is_int(surrogate_seed), "nas task needs an integer surrogate_seed")
+        _require(_is_int(surrogate_seed) and surrogate_seed >= 0, "nas task needs an integer surrogate_seed >= 0")
         budget = raw.get("budget", 500)
         _require(_is_int(budget) and budget >= 1, "budget must be a positive integer")
         surrogate = objectives.TabularSurrogate(space, surrogate_seed)

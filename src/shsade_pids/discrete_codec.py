@@ -199,9 +199,12 @@ def decode(u, space: DiscreteSpace) -> Genotype:
 
 
 def perturb(u, sigma: float, rng) -> np.ndarray:
-    """Add i.i.d. Gaussian exploration noise per coordinate, clamped to [0, 1]."""
+    """Add i.i.d. Gaussian exploration noise per coordinate, clamped to [0, 1].
+
+    The noise is ``sigma`` times one ``standard_normal`` block of ``u``'s
+    shape, drawn even when ``sigma`` is 0."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     u = np.asarray(u, dtype=float)
     rng = ensure_rng(rng)
-    return np.clip(u + rng.normal(0.0, sigma, size=u.shape), 0.0, 1.0)
+    return np.minimum(np.maximum(u + sigma * rng.standard_normal(u.shape), 0.0), 1.0)

@@ -15,7 +15,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .de_core import Bounds, ensure_rng, uniform_index
-from .discrete_codec import DiscreteSpace, Axis, Genotype, decode_indices, encode_indices, genotype_to_dict
+from .discrete_codec import DiscreteSpace, Axis, Genotype, decode_indices, encode_indices, genotype_to_dict, perturb
 from .shsade import ShsadeConfig, ShsadeState, Termination, build_trials, commit_generation, drive
 from .trace import SearchTrace
 
@@ -30,9 +30,11 @@ class PredictorInterface(Protocol):
 
     A predictor may also offer ``predict_many(indices) -> (accuracy, cost)``
     over a ``(rows, num_axes)`` integer matrix of value indices into the
-    space being searched; the search then scores each batch of new genotypes
-    with one call. Without it, every genotype goes through the two methods
-    below, one genotype after another.
+    space being searched; ``BudgetedScorer.score_rows``, which both searches
+    score through, then scores each batch of new genotypes with one call.
+    Without it, every new genotype goes through the two methods below, one
+    genotype after another in row order. Both paths must give the same
+    scores.
     """
 
     def predict_accuracy(self, genotype: Genotype) -> float: ...
@@ -135,13 +137,18 @@ def search_shsade_config(budget: int, **fields) -> ShsadeConfig:
 
 
 class BudgetedScorer:
-    """Memoizing scorer; each distinct genotype costs one budget unit.
+    """Memoizing scorer over one space; each distinct genotype costs one
+    budget unit.
 
-    The memo is keyed by a genotype's choices, so genotypes scored one at a
-    time and rows of a batch share it.
+    The memo maps a genotype's value indices, as a tuple, to its score.
+    ``score_rows`` is the only code that reads or writes it, checks the
+    budget or updates the best; ``try_score`` is a one-row call into it.
     """
 
-    def __init__(self, predictor: PredictorInterface, biobjective: BiObjectiveConfig, budget: int):
+    def __init__(
+        self, space: DiscreteSpace, predictor: PredictorInterface, biobjective: BiObjectiveConfig, budget: int
+    ):
+        self.space = space
         self.predictor = predictor
         self.biobjective = biobjective
         self.budget = int(budget)
@@ -153,57 +160,41 @@ class BudgetedScorer:
     def try_score(self, genotype: Genotype) -> float | None:
         """Score a genotype, or return None when it is unseen and the budget
         is spent. Repeated genotypes never consume budget."""
-        key = genotype.choices
-        cached = self.scores.get(key)
-        if cached is not None:
-            return cached
-        if self.evaluations >= self.budget:
-            return None
-        value = score(genotype, self.predictor, self.biobjective)
-        self.scores[key] = value
-        self.evaluations += 1
-        if value < self.best_score:
-            self.best_score = value
-            self.best_genotype = genotype
-        return value
+        values, scored = self.score_rows(self.space.indices_of(genotype)[None])
+        return values.item() if scored.item() else None
 
-    def score_rows(self, space: DiscreteSpace, indices) -> tuple[np.ndarray, np.ndarray]:
-        """Score rows of value indices into ``space`` as ``try_score`` would
-        score their genotypes one after another, with one predictor call for
-        the rows new to the memo. Returns the scores and a mask of the rows
-        scored; a row left unscored for want of budget reads +inf."""
+    def score_rows(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """Score rows of value indices into the space in row order, with one
+        predictor call for the rows new to the memo. Repeated genotypes
+        never consume budget; a new one is scored while budget is left.
+        Returns the scores and a mask of the rows scored; a row left
+        unscored for want of budget reads +inf. The best is the first row
+        of the lowest new score."""
         indices = np.asarray(indices)
-        keys = space.choices_from_indices(indices)
-        values = np.full(len(keys), np.inf)
-        scored = np.zeros(len(keys), dtype=bool)
+        keys = list(map(tuple, indices.tolist()))
+        found = list(map(self.scores.get, keys))  # None: not in the memo
+        room = self.budget - self.evaluations
         fresh: dict[tuple, int] = {}  # genotype new to the memo -> its first row
-        pending = []  # rows holding a genotype new to the memo
         for k, key in enumerate(keys):
-            cached = self.scores.get(key)
-            if cached is not None:
-                values[k] = cached
-                scored[k] = True
-            elif key in fresh or self.evaluations + len(fresh) < self.budget:
-                fresh.setdefault(key, k)
-                pending.append(k)
-                scored[k] = True
-        if not fresh:
-            return values, scored
-
-        rows = list(fresh.values())
-        accuracy, cost = _predict_rows(self.predictor, space, indices[rows])
-        best_row = None
-        for key, row, value in zip(fresh, rows, score_many(accuracy, cost, self.biobjective).tolist()):
-            self.scores[key] = value
-            if value < self.best_score:
-                self.best_score = value
-                best_row = row
-        self.evaluations += len(fresh)
-        if best_row is not None:
-            self.best_genotype = Genotype(keys[best_row])
-        for k in pending:
-            values[k] = self.scores[keys[k]]
-        return values, scored
+            if found[k] is None and key not in fresh and len(fresh) < room:
+                fresh[key] = k
+        if fresh:
+            rows = list(fresh.values())
+            new = indices if len(rows) == len(keys) else indices[rows]
+            accuracy, cost = _predict_rows(self.predictor, self.space, new)
+            best_row = None
+            for key, row, value in zip(fresh, rows, score_many(accuracy, cost, self.biobjective).tolist()):
+                self.scores[key] = found[row] = value
+                if value < self.best_score:
+                    self.best_score = value
+                    best_row = row
+            self.evaluations += len(fresh)
+            if best_row is not None:
+                self.best_genotype = self.space.genotype_from_indices(keys[best_row])
+            # the later rows of a genotype new to the memo
+            found = [self.scores.get(key) if value is None else value for key, value in zip(keys, found)]
+        values = np.array([math.inf if value is None else value for value in found])
+        return values, np.array([value is not None for value in found])
 
 
 def nas_evolve(
@@ -227,24 +218,22 @@ def nas_evolve(
     """
     rng = ensure_rng(rng)
     sh = config.shsade
-    scorer = BudgetedScorer(predictor, config.biobjective, config.budget)
+    scorer = BudgetedScorer(space, predictor, config.biobjective, config.budget)
     m = space.num_axes
 
     def random_encodings(rows):
         seeds = uniform_index(rng.random((rows, m)), np.array(space.sizes))
-        noise = config.sigma_init_noise * rng.standard_normal((rows, m))
-        return np.minimum(np.maximum(encode_indices(seeds, space) + noise, 0.0), 1.0)
+        return perturb(encode_indices(seeds, space), config.sigma_init_noise, rng)
 
     x0 = random_encodings(sh.pop_size)
-    f0, scored = scorer.score_rows(space, decode_indices(x0, space))
+    f0, scored = scorer.score_rows(decode_indices(x0, space))
     assert scored.all()  # budget >= pop_size makes initialization affordable
     state = ShsadeState.initial(sh, x0, f0, Bounds(np.zeros(m), np.ones(m)))
 
     def ask():
         batch = build_trials(state, rng)
         if config.sigma_trial_noise > 0:
-            noise = config.sigma_trial_noise * rng.standard_normal(batch.x.shape)
-            batch.x = np.minimum(np.maximum(batch.x + noise, 0.0), 1.0)
+            batch.x = perturb(batch.x, config.sigma_trial_noise, rng)
         if config.mutation_fraction < 1.0:
             count = max(1, round(config.mutation_fraction * sh.pop_size))
             rows = np.sort(rng.choice(sh.pop_size, size=count, replace=False))
@@ -258,7 +247,7 @@ def nas_evolve(
         # parents survive unchallenged
         trial_fitness = np.full(sh.pop_size, np.inf)
         evaluated = np.zeros(sh.pop_size, dtype=bool)
-        trial_fitness[rows], evaluated[rows] = scorer.score_rows(space, decode_indices(batch.x[rows], space))
+        trial_fitness[rows], evaluated[rows] = scorer.score_rows(decode_indices(batch.x[rows], space))
         return trial_fitness, evaluated
 
     def tell(trials, fitness, evaluated):
@@ -274,7 +263,7 @@ def nas_evolve(
         # the neighbourhood of that genotype. Keep row 0 and redraw the rest
         # as at initialization; rows the budget cannot pay for stay as they are.
         x = random_encodings(sh.pop_size - 1)
-        f, scored = scorer.score_rows(space, decode_indices(x, space))
+        f, scored = scorer.score_rows(decode_indices(x, space))
         state.x[1:][scored] = x[scored]
         state.fitness[1:][scored] = f[scored]
         best = int(np.argmin(state.fitness))

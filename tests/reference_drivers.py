@@ -10,8 +10,13 @@ flag, ``sample_distinct_triplets`` takes a block of uniforms, and
 indices and one block of normal noise, and redraws all rows but the first
 the same way once every row decodes to one genotype. ``regularized_ea_run`` is aging
 evolution written as a plain list loop over the block-drawn stream that
-``baselines.regularized_ea_run`` consumes. Nothing here is used outside the tests.
+``baselines.regularized_ea_run`` consumes. Both searches score through
+``ReferenceScorer``, the one-genotype memo keyed by choices that
+``nas_search.BudgetedScorer.try_score`` was before the scorer's batch path
+became its only path. Nothing here is used outside the tests.
 """
+
+import math
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from shsade_pids.de_core import (
 )
 from shsade_pids.baselines import REA_DRAW_BLOCK, REA_STEPS_PER_BUDGET_UNIT
 from shsade_pids.discrete_codec import Genotype, decode_indices
-from shsade_pids.nas_search import BudgetedScorer
+from shsade_pids.nas_search import score
 from shsade_pids.shsade import (
     CURRENT_TO_PBEST,
     ParameterMemories,
@@ -38,6 +43,46 @@ from shsade_pids.shsade import (
     shsade_generation,
 )
 from shsade_pids.trace import SearchTrace
+
+
+class ReferenceScorer:
+    """Memoizing scorer keyed by a genotype's choices, one genotype at a
+    time; each distinct genotype costs one budget unit."""
+
+    def __init__(self, predictor, biobjective, budget):
+        self.predictor = predictor
+        self.biobjective = biobjective
+        self.budget = int(budget)
+        self.scores = {}
+        self.evaluations = 0
+        self.best_genotype = None
+        self.best_score = math.inf
+
+    def try_score(self, genotype):
+        key = genotype.choices
+        cached = self.scores.get(key)
+        if cached is not None:
+            return cached
+        if self.evaluations >= self.budget:
+            return None
+        value = score(genotype, self.predictor, self.biobjective)
+        self.scores[key] = value
+        self.evaluations += 1
+        if value < self.best_score:
+            self.best_score = value
+            self.best_genotype = genotype
+        return value
+
+    def score_rows(self, space, indices):
+        """``try_score`` of each row's genotype in row order: the scores,
+        +inf where the budget ran out, and a mask of the rows scored."""
+        values = np.full(len(indices), np.inf)
+        scored = np.zeros(len(indices), dtype=bool)
+        for k, row in enumerate(indices):
+            value = self.try_score(space.genotype_from_indices(row))
+            if value is not None:
+                values[k], scored[k] = value, True
+        return values, scored
 
 
 def init_state(config, spec, rng):
@@ -130,7 +175,7 @@ def vanilla_de_run(config, spec, termination=None, rng=None):
 def nas_evolve(space, predictor, config, rng=None):
     rng = ensure_rng(rng)
     sh = config.shsade
-    scorer = BudgetedScorer(predictor, config.biobjective, config.budget)
+    scorer = ReferenceScorer(predictor, config.biobjective, config.budget)
     m = space.num_axes
     bounds = Bounds(np.zeros(m), np.ones(m))
 
@@ -211,7 +256,7 @@ def nas_evolve(space, predictor, config, rng=None):
 
 def regularized_ea_run(space, predictor, config, biobjective, rng=None):
     rng = ensure_rng(rng)
-    scorer = BudgetedScorer(predictor, biobjective, config.budget)
+    scorer = ReferenceScorer(predictor, biobjective, config.budget)
     pop_size = config.population_size
 
     population = []  # (genotype, score), oldest first

@@ -92,17 +92,21 @@ class TestMutateOneAxis:
             assert changed == ([axis_idx] if size > 1 else [])
 
     def test_agrees_with_the_kernel_the_run_uses(self):
-        # the run moves choices tuples with a value -> position dict per axis
+        # the run moves tuples of value indices; the child's value on the
+        # axis is the offset-th of the other values, in axis order
         space = DiscreteSpace(
             (Axis("a", (0, 1, 2, 3)), Axis("only", ("x",)), Axis("b", ("p", "q", "r")), Axis("c", ("s", "t")))
         )
-        index_of = [{value: k for k, value in enumerate(axis.values)}.__getitem__ for axis in space.axes]
         for indices in itertools.product(*(range(size) for size in space.sizes)):
             parent = space.genotype_from_indices(indices)
             for axis_idx, axis in enumerate(space.axes):
+                others = [value for value in axis.values if value != parent.choices[axis_idx]] or list(axis.values)
                 for offset in range(max(axis.size - 1, 1)):
-                    moved = _move_axis(parent.choices, axis_idx, offset, axis.values, index_of[axis_idx])
-                    assert moved == mutate_one_axis(parent, space, axis_idx, offset).choices
+                    moved = _move_axis(indices, axis_idx, offset, axis.size)
+                    child = mutate_one_axis(parent, space, axis_idx, offset)
+                    assert moved == tuple(space.indices_of(child).tolist())
+                    expected = parent.choices[:axis_idx] + (others[offset],) + parent.choices[axis_idx + 1 :]
+                    assert child.choices == expected
 
     def test_offsets_enumerate_the_other_values_in_axis_order(self):
         space = grid_space(2)

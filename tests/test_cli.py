@@ -142,11 +142,44 @@ class TestRunValidation:
             {"objective": {"name": "mystery", "dimension": 3}},
             {"objective": {"name": "sphere"}},
             {"output": ""},
+            # integers are JSON integers, never rounded, and seeds are >= 0
+            {"objective": {"name": "sphere", "dimension": True}},
+            {"objective": {"name": "sphere", "dimension": 10.5}},
+            {"objective": {"name": "sphere", "dimension": "4"}},
+            {"seeds": [0, -1]},
         ],
     )
-    def test_invalid_configs_exit_1(self, tmp_path, overrides):
+    def test_invalid_configs_exit_1(self, tmp_path, monkeypatch, capsys, overrides):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         cfg = write_config(tmp_path / "config.json", **overrides)
         assert cli.main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "task, overrides, key",
+        [
+            ("benchmark", {"objective": {"name": "sphere", "dimension": True}}, "objective.dimension"),
+            ("benchmark", {"objective": {"name": "sphere", "dimension": 10.5}}, "objective.dimension"),
+            ("benchmark", {"objective": {"name": "sphere", "dimension": "4"}}, "objective.dimension"),
+            ("benchmark", {"seeds": [0, -1]}, "seeds"),
+            ("nas", {"seeds": [5, -6]}, "seeds"),
+            ("nas", {"surrogate_seed": -1}, "surrogate_seed"),
+        ],
+    )
+    def test_bad_integer_field_names_the_key_without_a_traceback(
+        self, tmp_path, monkeypatch, capsys, task, overrides, key
+    ):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = algorithm_doc(tmp_path, task, "shsade")
+        doc.update(overrides)
+        path = tmp_path / "bad_integer.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / doc["output"]).exists()
 
     @pytest.mark.parametrize(
         "task, algorithm, key",

@@ -185,6 +185,17 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(np.zeros(1), -0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.15])
+    def test_draws_one_standard_normal_block(self, sigma):
+        # nas_evolve's initial encodings go through perturb, so the noise
+        # draw, even at sigma 0, is part of the search's random stream
+        u = np.linspace(-0.2, 1.2, 12).reshape(3, 4)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        out = perturb(u, sigma, rng)
+        expected = np.minimum(np.maximum(u + sigma * ref.standard_normal(u.shape), 0.0), 1.0)
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestRoundTrip:
     def test_exhaustive_on_grid(self):

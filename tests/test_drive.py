@@ -249,7 +249,7 @@ def test_regularized_ea_run_with_budget_equal_to_the_population_matches_the_loop
 def test_regularized_ea_runs_one_generation_per_scored_genotype(monkeypatch):
     # aging evolution's memo hits run inside the tell: a later edit that
     # goes back to one drive generation per step fails here
-    tells, hits = [], []
+    tells, calls = [], []
     drive = baselines.drive
 
     def spy_drive(state, ask, evaluate, tell, **kwargs):
@@ -260,9 +260,9 @@ def test_regularized_ea_runs_one_generation_per_scored_genotype(monkeypatch):
         return drive(state, ask, evaluate, counted_tell, **kwargs)
 
     class SpyScorer(nas_search.BudgetedScorer):
-        def try_score(self, genotype):
-            hits.append(genotype.choices in self.scores)
-            return super().try_score(genotype)
+        def score_rows(self, indices):
+            calls.append([tuple(row) in self.scores for row in indices.tolist()])
+            return super().score_rows(indices)
 
     monkeypatch.setattr(baselines, "drive", spy_drive)
     monkeypatch.setattr(baselines, "BudgetedScorer", SpyScorer)
@@ -270,8 +270,11 @@ def test_regularized_ea_runs_one_generation_per_scored_genotype(monkeypatch):
     config = baselines.RegularizedEaConfig(population_size=25, tournament_size=5, budget=500)
     trace = _assert_rea_matches_reference(space, objectives.TabularSurrogate(space, 2024), config, seed=0)
     scored = trace.final_evaluations - trace.rows[0].evaluations
-    assert len(tells) == scored == len(hits) - config.population_size
-    assert not any(hits[config.population_size :])
+    # one call for the initial population, then one one-row call per tell
+    # for a child the memo does not know
+    assert len(calls[0]) == config.population_size
+    assert len(tells) == scored == len(calls) - 1
+    assert all(hits == [False] for hits in calls[1:])
     assert trace.rows[-1].generation > 5 * scored  # most steps were memo hits
 
 

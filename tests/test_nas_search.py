@@ -27,6 +27,8 @@ from shsade_pids.objectives import TabularSurrogate
 from shsade_pids.shsade import ShsadeConfig
 from space_strategies import index_rows, spaces
 
+import reference_drivers
+
 
 def grid_space(num_axes=5, values=(0, 1, 2, 3)):
     return DiscreteSpace(tuple(Axis(f"a{i}", values) for i in range(num_axes)))
@@ -225,7 +227,7 @@ class TestBruteForce:
 class TestBudgetedScorer:
     def test_memoizes_and_counts_once(self):
         predictor = TablePredictor({(0,): 0.5, (1,): 0.6})
-        scorer = BudgetedScorer(predictor, BiObjectiveConfig(cost_budget=1.0, omega=0.0), 10)
+        scorer = BudgetedScorer(grid_space(1, (0, 1)), predictor, BiObjectiveConfig(cost_budget=1.0, omega=0.0), 10)
         g = Genotype((1,))
         first = scorer.try_score(g)
         second = scorer.try_score(g)
@@ -234,7 +236,7 @@ class TestBudgetedScorer:
         assert predictor.calls == 1
 
     def test_budget_exhaustion_returns_none(self):
-        scorer = BudgetedScorer(ConstPredictor(), BiObjectiveConfig(cost_budget=1.0), 1)
+        scorer = BudgetedScorer(grid_space(1, (0, 1)), ConstPredictor(), BiObjectiveConfig(cost_budget=1.0), 1)
         assert scorer.try_score(Genotype((0,))) is not None
         assert scorer.try_score(Genotype((1,))) is None
         assert scorer.try_score(Genotype((0,))) is not None  # memoized stays free
@@ -242,7 +244,7 @@ class TestBudgetedScorer:
     def test_tracks_best(self):
         table = {(0,): 0.2, (1,): 0.9, (2,): 0.5}
         scorer = BudgetedScorer(
-            TablePredictor(table), BiObjectiveConfig(cost_budget=1.0, omega=0.0), 10
+            grid_space(1, (0, 1, 2)), TablePredictor(table), BiObjectiveConfig(cost_budget=1.0, omega=0.0), 10
         )
         for c in ((0,), (1,), (2,)):
             scorer.try_score(Genotype(c))
@@ -251,28 +253,28 @@ class TestBudgetedScorer:
 
 
 class TestScoreRows:
-    def scorer(self, predictor, budget=100):
-        return BudgetedScorer(predictor, BiObjectiveConfig(cost_budget=1.0, omega=0.0), budget)
+    def scorer(self, space, predictor, budget=100):
+        return BudgetedScorer(space, predictor, BiObjectiveConfig(cost_budget=1.0, omega=0.0), budget)
 
     def test_in_batch_duplicates_pay_once(self):
         space = grid_space(1, (0, 1, 2))
         predictor = TablePredictor({(0,): 0.1, (1,): 0.5, (2,): 0.3})
-        scorer = self.scorer(predictor)
-        values, scored = scorer.score_rows(space, np.array([[1], [2], [1], [0], [2]]))
+        scorer = self.scorer(space, predictor)
+        values, scored = scorer.score_rows(np.array([[1], [2], [1], [0], [2]]))
         assert values.tolist() == [-0.5, -0.3, -0.5, -0.1, -0.3]
         assert scored.all()
         assert predictor.calls == 3
         assert scorer.evaluations == 3
         # a second batch only hits the memo
-        values, scored = scorer.score_rows(space, np.array([[0], [1]]))
+        values, scored = scorer.score_rows(np.array([[0], [1]]))
         assert values.tolist() == [-0.1, -0.5] and scored.all()
         assert predictor.calls == 3 and scorer.evaluations == 3
 
     def test_budget_runs_out_mid_batch(self):
         space = grid_space(1, (0, 1, 2, 3))
         predictor = TablePredictor({(i,): 0.1 * (i + 1) for i in range(4)})
-        scorer = self.scorer(predictor, budget=2)
-        values, scored = scorer.score_rows(space, np.array([[0], [1], [0], [2], [3], [1], [2]]))
+        scorer = self.scorer(space, predictor, budget=2)
+        values, scored = scorer.score_rows(np.array([[0], [1], [0], [2], [3], [1], [2]]))
         assert scored.tolist() == [True, True, True, False, False, True, False]
         assert values[scored].tolist() == [-0.1, -0.2, -0.1, -0.2]
         assert np.isinf(values[~scored]).all() and (values[~scored] > 0).all()
@@ -282,20 +284,20 @@ class TestScoreRows:
     def test_tie_keeps_the_first_best(self):
         space = grid_space(1, (0, 1, 2, 3))
         predictor = TablePredictor({(0,): 0.2, (1,): 0.7, (2,): 0.7, (3,): 0.7})
-        scorer = self.scorer(predictor)
-        scorer.score_rows(space, np.array([[0], [2], [1]]))
+        scorer = self.scorer(space, predictor)
+        scorer.score_rows(np.array([[0], [2], [1]]))
         assert scorer.best_genotype.choices == (2,)
         assert scorer.best_score == -0.7
-        scorer.score_rows(space, np.array([[3]]))
+        scorer.score_rows(np.array([[3]]))
         assert scorer.best_genotype.choices == (2,)
 
     def test_predict_many_once_per_batch_on_new_rows_only(self):
         space = grid_space(3)
         predictor = BatchLoggingPredictor(TabularSurrogate(space, seed=4))
-        scorer = self.scorer(predictor, budget=4)
-        scorer.score_rows(space, np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0]]))
-        scorer.score_rows(space, np.array([[1, 1, 1], [2, 2, 2], [3, 3, 3], [2, 2, 2], [0, 1, 2]]))
-        scorer.score_rows(space, np.array([[0, 0, 0]]))  # all hits: no call
+        scorer = self.scorer(space, predictor, budget=4)
+        scorer.score_rows(np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0]]))
+        scorer.score_rows(np.array([[1, 1, 1], [2, 2, 2], [3, 3, 3], [2, 2, 2], [0, 1, 2]]))
+        scorer.score_rows(np.array([[0, 0, 0]]))  # all hits: no call
         assert [b.tolist() for b in predictor.batches] == [
             [[0, 0, 0], [1, 1, 1]],
             [[2, 2, 2], [3, 3, 3]],
@@ -304,8 +306,8 @@ class TestScoreRows:
     def test_one_genotype_fallback_calls_in_row_order(self):
         space = grid_space(2, (0, 1, 2))
         predictor = LoggingPredictor(TabularSurrogate(space, seed=2))
-        scorer = self.scorer(predictor)
-        scorer.score_rows(space, np.array([[2, 1], [0, 0], [2, 1], [1, 2]]))
+        scorer = self.scorer(space, predictor)
+        scorer.score_rows(np.array([[2, 1], [0, 0], [2, 1], [1, 2]]))
         assert predictor.log == [
             ("accuracy", (2, 1)), ("cost", (2, 1)),
             ("accuracy", (0, 0)), ("cost", (0, 0)),
@@ -321,22 +323,27 @@ class TestScoreRows:
         batch_predictor=st.booleans(),
     )
     def test_matches_try_score_row_by_row(self, space, seed, budget, batches, batch_predictor):
+        # the reference is the one-genotype scorer keyed by choices
         surrogate = TabularSurrogate(space, seed)
         mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
         cfg = BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid), omega=1.0)
         predictor = surrogate if batch_predictor else LoggingPredictor(surrogate)
-        batched = BudgetedScorer(predictor, cfg, budget)
-        reference = BudgetedScorer(surrogate, cfg, budget)
+        batched = BudgetedScorer(space, predictor, cfg, budget)
+        reference = reference_drivers.ReferenceScorer(surrogate, cfg, budget)
         for k, rows in enumerate(batches):
             indices = index_rows(space, rows, seed + k)
-            values, scored = batched.score_rows(space, indices)
+            values, scored = batched.score_rows(indices)
             for row, value, ok in zip(indices, values.tolist(), scored.tolist()):
                 expected = reference.try_score(space.genotype_from_indices(row))
                 assert (value if ok else None) == expected
             assert batched.evaluations == reference.evaluations
             assert batched.best_score == reference.best_score
             assert batched.best_genotype == reference.best_genotype
-        assert batched.scores == reference.scores
+        # the same genotypes and scores, in the order they were first scored
+        assert list(batched.scores.items()) == [
+            (tuple(space.indices_of(Genotype(choices)).tolist()), value)
+            for choices, value in reference.scores.items()
+        ]
 
 
 class TestNasEvolve:
