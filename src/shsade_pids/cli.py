@@ -60,6 +60,13 @@ def _is_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and -sys.float_info.max <= value <= sys.float_info.max
 
 
+def _require_known(raw: dict, allowed, where: str) -> None:
+    """Reject keys outside ``allowed``, so a typo cannot fall back silently
+    to a default."""
+    unknown = sorted(set(raw) - set(allowed))
+    _require(not unknown, f"{where} has unknown keys: {unknown}")
+
+
 def _load_json(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
@@ -76,6 +83,7 @@ def _midpoint_genotype(space: DiscreteSpace):
 
 
 def _resolve_biobjective(raw: dict, surrogate) -> nas_search.BiObjectiveConfig:
+    _require_known(raw, ("cost_budget", "omega"), "biobjective")
     omega = raw.get("omega", 1.0)
     _require(_is_number(omega) and omega >= 0, "biobjective.omega must be >= 0")
     cost_budget = raw.get("cost_budget")
@@ -96,6 +104,7 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
     _require(isinstance(raw, dict), "config must be a JSON object")
     task = raw.get("task")
     _require(task in ("benchmark", "nas"), "task must be 'benchmark' or 'nas'")
+    _require_known(raw, _TOP_LEVEL_KEYS[task], "config")
     algorithm = raw.get("algorithm")
     seeds = raw.get("seeds")
     _require(isinstance(seeds, list) and seeds, "seeds must be a non-empty list")
@@ -125,6 +134,7 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
             isinstance(objective, dict) and "name" in objective and "dimension" in objective,
             "benchmark task needs objective {'name', 'dimension'}",
         )
+        _require_known(objective, ("name", "dimension"), "objective")
         dimension = objective["dimension"]
         _require(_is_int(dimension) and dimension >= 1, "objective.dimension must be an integer >= 1")
         try:
@@ -193,6 +203,12 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
     return normalized
 
 
+# the top-level keys of each task's config
+_COMMON_KEYS = ("task", "algorithm", "algorithm_config", "seeds", "output")
+_TOP_LEVEL_KEYS = {
+    "benchmark": _COMMON_KEYS + ("objective",),
+    "nas": _COMMON_KEYS + ("space", "surrogate_seed", "budget", "biobjective"),
+}
 # the config classes each (task, algorithm) builds; their fields, less those
 # the CLI fills in from the rest of the config, are its algorithm_config keys
 _CONFIG_CLASSES = {

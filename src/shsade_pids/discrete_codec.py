@@ -126,12 +126,15 @@ class DiscreteSpace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteSpace":
-        if not isinstance(data, dict) or "axes" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("axes"), list):
             raise ValueError("space document must be an object with an 'axes' list")
         axes = []
         for entry in data["axes"]:
             if not isinstance(entry, dict) or "name" not in entry or "values" not in entry:
                 raise ValueError("each axis needs 'name' and 'values'")
+            # a string or an object would otherwise become its characters or keys
+            if not isinstance(entry["values"], list):
+                raise ValueError(f"axis {entry['name']!r} needs 'values' as a list")
             axes.append(Axis(str(entry["name"]), tuple(entry["values"])))
         return cls(tuple(axes))
 

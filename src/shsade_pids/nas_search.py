@@ -110,7 +110,6 @@ class NasConfig:
     # converged population sits inside one decode rounding cell and stops
     # proposing new genotypes long before the budget is spent
     sigma_trial_noise: float = 0.15
-    mutation_fraction: float = 1.0
 
     def __post_init__(self):
         if self.budget < 1:
@@ -118,8 +117,6 @@ class NasConfig:
         for name in ("sigma_init_noise", "sigma_trial_noise"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
-        if not 0 < self.mutation_fraction <= 1:
-            raise ValueError("mutation_fraction must lie in (0, 1]")
         if self.shsade is None:
             self.shsade = search_shsade_config(self.budget)
         if self.budget < self.shsade.pop_size:
@@ -207,14 +204,14 @@ def nas_evolve(
 
     The population starts from random genotypes (one uniform block of value
     indices), encoded with Gaussian exploration noise (one normal block).
-    Each generation mutates (a configurable fraction of) the population,
-    recombines donors with the current best encoding, decodes the trials
-    and scores them under the architecture budget; trials that would exceed
-    the budget are dropped and their parents survive. When every row of
-    the population decodes to one genotype, all rows but the first are
-    redrawn as at initialization. The run stops once the budget is spent,
-    the whole space has been scored, or the generation cap is reached, and
-    returns the best genotype ever scored.
+    Each generation mutates every individual, recombines donors with the
+    current best encoding, decodes the trials and scores them under the
+    architecture budget; trials that would exceed the budget are dropped
+    and their parents survive. When every row of the population decodes to
+    one genotype, all rows but the first are redrawn as at initialization.
+    The run stops once the budget is spent, the whole space has been
+    scored, or the generation cap is reached, and returns the best genotype
+    ever scored.
     """
     rng = ensure_rng(rng)
     sh = config.shsade
@@ -234,24 +231,15 @@ def nas_evolve(
         batch = build_trials(state, rng)
         if config.sigma_trial_noise > 0:
             batch.x = perturb(batch.x, config.sigma_trial_noise, rng)
-        if config.mutation_fraction < 1.0:
-            count = max(1, round(config.mutation_fraction * sh.pop_size))
-            rows = np.sort(rng.choice(sh.pop_size, size=count, replace=False))
-        else:
-            rows = np.arange(sh.pop_size)
-        return batch, rows
+        return batch
 
-    def evaluate(trials):
-        batch, rows = trials
-        # rows left unscored once the budget is spent keep +inf, so their
-        # parents survive unchallenged
-        trial_fitness = np.full(sh.pop_size, np.inf)
-        evaluated = np.zeros(sh.pop_size, dtype=bool)
-        trial_fitness[rows], evaluated[rows] = scorer.score_rows(decode_indices(batch.x[rows], space))
-        return trial_fitness, evaluated
+    def evaluate(batch):
+        # rows left unscored once the budget is spent are not evaluated, so
+        # their parents survive unchallenged
+        return scorer.score_rows(decode_indices(batch.x, space))
 
-    def tell(trials, fitness, evaluated):
-        commit_generation(state, trials[0], fitness, rng, evaluated)
+    def tell(batch, fitness, evaluated):
+        commit_generation(state, batch, fitness, rng, evaluated)
         # equal scores are cheap to test and necessary for a collapse
         if state.fitness.min() < state.fitness.max():
             return

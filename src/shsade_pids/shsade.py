@@ -14,6 +14,7 @@ archive that widens the difference-vector pool.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -133,16 +134,11 @@ class ShsadeConfig:
     learning_period: int = 20
     p_min: float = 0.05
     strategy_epsilon: float = 0.01
-    memory_learning_rate: float = 1.0  # 1.0 replaces a slot with the new success mean
     freq_init: float = 0.5
-    sigma_gauss_f: float = 0.1
-    sigma_cauchy_f: float = 0.1
+    sigma_cauchy_f: float = 0.1  # scale of the Cauchy F and frequency draws
     sigma_cr: float = 0.1
-    f_second_half: str = "cauchy"  # "cauchy" or "gaussian"
     crossover_target: str = "self"  # "best" recombines donors with the population best
-    # trigonometric donors also pass through binomial crossover; using them raw
-    # collapses the population onto its centroid and stalls the search
-    crossover_trigonometric: bool = True
+    # ablations: each switches off one of the method's two mechanisms
     use_sinusoidal: bool = True
     use_trigonometric: bool = True
 
@@ -153,21 +149,20 @@ class ShsadeConfig:
             raise ValueError("memory_size must be at least 1")
         if self.max_generations < 1:
             raise ValueError("max_generations must be at least 1")
+        if self.max_generations > sys.float_info.max:
+            # the sinusoidal schedules and the phase switch compute with it as a float
+            raise ValueError("max_generations must not exceed the largest float")
         if not 0 < self.p_best_fraction <= 1:
             raise ValueError("p_best_fraction must lie in (0, 1]")
         if self.learning_period < 1:
             raise ValueError("learning_period must be at least 1")
         if not 0 <= self.p_min < 0.5:
             raise ValueError("p_min must lie in [0, 0.5) for a two-strategy pool")
-        if not 0 <= self.memory_learning_rate <= 1:
-            raise ValueError("memory_learning_rate must lie in [0, 1]")
         if not 0 < self.freq_init <= 1:
             raise ValueError("freq_init must lie in (0, 1]")
-        for name in ("strategy_epsilon", "sigma_gauss_f", "sigma_cauchy_f", "sigma_cr"):
+        for name in ("strategy_epsilon", "sigma_cauchy_f", "sigma_cr"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.f_second_half not in ("cauchy", "gaussian"):
-            raise ValueError("f_second_half must be 'cauchy' or 'gaussian'")
         if self.crossover_target not in ("self", "best"):
             raise ValueError("crossover_target must be 'self' or 'best'")
         if self.archive_capacity is not None and self.archive_capacity < 0:
@@ -294,11 +289,6 @@ def sample_f_cauchy(memories: ParameterMemories, rng, slots: np.ndarray, sigma: 
     return _resampled(memories.mf, rng, slots, sigma, rng.standard_cauchy, False)
 
 
-def sample_f_gaussian(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float = 0.1) -> np.ndarray:
-    """Second-half F ~ normal(MF[s], sigma), bounded as in ``sample_f_cauchy``."""
-    return _resampled(memories.mf, rng, slots, sigma, rng.standard_normal, False)
-
-
 def sample_freq(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float = 0.1) -> np.ndarray:
     """freq ~ Cauchy(Mfreq[s], sigma) for each slot s, resampled into (0, 1]."""
     return _resampled(memories.mfreq, rng, slots, sigma, rng.standard_cauchy, True)
@@ -422,30 +412,24 @@ def update_strategy_probs(
     return state
 
 
-def update_memories(
-    memories: ParameterMemories, success: SuccessSets, learning_rate: float = 1.0
-) -> ParameterMemories:
+def update_memories(memories: ParameterMemories, success: SuccessSets) -> ParameterMemories:
     """Fold this generation's success means into one memory slot.
 
     CR and F slots take the arithmetic mean of their success sets, the
-    frequency slot the Lehmer mean, each blended with the old entry by the
-    learning rate (1.0 replaces outright). Empty success sets leave the
-    memories bit-identical and do not advance the circular index.
+    frequency slot the Lehmer mean; each replaces the old entry, as in
+    SHADE. Empty success sets leave the memories bit-identical and do not
+    advance the circular index.
     """
     if not success.any():
         return memories
     k = memories.next_update_index
-    c = learning_rate
     # np.add.reduce(v) / n: the bits of np.mean, without its Python-level wrapper
     if len(success.scr):
-        new = (1.0 - c) * memories.mcr[k] + c * float(np.add.reduce(success.scr) / len(success.scr))
-        memories.mcr[k] = min(max(new, 0.0), 1.0)
+        memories.mcr[k] = min(max(float(np.add.reduce(success.scr) / len(success.scr)), 0.0), 1.0)
     if len(success.sf):
-        new = (1.0 - c) * memories.mf[k] + c * float(np.add.reduce(success.sf) / len(success.sf))
-        memories.mf[k] = min(new, 1.0)
+        memories.mf[k] = min(float(np.add.reduce(success.sf) / len(success.sf)), 1.0)
     if len(success.sfreq):
-        new = (1.0 - c) * memories.mfreq[k] + c * lehmer_mean(success.sfreq)
-        memories.mfreq[k] = min(new, 1.0)
+        memories.mfreq[k] = min(lehmer_mean(success.sfreq), 1.0)
     memories.next_update_index = (k + 1) % memories.size
     return memories
 
@@ -495,10 +479,7 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
         )
         freq_used = np.where(decreasing, np.nan, freqs)
     else:
-        if cfg.f_second_half == "gaussian":
-            f = sample_f_gaussian(state.memories, rng, slots, cfg.sigma_gauss_f)
-        else:
-            f = sample_f_cauchy(state.memories, rng, slots, cfg.sigma_cauchy_f)
+        f = sample_f_cauchy(state.memories, rng, slots, cfg.sigma_cauchy_f)
         freq_used = np.full(pop_size, np.nan)
 
     pbest_rows = np.flatnonzero(strategies == CURRENT_TO_PBEST)
@@ -511,12 +492,11 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
         pool = np.concatenate((x, state.archive)) if state.archive else x
         donors[pbest_rows] = _current_to_pbest_donors(x, pool, pbest_rows, pbest, r1, r2, f)
     if trig_rows.size:
-        # no F is involved here; the donor recombines with the target like any
-        # other unless trigonometric crossover is switched off
+        # no F is involved here. The donor recombines with the target like any
+        # other: taken raw, trigonometric donors collapse the population onto
+        # its centroid and stall the search
         triplets = sample_distinct_triplets(pop_size, trig_rows, u[3:, trig_rows])
         donors[trig_rows] = _trigonometric_donors(x, fitness, *triplets)
-        if not cfg.crossover_trigonometric:
-            cr[trig_rows] = 1.0  # every coordinate from the donor
 
     targets = x if cfg.crossover_target == "self" else np.broadcast_to(x[int(np.argmin(fitness))], x.shape)
     trials = repair_bounds_matrix(binomial_crossover_matrix(targets, donors, cr, rng), state.bounds, x)
@@ -610,7 +590,7 @@ def commit_generation(
         update_strategy_probs(state.strategy, cfg.p_min, cfg.strategy_epsilon)
         state.strategy.generations_in_window = 0
 
-    update_memories(state.memories, success, cfg.memory_learning_rate)
+    update_memories(state.memories, success)
 
     best_idx = int(np.argmin(fitness))
     if fitness[best_idx] < state.best_fitness:

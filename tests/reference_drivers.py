@@ -227,16 +227,9 @@ def nas_evolve(space, predictor, config, rng=None):
             batch.x = np.clip(
                 batch.x + rng.normal(0.0, config.sigma_trial_noise, size=batch.x.shape), 0.0, 1.0
             )
-        trial_fitness = np.full(sh.pop_size, np.inf)
-        evaluated = np.zeros(sh.pop_size, dtype=bool)
-        if config.mutation_fraction < 1.0:
-            count = max(1, round(config.mutation_fraction * sh.pop_size))
-            rows = np.sort(rng.choice(sh.pop_size, size=count, replace=False))
-        else:
-            rows = np.arange(sh.pop_size)
-        # rows left unscored once the budget is spent keep +inf, so their
-        # parents survive unchallenged
-        trial_fitness[rows], evaluated[rows] = scorer.score_rows(space, decode_indices(batch.x[rows], space))
+        # rows left unscored once the budget is spent keep +inf and are not
+        # evaluated, so their parents survive unchallenged
+        trial_fitness, evaluated = scorer.score_rows(space, decode_indices(batch.x, space))
         commit_generation(state, batch, trial_fitness, rng, evaluated)
         genotypes = {tuple(row) for row in decode_indices(state.x, space).tolist()}
         if len(genotypes) == 1:

@@ -103,10 +103,6 @@ def sample_f_cauchy(memories, rng, slots, sigma):
     return _resampled(memories.mf, slots, sigma, rng.standard_cauchy, False)
 
 
-def sample_f_gaussian(memories, rng, slots, sigma):
-    return _resampled(memories.mf, slots, sigma, rng.standard_normal, False)
-
-
 def sample_freq(memories, rng, slots, sigma):
     return _resampled(memories.mfreq, slots, sigma, rng.standard_cauchy, True)
 
@@ -168,8 +164,6 @@ def build_trials(state, rng):
             else:
                 f[i] = adaptive[i]
                 freq[i] = freqs[i]
-    elif cfg.f_second_half == "gaussian":
-        f = sample_f_gaussian(state.memories, rng, slots, cfg.sigma_gauss_f)
     else:
         f = sample_f_cauchy(state.memories, rng, slots, cfg.sigma_cauchy_f)
 
@@ -178,7 +172,6 @@ def build_trials(state, rng):
     best = x[int(np.argmin(fitness))]
     donors = np.empty_like(x)
     targets = np.empty_like(x)
-    cross_cr = cr.copy()
     for i in range(pop_size):
         if strategies[i] == CURRENT_TO_PBEST:
             pbest, r1, r2 = _pbest_partners(top, pop_size, len(state.archive), i, u[3:, i])
@@ -186,11 +179,9 @@ def build_trials(state, rng):
         else:
             (t1,), (t2,), (t3,) = sample_distinct_triplets(pop_size, [i], u[3:, i : i + 1])
             donors[i] = trigonometric_donor(x, fitness, t1, t2, t3)
-            if not cfg.crossover_trigonometric:
-                cross_cr[i] = 1.0
         targets[i] = best if cfg.crossover_target == "best" else x[i]
 
-    trials = repair_bounds_matrix(binomial_crossover_matrix(targets, donors, cross_cr, rng), state.bounds, x)
+    trials = repair_bounds_matrix(binomial_crossover_matrix(targets, donors, cr, rng), state.bounds, x)
     trig = strategies == TRIGONOMETRIC
     return TrialBatch(
         x=trials,
@@ -243,7 +234,7 @@ def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
         update_strategy_probs(state.strategy, cfg.p_min, cfg.strategy_epsilon)
         state.strategy.generations_in_window = 0
 
-    update_memories(state.memories, success, cfg.memory_learning_rate)
+    update_memories(state.memories, success)
 
     best_idx = int(np.argmin(fitness))
     if fitness[best_idx] < state.best_fitness:

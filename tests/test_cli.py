@@ -47,6 +47,15 @@ def nas_config(output="out_nas", algorithm="shsade"):
     }
 
 
+# space documents whose axes or values are not JSON arrays
+BAD_SPACE_SHAPES = [
+    {"axes": 5},
+    {"axes": [{"name": "k", "values": 5}]},
+    {"axes": [{"name": "k", "values": "abc"}]},
+    {"axes": [{"name": "k", "values": {"x": 1}}]},
+]
+
+
 def algorithm_doc(tmp_path: Path, task: str, algorithm: str) -> dict:
     if task == "benchmark":
         return json.loads(write_config(tmp_path / "config.json", algorithm=algorithm).read_text())
@@ -214,14 +223,14 @@ class TestRunValidation:
             ("benchmark", "shsade", "target_fitness", True),
             ("benchmark", "shsade", "p_best_fraction", "0.1"),
             ("benchmark", "shsade", "use_sinusoidal", "no"),
-            ("benchmark", "shsade", "crossover_trigonometric", 0),
-            ("nas", "shsade", "crossover_trigonometric", "false"),
+            ("benchmark", "shsade", "use_sinusoidal", 0),
+            ("nas", "shsade", "use_sinusoidal", "false"),
             ("benchmark", "vanilla_de", "max_generations", False),
             ("benchmark", "vanilla_de", "f", "0.5"),
             ("benchmark", "vanilla_de", "cr", True),
             ("nas", "shsade", "max_generations", 0),
             ("nas", "shsade", "sigma_trial_noise", "0.1"),
-            ("nas", "shsade", "mutation_fraction", True),
+            ("nas", "shsade", "sigma_trial_noise", True),
             ("nas", "regularized_ea", "population_size", True),
             ("nas", "regularized_ea", "tournament_size", 2.5),
             # json reads the non-standard NaN and Infinity literals as floats
@@ -250,7 +259,7 @@ class TestRunValidation:
             # range checks of the config classes
             ("benchmark", "shsade", "strategy_epsilon", 0, "strategy_epsilon must be positive and finite"),
             ("benchmark", "shsade", "sigma_cauchy_f", -0.5, "sigma_cauchy_f must be positive and finite"),
-            ("benchmark", "shsade", "sigma_gauss_f", 0.0, "sigma_gauss_f must be positive and finite"),
+            ("benchmark", "shsade", "sigma_cauchy_f", 0.0, "sigma_cauchy_f must be positive and finite"),
             ("nas", "shsade", "sigma_cr", 0, "sigma_cr must be positive and finite"),
             ("nas", "shsade", "sigma_init_noise", -0.1, "sigma_init_noise must be non-negative and finite"),
             # config fields the CLI fills in from the rest of the config
@@ -260,6 +269,12 @@ class TestRunValidation:
             ("nas", "shsade", "biobjective", {"omega": 1.0}, "nas/shsade: ['biobjective']"),
             ("nas", "shsade", "shsade", {}, "nas/shsade: ['shsade']"),
             ("nas", "regularized_ea", "budget", 60, "nas/regularized_ea: ['budget']"),
+            # variant options no longer part of the method
+            ("benchmark", "shsade", "f_second_half", "gaussian", "benchmark/shsade: ['f_second_half']"),
+            ("benchmark", "shsade", "sigma_gauss_f", 0.2, "benchmark/shsade: ['sigma_gauss_f']"),
+            ("benchmark", "shsade", "memory_learning_rate", 0.5, "benchmark/shsade: ['memory_learning_rate']"),
+            ("nas", "shsade", "crossover_trigonometric", False, "nas/shsade: ['crossover_trigonometric']"),
+            ("nas", "shsade", "mutation_fraction", 0.5, "nas/shsade: ['mutation_fraction']"),
         ],
     )
     def test_rejected_algorithm_config_value_names_the_key(
@@ -280,12 +295,11 @@ class TestRunValidation:
         values = {
             "pop_size": 9, "memory_size": 4, "max_generations": 7, "p_best_fraction": 0.2,
             "archive_capacity": 0, "learning_period": 5, "p_min": 0.1, "strategy_epsilon": 0.02,
-            "memory_learning_rate": 0.5, "freq_init": 0.3, "sigma_gauss_f": 0.2, "sigma_cauchy_f": 0.3,
-            "sigma_cr": 0.05, "f_second_half": "gaussian", "crossover_trigonometric": False,
+            "freq_init": 0.3, "sigma_cauchy_f": 0.3, "sigma_cr": 0.05,
             "use_sinusoidal": False, "use_trigonometric": False,
             "max_evaluations": 90, "target_fitness": -1.0,
             "f": 0.6, "cr": 0.8,
-            "sigma_init_noise": 0.02, "sigma_trial_noise": 0.1, "mutation_fraction": 0.5,
+            "sigma_init_noise": 0.02, "sigma_trial_noise": 0.1,
             "population_size": 8, "tournament_size": 2,
         }
         cli_set = {"budget", "biobjective", "shsade", "crossover_target"}
@@ -401,6 +415,63 @@ class TestRunValidation:
         assert message in capsys.readouterr().err
         assert not (tmp_path / doc["output"]).exists()
 
+    @pytest.mark.parametrize(
+        "task, path, key",
+        [
+            ("benchmark", (), "budjet"),
+            ("benchmark", (), "budget"),  # read by nas runs only
+            ("benchmark", (), "space"),
+            ("nas", (), "budjet"),
+            ("nas", (), "objective"),  # read by benchmark runs only
+            ("benchmark", ("objective",), "dimensoin"),
+            ("nas", ("biobjective",), "omegaa"),
+        ],
+    )
+    def test_unknown_config_key_exits_1(self, tmp_path, monkeypatch, capsys, task, path, key):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = algorithm_doc(tmp_path, task, "shsade")
+        target = doc
+        for part in path:
+            target = target[part]
+        target[key] = 3
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        where = path[-1] if path else "config"
+        assert err.startswith(f"config error: {where} has unknown keys: [{key!r}]")
+        assert not (tmp_path / doc["output"]).exists()
+
+    @pytest.mark.parametrize("task", ["benchmark", "nas"])
+    def test_generation_cap_beyond_the_float_range_exits_1(self, tmp_path, monkeypatch, capsys, task):
+        # the phase switch computes with the generation cap as a float; on a nas
+        # run the cap follows the budget
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = algorithm_doc(tmp_path, task, "shsade")
+        if task == "benchmark":
+            doc["algorithm_config"]["max_generations"] = 10**400
+        else:
+            del doc["algorithm_config"]["max_generations"]
+            doc["budget"] = 10**400
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("config error: invalid algorithm_config: max_generations")
+        assert not (tmp_path / doc["output"]).exists()
+
+    @pytest.mark.parametrize("space", BAD_SPACE_SHAPES)
+    def test_space_document_shape_exits_1(self, tmp_path, monkeypatch, capsys, space):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = nas_config()
+        doc["space"] = space
+        path = tmp_path / "nas.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid space document: ")
+        assert "list" in err and "Traceback" not in err
+        assert not (tmp_path / doc["output"]).exists()
+
     def test_array_axis_value_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         doc = nas_config()
@@ -413,7 +484,7 @@ class TestRunValidation:
         assert "Traceback" not in err
         assert not (tmp_path / doc["output"]).exists()
 
-    def test_crossover_trigonometric_reaches_the_shsade_config(self, tmp_path, monkeypatch):
+    def test_use_trigonometric_reaches_the_shsade_config(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         seen = []
         run, nas_evolve = shsade.run, nas_search.nas_evolve
@@ -429,15 +500,15 @@ class TestRunValidation:
         monkeypatch.setattr(shsade, "run", spy_run)
         monkeypatch.setattr(nas_search, "nas_evolve", spy_nas_evolve)
         cfg = write_config(tmp_path / "bench.json", seeds=[1],
-                           algorithm_config={"pop_size": 8, "max_evaluations": 80, "crossover_trigonometric": False})
+                           algorithm_config={"pop_size": 8, "max_evaluations": 80, "use_trigonometric": False})
         assert cli.main(["run", str(cfg)]) == 0
         doc = nas_config()
-        doc["algorithm_config"]["crossover_trigonometric"] = False
+        doc["algorithm_config"]["use_trigonometric"] = False
         doc["seeds"] = [5]
         path = tmp_path / "nas.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path)]) == 0
-        assert [config.crossover_trigonometric for config in seen] == [False, False]
+        assert [config.use_trigonometric for config in seen] == [False, False]
 
     def test_json_boolean_seed_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
@@ -716,6 +787,16 @@ class TestOracle:
         space_path.write_text(json.dumps({"axes": "nope"}))
         assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 1
 
+
+    @pytest.mark.parametrize("space", BAD_SPACE_SHAPES)
+    def test_space_document_shape_exits_1(self, tmp_path, capsys, space):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space))
+        assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("oracle error: ") and "list" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_array_axis_value_exits_1(self, tmp_path, capsys):
         space_path = tmp_path / "space.json"

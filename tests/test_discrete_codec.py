@@ -259,6 +259,12 @@ class TestJson:
             DiscreteSpace.from_json_dict({"no_axes": []})
         with pytest.raises(ValueError):
             DiscreteSpace.from_json_dict({"axes": [{"name": "a"}]})
+        # axes and values must be arrays: a string or an object must not
+        # become an axis of its characters or keys
+        for axes in (5, [{"name": "k", "values": 5}], [{"name": "k", "values": "abc"}],
+                     [{"name": "k", "values": {"x": 1}}]):
+            with pytest.raises(ValueError, match="list"):
+                DiscreteSpace.from_json_dict({"axes": axes})
 
     def test_genotype_dict_round_trip(self):
         space = DiscreteSpace((Axis("width", (16, 32)), Axis("mode", ("a", "b"))))

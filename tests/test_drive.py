@@ -81,15 +81,13 @@ def test_continuous_runs_match_the_loop_reference(optimizer, pop_size, dim, max_
     pop_size=st.integers(4, 10),
     extra_budget=st.integers(0, 60),
     max_generations=st.integers(1, 30),
-    mutation_fraction=st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0),
     sigma_trial_noise=st.sampled_from([0.0, 0.15]),
     use_trigonometric=st.booleans(),
     surrogate_seed=st.integers(0, 2**16),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_nas_runs_match_the_loop_reference(
-    space, pop_size, extra_budget, max_generations, mutation_fraction, sigma_trial_noise, use_trigonometric,
-    surrogate_seed, seed,
+    space, pop_size, extra_budget, max_generations, sigma_trial_noise, use_trigonometric, surrogate_seed, seed,
 ):
     # budgets that run out mid-generation, and spaces smaller than the budget
     surrogate = objectives.TabularSurrogate(space, surrogate_seed)
@@ -104,7 +102,6 @@ def test_nas_runs_match_the_loop_reference(
         ),
         budget=pop_size + extra_budget,
         sigma_trial_noise=sigma_trial_noise,
-        mutation_fraction=mutation_fraction,
     )
     _assert_nas_matches_reference(space, surrogate, config, seed)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shsade_pids import nas_search
 from shsade_pids.discrete_codec import Axis, DiscreteSpace, Genotype
 from shsade_pids.nas_search import (
     BiObjectiveConfig,
@@ -409,6 +410,29 @@ class TestNasEvolve:
         assert trace.final_evaluations <= 80
         assert len(set(checker.seen)) == len(checker.seen) == trace.final_evaluations
 
+    def test_rows_the_budget_cannot_pay_for_are_not_evaluated(self, monkeypatch):
+        # the budget runs out within a generation: its unscored rows reach
+        # the commit as not evaluated, so they count as no strategy's try
+        space = grid_space(4)
+        commits = []
+        commit = nas_search.commit_generation
+
+        def spy(state, batch, fitness, rng, evaluated):
+            commits.append((fitness.copy(), evaluated.copy()))
+            return commit(state, batch, fitness, rng, evaluated)
+
+        monkeypatch.setattr(nas_search, "commit_generation", spy)
+        cfg = NasConfig(
+            biobjective=BiObjectiveConfig(cost_budget=10.0),
+            shsade=ShsadeConfig(pop_size=10, max_generations=60, crossover_target="best"),
+            budget=41,
+        )
+        _, trace = nas_evolve(space, TabularSurrogate(space, seed=1), cfg, np.random.default_rng(5))
+        assert trace.final_evaluations == 41
+        fitness, evaluated = commits[-1]
+        assert not evaluated.all()
+        assert np.array_equal(np.isinf(fitness), ~evaluated)
+
     def test_returned_best_minimizes_over_everything_scored(self):
         space = grid_space(4)
         surrogate = TabularSurrogate(space, seed=2)
@@ -495,32 +519,6 @@ class TestNasEvolve:
             best, trace = nas_evolve(space, surrogate, cfg, np.random.default_rng(seed))
             assert trace.final_evaluations == space.size
             assert best == brute_force_optimum(space, surrogate, cfg.biobjective)[0]
-
-    def test_mutation_fraction_limits_trials_per_generation(self):
-        space = grid_space(4)
-        surrogate = TabularSurrogate(space, seed=10)
-
-        class CountingPredictor:
-            def __init__(self):
-                self.calls = 0
-
-            def predict_accuracy(self, genotype):
-                self.calls += 1
-                return surrogate.predict_accuracy(genotype)
-
-            def predict_cost(self, genotype):
-                return surrogate.predict_cost(genotype)
-
-        counter = CountingPredictor()
-        cfg = NasConfig(
-            biobjective=BiObjectiveConfig(cost_budget=10.0),
-            shsade=ShsadeConfig(pop_size=20, max_generations=10, crossover_target="best"),
-            budget=250,
-            mutation_fraction=0.25,
-        )
-        _, trace = nas_evolve(space, counter, cfg, np.random.default_rng(7))
-        # 20 initial individuals plus at most 5 challenged slots per generation
-        assert counter.calls <= 20 + 10 * 5
 
     def test_omega_zero_ranking_matches_pure_accuracy(self):
         space = grid_space(3)

@@ -1,6 +1,7 @@
 """Tests for the adaptive optimizer: sampling, mutation, memories, the
 generation loop and full seeded runs."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from shsade_pids.baselines import VanillaDeConfig, vanilla_de_run
 from shsade_pids.de_core import Bounds, ObjectiveSpec, sample_distinct_triplets
+from shsade_pids.nas_search import search_shsade_config
 from shsade_pids.objectives import make_benchmark
 from shsade_pids.shsade import (
     MAX_SAMPLE_RETRIES,
@@ -33,7 +35,6 @@ from shsade_pids.shsade import (
     run,
     sample_cr,
     sample_f_cauchy,
-    sample_f_gaussian,
     sample_freq,
     shsade_generation,
     trigonometric_donor,
@@ -102,11 +103,6 @@ class TestSampleFCauchy:
     def test_fallback_after_exhausted_retries(self):
         values = sample_f_cauchy(memories_all(value_f=0.37), _AlwaysNegativeCauchyRng(), slots(3))
         assert values.tolist() == [0.37] * 3
-
-    def test_gaussian_variant_range(self):
-        rng = np.random.default_rng(6)
-        values = sample_f_gaussian(memories_all(), rng, slots(20_000))
-        assert np.all(values > 0.0) and np.all(values <= 1.0)
 
 
 class TestSampleFreq:
@@ -337,11 +333,6 @@ class TestUpdateMemories:
         assert memories.mf[0] == 0.5
         assert memories.next_update_index == 1
 
-    def test_learning_rate_blends(self):
-        memories = memories_all()
-        update_memories(memories, SuccessSets(scr=[1.0]), learning_rate=0.5)
-        assert memories.mcr[0] == pytest.approx(0.75, abs=1e-12)
-
     def test_circular_index(self):
         memories = memories_all(size=2)
         for _ in range(3):
@@ -509,13 +500,11 @@ class TestRun:
         with pytest.raises(ValueError):
             ShsadeConfig(p_best_fraction=0.0)
         with pytest.raises(ValueError):
-            ShsadeConfig(f_second_half="levy")
-        with pytest.raises(ValueError):
             ShsadeConfig(crossover_target="worst")
         with pytest.raises(ValueError):
             ShsadeConfig(p_min=0.6)
 
-    @pytest.mark.parametrize("name", ["strategy_epsilon", "sigma_gauss_f", "sigma_cauchy_f", "sigma_cr"])
+    @pytest.mark.parametrize("name", ["strategy_epsilon", "sigma_cauchy_f", "sigma_cr"])
     @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf])
     def test_rejects_non_positive_or_non_finite_scales(self, name, value):
         # a zero strategy_epsilon turns a learning period without a success
@@ -523,10 +512,16 @@ class TestRun:
         with pytest.raises(ValueError, match=name):
             ShsadeConfig(**{name: value})
 
-    def test_gaussian_second_half_switch_runs(self):
-        cfg = ShsadeConfig(pop_size=10, max_generations=30, f_second_half="gaussian")
-        best, _ = run(cfg, sphere_spec(3), rng=5)
-        assert math.isfinite(best.fitness)
+    def test_rejects_max_generations_beyond_the_float_range(self):
+        # the phase switch computes max_generations / 2 as a float
+        big = 10**400
+        with pytest.raises(ValueError, match="max_generations"):
+            ShsadeConfig(max_generations=big)
+        with pytest.raises(ValueError, match="max_generations"):
+            dataclasses.replace(ShsadeConfig(), max_generations=big)
+        with pytest.raises(ValueError, match="max_generations"):
+            search_shsade_config(big)
+        assert ShsadeConfig(max_generations=10**300).max_generations == 10**300
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +571,13 @@ def _batch_snapshot(batch):
     archive_capacity=st.sampled_from([0, 1, None, 3, 40]),
     crossover_target=st.sampled_from(["self", "best"]),
     use_trigonometric=st.booleans(),
-    crossover_trigonometric=st.booleans(),
     use_sinusoidal=st.booleans(),
-    f_second_half=st.sampled_from(["cauchy", "gaussian"]),
     plateaus=st.booleans(),
     drop_rows=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_generation_step_matches_loop_reference(
-    pop_size, dim, archive_capacity, crossover_target, use_trigonometric, crossover_trigonometric,
-    use_sinusoidal, f_second_half, plateaus, drop_rows, seed,
+    pop_size, dim, archive_capacity, crossover_target, use_trigonometric, use_sinusoidal, plateaus, drop_rows, seed,
 ):
     generations = 10
     cfg = ShsadeConfig(
@@ -596,9 +588,7 @@ def test_generation_step_matches_loop_reference(
         archive_capacity=archive_capacity,
         crossover_target=crossover_target,
         use_trigonometric=use_trigonometric,
-        crossover_trigonometric=crossover_trigonometric,
         use_sinusoidal=use_sinusoidal,
-        f_second_half=f_second_half,
     )
     batch_evaluator = _plateau_batch if plateaus else lambda xs: np.sum(xs * xs, axis=1)
     spec = ObjectiveSpec(dim, Bounds.cube(-3, 3, dim), lambda x: float(batch_evaluator(x[None])[0]), batch_evaluator)
@@ -652,7 +642,7 @@ def test_parameter_samplers_match_loop_reference(size, memory, sigma, seed):
     positive = [min(max(v, 1e-3), 1.0) for v in memory]
     memories = ParameterMemories(memory, positive, positive)
     drawn = np.random.default_rng(seed).integers(0, len(memory), size=size)
-    for name in ("sample_cr", "sample_f_cauchy", "sample_f_gaussian", "sample_freq"):
+    for name in ("sample_cr", "sample_f_cauchy", "sample_freq"):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         new = globals()[name](memories, rng_new, drawn, sigma)
         ref = getattr(reference_generation, name)(memories, rng_ref, drawn.tolist(), sigma)
