@@ -152,13 +152,12 @@ def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, off
 @dataclass
 class RegularizedEaState:
     """The population in age order, oldest first: each member's value
-    indices (a tuple) and score, the scores as an array for the trace's
-    mean, the step count and the best score found so far. ``held`` is the
-    next step's child, drawn ahead because the memo does not know it."""
+    indices (a tuple) and, in ``fitness``, its score; the step count and the
+    best score found so far. ``held`` is the next step's child, drawn ahead
+    because the memo does not know it."""
 
     population: list[tuple]
-    scores: list[float]
-    fitness: np.ndarray
+    fitness: list[float]
     generation: int
     best_fitness: float
     held: tuple | None = None
@@ -200,22 +199,20 @@ def regularized_ea_run(
     # the draws of random_genotype, one genotype after another
     population = [tuple(int(rng.integers(size)) for size in sizes) for _ in range(config.population_size)]
     values, _ = scorer.score_rows(np.array(population))  # budget >= population_size
-    scores = values.tolist()
-    state = RegularizedEaState(population, scores, values, 0, scorer.best_score)
+    state = RegularizedEaState(population, values.tolist(), 0, scorer.best_score)
     draws = _step_draws(space, config, rng)
-    limit = min(config.budget, space.size)
     max_steps = REA_STEPS_PER_BUDGET_UNIT * config.budget
     memo = scorer.scores
 
     def run_hits(finite):
-        """Run the steps whose child the memo knows, hold the first child it
-        does not, and rebuild the fitness array. A step starts while budget
-        is left and the space is not all scored, which no hit changes; no
-        step follows a non-finite score, because it fails the next row."""
-        population, scores = state.population, state.scores
+        """Run the steps whose child the memo knows and hold the first child
+        it does not. A step starts while budget is left and the space is not
+        all scored, which no hit changes; no step follows a non-finite score,
+        because it fails the next row."""
+        population, scores = state.population, state.fitness
         score_of = scores.__getitem__
         step = state.generation
-        if finite and scorer.evaluations < limit:
+        if finite and scorer.evaluations < scorer.budget:
             while step < max_steps:
                 picks, axis_idx, offset = next(draws)
                 parent = population[min(picks, key=score_of)]  # ties to the oldest
@@ -229,18 +226,17 @@ def regularized_ea_run(
                 scores.append(value)
                 step += 1
         state.generation = step
-        state.fitness = np.array(scores)
 
     def tell(child, values, _scored):
         value = values.item()
-        del state.population[0], state.scores[0]  # oldest dies
+        del state.population[0], state.fitness[0]  # oldest dies
         state.population.append(child)
-        state.scores.append(value)
+        state.fitness.append(value)
         state.generation += 1
         state.best_fitness = scorer.best_score
         run_hits(math.isfinite(value))
 
-    run_hits(all(map(math.isfinite, scores)))
+    run_hits(all(map(math.isfinite, state.fitness)))
     # a step starts while one unit of budget is left, so every held child is scored
     trace = drive(
         state,
@@ -249,7 +245,7 @@ def regularized_ea_run(
         tell=tell,
         algorithm="regularized_ea",
         max_generations=max_steps,
-        termination=Termination(max_evaluations=limit),
+        termination=Termination(max_evaluations=scorer.budget),
         room=1,
         spent=lambda: scorer.evaluations,
     )

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -309,7 +311,6 @@ def run_experiment(config_path: str) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for seed in cfg["seeds"]:
             trace, entry = cfg["runner"](seed)
-            trace.metadata.setdefault("algorithm", cfg["algorithm"])
             trace.metadata.update({"seed": str(seed), "config_hash": cfg["hash"]})
             path = outdir / f"trace_seed{seed}.csv"
             trace.write_csv(path)
@@ -375,13 +376,13 @@ def compare_traces(dir_a: str, dir_b: str, step: int = DEFAULT_COMPARE_STEP, out
         name_a, name_b = f"{name_a}_a", f"{name_b}_b"
 
     checkpoints = list(range(first_checkpoint, end + 1, step))
-    lines = [f"evaluations,median_{name_a},median_{name_b}"]
+    rows = [["evaluations", f"median_{name_a}", f"median_{name_b}"]]
     med_a = med_b = None
     for point in checkpoints:
         med_a = float(np.median([t.best_at(point) for t in traces_a]))
         med_b = float(np.median([t.best_at(point) for t in traces_b]))
-        lines.append(f"{point},{med_a!r},{med_b!r}")
-    csv_text = "\n".join(lines) + "\n"
+        rows.append([str(point), repr(med_a), repr(med_b)])
+    csv_text = _csv_text(rows)
 
     if not output:
         sys.stdout.write(csv_text)
@@ -421,21 +422,28 @@ def dump_oracle(
     def ranking():
         # a chunk of ranked rows at a time, so that no whole-space list of
         # choices or of lines is ever held
-        yield ",".join(["rank", "score", "accuracy", "cost"] + [a.name for a in space.axes]) + "\n"
+        yield _csv_text([["rank", "score", "accuracy", "cost"] + [a.name for a in space.axes]])
         for start in range(0, order.size, nas_search.ENUMERATION_CHUNK):
             part = order[start : start + nas_search.ENUMERATION_CHUNK]
             choices = space.choices_from_indices(np.stack(np.unravel_index(part, space.sizes), axis=1))
             rows = zip(scores[part].tolist(), accuracy[part].tolist(), cost[part].tolist(), choices)
-            lines = [
-                ",".join([str(rank), repr(s), repr(a), repr(c)] + [str(v) for v in values])
+            yield _csv_text(
+                [str(rank), repr(s), repr(a), repr(c)] + [str(v) for v in values]
                 for rank, (s, a, c, values) in enumerate(rows, start=start + 1)
-            ]
-            yield "\n".join(lines) + "\n"
+            )
 
     if output:
         return _write_file(output, ranking(), "oracle")
     sys.stdout.writelines(ranking())
     return EXIT_OK
+
+
+def _csv_text(rows) -> str:
+    """Rows of text fields as CSV lines; a field holding a comma, a quote or
+    a newline is quoted, and every other field keeps its exact text."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _write_file(path: str, chunks, command: str) -> int:

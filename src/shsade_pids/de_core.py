@@ -53,10 +53,6 @@ class Bounds:
     def cube(cls, lower: float, upper: float, dimension: int) -> "Bounds":
         return cls(np.full(dimension, float(lower)), np.full(dimension, float(upper)))
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
 
 @dataclass
 class Individual:
@@ -83,9 +79,6 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.dimension != self.bounds.dimension:
             raise ValueError("objective dimension must match its bounds")
-
-    def evaluate(self, x) -> float:
-        return float(self.evaluator(np.asarray(x, dtype=float)))
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

@@ -9,10 +9,8 @@ nearest genotype, so a continuous optimizer can search a categorical space.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Any, Iterator
 
 import numpy as np
@@ -132,34 +130,18 @@ class DiscreteSpace:
         for entry in data["axes"]:
             if not isinstance(entry, dict) or "name" not in entry or "values" not in entry:
                 raise ValueError("each axis needs 'name' and 'values'")
+            if not isinstance(entry["name"], str):
+                raise ValueError(f"axis name {entry['name']!r} must be a string")
             # a string or an object would otherwise become its characters or keys
             if not isinstance(entry["values"], list):
                 raise ValueError(f"axis {entry['name']!r} needs 'values' as a list")
-            axes.append(Axis(str(entry["name"]), tuple(entry["values"])))
+            axes.append(Axis(entry["name"], tuple(entry["values"])))
         return cls(tuple(axes))
-
-    def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8", newline="\n"
-        )
-
-    @classmethod
-    def load(cls, path) -> "DiscreteSpace":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def genotype_to_dict(genotype: Genotype, space: DiscreteSpace) -> dict:
     space.indices_of(genotype)  # membership check
     return {a.name: c for a, c in zip(space.axes, genotype.choices)}
-
-
-def genotype_from_dict(data: dict, space: DiscreteSpace) -> Genotype:
-    try:
-        g = Genotype(tuple(data[a.name] for a in space.axes))
-    except KeyError as exc:
-        raise ValueError(f"genotype document is missing axis {exc.args[0]!r}") from None
-    space.indices_of(g)
-    return g
 
 
 def encode(genotype: Genotype, space: DiscreteSpace) -> np.ndarray:

@@ -135,7 +135,8 @@ def search_shsade_config(budget: int, **fields) -> ShsadeConfig:
 
 class BudgetedScorer:
     """Memoizing scorer over one space; each distinct genotype costs one
-    budget unit.
+    budget unit. ``budget`` is clamped to the size of the space, so a search
+    whose evaluations reach it has spent its budget or scored every genotype.
 
     The memo maps a genotype's value indices, as a tuple, to its score.
     ``score_rows`` is the only code that reads or writes it, checks the
@@ -148,7 +149,7 @@ class BudgetedScorer:
         self.space = space
         self.predictor = predictor
         self.biobjective = biobjective
-        self.budget = int(budget)
+        self.budget = min(int(budget), space.size)
         self.scores: dict[tuple, float] = {}
         self.evaluations = 0
         self.best_genotype: Genotype | None = None
@@ -268,7 +269,7 @@ def nas_evolve(
         tell,
         algorithm="shsade_pids",
         max_generations=sh.max_generations,
-        termination=Termination(max_evaluations=min(config.budget, space.size)),
+        termination=Termination(max_evaluations=scorer.budget),
         room=1,
         spent=lambda: scorer.evaluations,
     )

@@ -8,10 +8,8 @@ for a trained performance predictor.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -225,22 +223,3 @@ class TabularSurrogate:
 
     def predict_cost(self, genotype: Genotype) -> float:
         return float(self._cost(self.space.indices_of(genotype)[:, None])[0])
-
-    def to_json_dict(self) -> dict:
-        return {"space": self.space.to_json_dict(), "seed": self.seed}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TabularSurrogate":
-        if not isinstance(data, dict) or "space" not in data or "seed" not in data:
-            raise ValueError("surrogate document needs 'space' and 'seed'")
-        return cls(DiscreteSpace.from_json_dict(data["space"]), int(data["seed"]))
-
-    def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8", newline="\n"
-        )
-
-    @classmethod
-    def load(cls, path) -> "TabularSurrogate":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-

@@ -77,8 +77,9 @@ class ParameterMemories:
         return int(self.mcr.size)
 
     @classmethod
-    def initial(cls, size: int, cr: float = 0.5, f: float = 0.5, freq: float = 0.5):
-        return cls(np.full(size, cr), np.full(size, f), np.full(size, freq))
+    def initial(cls, size: int, freq: float = 0.5):
+        """CR and F entries start at 0.5, as in SHADE; frequencies at ``freq``."""
+        return cls(np.full(size, 0.5), np.full(size, 0.5), np.full(size, freq))
 
     def copy(self) -> "ParameterMemories":
         return ParameterMemories(self.mcr, self.mf, self.mfreq, self.next_update_index)
@@ -114,11 +115,13 @@ class StrategyState:
             raise ValueError("strategy probabilities must sum to 1")
 
     @classmethod
-    def uniform(cls, n: int = 2) -> "StrategyState":
+    def uniform(cls) -> "StrategyState":
+        n = len(STRATEGY_NAMES)
         return cls(np.full(n, 1.0 / n), np.zeros(n, int), np.zeros(n, int))
 
     @classmethod
-    def single(cls, index: int, n: int = 2) -> "StrategyState":
+    def single(cls, index: int) -> "StrategyState":
+        n = len(STRATEGY_NAMES)
         p = np.zeros(n)
         p[index] = 1.0
         return cls(p, np.zeros(n, int), np.zeros(n, int))
@@ -186,7 +189,6 @@ class ShsadeState:
     memories: ParameterMemories
     strategy: StrategyState
     archive: list[np.ndarray]
-    archive_capacity: int
     generation: int
     evaluations: int
     best_x: np.ndarray
@@ -199,9 +201,9 @@ class ShsadeState:
         memories, an empty archive and the population's best point."""
         best_idx = int(np.argmin(fitness))
         strategy = (
-            StrategyState.uniform(2)
+            StrategyState.uniform()
             if config.use_trigonometric
-            else StrategyState.single(CURRENT_TO_PBEST, 2)
+            else StrategyState.single(CURRENT_TO_PBEST)
         )
         return cls(
             x=x,
@@ -210,7 +212,6 @@ class ShsadeState:
             memories=ParameterMemories.initial(config.memory_size, freq=config.freq_init),
             strategy=strategy,
             archive=[],
-            archive_capacity=config.resolved_archive_capacity(),
             generation=0,
             evaluations=config.pop_size,
             best_x=x[best_idx].copy(),
@@ -523,7 +524,7 @@ def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Gen
     nothing.
     """
     archive = state.archive
-    capacity = state.archive_capacity
+    capacity = state.config.resolved_archive_capacity()
     if capacity == 0:
         return
     # one array per row: views of ``parents`` would keep the whole block
@@ -632,20 +633,21 @@ def drive(
     and ``tell(trials, fitness, evaluated)`` commits them to ``state``.
 
     The trace has a row for generation 0 and one after each generation, read
-    from ``state.generation``, ``state.best_fitness``, ``state.fitness`` and
-    ``spent()``, the evaluations charged so far (``state.evaluations`` unless
-    given). A generation starts only while the generation count is below
+    from ``state.generation``, ``state.best_fitness``, the mean of
+    ``state.fitness`` (an array or any sequence of floats) and ``spent()``,
+    the evaluations charged so far (``state.evaluations`` unless given). A
+    generation starts only while the generation count is below
     ``max_generations``, the termination's target fitness is not reached, and
     ``room`` more evaluations fit within its ``max_evaluations``;
     ``room`` defaults to the population size, so only whole generations run.
     """
     term = termination or Termination()
     spent = spent or (lambda: state.evaluations)
-    room = state.fitness.size if room is None else room
+    room = len(state.fitness) if room is None else room
     trace = SearchTrace(metadata={"algorithm": algorithm})
     while True:
         # the same bits as np.mean, without its Python-level wrapper
-        mean = np.add.reduce(state.fitness) / state.fitness.size
+        mean = np.add.reduce(state.fitness) / len(state.fitness)
         trace.append(state.generation, spent(), state.best_fitness, mean)
         if state.generation >= max_generations:
             break

@@ -90,9 +90,9 @@ def init_state(config, spec, rng):
     x, fitness = init_population(spec, config.pop_size, rng)
     best_idx = int(np.argmin(fitness))
     strategy = (
-        StrategyState.uniform(2)
+        StrategyState.uniform()
         if config.use_trigonometric
-        else StrategyState.single(CURRENT_TO_PBEST, 2)
+        else StrategyState.single(CURRENT_TO_PBEST)
     )
     return ShsadeState(
         x=x,
@@ -101,7 +101,6 @@ def init_state(config, spec, rng):
         memories=ParameterMemories.initial(config.memory_size, freq=config.freq_init),
         strategy=strategy,
         archive=[],
-        archive_capacity=config.resolved_archive_capacity(),
         generation=0,
         evaluations=config.pop_size,
         best_x=x[best_idx].copy(),
@@ -197,7 +196,7 @@ def nas_evolve(space, predictor, config, rng=None):
 
     best_idx = int(np.argmin(f0))
     strategy = (
-        StrategyState.uniform(2) if sh.use_trigonometric else StrategyState.single(CURRENT_TO_PBEST, 2)
+        StrategyState.uniform() if sh.use_trigonometric else StrategyState.single(CURRENT_TO_PBEST)
     )
     state = ShsadeState(
         x=x0,
@@ -206,7 +205,6 @@ def nas_evolve(space, predictor, config, rng=None):
         memories=ParameterMemories.initial(sh.memory_size, freq=sh.freq_init),
         strategy=strategy,
         archive=[],
-        archive_capacity=sh.resolved_archive_capacity(),
         generation=0,
         evaluations=sh.pop_size,
         best_x=x0[best_idx].copy(),

@@ -216,10 +216,11 @@ def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
             success.sfreq.append(float(batch.freq[i]))
 
     # capacity 0 keeps nothing and draws nothing
-    if state.archive_capacity > 0:
+    capacity = state.config.resolved_archive_capacity()
+    if capacity > 0:
         for i in np.flatnonzero(accepted):
             state.archive.append(x[i].copy())
-            if len(state.archive) > state.archive_capacity:
+            if len(state.archive) > capacity:
                 del state.archive[index(rng.random(), len(state.archive))]
 
     x[accepted] = batch.x[accepted]

@@ -1,6 +1,8 @@
 """End-to-end tests of the experiment harness and its file contracts."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import threading
@@ -47,12 +49,16 @@ def nas_config(output="out_nas", algorithm="shsade"):
     }
 
 
-# space documents whose axes or values are not JSON arrays
+# space documents whose axes or values are not JSON arrays, or whose axis
+# name is not a JSON string, each with a fragment of its error message
 BAD_SPACE_SHAPES = [
-    {"axes": 5},
-    {"axes": [{"name": "k", "values": 5}]},
-    {"axes": [{"name": "k", "values": "abc"}]},
-    {"axes": [{"name": "k", "values": {"x": 1}}]},
+    ({"axes": 5}, "list"),
+    ({"axes": [{"name": "k", "values": 5}]}, "list"),
+    ({"axes": [{"name": "k", "values": "abc"}]}, "list"),
+    ({"axes": [{"name": "k", "values": {"x": 1}}]}, "list"),
+    ({"axes": [{"name": None, "values": [0, 1]}]}, "must be a string"),
+    ({"axes": [{"name": 7, "values": [0, 1]}]}, "must be a string"),
+    ({"axes": [{"name": {"a": 1}, "values": [0, 1]}]}, "must be a string"),
 ]
 
 
@@ -459,8 +465,8 @@ class TestRunValidation:
         assert capsys.readouterr().err.startswith("config error: invalid algorithm_config: max_generations")
         assert not (tmp_path / doc["output"]).exists()
 
-    @pytest.mark.parametrize("space", BAD_SPACE_SHAPES)
-    def test_space_document_shape_exits_1(self, tmp_path, monkeypatch, capsys, space):
+    @pytest.mark.parametrize("space, message", BAD_SPACE_SHAPES)
+    def test_space_document_shape_exits_1(self, tmp_path, monkeypatch, capsys, space, message):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         doc = nas_config()
         doc["space"] = space
@@ -469,7 +475,7 @@ class TestRunValidation:
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: invalid space document: ")
-        assert "list" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / doc["output"]).exists()
 
     def test_array_axis_value_exits_1(self, tmp_path, monkeypatch, capsys):
@@ -637,6 +643,19 @@ class TestCompare:
         assert "evaluations,median_alpha,median_beta" in out
         assert out.strip().endswith("verdict: alpha")
 
+    def test_directory_name_with_a_comma_is_one_field(self, tmp_path, capsys):
+        a = tmp_path / "runs,a"
+        b = tmp_path / "beta"
+        a.mkdir()
+        b.mkdir()
+        self.write_trace(a / "trace_seed1.csv", [1.0, 1.0])
+        self.write_trace(b / "trace_seed1.csv", [2.0, 2.0])
+        assert cli.main(["compare", str(a), str(b), "--step", "50"]) == 0
+        csv_text = capsys.readouterr().out.rsplit("verdict:", 1)[0]
+        header, *rows = csv.reader(io.StringIO(csv_text))
+        assert header == ["evaluations", "median_runs,a", "median_beta"]
+        assert rows == [["50", "1.0", "2.0"], ["100", "1.0", "2.0"]]
+
     def test_output_file_option(self, tmp_path, capsys):
         a = tmp_path / "alpha"
         a.mkdir()
@@ -757,7 +776,7 @@ class TestOracle:
         space_path.write_text(json.dumps(space_doc(num_axes=3, values=[0, 1, 2])))
         assert cli.main(["oracle", str(space_path), "--seed", "3", "--cost-budget", "5.5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        space = DiscreteSpace.load(space_path)
+        space = DiscreteSpace.from_json_dict(json.loads(space_path.read_text()))
         surrogate = objectives.TabularSurrogate(space, 3)
         bio = nas_search.BiObjectiveConfig(cost_budget=5.5)
         _, ranking = nas_search.brute_force_optimum(space, surrogate, bio)
@@ -777,6 +796,23 @@ class TestOracle:
         assert capsys.readouterr().out == one_chunk
         assert len(one_chunk.splitlines()) == 1 + 27
 
+    def test_fields_with_commas_quotes_and_newlines_keep_their_text(self, tmp_path, capsys):
+        doc = {"axes": [
+            {"name": "a,b", "values": ["x,y", "plain"]},
+            {"name": 'say "hi"', "values": ['q"', "two\nlines"]},
+            {"name": "n", "values": [1, 2.5]},
+        ]}
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(doc))
+        assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["rank", "score", "accuracy", "cost", "a,b", 'say "hi"', "n"]
+        assert all(len(row) == 4 + 3 for row in rows)
+        space = DiscreteSpace.from_json_dict(doc)
+        expected = {tuple(str(c) for c in g.choices) for g in space.iter_genotypes()}
+        assert len(rows) == len(expected)
+        assert {tuple(row[4:]) for row in rows} == expected
+
     def test_oversized_space_exits_1(self, tmp_path, capsys):
         space_path = tmp_path / "space.json"
         space_path.write_text(json.dumps(space_doc(num_axes=12, values=list(range(8)))))
@@ -788,13 +824,13 @@ class TestOracle:
         assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 1
 
 
-    @pytest.mark.parametrize("space", BAD_SPACE_SHAPES)
-    def test_space_document_shape_exits_1(self, tmp_path, capsys, space):
+    @pytest.mark.parametrize("space, message", BAD_SPACE_SHAPES)
+    def test_space_document_shape_exits_1(self, tmp_path, capsys, space, message):
         space_path = tmp_path / "space.json"
         space_path.write_text(json.dumps(space))
         assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("oracle error: ") and "list" in captured.err
+        assert captured.err.startswith("oracle error: ") and message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

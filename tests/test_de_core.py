@@ -28,8 +28,6 @@ class TestBounds:
     def test_valid(self):
         b = Bounds([0.0, -1.0], [1.0, 2.0])
         assert b.dimension == 2
-        assert b.contains([0.5, 0.0])
-        assert not b.contains([0.5, 3.0])
 
     def test_rejects_degenerate_width(self):
         with pytest.raises(ValueError):

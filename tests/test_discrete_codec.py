@@ -14,7 +14,6 @@ from shsade_pids.discrete_codec import (
     decode,
     decode_indices,
     encode,
-    genotype_from_dict,
     genotype_to_dict,
     perturb,
 )
@@ -240,7 +239,7 @@ class TestRoundTrip:
 
 
 class TestJson:
-    def test_space_round_trip(self, tmp_path):
+    def test_space_round_trip(self):
         space = DiscreteSpace((Axis("width", (16, 32)), Axis("mode", ("a", "b", "c"))))
         doc = space.to_json_dict()
         assert doc == {
@@ -250,9 +249,6 @@ class TestJson:
             ]
         }
         assert DiscreteSpace.from_json_dict(json.loads(json.dumps(doc))) == space
-        path = tmp_path / "space.json"
-        space.save(path)
-        assert DiscreteSpace.load(path) == space
 
     def test_from_json_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -265,12 +261,13 @@ class TestJson:
                      [{"name": "k", "values": {"x": 1}}]):
             with pytest.raises(ValueError, match="list"):
                 DiscreteSpace.from_json_dict({"axes": axes})
+        # a name must be a JSON string, not turned into one
+        for name in (None, 7, {"a": 1}):
+            with pytest.raises(ValueError, match="must be a string"):
+                DiscreteSpace.from_json_dict({"axes": [{"name": name, "values": [0, 1]}]})
 
     def test_genotype_dict_round_trip(self):
         space = DiscreteSpace((Axis("width", (16, 32)), Axis("mode", ("a", "b"))))
         g = Genotype((32, "a"))
         doc = genotype_to_dict(g, space)
         assert doc == {"width": 32, "mode": "a"}
-        assert genotype_from_dict(doc, space) == g
-        with pytest.raises(ValueError):
-            genotype_from_dict({"width": 32}, space)

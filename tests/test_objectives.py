@@ -122,7 +122,8 @@ class TestBenchmarks:
 
     def test_spec_round_trip(self):
         spec = make_benchmark("sphere", 3).to_objective_spec()
-        assert spec.evaluate([1.0, 2.0, 3.0]) == pytest.approx(14.0)
+        assert spec.evaluate_many([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]]).tolist() == pytest.approx([14.0, 1.0])
+        assert spec.evaluator([1.0, 2.0, 3.0]) == pytest.approx(14.0)
         assert make_benchmark("sphere", 3).evaluate([1.0, 2.0, 3.0]) == pytest.approx(14.0)
 
     def test_rejects_unknown_and_bad_dimension(self):
@@ -190,18 +191,6 @@ class TestTabularSurrogate:
             surrogate.predict_accuracy(Genotype((9, 9, 9, 9, 9)))
         with pytest.raises(ValueError):
             surrogate.predict_cost(Genotype((0, 0)))
-
-    def test_json_round_trip(self, tmp_path):
-        space = grid_space(3)
-        surrogate = TabularSurrogate(space, seed=11)
-        doc = surrogate.to_json_dict()
-        assert doc["seed"] == 11
-        clone = TabularSurrogate.from_json_dict(doc)
-        g = space.genotype_from_indices([0, 3, 2])
-        assert predict(clone, g) == predict(surrogate, g)
-        path = tmp_path / "surrogate.json"
-        surrogate.save(path)
-        assert predict(TabularSurrogate.load(path), g) == predict(surrogate, g)
 
     def test_predict_many_shape_and_validation(self):
         space = grid_space(3)
