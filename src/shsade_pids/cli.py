@@ -15,7 +15,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import io
+import itertools
 import json
 import os
 import sys
@@ -295,7 +295,70 @@ def resolve_output_dir(output: str) -> Path:
     return out if out.is_absolute() else root / out
 
 
+# the runner that forked seed workers call. They inherit it through the
+# fork, so it is never pickled: it is a closure, and may be a wrapper of one.
+_FORKED_RUNNER = None
+
+
+def _run_forked_seed(seed: int):
+    return _FORKED_RUNNER(seed)
+
+
+def _seed_workers(seed_count: int) -> int:
+    """Worker processes for ``seed_count`` seeds: one per CPU this process
+    may run on, and no more than there are seeds. 1 means the seeds run in
+    this process, as they do where the platform cannot fork or report its
+    CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(seed_count, len(os.sched_getaffinity(0)))
+
+
+def _seed_results(runner, seeds):
+    """Yield ``(seed, trace, entry)`` for every seed, in seed order.
+
+    With more than one worker the seeds run on a pool of forked processes,
+    at most one seed per worker at a time, and a result waits here until
+    the seeds before it are done. The first seed that fails, or a worker
+    that dies, raises here at once; seeds not yet started never start.
+    Every worker has exited when the generator finishes or is closed."""
+    workers = _seed_workers(len(seeds))
+    if workers <= 1:
+        for seed in seeds:
+            yield (seed, *runner(seed))
+        return
+    # imported here, so that loading the CLI does not pay for them
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    global _FORKED_RUNNER
+    _FORKED_RUNNER = runner
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        queued = iter(seeds)
+        running = {pool.submit(_run_forked_seed, seed): seed for seed in itertools.islice(queued, workers)}
+        finished = {}
+        for seed in seeds:
+            while seed not in finished:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    finished[running.pop(future)] = future.result()
+                    next_seed = next(queued, None)
+                    if next_seed is not None:
+                        running[pool.submit(_run_forked_seed, next_seed)] = next_seed
+            yield (seed, *finished.pop(seed))
+    finally:
+        pool.shutdown()
+        _FORKED_RUNNER = None
+
+
 def run_experiment(config_path: str) -> int:
+    """Run every seed of the config at ``config_path`` and write one trace
+    CSV per seed and a summary JSON; returns the exit code.
+
+    With more than one seed, the seeds run on up to one forked worker
+    process per usable CPU. This process writes every file, in seed order,
+    so the outputs are byte-identical to a run on one CPU."""
     config_path = Path(config_path)
     try:
         raw = _load_json(config_path)
@@ -309,13 +372,13 @@ def run_experiment(config_path: str) -> int:
     entries = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for seed in cfg["seeds"]:
-            trace, entry = cfg["runner"](seed)
-            trace.metadata.update({"seed": str(seed), "config_hash": cfg["hash"]})
-            path = outdir / f"trace_seed{seed}.csv"
-            trace.write_csv(path)
-            written.append(path)
-            entries.append(entry)
+        with contextlib.closing(_seed_results(cfg["runner"], cfg["seeds"])) as results:
+            for seed, trace, entry in results:
+                trace.metadata.update({"seed": str(seed), "config_hash": cfg["hash"]})
+                path = outdir / f"trace_seed{seed}.csv"
+                trace.write_csv(path)
+                written.append(path)
+                entries.append(entry)
 
         finals = [e["final_best"] for e in entries]
         summary = {
@@ -438,12 +501,23 @@ def dump_oracle(
     return EXIT_OK
 
 
+class _CsvLines(list):
+    """A ``csv.writer`` target that ends each row with a newline alone, in
+    place of the writer's two-character terminator."""
+
+    def write(self, line: str) -> None:
+        self.append(line[:-2] + "\n")
+
+
 def _csv_text(rows) -> str:
-    """Rows of text fields as CSV lines; a field holding a comma, a quote or
-    a newline is quoted, and every other field keeps its exact text."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
+    """Rows of text fields as CSV lines; a field holding a comma, a quote,
+    a newline or a carriage return is quoted, and every other field keeps
+    its exact text. The writer is given a carriage return and newline as its
+    terminator, because Python 3.11's ``csv.writer`` quotes only the line-end
+    characters of its own terminator."""
+    lines = _CsvLines()
+    csv.writer(lines, lineterminator="\r\n").writerows(rows)
+    return "".join(lines)
 
 
 def _write_file(path: str, chunks, command: str) -> int:
@@ -474,7 +548,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to the experiment config JSON")
     p_run.add_argument(
         "--threads", type=int, default=1,
-        help="ignored: seeds run one after another, which measured faster than a thread pool",
+        help="ignored: seeds run on up to one forked worker process per usable CPU",
     )
 
     p_cmp = sub.add_parser("compare", help="compare two trace directories")

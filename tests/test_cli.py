@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
 import threading
 import time
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 
 from shsade_pids import baselines, cli, nas_search, objectives, shsade
 from shsade_pids.discrete_codec import DiscreteSpace
+from shsade_pids.trace import SearchTrace
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -102,25 +105,6 @@ class TestRunBenchmark:
         assert cli.main(["run", str(cfg2), "--threads", "3"]) == 0
         assert read_all_bytes(tmp_path / "out") == serial
 
-    def test_threads_option_runs_seeds_in_order_on_the_calling_thread(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-        cfg = write_config(tmp_path / "config.json", seeds=[3, 1, 2])
-        real_build_runner = cli._build_runner
-        calls = []
-
-        def build_runner(config):
-            runner = real_build_runner(config)
-
-            def run_seed(seed):
-                calls.append((threading.current_thread(), seed))
-                return runner(seed)
-
-            return run_seed
-
-        monkeypatch.setattr(cli, "_build_runner", build_runner)
-        assert cli.main(["run", str(cfg), "--threads", "2"]) == 0
-        assert calls == [(threading.current_thread(), seed) for seed in (3, 1, 2)]
-
     def test_vanilla_de_runs(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         cfg = write_config(
@@ -132,6 +116,161 @@ class TestRunBenchmark:
         assert cli.main(["run", str(cfg)]) == 0
         trace = (tmp_path / "out_de" / "trace_seed1.csv").read_text()
         assert "# algorithm: vanilla_de" in trace
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    """Make ``run`` see ``count`` usable CPUs: with one it runs the seeds in
+    this process, with more it forks one worker per CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def log_seeds(monkeypatch, log: Path, before=lambda seed: None) -> None:
+    """Wrap the runner that ``run`` builds: each seed appends ``start <seed>
+    <pid>`` to ``log``, calls ``before(seed)``, runs, and appends ``end
+    <seed> <pid>``. The log is a file, so forked workers write to it too."""
+    real_build_runner = cli._build_runner
+
+    def note(event, seed):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{event} {seed} {os.getpid()}\n")
+
+    def build_runner(config):
+        runner = real_build_runner(config)
+
+        def run_seed(seed):
+            note("start", seed)
+            before(seed)
+            result = runner(seed)
+            note("end", seed)
+            return result
+
+        return run_seed
+
+    monkeypatch.setattr(cli, "_build_runner", build_runner)
+
+
+def record_writes(monkeypatch) -> list[str]:
+    """The names of the trace files that ``run`` writes, in the order written."""
+    real_write_csv = SearchTrace.write_csv
+    writes = []
+
+    def write_csv(trace, path):
+        writes.append(Path(path).name)
+        return real_write_csv(trace, path)
+
+    monkeypatch.setattr(SearchTrace, "write_csv", write_csv)
+    return writes
+
+
+def logged(log: Path, event: str) -> list[tuple[int, int]]:
+    """(seed, pid) of each ``event`` line in the log, in the order written."""
+    if not log.exists():
+        return []
+    lines = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    return [(int(seed), int(pid)) for kind, seed, pid in lines if kind == event]
+
+
+forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="seed workers need fork")
+
+
+@forking
+class TestRunWorkers:
+    def test_summary_and_traces_follow_seed_order_when_the_first_seed_finishes_last(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        use_cpus(monkeypatch, 2)
+        log = tmp_path / "seeds.log"
+        log_seeds(monkeypatch, log, before=lambda seed: time.sleep(0.5) if seed == 3 else None)
+        writes = record_writes(monkeypatch)
+        cfg = write_config(tmp_path / "config.json", seeds=[3, 1, 2])
+        assert cli.main(["run", str(cfg)]) == 0
+        assert [seed for seed, _ in logged(log, "end")] == [1, 2, 3]
+        assert all(pid != os.getpid() for _, pid in logged(log, "end"))
+        assert writes == ["trace_seed3.csv", "trace_seed1.csv", "trace_seed2.csv"]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [entry["seed"] for entry in summary["per_seed"]] == [3, 1, 2]
+        for seed in (3, 1, 2):
+            trace = SearchTrace.read_csv(tmp_path / "out" / f"trace_seed{seed}.csv")
+            assert trace.metadata["seed"] == str(seed)
+
+    def test_one_cpu_in_process_and_two_cpus_on_workers_write_the_same_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        cfg = write_config(tmp_path / "config.json")
+        log = tmp_path / "seeds.log"
+        log_seeds(monkeypatch, log)
+        outputs, pids = [], []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            assert cli.main(["run", str(cfg)]) == 0
+            outputs.append(read_all_bytes(tmp_path / "out"))
+            pids.append({pid for _, pid in logged(log, "end")})
+            log.unlink()
+        assert outputs[0] == outputs[1]
+        assert pids[0] == {os.getpid()}
+        assert os.getpid() not in pids[1]
+
+    def test_no_worker_outlives_a_successful_run(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        use_cpus(monkeypatch, 2)
+        assert cli.main(["run", str(write_config(tmp_path / "config.json"))]) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_run_where_a_seed_raises(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        use_cpus(monkeypatch, 2)
+
+        def fail(seed):
+            if seed == 2:
+                raise RuntimeError("simulated seed failure")
+
+        log_seeds(monkeypatch, tmp_path / "seeds.log", before=fail)
+        assert cli.main(["run", str(write_config(tmp_path / "config.json"))]) == 2
+        assert multiprocessing.active_children() == []
+        assert list((tmp_path / "out").glob("trace_*.csv")) == []
+        assert "simulated seed failure" in capsys.readouterr().err
+
+    def test_a_worker_that_dies_exits_2_and_removes_partial_outputs(self, tmp_path, monkeypatch, capsys):
+        # seeds 1 and 2 are written before seed 3's worker dies
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        use_cpus(monkeypatch, 2)
+        log = tmp_path / "seeds.log"
+
+        def die(seed):
+            if seed == 3:
+                time.sleep(0.5)
+                os._exit(1)
+
+        log_seeds(monkeypatch, log, before=die)
+        writes = record_writes(monkeypatch)
+        cfg = write_config(tmp_path / "config.json")
+        codes = []
+        # on a helper thread, so that a hang fails the test instead of the suite
+        caller = threading.Thread(target=lambda: codes.append(cli.main(["run", str(cfg)])), daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive(), "run did not return after its worker died"
+        assert codes == [2]
+        assert writes == ["trace_seed1.csv", "trace_seed2.csv"]
+        assert list((tmp_path / "out").iterdir()) == []
+        assert multiprocessing.active_children() == []
+        assert "runtime error" in capsys.readouterr().err
+
+    def test_seeds_queued_behind_a_failure_never_start(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        use_cpus(monkeypatch, 2)
+        log = tmp_path / "seeds.log"
+
+        def fail_first(seed):
+            if seed == 0:
+                raise RuntimeError("simulated seed failure")
+            time.sleep(0.3)
+
+        log_seeds(monkeypatch, log, before=fail_first)
+        cfg = write_config(tmp_path / "config.json", seeds=[0, 1, 2, 3, 4, 5])
+        assert cli.main(["run", str(cfg)]) == 2
+        assert sorted(seed for seed, _ in logged(log, "start")) == [0, 1]
+        assert multiprocessing.active_children() == []
 
 
 class TestRunValidation:
@@ -801,13 +940,16 @@ class TestOracle:
             {"name": "a,b", "values": ["x,y", "plain"]},
             {"name": 'say "hi"', "values": ['q"', "two\nlines"]},
             {"name": "n", "values": [1, 2.5]},
+            {"name": "a\rb", "values": ["c\rr", "crlf\r\nend"]},
         ]}
         space_path = tmp_path / "space.json"
         space_path.write_text(json.dumps(doc))
         assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 0
-        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
-        assert header == ["rank", "score", "accuracy", "cost", "a,b", 'say "hi"', "n"]
-        assert all(len(row) == 4 + 3 for row in rows)
+        out = capsys.readouterr().out
+        assert out.split("\n", 1)[0] == 'rank,score,accuracy,cost,"a,b","say ""hi""",n,"a\rb"'
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["rank", "score", "accuracy", "cost", "a,b", 'say "hi"', "n", "a\rb"]
+        assert all(len(row) == 4 + 4 for row in rows)
         space = DiscreteSpace.from_json_dict(doc)
         expected = {tuple(str(c) for c in g.choices) for g in space.iter_genotypes()}
         assert len(rows) == len(expected)

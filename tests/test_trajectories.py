@@ -8,7 +8,9 @@ with budget 2000 and the 1024-configuration criteria 3/4 space with budget
 500, surrogate seed 2024, the mid-grid architecture's cost as the cost
 budget, omega 1, aging evolution 25/5), where ``rows`` lists every trace row
 as a tuple. Seeds 0-2 here are the first three entries of the ten-seed lists
-in ``CHANGES.md``.
+in ``CHANGES.md``. The CLI value hashes the sorted ``(name, bytes)`` pairs of
+the files that ``shsade-pids run`` writes for SHSADE on rastrigin D=100, pop
+50, 10 000 evaluations, seeds 0-3.
 
 These values pin the random stream. A refactor must leave them unchanged. A
 change that alters the stream on purpose re-pins the values here and the
@@ -16,11 +18,12 @@ lists in ``CHANGES.md``, and says why there.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from shsade_pids import baselines, nas_search, objectives, shsade
+from shsade_pids import baselines, cli, nas_search, objectives, shsade
 from shsade_pids.discrete_codec import Axis, DiscreteSpace
 
 SEEDS = range(3)
@@ -34,6 +37,16 @@ PINNED = {
     ("regularized_ea", "pids7"): "7535d9d689933ce1 e3f1b2188e9ce80e ab29d8b25039c312",
     ("nas_evolve", "acceptance"): "24ce324eb2c20b0e 744c6b742af0a5fc 893db4a5c3409cf5",
     ("regularized_ea", "acceptance"): "5380df19be9c8822 b3b8bb2f0bd07c17 5464dab8e81eec7b",
+}
+
+PINNED_CLI = "100add8f567b1b51"
+CLI_CONFIG = {
+    "task": "benchmark",
+    "algorithm": "shsade",
+    "objective": {"name": "rastrigin", "dimension": 100},
+    "algorithm_config": {"pop_size": 50, "max_evaluations": 10_000},
+    "seeds": [0, 1, 2, 3],
+    "output": "out",
 }
 
 EVALUATIONS = {10: 50_000, 100: 10_000}
@@ -87,3 +100,12 @@ def test_search_trajectories_are_pinned(algorithm, space_name):
             best, trace = baselines.regularized_ea_run(space, surrogate, config, biobjective, rng)
         hashes.append(_hash((best.choices, _rows(trace))))
     assert " ".join(hashes) == PINNED[(algorithm, space_name)]
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CLI_CONFIG))
+    assert cli.main(["run", str(config_path)]) == 0
+    files = [(path.name, path.read_bytes()) for path in sorted((tmp_path / "out").iterdir())]
+    assert _hash(files) == PINNED_CLI
