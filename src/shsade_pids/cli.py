@@ -304,25 +304,19 @@ def _run_forked_seed(seed: int):
     return _FORKED_RUNNER(seed)
 
 
-def _seed_workers(seed_count: int) -> int:
-    """Worker processes for ``seed_count`` seeds: one per CPU this process
-    may run on, and no more than there are seeds. 1 means the seeds run in
-    this process, as they do where the platform cannot fork or report its
-    CPUs."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(seed_count, len(os.sched_getaffinity(0)))
-
-
 def _seed_results(runner, seeds):
     """Yield ``(seed, trace, entry)`` for every seed, in seed order.
 
-    With more than one worker the seeds run on a pool of forked processes,
-    at most one seed per worker at a time, and a result waits here until
-    the seeds before it are done. The first seed that fails, or a worker
-    that dies, raises here at once; seeds not yet started never start.
-    Every worker has exited when the generator finishes or is closed."""
-    workers = _seed_workers(len(seeds))
+    The seeds run on one forked worker process per CPU this process may
+    run on, and no more workers than seeds; with one, or where the platform
+    cannot fork or report its CPUs, they run in this process. Each worker
+    runs one seed at a time, and a result waits here until the seeds before
+    it are done. The first seed that fails, or a worker that dies, raises
+    here at once; seeds not yet started never start. Every worker has
+    exited when the generator finishes or is closed."""
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(seeds), len(os.sched_getaffinity(0)))
     if workers <= 1:
         for seed in seeds:
             yield (seed, *runner(seed))
@@ -341,11 +335,12 @@ def _seed_results(runner, seeds):
         for seed in seeds:
             while seed not in finished:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
+                # every result first, so that a failure among them raises
+                # before any queued seed is submitted
                 for future in done:
                     finished[running.pop(future)] = future.result()
-                    next_seed = next(queued, None)
-                    if next_seed is not None:
-                        running[pool.submit(_run_forked_seed, next_seed)] = next_seed
+                for next_seed in itertools.islice(queued, len(done)):
+                    running[pool.submit(_run_forked_seed, next_seed)] = next_seed
             yield (seed, *finished.pop(seed))
     finally:
         pool.shutdown()

@@ -1,5 +1,6 @@
 """End-to-end tests of the experiment harness and its file contracts."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -162,6 +163,15 @@ def record_writes(monkeypatch) -> list[str]:
     return writes
 
 
+def wait_for(path: Path, timeout: float = 30.0) -> None:
+    """Block until ``path`` exists, so that a seed can act after the seeds
+    before it have been written, whichever process runs it."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path} was never written"
+        time.sleep(0.01)
+
+
 def logged(log: Path, event: str) -> list[tuple[int, int]]:
     """(seed, pid) of each ``event`` line in the log, in the order written."""
     if not log.exists():
@@ -238,7 +248,7 @@ class TestRunWorkers:
 
         def die(seed):
             if seed == 3:
-                time.sleep(0.5)
+                wait_for(tmp_path / "out" / "trace_seed2.csv")
                 os._exit(1)
 
         log_seeds(monkeypatch, log, before=die)
@@ -270,6 +280,31 @@ class TestRunWorkers:
         cfg = write_config(tmp_path / "config.json", seeds=[0, 1, 2, 3, 4, 5])
         assert cli.main(["run", str(cfg)]) == 2
         assert sorted(seed for seed, _ in logged(log, "start")) == [0, 1]
+        assert multiprocessing.active_children() == []
+
+    def test_no_seed_starts_when_a_failure_and_a_success_finish_together(self, tmp_path, monkeypatch):
+        # waiting is slowed down, so that the failure of seed 0 and the
+        # results of seeds 1-3 all come back from the same wait, with the
+        # failure last
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        use_cpus(monkeypatch, 4)
+        log = tmp_path / "seeds.log"
+        real_wait = concurrent.futures.wait
+
+        def slow_wait(*args, **kwargs):
+            time.sleep(1.0)
+            done, not_done = real_wait(*args, **kwargs)
+            return sorted(done, key=lambda future: future.exception() is not None), not_done
+
+        def fail_first(seed):
+            if seed == 0:
+                raise RuntimeError("simulated seed failure")
+
+        monkeypatch.setattr(concurrent.futures, "wait", slow_wait)
+        log_seeds(monkeypatch, log, before=fail_first)
+        cfg = write_config(tmp_path / "config.json", seeds=[0, 1, 2, 3, 4, 5])
+        assert cli.main(["run", str(cfg)]) == 2
+        assert sorted(seed for seed, _ in logged(log, "start")) == [0, 1, 2, 3]
         assert multiprocessing.active_children() == []
 
 
@@ -675,44 +710,34 @@ class TestRunValidation:
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         cfg = write_config(tmp_path / "config.json")
 
-        calls = {"n": 0}
-        real_run = cli.shsade.run
-
-        def failing_run(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] >= 2:
+        # the second seed fails; a seed value, not a call count, picks it,
+        # because seeds may run in forked workers that share no counter
+        def fail(seed):
+            if seed == 2:
                 raise RuntimeError("simulated evaluator failure")
-            return real_run(*args, **kwargs)
 
-        monkeypatch.setattr(cli.shsade, "run", failing_run)
+        log_seeds(monkeypatch, tmp_path / "seeds.log", before=fail)
         assert cli.main(["run", str(cfg)]) == 2
         outdir = tmp_path / "out"
         leftovers = list(outdir.iterdir()) if outdir.exists() else []
         assert leftovers == []
         assert "runtime error" in capsys.readouterr().err
 
-    def test_threaded_failure_removes_outputs_written_by_other_seeds(self, tmp_path, monkeypatch, capsys):
-        # the first seed fails only after the other seeds have written their
-        # traces, which a pool yields after the failure in seed order
+    def test_late_failure_removes_traces_written_by_earlier_seeds(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-        cfg = write_config(tmp_path / "config.json")
-        real_build_runner = cli._build_runner
+        outdir = tmp_path / "out"
 
-        def build_runner(config):
-            runner = real_build_runner(config)
+        def fail_last(seed):
+            if seed == 3:
+                wait_for(outdir / "trace_seed2.csv")
+                raise RuntimeError("simulated late failure")
 
-            def run_seed(seed):
-                if seed == config["seeds"][0]:
-                    time.sleep(0.5)
-                    raise RuntimeError("simulated delayed failure")
-                return runner(seed)
-
-            return run_seed
-
-        monkeypatch.setattr(cli, "_build_runner", build_runner)
-        assert cli.main(["run", str(cfg), "--threads", "2"]) == 2
-        assert list((tmp_path / "out").glob("trace_*.csv")) == []
-        assert "simulated delayed failure" in capsys.readouterr().err
+        log_seeds(monkeypatch, tmp_path / "seeds.log", before=fail_last)
+        writes = record_writes(monkeypatch)
+        assert cli.main(["run", str(write_config(tmp_path / "config.json"))]) == 2
+        assert writes == ["trace_seed1.csv", "trace_seed2.csv"]
+        assert list(outdir.iterdir()) == []
+        assert "simulated late failure" in capsys.readouterr().err
 
 
 class TestRunNas:
