@@ -86,7 +86,7 @@ def _midpoint_genotype(space: DiscreteSpace):
 
 def _resolve_biobjective(raw: dict, surrogate) -> nas_search.BiObjectiveConfig:
     _require_known(raw, ("cost_budget", "omega"), "biobjective")
-    omega = raw.get("omega", 1.0)
+    omega = raw.get("omega", nas_search.BiObjectiveConfig.omega)
     _require(_is_number(omega) and omega >= 0, "biobjective.omega must be >= 0")
     cost_budget = raw.get("cost_budget")
     if cost_budget is None:
@@ -412,7 +412,7 @@ def _load_trace_dir(directory: Path) -> list[SearchTrace]:
     return [SearchTrace.read_csv(p) for p in paths]
 
 
-def compare_traces(dir_a: str, dir_b: str, step: int = DEFAULT_COMPARE_STEP, output: str | None = None) -> int:
+def compare_traces(dir_a: str, dir_b: str, step: int, output: str | None) -> int:
     try:
         if step < 1:
             raise ConfigError("checkpoint step must be positive")
@@ -457,21 +457,13 @@ def compare_traces(dir_a: str, dir_b: str, step: int = DEFAULT_COMPARE_STEP, out
     return EXIT_OK
 
 
-def dump_oracle(
-    space_path: str,
-    seed: int,
-    omega: float = 1.0,
-    cost_budget: float | None = None,
-    output: str | None = None,
-) -> int:
+def dump_oracle(space_path: str, seed: int, omega: float | None, cost_budget: float | None, output: str | None) -> int:
     try:
         space_doc = _load_json(Path(space_path))
         space = DiscreteSpace.from_json_dict(space_doc)
         surrogate = objectives.TabularSurrogate(space, seed)
-        biobjective = _resolve_biobjective(
-            {"omega": omega, "cost_budget": cost_budget} if cost_budget is not None else {"omega": omega},
-            surrogate,
-        )
+        given = {"omega": omega, "cost_budget": cost_budget}
+        biobjective = _resolve_biobjective({k: v for k, v in given.items() if v is not None}, surrogate)
         order, accuracy, cost, scores = nas_search.rank_space(space, surrogate, biobjective)
     except (ConfigError, ValueError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
@@ -556,7 +548,7 @@ def main(argv=None) -> int:
     p_orc = sub.add_parser("oracle", help="brute-force ranking of a surrogate space")
     p_orc.add_argument("space", help="path to a space JSON document")
     p_orc.add_argument("--seed", type=int, required=True, help="surrogate seed")
-    p_orc.add_argument("--omega", type=float, default=1.0)
+    p_orc.add_argument("--omega", type=float, default=None)
     p_orc.add_argument("--cost-budget", type=float, default=None)
     p_orc.add_argument("-o", "--output", default=None, help="write the ranking CSV here")
 

@@ -9,6 +9,7 @@ nearest genotype, so a continuous optimizer can search a categorical space.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterator
@@ -135,6 +136,12 @@ class DiscreteSpace:
             # a string or an object would otherwise become its characters or keys
             if not isinstance(entry["values"], list):
                 raise ValueError(f"axis {entry['name']!r} needs 'values' as a list")
+            # json also reads NaN, Infinity and integers beyond the float range
+            if any(
+                isinstance(v, (int, float)) and not -sys.float_info.max <= v <= sys.float_info.max
+                for v in entry["values"]
+            ):
+                raise ValueError(f"axis {entry['name']!r} has a number that is not finite as a float")
             axes.append(Axis(entry["name"], tuple(entry["values"])))
         return cls(tuple(axes))
 

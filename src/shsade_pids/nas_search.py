@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -24,7 +24,6 @@ MAX_ENUMERATION = 10**6
 ENUMERATION_CHUNK = 1 << 16
 
 
-@runtime_checkable
 class PredictorInterface(Protocol):
     """Pure, total estimators of a genotype's accuracy and cost.
 
@@ -317,13 +316,7 @@ def rank_space(
     return np.argsort(scores, kind="stable"), accuracy, cost, scores
 
 
-def pids_space(
-    num_blocks: int = 7,
-    widths=(16, 24, 32, 48, 64),
-    expansions=(1, 2, 3, 4),
-    depths=(1, 2, 3),
-    interaction_orders=(1, 2),
-) -> DiscreteSpace:
+def pids_space(num_blocks: int = 7) -> DiscreteSpace:
     """Joint interaction/width/depth/expansion space: per block, one axis for
     the channel width, the expansion ratio, the depth multiplier and the
     point-interaction order."""
@@ -331,10 +324,10 @@ def pids_space(
         raise ValueError("num_blocks must be positive")
     axes = []
     for b in range(num_blocks):
-        axes.append(Axis(f"block{b}_width", tuple(widths)))
-        axes.append(Axis(f"block{b}_expansion", tuple(expansions)))
-        axes.append(Axis(f"block{b}_depth", tuple(depths)))
-        axes.append(Axis(f"block{b}_interaction", tuple(interaction_orders)))
+        axes.append(Axis(f"block{b}_width", (16, 24, 32, 48, 64)))
+        axes.append(Axis(f"block{b}_expansion", (1, 2, 3, 4)))
+        axes.append(Axis(f"block{b}_depth", (1, 2, 3)))
+        axes.append(Axis(f"block{b}_interaction", (1, 2)))
     return DiscreteSpace(tuple(axes))
 
 

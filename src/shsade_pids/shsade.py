@@ -77,7 +77,7 @@ class ParameterMemories:
         return int(self.mcr.size)
 
     @classmethod
-    def initial(cls, size: int, freq: float = 0.5):
+    def initial(cls, size: int, freq: float):
         """CR and F entries start at 0.5, as in SHADE; frequencies at ``freq``."""
         return cls(np.full(size, 0.5), np.full(size, 0.5), np.full(size, freq))
 
@@ -248,20 +248,20 @@ class TrialBatch:
 # the samplers take those slots.
 
 
-def sample_cr(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float = 0.1) -> np.ndarray:
+def sample_cr(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float) -> np.ndarray:
     """CR ~ normal(MCR[s], sigma) for each memory slot s in ``slots``, clamped to [0, 1]."""
     # min/max instead of np.clip: the same values for these never-NaN draws,
     # without np.clip's dispatch overhead
     return np.minimum(np.maximum(memories.mcr[slots] + sigma * rng.standard_normal(slots.size), 0.0), 1.0)
 
 
-def _resampled(memory: np.ndarray, rng, slots, sigma: float, draw: Callable, upper_reject: bool) -> np.ndarray:
-    """``loc + sigma * draw(n)`` around the entries ``loc`` of ``memory`` at
-    ``slots``, resampled while non-positive (and above 1 when
+def _resampled(memory: np.ndarray, rng, slots, sigma: float, upper_reject: bool) -> np.ndarray:
+    """``loc + sigma * rng.standard_cauchy(n)`` around the entries ``loc`` of
+    ``memory`` at ``slots``, resampled while non-positive (and above 1 when
     ``upper_reject``), then truncated to 1 from above; entries still rejected
     after ``MAX_SAMPLE_RETRIES`` rounds fall back to their loc."""
     loc = memory[slots]
-    values = loc + sigma * draw(slots.size)
+    values = loc + sigma * rng.standard_cauchy(slots.size)
 
     def bad_mask(v):
         bad = v <= 0.0
@@ -277,22 +277,22 @@ def _resampled(memory: np.ndarray, rng, slots, sigma: float, draw: Callable, upp
         if retries > MAX_SAMPLE_RETRIES:
             values[bad] = loc[bad]
             break
-        values[bad] = loc[bad] + sigma * draw(n_bad)
+        values[bad] = loc[bad] + sigma * rng.standard_cauchy(n_bad)
         bad = bad_mask(values)
         n_bad = np.count_nonzero(bad)
     return np.minimum(values, 1.0)
 
 
-def sample_f_cauchy(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float = 0.1) -> np.ndarray:
+def sample_f_cauchy(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float) -> np.ndarray:
     """F ~ Cauchy(MF[s], sigma) for each slot s: truncated to 1 from above,
     resampled while non-positive, falling back to MF[s] after
     ``MAX_SAMPLE_RETRIES`` rejections."""
-    return _resampled(memories.mf, rng, slots, sigma, rng.standard_cauchy, False)
+    return _resampled(memories.mf, rng, slots, sigma, False)
 
 
-def sample_freq(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float = 0.1) -> np.ndarray:
+def sample_freq(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float) -> np.ndarray:
     """freq ~ Cauchy(Mfreq[s], sigma) for each slot s, resampled into (0, 1]."""
-    return _resampled(memories.mfreq, rng, slots, sigma, rng.standard_cauchy, True)
+    return _resampled(memories.mfreq, rng, slots, sigma, True)
 
 
 def decreasing_sinusoidal_f(generation: int, max_generations: int, freq: float) -> float:
@@ -392,9 +392,7 @@ def _trigonometric_donors(
 # strategy adaptation and memory updates
 
 
-def update_strategy_probs(
-    state: StrategyState, p_min: float = 0.05, epsilon: float = 0.01
-) -> StrategyState:
+def update_strategy_probs(state: StrategyState, p_min: float, epsilon: float) -> StrategyState:
     """Probability matching over the finished learning window.
 
     Each strategy's selection mass is p_min plus the remaining mass split in

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,26 +30,6 @@ class TraceRow:
         return (self.generation, self.evaluations, self.best_fitness, self.mean_fitness)
 
 
-class _RowView(Sequence):
-    """Read-only rows of a ``SearchTrace``, built as ``TraceRow`` on access."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [TraceRow(*values) for values in zip(*(column[index] for column in self._columns))]
-        return TraceRow(*(column[index] for column in self._columns))
-
-    def __iter__(self):
-        return (TraceRow(*values) for values in zip(*self._columns))
-
-
 class SearchTrace:
     """Append-only record of (generation, evaluations, best, mean) rows.
 
@@ -59,19 +38,19 @@ class SearchTrace:
     an unchanged evaluation count replaces the previous row, so generations
     that consumed no new evaluations collapse into a single record.
 
-    Rows are stored as four typed columns; ``rows`` is a read-only sequence
-    of ``TraceRow`` views over them.
+    Rows are stored as four typed columns; each read of ``rows`` builds a
+    new list of ``TraceRow`` from them, a copy that later appends do not
+    change and whose edits do not reach the trace.
     """
 
     def __init__(self, metadata: dict | None = None):
         self.metadata: dict[str, str] = {str(k): str(v) for k, v in (metadata or {}).items()}
         # generation, evaluations, best_fitness, mean_fitness
         self._columns = (array("q"), array("q"), array("d"), array("d"))
-        self._rows = _RowView(self._columns)
 
     @property
-    def rows(self) -> _RowView:
-        return self._rows
+    def rows(self) -> list[TraceRow]:
+        return [TraceRow(*values) for values in zip(*self._columns)]
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -169,5 +148,7 @@ class SearchTrace:
                 raise TraceError(f"{path}:{lineno}: {exc}") from None
         if not header_seen:
             raise TraceError(f"{path}: missing column header")
+        if not trace:
+            raise TraceError(f"{path}: no trace rows")
         trace.validate()
         return trace

@@ -63,6 +63,9 @@ BAD_SPACE_SHAPES = [
     ({"axes": [{"name": None, "values": [0, 1]}]}, "must be a string"),
     ({"axes": [{"name": 7, "values": [0, 1]}]}, "must be a string"),
     ({"axes": [{"name": {"a": 1}, "values": [0, 1]}]}, "must be a string"),
+    ({"axes": [{"name": "block0_width", "values": [16, 10**400]}]}, "not finite as a float"),
+    ({"axes": [{"name": "k", "values": [0, math.nan]}]}, "not finite as a float"),
+    ({"axes": [{"name": "k", "values": [-math.inf, True, "x", None, math.inf]}]}, "not finite as a float"),
 ]
 
 
@@ -850,6 +853,19 @@ class TestCompare:
         (b / "trace_seed1.csv").write_text("time,value\n1,2\n")
         assert cli.main(["compare", str(a), str(b)]) == 1
         assert "compare error" in capsys.readouterr().err
+
+    def test_header_only_trace_exits_1(self, tmp_path, capsys):
+        a = tmp_path / "alpha"
+        b = tmp_path / "beta"
+        a.mkdir()
+        b.mkdir()
+        self.write_trace(a / "trace_seed1.csv", [1.0])
+        (b / "trace_seed1.csv").write_text("# algorithm: demo\ngeneration,evaluations,best_fitness,mean_fitness\n")
+        assert cli.main(["compare", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("compare error: ") and "no trace rows" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_empty_directory_exits_1(self, tmp_path):
         a = tmp_path / "alpha"

@@ -74,45 +74,46 @@ class TestSampleCr:
 
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(1)
-        values = sample_cr(memories_all(value_cr=1.0), rng, slots(10_000))
+        values = sample_cr(memories_all(value_cr=1.0), rng, slots(10_000), sigma=0.1)
         assert np.all(values <= 1.0) and np.all(values >= 0.0)
         assert np.any(values == 1.0)  # draws above 1 clamp onto the bound
 
     def test_monte_carlo_mean(self):
         rng = np.random.default_rng(2)
-        values = sample_cr(memories_all(0.5), rng, slots(100_000))
+        values = sample_cr(memories_all(0.5), rng, slots(100_000), sigma=0.1)
         assert 0.49 <= values.mean() <= 0.51
 
 
 class TestSampleFCauchy:
     def test_range(self):
         rng = np.random.default_rng(3)
-        values = sample_f_cauchy(memories_all(), rng, slots(50_000))
+        values = sample_f_cauchy(memories_all(), rng, slots(50_000), sigma=0.1)
         assert np.all(values > 0.0) and np.all(values <= 1.0)
 
     def test_truncation_hits_upper_bound(self):
         rng = np.random.default_rng(4)
-        values = sample_f_cauchy(memories_all(value_f=1.0), rng, slots(1_000))
+        values = sample_f_cauchy(memories_all(value_f=1.0), rng, slots(1_000), sigma=0.1)
         assert np.any(values == 1.0)
 
     def test_monte_carlo_median(self):
         rng = np.random.default_rng(5)
-        values = sample_f_cauchy(memories_all(value_f=0.5), rng, slots(100_000))
+        values = sample_f_cauchy(memories_all(value_f=0.5), rng, slots(100_000), sigma=0.1)
         assert 0.48 <= np.median(values) <= 0.52
 
     def test_fallback_after_exhausted_retries(self):
-        values = sample_f_cauchy(memories_all(value_f=0.37), _AlwaysNegativeCauchyRng(), slots(3))
+        values = sample_f_cauchy(memories_all(value_f=0.37), _AlwaysNegativeCauchyRng(), slots(3), sigma=0.1)
         assert values.tolist() == [0.37] * 3
 
 
 class TestSampleFreq:
     def test_range(self):
         rng = np.random.default_rng(7)
-        values = sample_freq(memories_all(), rng, slots(50_000))
+        values = sample_freq(memories_all(), rng, slots(50_000), sigma=0.1)
         assert np.all(values > 0.0) and np.all(values <= 1.0)
 
     def test_fallback(self):
-        assert sample_freq(memories_all(value_freq=0.25), _AlwaysNegativeCauchyRng(), slots(3)).tolist() == [0.25] * 3
+        values = sample_freq(memories_all(value_freq=0.25), _AlwaysNegativeCauchyRng(), slots(3), sigma=0.1)
+        assert values.tolist() == [0.25] * 3
 
 
 class TestSinusoidal:
@@ -295,12 +296,12 @@ class TestStrategyAdaptation:
 
     def test_zero_trials_leave_probabilities_unchanged(self):
         state = StrategyState(np.array([0.7, 0.3]), np.zeros(2, int), np.zeros(2, int))
-        update_strategy_probs(state)
+        update_strategy_probs(state, p_min=0.05, epsilon=0.01)
         assert np.allclose(state.probabilities, [0.7, 0.3])
 
     def test_counts_reset_after_update(self):
         state = StrategyState(np.array([0.5, 0.5]), np.array([3, 1]), np.array([2, 4]))
-        update_strategy_probs(state)
+        update_strategy_probs(state, p_min=0.05, epsilon=0.01)
         assert state.success_counts.sum() == 0 and state.failure_counts.sum() == 0
 
 
