@@ -16,9 +16,9 @@ from .de_core import (
     Individual,
     ObjectiveSpec,
     binomial_crossover_matrix,
-    ensure_rng,
     init_population,
     repair_bounds_matrix,
+    replace_rows,
     sample_distinct_triplets,
 )
 from .discrete_codec import DiscreteSpace, Genotype
@@ -72,10 +72,10 @@ def vanilla_de_run(
     rng=None,
 ) -> tuple[Individual, SearchTrace]:
     """Fixed-parameter DE sharing the core primitives and trace format."""
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     x, fitness = init_population(spec, config.pop_size, rng)
-    best_idx = int(np.argmin(fitness))
-    state = VanillaDeState(x, fitness, 0, config.pop_size, x[best_idx].copy(), float(fitness[best_idx]))
+    state = VanillaDeState(x, fitness, 0, config.pop_size, None, math.inf)
+    replace_rows(state, slice(None), x, fitness)
     rows = np.arange(config.pop_size)
     cr = np.full(config.pop_size, config.cr)
 
@@ -88,14 +88,9 @@ def vanilla_de_run(
     def tell(trials, trial_fitness, _evaluated):
         # greedy selection; ties accept the trial
         accepted = trial_fitness <= state.fitness
-        state.x[accepted] = trials[accepted]
-        state.fitness[accepted] = trial_fitness[accepted]
+        replace_rows(state, accepted, trials[accepted], trial_fitness[accepted])
         state.evaluations += config.pop_size
         state.generation += 1
-        idx = int(np.argmin(state.fitness))
-        if state.fitness[idx] < state.best_fitness:
-            state.best_fitness = float(state.fitness[idx])
-            state.best_x = state.x[idx].copy()
 
     trace = drive(
         state,
@@ -193,7 +188,7 @@ def regularized_ea_run(
     generator's state are those of one generation per step, whose rows
     ``drive`` collapses at unchanged evaluation counts.
     """
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     scorer = BudgetedScorer(space, predictor, biobjective, config.budget)
     sizes = space.sizes
     # the draws of random_genotype, one genotype after another
@@ -238,19 +233,14 @@ def regularized_ea_run(
 
     run_hits(all(map(math.isfinite, state.fitness)))
     # a step starts while one unit of budget is left, so every held child is scored
-    trace = drive(
+    return scorer.search(
         state,
         ask=lambda: state.held,
         evaluate=lambda child: scorer.score_rows(np.array([child])),
         tell=tell,
         algorithm="regularized_ea",
         max_generations=max_steps,
-        termination=Termination(max_evaluations=scorer.budget),
-        room=1,
-        spent=lambda: scorer.evaluations,
     )
-    assert scorer.best_genotype is not None
-    return scorer.best_genotype, trace
 
 
 def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, rng):

@@ -126,11 +126,9 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
         "hash": config_hash(raw),
     }
 
+    algorithms = [name for kind, name in _CONFIG_CLASSES if kind == task]
+    _require(algorithm in algorithms, f"{task} task supports algorithms {' and '.join(map(repr, algorithms))}")
     if task == "benchmark":
-        _require(
-            algorithm in ("shsade", "vanilla_de"),
-            "benchmark task supports algorithms 'shsade' and 'vanilla_de'",
-        )
         objective = raw.get("objective")
         _require(
             isinstance(objective, dict) and "name" in objective and "dimension" in objective,
@@ -145,10 +143,6 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
             raise ConfigError(str(exc)) from None
         normalized["benchmark"] = bench
     else:
-        _require(
-            algorithm in ("shsade", "regularized_ea"),
-            "nas task supports algorithms 'shsade' and 'regularized_ea'",
-        )
         space_ref = raw.get("space")
         if isinstance(space_ref, str):
             space_path = Path(space_ref)
@@ -370,9 +364,11 @@ def run_experiment(config_path: str) -> int:
         with contextlib.closing(_seed_results(cfg["runner"], cfg["seeds"])) as results:
             for seed, trace, entry in results:
                 trace.metadata.update({"seed": str(seed), "config_hash": cfg["hash"]})
+                # registered before the write, so that a write failing
+                # halfway leaves no partial file behind
                 path = outdir / f"trace_seed{seed}.csv"
-                trace.write_csv(path)
                 written.append(path)
+                trace.write_csv(path)
                 entries.append(entry)
 
         finals = [e["final_best"] for e in entries]
@@ -389,6 +385,7 @@ def run_experiment(config_path: str) -> int:
             ],
         }
         summary_path = outdir / "summary.json"
+        written.append(summary_path)
         summary_path.write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
         )

@@ -19,13 +19,6 @@ import numpy as np
 MIN_POP_SIZE = 4
 
 
-def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    """Pass Generators through, seed a fresh PCG64 otherwise."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 @dataclass(frozen=True)
 class Bounds:
     """Per-dimension box constraints with strictly positive width."""
@@ -87,17 +80,29 @@ class ObjectiveSpec:
         return np.array([float(self.evaluator(row)) for row in xs], dtype=float)
 
 
-def init_population(spec: ObjectiveSpec, pop_size: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def init_population(spec: ObjectiveSpec, pop_size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``pop_size`` points uniformly within bounds and evaluate them.
     Returns ``(x, fitness)``; a non-finite fitness raises ``ValueError``."""
     if pop_size < MIN_POP_SIZE:
         raise ValueError(f"pop_size must be at least {MIN_POP_SIZE}, got {pop_size}")
-    rng = ensure_rng(rng)
     x = rng.uniform(spec.bounds.lower, spec.bounds.upper, size=(pop_size, spec.dimension))
     fitness = spec.evaluate_many(x)
     if not np.isfinite(fitness).all():
         raise ValueError("the initial population needs a finite fitness for every member")
     return x, fitness
+
+
+def replace_rows(state, rows, x: np.ndarray, fitness: np.ndarray) -> None:
+    """Write ``x`` and ``fitness`` into the population rows ``rows`` of
+    ``state`` (anything with ``x``, ``fitness``, ``best_x`` and
+    ``best_fitness``). The best-so-far moves only on a strict improvement,
+    to the first row that holds the population's new minimum."""
+    state.x[rows] = x
+    state.fitness[rows] = fitness
+    best = int(np.argmin(state.fitness))
+    if state.fitness[best] < state.best_fitness:
+        state.best_fitness = float(state.fitness[best])
+        state.best_x = state.x[best].copy()
 
 
 def repair_bounds_matrix(v: np.ndarray, bounds: Bounds, base: np.ndarray) -> np.ndarray:

@@ -16,7 +16,11 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .de_core import ensure_rng
+
+def _value_key(value) -> tuple:
+    """What makes two axis values one: ``==``, except that a bool is never a
+    number (Python has ``0 == False``); ``1`` and ``1.0`` stay one value."""
+    return (isinstance(value, bool), value)
 
 
 @dataclass(frozen=True)
@@ -29,14 +33,15 @@ class Axis:
         if not self.values:
             raise ValueError(f"axis {self.name!r} needs at least one value")
         try:
-            distinct = len(set(self.values))
+            positions = {_value_key(v): k for k, v in enumerate(self.values)}
         except TypeError:
             raise ValueError(
                 f"axis {self.name!r} has an unhashable value (a list or a mapping); "
                 "values must be numbers, strings, booleans or null"
             ) from None
-        if distinct != len(self.values):
+        if len(positions) != len(self.values):
             raise ValueError(f"axis {self.name!r} has duplicate values")
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def size(self) -> int:
@@ -44,8 +49,8 @@ class Axis:
 
     def index_of(self, value) -> int:
         try:
-            return self.values.index(value)
-        except ValueError:
+            return self._positions[_value_key(value)]
+        except (KeyError, TypeError):
             raise ValueError(f"value {value!r} is not admissible on axis {self.name!r}") from None
 
 
@@ -113,7 +118,7 @@ class DiscreteSpace:
         return list(zip(*(values[col] for values, col in zip(self._value_arrays, columns))))
 
     def random_genotype(self, rng) -> Genotype:
-        rng = ensure_rng(rng)
+        rng = np.random.default_rng(rng)
         return Genotype(tuple(a.values[int(rng.integers(a.size))] for a in self.axes))
 
     def iter_genotypes(self) -> Iterator[Genotype]:
@@ -190,7 +195,7 @@ def decode(u, space: DiscreteSpace) -> Genotype:
     return space.genotype_from_indices(decode_indices(u[None], space)[0])
 
 
-def perturb(u, sigma: float, rng) -> np.ndarray:
+def perturb(u, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. Gaussian exploration noise per coordinate, clamped to [0, 1].
 
     The noise is ``sigma`` times one ``standard_normal`` block of ``u``'s
@@ -198,5 +203,4 @@ def perturb(u, sigma: float, rng) -> np.ndarray:
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     u = np.asarray(u, dtype=float)
-    rng = ensure_rng(rng)
     return np.minimum(np.maximum(u + sigma * rng.standard_normal(u.shape), 0.0), 1.0)

@@ -14,7 +14,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .de_core import Bounds, ensure_rng, uniform_index
+from .de_core import Bounds, replace_rows, uniform_index
 from .discrete_codec import DiscreteSpace, Axis, Genotype, decode_indices, encode_indices, genotype_to_dict, perturb
 from .shsade import ShsadeConfig, ShsadeState, Termination, build_trials, commit_generation, drive
 from .trace import SearchTrace
@@ -138,8 +138,10 @@ class BudgetedScorer:
     whose evaluations reach it has spent its budget or scored every genotype.
 
     The memo maps a genotype's value indices, as a tuple, to its score.
-    ``score_rows`` is the only code that reads or writes it, checks the
-    budget or updates the best; ``try_score`` is a one-row call into it.
+    ``score_rows`` is the only code that writes it, checks the budget or
+    updates the best; ``try_score`` is a one-row call into it. Aging
+    evolution's memo-hit steps also read ``scores`` directly, since a hit
+    spends nothing. ``search`` runs a search on ``drive`` under the budget.
     """
 
     def __init__(
@@ -193,6 +195,25 @@ class BudgetedScorer:
         values = np.array([math.inf if value is None else value for value in found])
         return values, np.array([value is not None for value in found])
 
+    def search(self, state, ask, evaluate, tell, algorithm: str, max_generations: int):
+        """Run a search that scores through this scorer on ``drive`` and
+        return ``(best_genotype, trace)``. The evaluation count is the budget
+        spent, and a generation starts while one unit of it is left, so a
+        generation drops the rows it cannot afford."""
+        trace = drive(
+            state,
+            ask,
+            evaluate,
+            tell,
+            algorithm=algorithm,
+            max_generations=max_generations,
+            termination=Termination(max_evaluations=self.budget),
+            room=1,
+            spent=lambda: self.evaluations,
+        )
+        assert self.best_genotype is not None
+        return self.best_genotype, trace
+
 
 def nas_evolve(
     space: DiscreteSpace,
@@ -213,7 +234,7 @@ def nas_evolve(
     scored, or the generation cap is reached, and returns the best genotype
     ever scored.
     """
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     sh = config.shsade
     scorer = BudgetedScorer(space, predictor, config.biobjective, config.budget)
     m = space.num_axes
@@ -252,28 +273,9 @@ def nas_evolve(
         # as at initialization; rows the budget cannot pay for stay as they are.
         x = random_encodings(sh.pop_size - 1)
         f, scored = scorer.score_rows(decode_indices(x, space))
-        state.x[1:][scored] = x[scored]
-        state.fitness[1:][scored] = f[scored]
-        best = int(np.argmin(state.fitness))
-        if state.fitness[best] < state.best_fitness:
-            state.best_x = state.x[best].copy()
-            state.best_fitness = float(state.fitness[best])
+        replace_rows(state, 1 + np.flatnonzero(scored), x[scored], f[scored])
 
-    # the budget counts distinct genotypes, so a generation starts while one
-    # is left and drops the rows it cannot afford
-    trace = drive(
-        state,
-        ask,
-        evaluate,
-        tell,
-        algorithm="shsade_pids",
-        max_generations=sh.max_generations,
-        termination=Termination(max_evaluations=scorer.budget),
-        room=1,
-        spent=lambda: scorer.evaluations,
-    )
-    assert scorer.best_genotype is not None
-    return scorer.best_genotype, trace
+    return scorer.search(state, ask, evaluate, tell, algorithm="shsade_pids", max_generations=sh.max_generations)
 
 
 def brute_force_optimum(
@@ -284,8 +286,8 @@ def brute_force_optimum(
     """Exhaustively score every genotype; ties break by lexicographic index
     order. Test oracle for the evolutionary pipeline, guarded to 10^6 configs."""
     order, _, _, scores = rank_space(space, predictor, config)
-    genotypes = list(space.iter_genotypes())
-    ranking = [(genotypes[i], value) for i, value in zip(order.tolist(), scores[order].tolist())]
+    choices = space.choices_from_indices(np.stack(np.unravel_index(order, space.sizes), axis=1))
+    ranking = [(Genotype(c), value) for c, value in zip(choices, scores[order].tolist())]
     return ranking[0][0], ranking
 
 
@@ -297,8 +299,8 @@ def rank_space(
     """Score every genotype of a space of at most 10^6 configurations.
 
     Returns ``(order, accuracy, cost, scores)``: the last three hold one entry
-    per genotype in lexicographic index order (the order of
-    ``space.iter_genotypes()``), and ``order`` lists those positions from
+    per genotype in lexicographic index order (that of ``np.unravel_index``
+    over ``space.sizes``), and ``order`` lists those positions from
     the best score to the worst, ties in lexicographic index order.
     """
     if space.size > MAX_ENUMERATION:

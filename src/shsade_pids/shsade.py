@@ -26,9 +26,9 @@ from .de_core import (
     Individual,
     ObjectiveSpec,
     binomial_crossover_matrix,
-    ensure_rng,
     init_population,
     repair_bounds_matrix,
+    replace_rows,
     sample_distinct_triplets,
     skip,
     uniform_index,
@@ -199,13 +199,12 @@ class ShsadeState:
     def initial(cls, config: ShsadeConfig, x: np.ndarray, fitness: np.ndarray, bounds: Bounds) -> "ShsadeState":
         """Generation 0 of a run from an evaluated population: initial
         memories, an empty archive and the population's best point."""
-        best_idx = int(np.argmin(fitness))
         strategy = (
             StrategyState.uniform()
             if config.use_trigonometric
             else StrategyState.single(CURRENT_TO_PBEST)
         )
-        return cls(
+        state = cls(
             x=x,
             fitness=fitness,
             bounds=bounds,
@@ -214,10 +213,12 @@ class ShsadeState:
             archive=[],
             generation=0,
             evaluations=config.pop_size,
-            best_x=x[best_idx].copy(),
-            best_fitness=float(fitness[best_idx]),
+            best_x=None,
+            best_fitness=math.inf,
             config=config,
         )
+        replace_rows(state, slice(None), x, fitness)
+        return state
 
     @property
     def best(self) -> Individual:
@@ -438,7 +439,7 @@ def update_memories(memories: ParameterMemories, success: SuccessSets) -> Parame
 
 
 def init_state(config: ShsadeConfig, spec: ObjectiveSpec, rng) -> ShsadeState:
-    x, fitness = init_population(spec, config.pop_size, ensure_rng(rng))
+    x, fitness = init_population(spec, config.pop_size, np.random.default_rng(rng))
     return ShsadeState.initial(config, x, fitness, spec.bounds)
 
 
@@ -560,11 +561,9 @@ def commit_generation(
     a failed try for its strategy.
     """
     cfg = state.config
-    x = state.x
-    fitness = state.fitness
     tf = np.asarray(trial_fitness, dtype=float)
-    accepted = tf <= fitness
-    improved = tf < fitness
+    accepted = tf <= state.fitness
+    improved = tf < state.fitness
     tried = batch.strategies
     if evaluated is not None:
         evaluated = np.asarray(evaluated, dtype=bool)
@@ -575,10 +574,9 @@ def commit_generation(
     success = SuccessSets(
         scr=_used(batch.cr[improved]), sf=_used(batch.f[improved]), sfreq=_used(batch.freq[improved])
     )
-    _archive_parents(state, x[accepted], rng)
-
-    x[accepted] = batch.x[accepted]
-    fitness[accepted] = tf[accepted]
+    # the archive takes the parents before the trials replace them
+    _archive_parents(state, state.x[accepted], rng)
+    replace_rows(state, accepted, batch.x[accepted], tf[accepted])
 
     n_strategies = state.strategy.success_counts.size
     won = np.bincount(batch.strategies[improved], minlength=n_strategies)
@@ -590,11 +588,6 @@ def commit_generation(
         state.strategy.generations_in_window = 0
 
     update_memories(state.memories, success)
-
-    best_idx = int(np.argmin(fitness))
-    if fitness[best_idx] < state.best_fitness:
-        state.best_fitness = float(fitness[best_idx])
-        state.best_x = x[best_idx].copy()
     state.generation += 1
     state.evaluations += tried.size
     return state
@@ -606,7 +599,7 @@ def shsade_generation(state: ShsadeState, spec: ObjectiveSpec, rng) -> ShsadeSta
     Trials are built from the generation-start snapshot and evaluated before
     any state mutation, so an evaluator failure leaves the state untouched.
     """
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     batch = build_trials(state, rng)
     trial_fitness = spec.evaluate_many(batch.x)
     return commit_generation(state, batch, trial_fitness, rng)
@@ -669,7 +662,7 @@ def run(
     Returns the overall best individual and a per-generation trace whose
     first row records the initialized population.
     """
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     state = init_state(config, spec, rng)
     trace = drive(
         state,

@@ -95,20 +95,14 @@ class SearchTrace:
         return self._columns[2][k - 1]
 
     def validate(self) -> None:
-        _, evals, best, mean = self._columns
-        prev = None
-        for evaluations, best_fitness, mean_fitness in zip(evals, best, mean):
-            if not math.isfinite(best_fitness) or not math.isfinite(mean_fitness):
-                raise TraceError("non-finite fitness in trace")
-            if prev is not None:
-                if evaluations <= prev[0]:
-                    raise TraceError("evaluations not strictly increasing")
-                if best_fitness > prev[1]:
-                    raise TraceError("best fitness increased")
-            prev = (evaluations, best_fitness)
+        """Raise ``TraceError`` unless the rows keep the invariants of
+        ``append``: replayed through it, no row may collapse."""
+        replay = SearchTrace()
+        for row in zip(*self._columns):
+            _append_new(replay, row)
 
     def write_csv(self, path) -> None:
-        self.validate()
+        # every row came through append, which keeps the invariants
         lines = []
         for key in sorted(self.metadata):
             lines.append(f"# {key}: {self.metadata[key]}")
@@ -141,14 +135,21 @@ class SearchTrace:
             if len(parts) != len(COLUMNS):
                 raise TraceError(f"{path}:{lineno}: expected {len(COLUMNS)} columns")
             try:
-                row = (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
-                for column, value in zip(trace._columns, row):
-                    column.append(value)
+                # append parses the fields as int, int, float, float
+                _append_new(trace, parts)
             except (ValueError, OverflowError) as exc:
                 raise TraceError(f"{path}:{lineno}: {exc}") from None
         if not header_seen:
             raise TraceError(f"{path}: missing column header")
         if not trace:
             raise TraceError(f"{path}: no trace rows")
-        trace.validate()
         return trace
+
+
+def _append_new(trace: SearchTrace, row) -> None:
+    """Append ``row`` to ``trace`` as a row of its own: one that would
+    collapse into the last row, at its evaluation count, raises."""
+    rows = len(trace)
+    trace.append(*row)
+    if len(trace) == rows:
+        raise TraceError("row repeats the evaluation count of the row before it")

@@ -5,7 +5,8 @@ before ``shsade.drive`` took them over.
 Kept verbatim as the reference that the drivers must match row for row and
 draw for draw. The only edits: ``init_population`` returns ``(x, fitness)``
 instead of a population object, ``Individual`` takes no ``evaluated``
-flag, ``sample_distinct_triplets`` takes a block of uniforms, and
+flag, ``sample_distinct_triplets`` takes a block of uniforms, a seed
+becomes a ``Generator`` through ``np.random.default_rng``, and
 ``nas_evolve`` draws its initial population as one block of uniform value
 indices and one block of normal noise, and redraws all rows but the first
 the same way once every row decodes to one genotype. ``regularized_ea_run`` is aging
@@ -24,7 +25,6 @@ from shsade_pids.de_core import (
     Bounds,
     Individual,
     binomial_crossover_matrix,
-    ensure_rng,
     init_population,
     repair_bounds_matrix,
     sample_distinct_triplets,
@@ -86,7 +86,7 @@ class ReferenceScorer:
 
 
 def init_state(config, spec, rng):
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     x, fitness = init_population(spec, config.pop_size, rng)
     best_idx = int(np.argmin(fitness))
     strategy = (
@@ -111,7 +111,7 @@ def init_state(config, spec, rng):
 
 def run(config, spec, termination=None, rng=None):
     term = termination or Termination()
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     state = init_state(config, spec, rng)
     trace = SearchTrace(metadata={"algorithm": "shsade"})
     trace.append(0, state.evaluations, state.best_fitness, float(np.mean(state.fitness)))
@@ -132,7 +132,7 @@ def run(config, spec, termination=None, rng=None):
 
 def vanilla_de_run(config, spec, termination=None, rng=None):
     term = termination or Termination()
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     x, fitness = init_population(spec, config.pop_size, rng)
     pop_size = config.pop_size
     rows = np.arange(pop_size)
@@ -172,7 +172,7 @@ def vanilla_de_run(config, spec, termination=None, rng=None):
 
 
 def nas_evolve(space, predictor, config, rng=None):
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     sh = config.shsade
     scorer = ReferenceScorer(predictor, config.biobjective, config.budget)
     m = space.num_axes
@@ -246,7 +246,7 @@ def nas_evolve(space, predictor, config, rng=None):
 
 
 def regularized_ea_run(space, predictor, config, biobjective, rng=None):
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     scorer = ReferenceScorer(predictor, biobjective, config.budget)
     pop_size = config.population_size
 

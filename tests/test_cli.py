@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -67,6 +68,11 @@ BAD_SPACE_SHAPES = [
     ({"axes": [{"name": "k", "values": [0, math.nan]}]}, "not finite as a float"),
     ({"axes": [{"name": "k", "values": [-math.inf, True, "x", None, math.inf]}]}, "not finite as a float"),
 ]
+
+
+# a space whose axes hold booleans beside numbers equal to them under ==;
+# each value is its own choice
+BOOL_AND_NUMBER_SPACE = {"axes": [{"name": "k", "values": [0, False]}, {"name": "j", "values": [1, True, 1.5]}]}
 
 
 def algorithm_doc(tmp_path: Path, task: str, algorithm: str) -> dict:
@@ -164,6 +170,20 @@ def record_writes(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(SearchTrace, "write_csv", write_csv)
     return writes
+
+
+def fail_write_halfway(monkeypatch, name: str) -> None:
+    """Make every ``Path.write_text`` to a file called ``name`` write the
+    first ten characters and then raise ``OSError``, as a full disk does."""
+    real_write_text = Path.write_text
+
+    def write_text(path, data, *args, **kwargs):
+        if path.name != name:
+            return real_write_text(path, data, *args, **kwargs)
+        real_write_text(path, data[:10], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(Path, "write_text", write_text)
 
 
 def wait_for(path: Path, timeout: float = 30.0) -> None:
@@ -726,6 +746,14 @@ class TestRunValidation:
         assert leftovers == []
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["trace_seed2.csv", "summary.json"])
+    def test_a_write_failing_halfway_exits_2_and_removes_every_output(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        fail_write_halfway(monkeypatch, name)
+        assert cli.main(["run", str(write_config(tmp_path / "config.json"))]) == 2
+        assert list((tmp_path / "out").iterdir()) == []
+        assert "No space left on device" in capsys.readouterr().err
+
     def test_late_failure_removes_traces_written_by_earlier_seeds(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         outdir = tmp_path / "out"
@@ -766,6 +794,22 @@ class TestRunNas:
         assert cli.main(["run", str(path)]) == 0
         trace = (tmp_path / "out_ea" / "trace_seed5.csv").read_text()
         assert "# algorithm: regularized_ea" in trace
+
+    @pytest.mark.parametrize("algorithm", ["shsade", "regularized_ea"])
+    def test_a_bool_beside_an_equal_number_is_its_own_value(self, tmp_path, monkeypatch, algorithm):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = nas_config(algorithm=algorithm)
+        doc["space"] = BOOL_AND_NUMBER_SPACE
+        path = tmp_path / "nas.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 0
+        summary = json.loads((tmp_path / doc["output"] / "summary.json").read_text())
+        for entry in summary["per_seed"]:
+            # the six genotypes are all there is to score
+            assert entry["evaluations"] == 6
+            best = entry["result"]["best_genotype"]
+            assert (type(best["k"]), best["k"]) in [(int, 0), (bool, False)]
+            assert (type(best["j"]), best["j"]) in [(int, 1), (bool, True), (float, 1.5)]
 
     def test_space_loaded_from_file_relative_to_config(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
@@ -995,6 +1039,16 @@ class TestOracle:
         expected = {tuple(str(c) for c in g.choices) for g in space.iter_genotypes()}
         assert len(rows) == len(expected)
         assert {tuple(row[4:]) for row in rows} == expected
+
+    def test_a_bool_beside_an_equal_number_is_its_own_value(self, tmp_path, capsys):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(BOOL_AND_NUMBER_SPACE))
+        assert cli.main(["oracle", str(space_path), "--seed", "3"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header[4:] == ["k", "j"]
+        assert sorted(tuple(row[4:]) for row in rows) == sorted(
+            (k, j) for k in ("0", "False") for j in ("1", "True", "1.5")
+        )
 
     def test_oversized_space_exits_1(self, tmp_path, capsys):
         space_path = tmp_path / "space.json"

@@ -1,5 +1,7 @@
 """Unit tests for the shared DE primitives."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from shsade_pids.de_core import (
     binomial_crossover_matrix,
     init_population,
     repair_bounds_matrix,
+    replace_rows,
     sample_distinct_triplets,
     uniform_index,
 )
@@ -85,6 +88,39 @@ class TestPopulation:
         assert state.x is x and state.fitness is f
         assert (state.best.fitness, state.best.x.tolist()) == (1.0, [2.0, 3.0])
         assert (state.generation, state.evaluations, state.archive) == (0, 4, [])
+
+
+def rows_state(fitness, best_fitness):
+    """A population whose row i sits at x = i, with its best-so-far at x = -1."""
+    fitness = np.array(fitness, dtype=float)
+    x = np.arange(float(fitness.size))[:, None]
+    return SimpleNamespace(x=x, fitness=fitness, best_x=np.array([-1.0]), best_fitness=best_fitness)
+
+
+class TestReplaceRows:
+    def test_writes_the_rows(self):
+        state = rows_state([5.0, 6.0, 7.0, 8.0], 5.0)
+        replace_rows(state, np.array([1, 3]), np.array([[10.0], [30.0]]), np.array([9.0, 5.5]))
+        assert state.x[:, 0].tolist() == [0.0, 10.0, 2.0, 30.0]
+        assert state.fitness.tolist() == [5.0, 9.0, 7.0, 5.5]
+
+    def test_a_tie_with_the_best_leaves_it_unchanged(self):
+        state = rows_state([5.0, 6.0, 7.0, 8.0], 4.0)
+        replace_rows(state, np.array([2, 3]), np.array([[20.0], [30.0]]), np.array([4.0, 4.0]))
+        assert (state.best_fitness, state.best_x.tolist()) == (4.0, [-1.0])
+
+    def test_a_strict_improvement_picks_the_first_row_of_the_new_minimum(self):
+        state = rows_state([5.0, 6.0, 7.0, 8.0], 4.0)
+        replace_rows(state, np.array([1, 2, 3]), np.array([[10.0], [20.0], [30.0]]), np.array([3.0, 2.0, 2.0]))
+        assert (state.best_fitness, state.best_x.tolist()) == (2.0, [20.0])
+        # a copy: later writes to the row do not move the best
+        state.x[2] = 99.0
+        assert state.best_x.tolist() == [20.0]
+
+    def test_an_initial_state_takes_the_first_row_of_its_minimum(self):
+        state = rows_state([3.0, 1.0, 1.0, 2.0], np.inf)
+        replace_rows(state, slice(None), state.x, state.fitness)
+        assert (state.best_fitness, state.best_x.tolist()) == (1.0, [1.0])
 
 
 def one_row(values):

@@ -48,6 +48,21 @@ class TestSpaceValidation:
     def test_axis_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Axis("a", (1, 2, 1))
+        with pytest.raises(ValueError, match="duplicate"):
+            Axis("a", (1, 1.0))
+        with pytest.raises(ValueError, match="duplicate"):
+            Axis("a", (True, 0, True))
+
+    def test_a_bool_is_not_a_number(self):
+        # Python has 0 == False and 1 == True; as axis values they differ
+        axis = Axis("k", (0, False, 1, True))
+        assert [axis.index_of(v) for v in (0, False, 1, True, 1.0, 0.0)] == [0, 1, 2, 3, 2, 0]
+        space = DiscreteSpace((Axis("k", (False, "x", 0.5)),))
+        assert space.indices_of(Genotype((False,))).tolist() == [0]
+        with pytest.raises(ValueError, match="not admissible"):
+            space.indices_of(Genotype((0.0,)))
+        with pytest.raises(ValueError, match="not admissible"):
+            space.indices_of(Genotype(([0],)))
 
     def test_space_rejects_duplicate_names(self):
         with pytest.raises(ValueError):

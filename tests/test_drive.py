@@ -247,7 +247,7 @@ def test_regularized_ea_runs_one_generation_per_scored_genotype(monkeypatch):
     # aging evolution's memo hits run inside the tell: a later edit that
     # goes back to one drive generation per step fails here
     tells, calls = [], []
-    drive = baselines.drive
+    drive = nas_search.drive
 
     def spy_drive(state, ask, evaluate, tell, **kwargs):
         def counted_tell(*args):
@@ -261,7 +261,7 @@ def test_regularized_ea_runs_one_generation_per_scored_genotype(monkeypatch):
             calls.append([tuple(row) in self.scores for row in indices.tolist()])
             return super().score_rows(indices)
 
-    monkeypatch.setattr(baselines, "drive", spy_drive)
+    monkeypatch.setattr(nas_search, "drive", spy_drive)
     monkeypatch.setattr(baselines, "BudgetedScorer", SpyScorer)
     space = DiscreteSpace(tuple(Axis(f"a{i}", (0, 1, 2, 3)) for i in range(5)))
     config = baselines.RegularizedEaConfig(population_size=25, tournament_size=5, budget=500)

@@ -100,6 +100,34 @@ def test_read_rejects_violated_invariants(tmp_path):
         SearchTrace.read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,100,4.0,5.0", "repeats the evaluation count"),
+        ("1,50,4.0,5.0", "must not decrease"),
+        ("1,200,6.0,5.0", "must not increase"),
+        ("1,200,nan,5.0", "finite"),
+    ],
+)
+def test_read_names_the_line_of_a_broken_invariant(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# seed: 1\ngeneration,evaluations,best_fitness,mean_fitness\n0,100,5.0,6.0\n{row}\n")
+    with pytest.raises(TraceError, match=f"bad.csv:4: .*{message}"):
+        SearchTrace.read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(1, 100), (2, 9.0), (2, float("nan")), (3, float("inf"))],
+    ids=["repeated_count", "rising_best", "nan_best", "infinite_mean"],
+)
+def test_validate_rejects_columns_that_break_an_invariant(column, value):
+    t = make_trace()
+    t._columns[column][2] = value
+    with pytest.raises(TraceError):
+        t.validate()
+
+
 def test_rows_is_a_snapshot_of_the_columns(tmp_path):
     t = make_trace()
     rows = t.rows
