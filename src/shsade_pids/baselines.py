@@ -80,15 +80,17 @@ def vanilla_de_run(
     cr = np.full(config.pop_size, config.cr)
 
     def ask():
-        r1, r2, r3 = sample_distinct_triplets(config.pop_size, rows, rng.random((3, config.pop_size)))
-        donors = state.x[r1] + config.f * (state.x[r2] - state.x[r3])
+        picks = sample_distinct_triplets(config.pop_size, rows, rng.random((3, config.pop_size)))
+        # take() gathers the same rows as fancy indexing, without its overhead
+        x1, x2, x3 = state.x.take(np.array(picks), axis=0)
+        donors = x1 + config.f * (x2 - x3)
         trials = binomial_crossover_matrix(state.x, donors, cr, rng)
         return repair_bounds_matrix(trials, spec.bounds, state.x)
 
     def tell(trials, trial_fitness, _evaluated):
         # greedy selection; ties accept the trial
         accepted = trial_fitness <= state.fitness
-        replace_rows(state, accepted, trials[accepted], trial_fitness[accepted])
+        replace_rows(state, accepted, trials.compress(accepted, axis=0), trial_fitness[accepted])
         state.evaluations += config.pop_size
         state.generation += 1
 

@@ -61,7 +61,9 @@ class ObjectiveSpec:
 
     The evaluator must be pure: identical inputs yield identical outputs.
     ``batch_evaluator`` optionally maps an (n, dimension) matrix to n values
-    in one call; when absent, rows are evaluated one by one.
+    in one call, any sequence that converts to a float array of shape
+    ``(n,)``; ``evaluate_many`` raises ``ValueError`` on any other shape.
+    When absent, rows are evaluated one by one.
     """
 
     dimension: int
@@ -75,9 +77,12 @@ class ObjectiveSpec:
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if self.batch_evaluator is not None:
-            return np.asarray(self.batch_evaluator(xs), dtype=float)
-        return np.array([float(self.evaluator(row)) for row in xs], dtype=float)
+        if self.batch_evaluator is None:
+            return np.array([float(self.evaluator(row)) for row in xs], dtype=float)
+        values = np.asarray(self.batch_evaluator(xs), dtype=float)
+        if values.shape != (len(xs),):
+            raise ValueError(f"the batch evaluator returned shape {values.shape}, expected ({len(xs)},)")
+        return values
 
 
 def init_population(spec: ObjectiveSpec, pop_size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +104,7 @@ def replace_rows(state, rows, x: np.ndarray, fitness: np.ndarray) -> None:
     to the first row that holds the population's new minimum."""
     state.x[rows] = x
     state.fitness[rows] = fitness
-    best = int(np.argmin(state.fitness))
+    best = int(state.fitness.argmin())
     if state.fitness[best] < state.best_fitness:
         state.best_fitness = float(state.fitness[best])
         state.best_x = state.x[best].copy()
@@ -108,10 +113,15 @@ def replace_rows(state, rows, x: np.ndarray, fitness: np.ndarray) -> None:
 def repair_bounds_matrix(v: np.ndarray, bounds: Bounds, base: np.ndarray) -> np.ndarray:
     """Row-wise midpoint repair: a violated coordinate moves to the midpoint
     between the violated bound and the base vector's coordinate, which must
-    lie within bounds. ``v`` and ``base`` are float arrays."""
-    out = np.where(v < bounds.lower, 0.5 * (bounds.lower + base), v)
-    out = np.where(out > bounds.upper, 0.5 * (bounds.upper + base), out)
-    return out
+    lie within bounds. ``v`` and ``base`` are float arrays; ``v`` itself
+    comes back when no coordinate is violated, the common case."""
+    low = v < bounds.lower
+    if low.any():
+        v = np.where(low, 0.5 * (bounds.lower + base), v)
+    high = v > bounds.upper
+    if high.any():
+        v = np.where(high, 0.5 * (bounds.upper + base), v)
+    return v
 
 
 def uniform_index(u, m):

@@ -29,7 +29,6 @@ from .de_core import (
     init_population,
     repair_bounds_matrix,
     replace_rows,
-    sample_distinct_triplets,
     skip,
     uniform_index,
 )
@@ -188,7 +187,7 @@ class ShsadeState:
     bounds: Bounds
     memories: ParameterMemories
     strategy: StrategyState
-    archive: list[np.ndarray]
+    archive: np.ndarray  # (n, dimension) replaced parents in archive order, n <= capacity
     generation: int
     evaluations: int
     best_x: np.ndarray
@@ -210,7 +209,7 @@ class ShsadeState:
             bounds=bounds,
             memories=ParameterMemories.initial(config.memory_size, freq=config.freq_init),
             strategy=strategy,
-            archive=[],
+            archive=np.empty((0, x.shape[1])),
             generation=0,
             evaluations=config.pop_size,
             best_x=None,
@@ -229,9 +228,11 @@ class ShsadeState:
 class TrialBatch:
     """One generation's trial vectors plus the parameters that built them.
 
-    ``f``, ``cr`` and ``freq`` are NaN on rows where the value was not used
-    (trigonometric rows have no F/CR; only adaptive-sinusoidal rows carry a
-    frequency), so success-set collection can filter on NaN.
+    ``f``, ``cr`` and ``freq`` hold every row's sampled value, used or not
+    (``freq`` is NaN where none was sampled, in the second half of a run).
+    Only current-to-pbest rows use their F and CR, so only they enter the
+    success sets; ``adaptive`` marks the current-to-pbest rows whose F
+    followed the adaptive sinusoid, the only rows whose frequency counts.
     """
 
     x: np.ndarray
@@ -239,6 +240,7 @@ class TrialBatch:
     f: np.ndarray
     cr: np.ndarray
     freq: np.ndarray
+    adaptive: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -332,60 +334,69 @@ def trigonometric_donor(x1, x2, x3, f1: float, f2: float, f3: float) -> np.ndarr
     When all three |fitness| values are zero the weights are undefined and the
     donor degenerates to the plain centroid.
     """
-    points = np.array([x1, x2, x3], dtype=float)
-    return _trigonometric_donors(points, np.array([f1, f2, f3], dtype=float), [0], [1], [2])[0]
+    points = np.array([[x1], [x2], [x3]], dtype=float)
+    return _trigonometric_donors(points, np.array([[f1], [f2], [f3]], dtype=float))[0]
 
 
-def _select_pbest_partners(
+def _select_partners(
     fitness: np.ndarray,
     archive_size: int,
     rows: np.ndarray,
+    pbest: np.ndarray,
     p_best_fraction: float,
     u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row i: a pbest index from the top ceil(p * NP) (at least 2, so an
-    alternative to i always exists), r1 from the population and r2 from the
-    population plus archive, all distinct from i and from each other, from a
-    ``(3, rows.size)`` block of uniforms: one row of it per index."""
+) -> np.ndarray:
+    """Per row i: three partners, distinct from i and from each other, as a
+    ``(3, rows.size)`` array, from a ``(3, rows.size)`` block of uniforms,
+    one row of it per pick (see ``de_core.skip``).
+
+    On current-to-pbest rows (``pbest`` True) the first pick comes from the
+    top ceil(p * NP) (at least 2, so an alternative to i always exists), the
+    second from the population and the third from the population followed
+    by the archive. On trigonometric rows all three come from the
+    population, uniformly over its distinct triplets.
+    """
     pop_size = fitness.size
     k = min(pop_size, max(2, math.ceil(p_best_fraction * pop_size)))
-    order = np.argsort(fitness, kind="stable")
+    order = fitness.argsort(kind="stable")
+    # i's place in the order; a scatter, since sorting an integer array would
+    # fault in numpy's integer sort code, about 0.3 MB of resident memory
     place = np.empty(pop_size, dtype=np.intp)
     place[order] = np.arange(pop_size)
-    own = place[rows]  # i's place in the order; pbest skips it only when it lies in the top k
-    pbest = order[skip(uniform_index(u[0], k - (own < k)), own)]
-    v1, v2 = uniform_index(u[1:], np.array([[pop_size - 2], [pop_size + archive_size - 3]]))
-    p = pbest - (pbest > rows)  # pbest's place among the indices other than i
-    return pbest, skip(skip(v1, p), rows), skip(skip(skip(v2, v1), p), rows)
+    own = place[rows]
+    # per pick and row, the count of indices to choose from; pbest skips i
+    # only when i lies in the top k
+    counts = np.where(
+        pbest,
+        [[k], [pop_size - 2], [pop_size + archive_size - 3]],
+        [[pop_size - 1], [pop_size - 2], [pop_size - 3]],
+    )
+    counts[0] -= pbest & (own < k)
+    v = uniform_index(u, counts)
+    first = skip(v[0], np.where(pbest, own, rows))
+    v[0] = np.where(pbest, order[first], first)
+    p = v[0] - (v[0] > rows)  # the first pick's place among the indices other than i
+    v[2] = skip(v[2], v[1])
+    v[1:] = skip(skip(v[1:], p), rows)
+    return v
 
 
-def _current_to_pbest_donors(
-    x: np.ndarray,
-    pool: np.ndarray,
-    rows: np.ndarray,
-    pbest: np.ndarray,
-    r1: np.ndarray,
-    r2: np.ndarray,
-    f: np.ndarray,
-) -> np.ndarray:
-    """Donors x_i + F_i (x_pbest - x_i) + F_i (x_r1 - x_r2) for the rows i in
-    ``rows``, before boundary repair; ``r2`` indexes ``pool``, the population
-    followed by the archive."""
-    own = x[rows]
-    step = f[rows][:, None]
-    return own + step * (x[pbest] - own) + step * (x[r1] - pool[r2])
+def _current_to_pbest_donors(own: np.ndarray, f: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Donors x_i + F_i (x_pbest - x_i) + F_i (x_r1 - x_r2) of the rows
+    ``own``, before boundary repair; ``points`` stacks x_pbest, x_r1, x_r2."""
+    step = f[:, None]
+    return own + step * (points[0] - own) + step * (points[1] - points[2])
 
 
-def _trigonometric_donors(
-    x: np.ndarray, fitness: np.ndarray, r1: np.ndarray, r2: np.ndarray, r3: np.ndarray
-) -> np.ndarray:
-    picks = np.array((r1, r2, r3))
-    a = np.abs(fitness[picks])
-    x1, x2, x3 = x[picks]
+def _trigonometric_donors(points: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """Trigonometric donors from ``points``, three stacked ``(n, dimension)``
+    blocks, and ``fitness``, their ``(3, n)`` finite objective values."""
+    a = np.abs(fitness)
+    x1, x2, x3 = points
     total = a[0] + a[1] + a[2]
     centroid = (x1 + x2 + x3) / 3.0
-    positive = total > 0
-    w1, w2, w3 = np.where(positive, a / np.where(positive, total, 1.0), 0.0)[:, :, None]
+    # a zero total means three zero |fitness| values, and so zero weights
+    w1, w2, w3 = (a / np.where(total > 0, total, 1.0))[:, :, None]
     return centroid + (w2 - w1) * (x1 - x2) + (w3 - w2) * (x2 - x3) + (w1 - w3) * (x3 - x1)
 
 
@@ -452,7 +463,9 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     block for both strategies. The first block's rows give each individual
     its strategy, its one memory slot (read for CR and for F or the
     frequency, as in SHADE), its sinusoid coin and three partner uniforms
-    (see ``de_core.skip``). Earlier versions made about 22 calls per
+    (see ``de_core.skip``), which pick the partners of both strategies in
+    one pass; one gather then reads their rows from the population and the
+    archive. Earlier versions made about 22 calls per
     generation, redrew clashing partners and drew a slot per parameter, so
     their runs differ from these from the same seed.
     """
@@ -469,47 +482,46 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     slots = uniform_index(u[1], state.memories.size)
     cr = sample_cr(state.memories, rng, slots, cfg.sigma_cr)
 
+    pbest = strategies == CURRENT_TO_PBEST
+
     if cfg.use_sinusoidal and gen <= cfg.max_generations / 2:
         decreasing = u[2] < 0.5
-        freqs = sample_freq(state.memories, rng, slots, cfg.sigma_cauchy_f)
+        freq = sample_freq(state.memories, rng, slots, cfg.sigma_cauchy_f)
         f = np.where(
             decreasing,
             decreasing_sinusoidal_f(gen, cfg.max_generations, cfg.freq_init),
-            adaptive_sinusoidal_f(gen, cfg.max_generations, freqs),
+            adaptive_sinusoidal_f(gen, cfg.max_generations, freq),
         )
-        freq_used = np.where(decreasing, np.nan, freqs)
+        adaptive = pbest & ~decreasing
     else:
         f = sample_f_cauchy(state.memories, rng, slots, cfg.sigma_cauchy_f)
-        freq_used = np.full(pop_size, np.nan)
+        freq = np.full(pop_size, np.nan)
+        adaptive = np.zeros(pop_size, dtype=bool)
 
-    pbest_rows = np.flatnonzero(strategies == CURRENT_TO_PBEST)
-    trig_rows = np.flatnonzero(strategies == TRIGONOMETRIC)
+    # the population followed by the archive; only current-to-pbest rows
+    # draw their third partner beyond the population
+    pool = np.concatenate((x, state.archive))
+    picks = _select_partners(fitness, len(state.archive), np.arange(pop_size), pbest, cfg.p_best_fraction, u[3:])
+    # take() gathers the same rows as fancy indexing, without its overhead
+    points = pool.take(picks, axis=0)
+    pbest_rows = pbest.nonzero()[0]
+    trig_rows = (~pbest).nonzero()[0]
     donors = np.empty_like(x)
     if pbest_rows.size:
-        pbest, r1, r2 = _select_pbest_partners(
-            fitness, len(state.archive), pbest_rows, cfg.p_best_fraction, u[3:, pbest_rows]
+        donors[pbest_rows] = _current_to_pbest_donors(
+            x.take(pbest_rows, axis=0), f[pbest_rows], points.take(pbest_rows, axis=1)
         )
-        pool = np.concatenate((x, state.archive)) if state.archive else x
-        donors[pbest_rows] = _current_to_pbest_donors(x, pool, pbest_rows, pbest, r1, r2, f)
     if trig_rows.size:
         # no F is involved here. The donor recombines with the target like any
         # other: taken raw, trigonometric donors collapse the population onto
         # its centroid and stall the search
-        triplets = sample_distinct_triplets(pop_size, trig_rows, u[3:, trig_rows])
-        donors[trig_rows] = _trigonometric_donors(x, fitness, *triplets)
+        donors[trig_rows] = _trigonometric_donors(
+            points.take(trig_rows, axis=1), fitness[picks.take(trig_rows, axis=1)]
+        )
 
     targets = x if cfg.crossover_target == "self" else np.broadcast_to(x[int(np.argmin(fitness))], x.shape)
     trials = repair_bounds_matrix(binomial_crossover_matrix(targets, donors, cr, rng), state.bounds, x)
-    # f, cr and freq_used are fresh arrays, read for the last time above
-    f[trig_rows] = np.nan
-    cr[trig_rows] = np.nan
-    freq_used[trig_rows] = np.nan
-    return TrialBatch(x=trials, strategies=strategies, f=f, cr=cr, freq=freq_used)
-
-
-def _used(values: np.ndarray) -> np.ndarray:
-    """The values a trial used; NaN marks a parameter the trial did not use."""
-    return values[~np.isnan(values)]
+    return TrialBatch(x=trials, strategies=strategies, f=f, cr=cr, freq=freq, adaptive=adaptive)
 
 
 def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Generator) -> None:
@@ -517,27 +529,26 @@ def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Gen
     overflows the capacity deletes a uniformly drawn row, shifting the later
     rows down, so the archive keeps its list order.
 
+    The deletions run on a list of row indices into the old archive followed
+    by ``parents``, and one gather builds the new ``(n, dimension)`` array.
     All of a generation's deletions are drawn in one ``rng.random`` call,
     each as ``floor(u * (capacity + 1))``: a batched call yields the same
     values as one call per deletion. Capacity 0 keeps nothing and draws
     nothing.
     """
-    archive = state.archive
     capacity = state.config.resolved_archive_capacity()
     if capacity == 0:
         return
-    # one array per row: views of ``parents`` would keep the whole block
-    # alive while any one of its rows stays archived
-    rows = [row.copy() for row in parents]
-    overflow = len(archive) + len(rows) - capacity
+    combined = np.concatenate((state.archive, parents))
+    overflow = len(combined) - capacity
     if overflow <= 0:
-        archive.extend(rows)
+        state.archive = combined
         return
-    free = len(rows) - overflow
-    archive.extend(rows[:free])
-    for row, j in zip(rows[free:], uniform_index(rng.random(overflow), capacity + 1).tolist()):
-        archive.append(row)
-        del archive[j]
+    kept = list(range(capacity))
+    for row, j in zip(range(capacity, len(combined)), uniform_index(rng.random(overflow), capacity + 1).tolist()):
+        kept.append(row)
+        del kept[j]
+    state.archive = combined.take(kept, axis=0)
 
 
 def commit_generation(
@@ -571,12 +582,12 @@ def commit_generation(
         improved &= evaluated
         tried = tried[evaluated]
 
-    success = SuccessSets(
-        scr=_used(batch.cr[improved]), sf=_used(batch.f[improved]), sfreq=_used(batch.freq[improved])
-    )
-    # the archive takes the parents before the trials replace them
-    _archive_parents(state, state.x[accepted], rng)
-    replace_rows(state, accepted, batch.x[accepted], tf[accepted])
+    uses_f = improved & (batch.strategies == CURRENT_TO_PBEST)
+    success = SuccessSets(scr=batch.cr[uses_f], sf=batch.f[uses_f], sfreq=batch.freq[improved & batch.adaptive])
+    # the archive takes the parents before the trials replace them;
+    # compress() picks the same rows as a boolean index, at less overhead
+    _archive_parents(state, state.x.compress(accepted, axis=0), rng)
+    replace_rows(state, accepted, batch.x.compress(accepted, axis=0), tf[accepted])
 
     n_strategies = state.strategy.success_counts.size
     won = np.bincount(batch.strategies[improved], minlength=n_strategies)

@@ -9,7 +9,8 @@ flag, ``sample_distinct_triplets`` takes a block of uniforms, a seed
 becomes a ``Generator`` through ``np.random.default_rng``, and
 ``nas_evolve`` draws its initial population as one block of uniform value
 indices and one block of normal noise, and redraws all rows but the first
-the same way once every row decodes to one genotype. ``regularized_ea_run`` is aging
+the same way once every row decodes to one genotype. The SHSADE states start
+from an empty ``(0, dimension)`` archive array. ``regularized_ea_run`` is aging
 evolution written as a plain list loop over the block-drawn stream that
 ``baselines.regularized_ea_run`` consumes. Both searches score through
 ``ReferenceScorer``, the one-genotype memo keyed by choices that
@@ -100,7 +101,7 @@ def init_state(config, spec, rng):
         bounds=spec.bounds,
         memories=ParameterMemories.initial(config.memory_size, freq=config.freq_init),
         strategy=strategy,
-        archive=[],
+        archive=np.empty((0, spec.dimension)),
         generation=0,
         evaluations=config.pop_size,
         best_x=x[best_idx].copy(),
@@ -204,7 +205,7 @@ def nas_evolve(space, predictor, config, rng=None):
         bounds=bounds,
         memories=ParameterMemories.initial(sh.memory_size, freq=sh.freq_init),
         strategy=strategy,
-        archive=[],
+        archive=np.empty((0, m)),
         generation=0,
         evaluations=sh.pop_size,
         best_x=x0[best_idx].copy(),

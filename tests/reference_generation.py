@@ -7,8 +7,10 @@ normals, the F or frequency draws with their resampling rounds, and one
 ``rng.random((pop_size, dim + 1))`` crossover block. An index below m is
 ``min(floor(u * m), m - 1)``, and a pick that must differ from earlier ones
 is the v-th element of the list of indices still allowed, built as a list.
-The commit side appends replaced parents one at a time, each overflow
-deleting a row drawn with its own ``rng.random()``.
+Only current-to-pbest rows use their F and CR, and only those whose F
+follows the adaptive sinusoid their frequency. The commit side appends
+replaced parents to a list one at a time, each overflow deleting a row
+drawn with its own ``rng.random()``.
 
 This is the reference that ``shsade.build_trials``,
 ``shsade.commit_generation``, the samplers and the ``de_core`` kernels must
@@ -64,14 +66,16 @@ def binomial_crossover_matrix(targets, donors, cr, rng):
     return out
 
 
+def _distinct_triplet(pop_size, i, u):
+    taken = [i]
+    for t in range(3):
+        v = index(u[t], pop_size - len(taken))
+        taken.append(nth_allowed(v, pop_size, taken))
+    return tuple(taken[1:])
+
+
 def sample_distinct_triplets(pop_size, rows, u):
-    picks = []
-    for c, i in enumerate(rows):
-        taken = [int(i)]
-        for t in range(3):
-            v = index(u[t][c], pop_size - len(taken))
-            taken.append(nth_allowed(v, pop_size, taken))
-        picks.append(taken[1:])
+    picks = [_distinct_triplet(pop_size, int(i), u[:, c]) for c, i in enumerate(rows)]
     return tuple(np.array(column, dtype=np.intp) for column in zip(*picks))
 
 
@@ -121,9 +125,14 @@ def _pbest_partners(top, pop_size, archive_size, i, u):
     return pbest, r1, r2
 
 
-def select_pbest_partners(fitness, archive_size, rows, p_best_fraction, u):
+def select_partners(fitness, archive_size, rows, pbest, p_best_fraction, u):
     top = _top(fitness, p_best_fraction)
-    picks = [_pbest_partners(top, fitness.size, archive_size, int(i), u[:, c]) for c, i in enumerate(rows)]
+    picks = [
+        _pbest_partners(top, fitness.size, archive_size, int(i), u[:, c])
+        if pbest[c]
+        else _distinct_triplet(fitness.size, int(i), u[:, c])
+        for c, i in enumerate(rows)
+    ]
     return tuple(np.array(column, dtype=np.intp) for column in zip(*picks))
 
 
@@ -153,19 +162,20 @@ def build_trials(state, rng):
     slots = [index(u[1][i], state.memories.size) for i in range(pop_size)]
     cr = sample_cr(state.memories, rng, slots, cfg.sigma_cr)
 
-    freq = np.full(pop_size, np.nan)
+    adaptive = np.zeros(pop_size, dtype=bool)
     if cfg.use_sinusoidal and gen <= cfg.max_generations / 2:
-        freqs = sample_freq(state.memories, rng, slots, cfg.sigma_cauchy_f)
-        adaptive = adaptive_sinusoidal_f(gen, cfg.max_generations, freqs)
+        freq = sample_freq(state.memories, rng, slots, cfg.sigma_cauchy_f)
+        increasing = adaptive_sinusoidal_f(gen, cfg.max_generations, freq)
         f = np.empty(pop_size)
         for i in range(pop_size):
             if u[2][i] < 0.5:
                 f[i] = decreasing_sinusoidal_f(gen, cfg.max_generations, cfg.freq_init)
             else:
-                f[i] = adaptive[i]
-                freq[i] = freqs[i]
+                f[i] = increasing[i]
+                adaptive[i] = strategies[i] == CURRENT_TO_PBEST
     else:
         f = sample_f_cauchy(state.memories, rng, slots, cfg.sigma_cauchy_f)
+        freq = np.full(pop_size, np.nan)
 
     top = _top(fitness, cfg.p_best_fraction)
     pool = list(x) + list(state.archive)
@@ -177,19 +187,12 @@ def build_trials(state, rng):
             pbest, r1, r2 = _pbest_partners(top, pop_size, len(state.archive), i, u[3:, i])
             donors[i] = x[i] + f[i] * (x[pbest] - x[i]) + f[i] * (x[r1] - pool[r2])
         else:
-            (t1,), (t2,), (t3,) = sample_distinct_triplets(pop_size, [i], u[3:, i : i + 1])
+            t1, t2, t3 = _distinct_triplet(pop_size, i, u[3:, i])
             donors[i] = trigonometric_donor(x, fitness, t1, t2, t3)
         targets[i] = best if cfg.crossover_target == "best" else x[i]
 
     trials = repair_bounds_matrix(binomial_crossover_matrix(targets, donors, cr, rng), state.bounds, x)
-    trig = strategies == TRIGONOMETRIC
-    return TrialBatch(
-        x=trials,
-        strategies=strategies,
-        f=np.where(trig, np.nan, f),
-        cr=np.where(trig, np.nan, cr),
-        freq=np.where(trig, np.nan, freq),
-    )
+    return TrialBatch(x=trials, strategies=strategies, f=f, cr=cr, freq=freq, adaptive=adaptive)
 
 
 def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
@@ -208,20 +211,22 @@ def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
 
     success = SuccessSets()
     for i in np.flatnonzero(improved):
-        if not np.isnan(batch.cr[i]):
+        # only current-to-pbest rows use F and CR, only adaptive ones their frequency
+        if batch.strategies[i] == CURRENT_TO_PBEST:
             success.scr.append(float(batch.cr[i]))
-        if not np.isnan(batch.f[i]):
             success.sf.append(float(batch.f[i]))
-        if not np.isnan(batch.freq[i]):
+        if batch.adaptive[i]:
             success.sfreq.append(float(batch.freq[i]))
 
     # capacity 0 keeps nothing and draws nothing
     capacity = state.config.resolved_archive_capacity()
     if capacity > 0:
+        archive = list(state.archive)
         for i in np.flatnonzero(accepted):
-            state.archive.append(x[i].copy())
-            if len(state.archive) > capacity:
-                del state.archive[index(rng.random(), len(state.archive))]
+            archive.append(x[i].copy())
+            if len(archive) > capacity:
+                del archive[index(rng.random(), len(archive))]
+        state.archive = np.array(archive).reshape(-1, x.shape[1])
 
     x[accepted] = batch.x[accepted]
     fitness[accepted] = safe_tf[accepted]

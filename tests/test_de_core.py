@@ -1,5 +1,6 @@
 """Unit tests for the shared DE primitives."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,6 +80,55 @@ class TestInitPopulation:
             baselines.vanilla_de_run(baselines.VanillaDeConfig(pop_size=20), spec, rng=0)
 
 
+def _squares(xs):
+    return np.sum(xs * xs, axis=1)
+
+
+# batch evaluators of the wrong shape, with the shape they return for 8 rows of 3
+WRONG_BATCHES = {
+    "column": (lambda xs: _squares(xs)[:, None], (8, 1)),
+    "short": (lambda xs: _squares(xs)[:-1], (7,)),
+    "scalar": (lambda xs: np.sum(xs * xs), ()),
+}
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("wrong", sorted(WRONG_BATCHES))
+    @pytest.mark.parametrize("good_calls", [0, 1])  # wrong from the initial population, or from the first generation
+    @pytest.mark.parametrize("algorithm", ["shsade", "vanilla_de"])
+    def test_a_batch_of_the_wrong_shape_is_rejected(self, wrong, good_calls, algorithm):
+        batch, shape = WRONG_BATCHES[wrong]
+        calls = []
+
+        def evaluator(xs):
+            calls.append(len(xs))
+            return _squares(xs) if len(calls) <= good_calls else batch(xs)
+
+        spec = ObjectiveSpec(3, Bounds.cube(-1, 1, 3), lambda x: float(np.sum(x * x)), evaluator)
+        with pytest.raises(ValueError, match=re.escape(f"returned shape {shape}, expected (8,)")):
+            if algorithm == "shsade":
+                shsade.run(shsade.ShsadeConfig(pop_size=8, max_generations=3), spec, rng=0)
+            else:
+                baselines.vanilla_de_run(baselines.VanillaDeConfig(pop_size=8, max_generations=3), spec, rng=0)
+        assert len(calls) == good_calls + 1
+
+    def test_a_list_of_floats_is_accepted(self):
+        def as_list(xs):
+            return [float(v) for v in _squares(xs)]
+
+        runs = [
+            shsade.run(
+                shsade.ShsadeConfig(pop_size=8, max_generations=5),
+                ObjectiveSpec(3, Bounds.cube(-1, 1, 3), lambda x: float(np.sum(x * x)), batch),
+                rng=0,
+            )
+            for batch in (_squares, as_list)
+        ]
+        (best_array, trace_array), (best_list, trace_list) = runs
+        assert best_list.x.tobytes() == best_array.x.tobytes()
+        assert [row.best_fitness for row in trace_list.rows] == [row.best_fitness for row in trace_array.rows]
+
+
 class TestPopulation:
     def test_array_round_trip_and_best(self):
         # an SHSADE run starts from the evaluated arrays as given
@@ -87,7 +137,7 @@ class TestPopulation:
         state = shsade.ShsadeState.initial(shsade.ShsadeConfig(pop_size=4), x, f, Bounds.cube(0, 8, 2))
         assert state.x is x and state.fitness is f
         assert (state.best.fitness, state.best.x.tolist()) == (1.0, [2.0, 3.0])
-        assert (state.generation, state.evaluations, state.archive) == (0, 4, [])
+        assert (state.generation, state.evaluations, state.archive.shape) == (0, 4, (0, 2))
 
 
 def rows_state(fitness, best_fitness):
@@ -191,7 +241,7 @@ def select(state, trial_fitness, evaluated=None):
     n = state.fitness.size
     trials = -1.0 - np.arange(float(n))[:, None]
     half, unused = np.full(n, 0.5), np.full(n, np.nan)
-    batch = shsade.TrialBatch(trials, np.zeros(n, dtype=int), f=half, cr=half, freq=unused)
+    batch = shsade.TrialBatch(trials, np.zeros(n, dtype=int), f=half, cr=half, freq=unused, adaptive=np.zeros(n, bool))
     trial_fitness = np.array(trial_fitness, dtype=float)
     shsade.commit_generation(state, batch, trial_fitness, np.random.default_rng(0), evaluated)
     return state.x[:, 0] < 0
@@ -232,6 +282,7 @@ class TestGreedySelect:
             f=np.array([0.1, 0.2, 0.8, 0.4]),
             cr=np.array([0.1, 0.2, 0.9, 0.4]),
             freq=np.full(4, np.nan),
+            adaptive=np.zeros(4, dtype=bool),
         )
         shsade.commit_generation(state, batch, np.array([np.nan, np.inf, 1.0, 3.0]), np.random.default_rng(0))
         assert state.x[:, 0].tolist() == [0.0, 1.0, -3.0, 3.0]

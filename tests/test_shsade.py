@@ -4,7 +4,10 @@ generation loop and full seeded runs."""
 import dataclasses
 import itertools
 import math
+import os
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +23,13 @@ from shsade_pids.shsade import (
     TRIGONOMETRIC,
     ParameterMemories,
     ShsadeConfig,
+    ShsadeState,
     StrategyState,
     SuccessSets,
     Termination,
+    TrialBatch,
     _current_to_pbest_donors,
-    _select_pbest_partners,
+    _select_partners,
     _trigonometric_donors,
     adaptive_sinusoidal_f,
     build_trials,
@@ -144,7 +149,7 @@ class TestSinusoidal:
         state = init_state(cfg, sphere_spec(2), np.random.default_rng(0))
         state.generation = 9
         batch = build_trials(state, np.random.default_rng(1))
-        decreasing = np.isnan(batch.freq) & (batch.strategies != TRIGONOMETRIC)
+        decreasing = ~batch.adaptive & (batch.strategies != TRIGONOMETRIC)
         assert decreasing.any()
         assert np.all(batch.f[decreasing] == decreasing_sinusoidal_f(10, 100, 0.3))
 
@@ -153,7 +158,7 @@ class TestSinusoidal:
         state = init_state(cfg, sphere_spec(2), np.random.default_rng(8))
         state.generation = 9
         batch = build_trials(state, np.random.default_rng(9))
-        adaptive = ~np.isnan(batch.freq)
+        adaptive = batch.adaptive
         assert adaptive.any()
         assert np.all((batch.freq[adaptive] > 0.0) & (batch.freq[adaptive] <= 1.0))
         assert np.array_equal(batch.f[adaptive], adaptive_sinusoidal_f(10, 100, batch.freq[adaptive]))
@@ -187,22 +192,22 @@ class TestCurrentToPbest:
     def test_donor_hand_value(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
         pool = np.vstack([x, [[0.0, 2.0]]])  # the archive row is pool index 3
-        rows, pbest, r1, r2 = np.array([0]), np.array([1]), np.array([2]), np.array([3])
-        donor = _current_to_pbest_donors(x, pool, rows, pbest, r1, r2, np.full(3, 0.5))
+        picks = np.array([[1], [2], [3]])  # pbest, r1 and r2 of row 0
+        donor = _current_to_pbest_donors(x[[0]], np.array([0.5]), pool[picks])
         assert np.allclose(donor, [[1.5, -0.5]], atol=1e-15)
 
     def test_zero_step_returns_target(self):
         x = np.arange(8.0).reshape(4, 2)
         rows = np.arange(4)
-        pbest, r1, r2 = _select_pbest_partners(np.arange(4.0), 0, rows, 0.5, np.random.default_rng(0).random((3, 4)))
-        donors = _current_to_pbest_donors(x, x, rows, pbest, r1, r2, np.zeros(4))
+        picks = _select_partners(np.arange(4.0), 0, rows, rows >= 0, 0.5, np.random.default_rng(0).random((3, 4)))
+        donors = _current_to_pbest_donors(x, np.zeros(4), x[picks])
         assert np.array_equal(donors, x)
 
     def test_identical_population_returns_target(self):
         x = np.tile([1.5, -2.0], (5, 1))
         rows = np.arange(5)
-        pbest, r1, r2 = _select_pbest_partners(np.full(5, 3.0), 0, rows, 0.3, np.random.default_rng(1).random((3, 5)))
-        donors = _current_to_pbest_donors(x, x, rows, pbest, r1, r2, np.full(5, 0.7))
+        picks = _select_partners(np.full(5, 3.0), 0, rows, rows >= 0, 0.3, np.random.default_rng(1).random((3, 5)))
+        donors = _current_to_pbest_donors(x, np.full(5, 0.7), x[picks])
         assert np.allclose(donors, x, atol=1e-15)
 
     def test_archive_member_can_be_drawn(self):
@@ -210,8 +215,8 @@ class TestCurrentToPbest:
         pool = np.vstack([x, [[10.0, 10.0]]])
         rows = np.zeros(200, dtype=int)  # row 0, drawn for 200 times over
         fitness = np.array([1.0, 2.0, 3.0, 4.0])
-        pbest, r1, r2 = _select_pbest_partners(fitness, 1, rows, 0.5, np.random.default_rng(2).random((3, 200)))
-        donors = _current_to_pbest_donors(x, pool, rows, pbest, r1, r2, np.ones(4))
+        picks = _select_partners(fitness, 1, rows, rows == 0, 0.5, np.random.default_rng(2).random((3, 200)))
+        donors = _current_to_pbest_donors(x[rows], np.ones(200), pool[picks])
         assert any(np.allclose(d, [-10.0, -10.0]) for d in donors)
 
 
@@ -235,15 +240,16 @@ class TestTrigonometric:
     def test_mutation_on_constant_population(self):
         x = np.tile([4.0, -1.0], (6, 1))
         rows = np.arange(6)
-        triplets = sample_distinct_triplets(6, rows, np.random.default_rng(3).random((3, 6)))
-        donors = _trigonometric_donors(x, np.arange(6.0) + 1, *triplets)
+        picks = np.array(sample_distinct_triplets(6, rows, np.random.default_rng(3).random((3, 6))))
+        donors = _trigonometric_donors(x[picks], (np.arange(6.0) + 1)[picks])
         assert np.allclose(donors, x, atol=1e-12)
 
     def test_mutation_matches_some_triplet(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 2))
         f = np.full(5, 2.0)  # equal fitness: the donor is a plain centroid
-        donor = _trigonometric_donors(x, f, *sample_distinct_triplets(5, np.array([0]), rng.random((3, 1))))[0]
+        picks = np.array(sample_distinct_triplets(5, np.array([0]), rng.random((3, 1))))
+        donor = _trigonometric_donors(x[picks], f[picks])[0]
         candidates = [
             (x[a] + x[b] + x[c]) / 3.0
             for a in range(1, 5)
@@ -387,7 +393,7 @@ class TestGenerationLoop:
             state.x.copy(),
             state.fitness.copy(),
             state.memories.copy(),
-            list(state.archive),
+            state.archive.copy(),
             state.generation,
             state.evaluations,
             state.strategy.probabilities.copy(),
@@ -397,7 +403,7 @@ class TestGenerationLoop:
         assert np.array_equal(state.x, snapshot[0])
         assert np.array_equal(state.fitness, snapshot[1])
         assert np.array_equal(state.memories.mcr, snapshot[2].mcr)
-        assert state.archive == snapshot[3]
+        assert np.array_equal(state.archive, snapshot[3])
         assert state.generation == snapshot[4]
         assert state.evaluations == snapshot[5]
         assert np.array_equal(state.strategy.probabilities, snapshot[6])
@@ -435,16 +441,36 @@ class TestGenerationLoop:
             trial_fitness = spec.evaluate_many(batch.x)
             commit_generation(state, batch, trial_fitness, rng)
 
-    def test_trial_metadata_is_nan_exactly_on_trigonometric_rows(self):
+    def test_adaptive_rows_are_current_to_pbest_rows_with_a_frequency(self):
         spec = sphere_spec(3)
         cfg = ShsadeConfig(pop_size=30, max_generations=100)
         rng = np.random.default_rng(13)
         state = init_state(cfg, spec, rng)
         batch = build_trials(state, rng)
         trig = batch.strategies == TRIGONOMETRIC
-        assert np.all(np.isnan(batch.f[trig])) and np.all(np.isnan(batch.cr[trig]))
-        assert not np.any(np.isnan(batch.f[~trig]))
-        assert not np.any(np.isnan(batch.cr[~trig]))
+        assert trig.any() and batch.adaptive.any()
+        assert not np.any(batch.adaptive & trig)
+        assert np.all(np.isfinite(batch.f)) and np.all(np.isfinite(batch.cr)) and np.all(np.isfinite(batch.freq))
+
+    def test_improving_trigonometric_rows_leave_the_memories_alone(self):
+        # a trigonometric trial uses no F and no frequency, and its CR does
+        # not enter the success sets either
+        cfg = ShsadeConfig(pop_size=4, archive_capacity=0)
+        state = ShsadeState.initial(cfg, np.arange(4.0)[:, None], np.full(4, 2.0), Bounds.cube(-100, 100, 1))
+        batch = TrialBatch(
+            -1.0 - np.arange(4.0)[:, None],
+            strategies=np.full(4, TRIGONOMETRIC),
+            f=np.full(4, 0.9),
+            cr=np.full(4, 0.9),
+            freq=np.full(4, 0.9),
+            adaptive=np.zeros(4, dtype=bool),
+        )
+        before = state.memories.copy()
+        commit_generation(state, batch, np.zeros(4), np.random.default_rng(0))
+        assert state.fitness.tolist() == [0.0] * 4
+        assert state.memories.next_update_index == before.next_update_index
+        for name in ("mcr", "mf", "mfreq"):
+            assert getattr(state.memories, name).tobytes() == getattr(before, name).tobytes()
 
 
 class TestRun:
@@ -562,6 +588,7 @@ def _batch_snapshot(batch):
         batch.f.tobytes(),
         batch.cr.tobytes(),
         batch.freq.tobytes(),
+        batch.adaptive.tolist(),
     )
 
 
@@ -612,6 +639,28 @@ def test_generation_step_matches_loop_reference(
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+@pytest.mark.parametrize("capacity", [1, 12])
+def test_archive_rows_and_order_match_loop_reference_under_overflow(capacity):
+    # plateau fitness makes most trials tie or win, so the archive overflows
+    # in nearly every generation and loses rows from anywhere in its order
+    pop_size, dim, generations = 12, 3, 40
+    cfg = ShsadeConfig(pop_size=pop_size, max_generations=generations, archive_capacity=capacity)
+    spec = ObjectiveSpec(dim, Bounds.cube(-3, 3, dim), lambda x: float(_plateau_batch(x[None])[0]), _plateau_batch)
+    rng_new, rng_ref = np.random.default_rng(21), np.random.default_rng(21)
+    new, ref = init_state(cfg, spec, rng_new), init_state(cfg, spec, rng_ref)
+    overflows = 0
+    for _ in range(generations):
+        batch_new = build_trials(new, rng_new)
+        batch_ref = reference_generation.build_trials(ref, rng_ref)
+        trial_fitness = spec.evaluate_many(batch_new.x)
+        overflows += len(new.archive) + np.count_nonzero(trial_fitness <= new.fitness) > capacity
+        commit_generation(new, batch_new, trial_fitness, rng_new)
+        reference_generation.commit_generation(ref, batch_ref, trial_fitness.copy(), rng_ref)
+        assert new.archive.shape == ref.archive.shape and len(new.archive) <= capacity
+        assert [row.tobytes() for row in new.archive] == [row.tobytes() for row in ref.archive]
+    assert overflows >= 0.9 * generations
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     pop_size=st.integers(4, 20),
@@ -622,11 +671,13 @@ def test_generation_step_matches_loop_reference(
 )
 def test_pbest_partners_match_loop_reference(pop_size, archive_size, p_best_fraction, seed, data):
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, pop_size - 1), min_size=1))))
+    # current-to-pbest and trigonometric rows mixed in one draw
+    pbest = np.array(data.draw(st.lists(st.booleans(), min_size=rows.size, max_size=rows.size)))
     fitness = np.random.default_rng(seed).integers(0, 3, size=pop_size).astype(float)  # with ties
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = _select_pbest_partners(fitness, archive_size, rows, p_best_fraction, rng_new.random((3, rows.size)))
-    ref = reference_generation.select_pbest_partners(
-        fitness, archive_size, rows, p_best_fraction, rng_ref.random((3, rows.size))
+    new = _select_partners(fitness, archive_size, rows, pbest, p_best_fraction, rng_new.random((3, rows.size)))
+    ref = reference_generation.select_partners(
+        fitness, archive_size, rows, pbest, p_best_fraction, rng_ref.random((3, rows.size))
     )
     assert [a.tolist() for a in new] == [a.tolist() for a in ref]
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -659,19 +710,21 @@ def _midpoints(*counts):
 
 
 @pytest.mark.parametrize("pop_size", [4, 5, 6, 7])
-@pytest.mark.parametrize("archive_size", [0, 1, 2, 3])
+@pytest.mark.parametrize("archive_size", [0, 1, 2, 3, 25])
 def test_partner_maps_hit_every_distinct_tuple_once(pop_size, archive_size):
     # the midpoint of every index cell, fed to the maps, yields each ordered
-    # tuple of distinct partners exactly once per row
+    # tuple of distinct partners exactly once per row, for current-to-pbest
+    # and trigonometric columns drawn side by side in one call
     fitness = np.random.default_rng(pop_size).integers(0, 3, size=pop_size).astype(float)  # with ties
+    triplets = _midpoints(pop_size - 1, pop_size - 2, pop_size - 3)
     for p_best_fraction in (0.01, 0.5, 1.0):
         k = min(pop_size, max(2, math.ceil(p_best_fraction * pop_size)))
         top = np.argsort(fitness, kind="stable")[:k].tolist()
         pool = pop_size + archive_size
         for i in range(pop_size):
-            u = _midpoints(k - (i in top), pop_size - 2, pool - 3)
-            picks = _select_pbest_partners(fitness, archive_size, np.full(u.shape[1], i), p_best_fraction, u)
-            got = sorted(zip(*(a.tolist() for a in picks)))
+            u = np.hstack((_midpoints(k - (i in top), pop_size - 2, pool - 3), triplets))
+            pbest = np.arange(u.shape[1]) < u.shape[1] - triplets.shape[1]
+            picks = _select_partners(fitness, archive_size, np.full(u.shape[1], i), pbest, p_best_fraction, u)
             expected = [
                 (b, r1, r2)
                 for b in sorted(top)
@@ -679,7 +732,9 @@ def test_partner_maps_hit_every_distinct_tuple_once(pop_size, archive_size):
                 for r2 in range(pool)
                 if len({i, b, r1, r2}) == 4
             ]
-            assert got == expected
+            assert sorted(zip(*picks[:, pbest].tolist())) == expected
+            got = sorted(zip(*picks[:, ~pbest].tolist()))
+            assert got == [t for t in itertools.permutations(range(pop_size), 3) if i not in t]
     for i in range(pop_size):
         u = _midpoints(pop_size - 1, pop_size - 2, pop_size - 3)
         got = sorted(zip(*(a.tolist() for a in sample_distinct_triplets(pop_size, np.full(u.shape[1], i), u))))
@@ -758,6 +813,40 @@ def test_shsade_generation_draw_counts():
         assert not calls, calls  # no integers, choice or any other draw
     assert random_calls[0] == 2  # the archive has room
     assert max(random_calls) == 3  # generations that overflow it
+
+
+# Python-level calls into the package per SHSADE generation at D=10, pop 50
+# over the test below: at most 51 before the partners of both strategies
+# were drawn in one pass and the archive became one array, 36 since
+MAX_PACKAGE_CALLS_PER_GENERATION = 36
+
+
+def test_package_calls_per_generation_stay_bounded():
+    # counts calls into the package's own functions only, so numpy's Python
+    # wrappers, which change between numpy versions, do not count; the
+    # sampler rejection rounds make the count vary a little from one
+    # generation to the next
+    package = str(Path(shsade_generation.__code__.co_filename).parent) + os.sep
+    spec = make_benchmark("rastrigin", 10).to_objective_spec()
+    cfg = ShsadeConfig(pop_size=50, max_generations=40)
+    rng = np.random.default_rng(0)
+    state = init_state(cfg, spec, rng)
+    calls = []
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls[-1] += 1
+
+    previous = sys.getprofile()
+    for _ in range(cfg.max_generations):  # both F phases
+        calls.append(0)
+        sys.setprofile(count)
+        try:
+            shsade_generation(state, spec, rng)
+        finally:
+            sys.setprofile(previous)
+    assert state.generation == cfg.max_generations
+    assert max(calls) <= MAX_PACKAGE_CALLS_PER_GENERATION, calls
 
 
 def test_vanilla_de_generation_draw_counts():
