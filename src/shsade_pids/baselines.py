@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -207,20 +208,19 @@ def regularized_ea_run(
         all scored, which no hit changes; no step follows a non-finite score,
         because it fails the next row."""
         population, scores = state.population, state.fitness
-        score_of = scores.__getitem__
         step = state.generation
         if finite and scorer.evaluations < scorer.budget:
-            while step < max_steps:
-                picks, axis_idx, offset = next(draws)
-                parent = population[min(picks, key=score_of)]  # ties to the oldest
-                child = _move_axis(parent, axis_idx, offset, sizes[axis_idx])
-                value = memo.get(child)
+            score_of, lookup, join, record = scores.__getitem__, memo.get, population.append, scores.append
+            # islice draws no step beyond the cap
+            for picks, axis_idx, offset, size in islice(draws, max_steps - step):
+                child = _move_axis(population[min(picks, key=score_of)], axis_idx, offset, size)  # ties to the oldest
+                value = lookup(child)
                 if value is None:
                     state.held = child
                     break
                 del population[0], scores[0]  # oldest dies
-                population.append(child)
-                scores.append(value)
+                join(child)
+                record(value)
                 step += 1
         state.generation = step
 
@@ -246,17 +246,22 @@ def regularized_ea_run(
 
 
 def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, rng):
-    """Yield each step's tournament (population slots in age order, sorted),
-    axis index and value offset, drawing a block of steps at a time."""
+    """An iterator over each step's tournament (population slots in age
+    order, sorted), axis index, value offset and axis size. It draws a block
+    of steps when it reaches one, not before."""
     pop_size, tournament_size = config.population_size, config.tournament_size
     num_axes = space.num_axes
-    spans = np.array(space.sizes) - 1  # the values an axis can move to
-    while True:
+    sizes = np.array(space.sizes)
+
+    def block(_):
         u = rng.random((REA_DRAW_BLOCK, pop_size + 2))
         smallest = np.argpartition(u[:, :pop_size], tournament_size - 1, axis=1)[:, :tournament_size]
         tournaments = np.sort(smallest, axis=1)
         # floor(u * n) of a u just below 1 can round up to n
         axes = np.minimum((u[:, pop_size] * num_axes).astype(np.intp), num_axes - 1)
-        span = spans[axes]
+        size = sizes[axes]
+        span = size - 1  # the values an axis can move to
         offsets = np.minimum((u[:, pop_size + 1] * span).astype(np.intp), np.maximum(span - 1, 0))
-        yield from zip(tournaments.tolist(), axes.tolist(), offsets.tolist())
+        return zip(tournaments.tolist(), axes.tolist(), offsets.tolist(), size.tolist())
+
+    return chain.from_iterable(map(block, repeat(None)))

@@ -144,9 +144,10 @@ def binomial_crossover_matrix(
 ) -> np.ndarray:
     """Row-wise binomial crossover: each coordinate comes from the donor with
     the row's probability ``cr``, and one random coordinate per row always
-    does. ``targets``, ``donors`` and ``cr`` are float arrays. One
-    ``rng.random((n, dim + 1))`` call draws the mask and, last, ``j_rand``."""
-    n, dim = targets.shape
+    does. ``targets``, ``donors`` and ``cr`` are float arrays; ``targets``
+    broadcasts against ``donors``. One ``rng.random((n, dim + 1))`` call
+    draws the mask and, last, ``j_rand``."""
+    n, dim = donors.shape
     u = rng.random((n, dim + 1))
     mask = u[:, :dim] < cr[:, None]
     mask[np.arange(n), uniform_index(u[:, dim], dim)] = True

@@ -80,9 +80,14 @@ class DiscreteSpace:
     def num_axes(self) -> int:
         return len(self.axes)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(a.size for a in self.axes)
+
+    @cached_property
+    def _tops(self) -> np.ndarray:
+        """Each axis's highest value index, as floats, for decoding."""
+        return np.array(self.sizes, dtype=float) - 1.0
 
     @property
     def size(self) -> int:
@@ -99,7 +104,7 @@ class DiscreteSpace:
         )
 
     def genotype_from_indices(self, indices) -> Genotype:
-        return Genotype(tuple(a.values[int(i)] for a, i in zip(self.axes, indices)))
+        return Genotype(tuple([a.values[int(i)] for a, i in zip(self.axes, indices)]))
 
     @cached_property
     def _value_arrays(self) -> tuple[np.ndarray, ...]:
@@ -182,8 +187,7 @@ def decode_indices(us, space: DiscreteSpace) -> np.ndarray:
         raise ValueError("row length does not match the space")
     if np.isnan(us).any():
         raise ValueError("cannot decode a NaN coordinate")
-    top = np.array(space.sizes, dtype=float) - 1.0
-    return np.floor(np.clip(us, 0.0, 1.0) * top + 0.5).astype(np.intp)
+    return np.floor(us.clip(0.0, 1.0) * space._tops + 0.5).astype(np.intp)
 
 
 def decode(u, space: DiscreteSpace) -> Genotype:

@@ -29,8 +29,10 @@ class PredictorInterface(Protocol):
 
     A predictor may also offer ``predict_many(indices) -> (accuracy, cost)``
     over a ``(rows, num_axes)`` integer matrix of value indices into the
-    space being searched; ``BudgetedScorer.score_rows``, which both searches
-    score through, then scores each batch of new genotypes with one call.
+    space being searched, returning two float arrays of shape ``(rows,)``;
+    any other shape raises ``ValueError``. ``BudgetedScorer.score_rows``,
+    which both searches score through, then scores each batch of new
+    genotypes with one call.
     Without it, every new genotype goes through the two methods below, one
     genotype after another in row order. Both paths must give the same
     scores.
@@ -67,12 +69,13 @@ def score_many(accuracy, cost, config: BiObjectiveConfig) -> np.ndarray:
     at a time, because numpy's vectorized power may round the last bit
     differently.
     """
-    accuracy = np.asarray(accuracy, dtype=float)
+    scores = -np.asarray(accuracy, dtype=float)
     cost = np.asarray(cost, dtype=float)
-    penalty = np.ones_like(cost)
-    over = ~(cost <= config.cost_budget)
-    penalty[over] = [(config.cost_budget / c) ** config.omega for c in cost[over].tolist()]
-    return -accuracy * penalty
+    over = (~(cost <= config.cost_budget)).nonzero()[0]
+    if len(over):
+        budget, omega = config.cost_budget, config.omega
+        scores[over] *= [(budget / c) ** omega for c in cost.take(over).tolist()]
+    return scores
 
 
 def score(genotype: Genotype, predictor: PredictorInterface, config: BiObjectiveConfig) -> float:
@@ -89,7 +92,15 @@ def _predict_rows(predictor: PredictorInterface, space: DiscreteSpace, indices) 
     predict_many = getattr(predictor, "predict_many", None)
     if predict_many is not None:
         accuracy, cost = predict_many(indices)
-        return np.asarray(accuracy, dtype=float), np.asarray(cost, dtype=float)
+        accuracy = np.asarray(accuracy, dtype=float)
+        cost = np.asarray(cost, dtype=float)
+        expected = (len(indices),)
+        if accuracy.shape != expected or cost.shape != expected:
+            raise ValueError(
+                f"predict_many returned accuracy of shape {accuracy.shape} and cost of shape "
+                f"{cost.shape}, expected {expected} each"
+            )
+        return accuracy, cost
     accuracy = np.empty(len(indices))
     cost = np.empty(len(indices))
     for k, row in enumerate(indices):
@@ -139,9 +150,12 @@ class BudgetedScorer:
 
     The memo maps a genotype's value indices, as a tuple, to its score.
     ``score_rows`` is the only code that writes it, checks the budget or
-    updates the best; ``try_score`` is a one-row call into it. Aging
-    evolution's memo-hit steps also read ``scores`` directly, since a hit
-    spends nothing. ``search`` runs a search on ``drive`` under the budget.
+    updates the best; ``try_score`` is a one-row call into it. A batch whose
+    rows all hit the memo costs one lookup per row and no predictor call;
+    the other rows go to ``_score_new``, which makes the one predictor call.
+    Aging evolution scores each new child as a one-row batch, and its
+    memo-hit steps read ``scores`` directly, since a hit spends nothing.
+    ``search`` runs a search on ``drive`` under the budget.
     """
 
     def __init__(
@@ -172,28 +186,42 @@ class BudgetedScorer:
         indices = np.asarray(indices)
         keys = list(map(tuple, indices.tolist()))
         found = list(map(self.scores.get, keys))  # None: not in the memo
-        room = self.budget - self.evaluations
+        if None in found:
+            self._score_new(indices, keys, found)
+            if None in found:  # rows the budget could not pay for
+                values = np.array([math.inf if value is None else value for value in found])
+                return values, np.array([value is not None for value in found])
+        return np.array(found, dtype=float), np.ones(len(found), dtype=bool)
+
+    def _score_new(self, indices: np.ndarray, keys: list, found: list) -> None:
+        """Score the genotypes of the rows that ``found`` lacks (None), the
+        first ones while budget is left, and fill in ``found``."""
         fresh: dict[tuple, int] = {}  # genotype new to the memo -> its first row
-        for k, key in enumerate(keys):
-            if found[k] is None and key not in fresh and len(fresh) < room:
-                fresh[key] = k
-        if fresh:
-            rows = list(fresh.values())
-            new = indices if len(rows) == len(keys) else indices[rows]
-            accuracy, cost = _predict_rows(self.predictor, self.space, new)
-            best_row = None
-            for key, row, value in zip(fresh, rows, score_many(accuracy, cost, self.biobjective).tolist()):
-                self.scores[key] = found[row] = value
-                if value < self.best_score:
-                    self.best_score = value
-                    best_row = row
-            self.evaluations += len(fresh)
-            if best_row is not None:
-                self.best_genotype = self.space.genotype_from_indices(keys[best_row])
-            # the later rows of a genotype new to the memo
-            found = [self.scores.get(key) if value is None else value for key, value in zip(keys, found)]
-        values = np.array([math.inf if value is None else value for value in found])
-        return values, np.array([value is not None for value in found])
+        for k, value in enumerate(found):
+            if value is None:
+                fresh.setdefault(keys[k], k)
+        rows = list(fresh.values())
+        room = self.budget - self.evaluations
+        if len(rows) > room:
+            rows = rows[:room]
+            if not rows:
+                return
+        new = indices if len(rows) == len(keys) else indices.take(rows, axis=0)
+        accuracy, cost = _predict_rows(self.predictor, self.space, new)
+        memo = self.scores
+        best_row = None
+        for row, value in zip(rows, score_many(accuracy, cost, self.biobjective).tolist()):
+            memo[keys[row]] = found[row] = value
+            if value < self.best_score:
+                self.best_score = value
+                best_row = row
+        self.evaluations += len(rows)
+        if best_row is not None:
+            self.best_genotype = self.space.genotype_from_indices(keys[best_row])
+        if len(rows) < len(keys) and None in found:  # later rows of a new genotype, or rows left unscored
+            for k, value in enumerate(found):
+                if value is None:
+                    found[k] = memo.get(keys[k])
 
     def search(self, state, ask, evaluate, tell, algorithm: str, max_generations: int):
         """Run a search that scores through this scorer on ``drive`` and

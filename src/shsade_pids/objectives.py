@@ -94,7 +94,7 @@ def make_benchmark(name: str, dimension: int) -> BenchmarkFunction:
     )
 
 
-# elements of one (terms, rows) gather in TabularSurrogate._accuracy
+# elements of one (terms, rows) gather in TabularSurrogate._predict
 _GATHER_ELEMENTS = 1 << 18
 
 _BLOCK_AXIS = re.compile(r"^(?P<block>.+)_(?P<role>width|expansion|depth)$")
@@ -119,7 +119,8 @@ class TabularSurrogate:
     identical tables.
 
     ``predict_many`` scores a matrix of value indices at once, and the
-    one-genotype methods are one-row calls into the same kernels. The sums
+    one-genotype methods are one-row calls into the same kernel, which reads
+    every accuracy term and cost factor of a batch in one gather. The sums
     run term by term in a fixed order (axis weights, then pairs in ``(i, j)``
     order; block products, then additive axes), so every row's result is
     the same to the bit whatever the batch around it.
@@ -134,45 +135,61 @@ class TabularSurrogate:
         n_pairs = max(1, m * (m - 1) // 2)
         main_sd = 2.0 / np.sqrt(m)
         pair_sd = 1.6 / np.sqrt(n_pairs)
-        # accuracy term t reads the flattened tables at
-        # offset[t] + index[first[t]] * stride[t] + index[second[t]]
-        tables = [rng.normal(0.0, main_sd, size=n) for n in sizes]
+        # accuracy weights are stored negated: a sum of negated terms is the
+        # negated sum, bit for bit, so the logistic needs no negation
+        tables = [-rng.normal(0.0, main_sd, size=n) for n in sizes]
         first, second, stride = list(range(m)), list(range(m)), [0] * m
         for i in range(m):
             for j in range(i + 1, m):
-                tables.append(rng.normal(0.0, pair_sd, size=(sizes[i], sizes[j])).ravel())
+                tables.append(-rng.normal(0.0, pair_sd, size=(sizes[i], sizes[j])).ravel())
                 first.append(i)
                 second.append(j)
                 stride.append(sizes[j])
-        self._table = np.concatenate(tables)
-        self._offsets = np.cumsum([0] + [t.size for t in tables[:-1]])[:, None]
-        self._first = np.array(first)
-        self._second = np.array(second)
-        self._strides = np.array(stride)[:, None]
+        self._accuracy_terms = len(tables)
         cost_weights = rng.uniform(0.5, 1.5, size=m)
 
         # axes following the <block>_{width,expansion,depth} convention cost a
-        # per-block product; any other axis contributes an additive term.
-        # Each axis gets a table of its per-index factor or term.
+        # per-block product; any other axis is a block of its own, after the
+        # named blocks. Each axis gets a table of its per-index factor, and a
+        # block shorter than the longest is padded with ones: x * 1.0 is x.
         blocks: dict[str, list[int]] = {}
-        additive: list[int] = []
-        factors = []
+        additive: list[list[int]] = []
         for i, axis in enumerate(space.axes):
             match = _BLOCK_AXIS.match(axis.name)
             if match:
                 blocks.setdefault(match.group("block"), []).append(i)
-                factors.append([_cost_factor(axis, k) for k in range(axis.size)])
+                tables.append(np.array([_cost_factor(axis, k) for k in range(axis.size)]))
             else:
-                additive.append(i)
-                factors.append(cost_weights[i] * np.arange(1, axis.size + 1))
-        self._cost_table = np.concatenate(factors)
-        self._cost_offsets = np.cumsum((0,) + sizes[:-1])[:, None]
-        # blocks shorter than the longest are padded with row m, a row of ones
-        self._block_axes = np.full((len(blocks), max(map(len, blocks.values()), default=1)), m)
-        for k, axes in enumerate(blocks.values()):
-            self._block_axes[k, : len(axes)] = axes
-        self._additive_axes = np.array(additive, dtype=int)
-        self._sizes = np.array(sizes)
+                additive.append([i])
+                tables.append(cost_weights[i] * np.arange(1, axis.size + 1))
+        tables.append(np.ones(sizes[0]))
+        reads = list(range(self._accuracy_terms))  # the table each term reads
+        slots = list(blocks.values()) + additive
+        width = max(map(len, slots))
+        # the first factor of every block, then the second, and so on; a
+        # factor reads its axis's table, or past the block's end the ones
+        # table through axis 0, at index[axis] (first = second, stride 0)
+        start = self._accuracy_terms
+        self._factor_slices = [slice(start + k * len(slots), start + (k + 1) * len(slots)) for k in range(width)]
+        for k in range(width):
+            for axes in slots:
+                table, axis = (start + axes[k], axes[k]) if k < len(axes) else (start + m, 0)
+                reads.append(table)
+                first.append(axis)
+                second.append(axis)
+                stride.append(0)
+        # term t reads the flattened tables at
+        # offset[t] + index[first[t]] * stride[t] + index[second[t]]
+        self._table = np.concatenate(tables)
+        self._offsets = np.cumsum([0] + [t.size for t in tables[:-1]])[reads][:, None]
+        self._first = np.array(first)
+        self._second = np.array(second)
+        self._strides = np.array(stride)[:, None]
+        # rows per gather, so one (terms, rows) gather stays bounded
+        self._chunk = max(1, _GATHER_ELEMENTS // len(reads))
+        # a column per axis; negative indices wrap to large unsigned ones, so
+        # one comparison checks both ends of the range
+        self._sizes = np.array(sizes, dtype=np.uintp)[:, None]
 
     def _columns(self, indices) -> np.ndarray:
         """Validated value indices, one row per genotype, returned transposed."""
@@ -181,45 +198,45 @@ class TabularSurrogate:
             raise ValueError("index rows do not match the space")
         if idx.dtype.kind not in "iu":
             raise ValueError("value indices must be integers")
-        if (idx < 0).any() or (idx >= self._sizes).any():
+        cols = idx.T.astype(np.intp, copy=False)  # offsets overflow narrow dtypes
+        if np.count_nonzero(cols.view(np.uintp) >= self._sizes):
             raise ValueError("value index out of range for the space")
-        return idx.astype(np.intp, copy=False).T  # offsets overflow narrow dtypes
+        return cols
 
-    def _accuracy(self, cols: np.ndarray) -> np.ndarray:
-        out = np.empty(cols.shape[1])
-        # bounds the (terms, rows) gather when a caller passes many rows
-        step = max(1, _GATHER_ELEMENTS // len(self._offsets))
-        for start in range(0, cols.shape[1], step):
-            part = cols[:, start : start + step]
-            # in place, so no more than two (terms, rows) arrays are alive
-            flat = part[self._first]
-            flat *= self._strides
-            flat += self._offsets
-            flat += part[self._second]
-            terms = self._table[flat]
-            # accumulate adds row by row at every batch size; a reduce would
-            # switch to pairwise summation when there is a single row
-            np.add.accumulate(terms, axis=0, out=terms)
-            out[start : start + step] = 1.0 / (1.0 + np.exp(-terms[-1]))
-        return out
-
-    def _cost(self, cols: np.ndarray) -> np.ndarray:
-        factors = self._cost_table[self._cost_offsets + cols]
-        factors = np.concatenate([factors, np.ones((1, cols.shape[1]))])
-        products = np.multiply.accumulate(factors[self._block_axes], axis=1)[:, -1]
-        terms = np.concatenate([products, factors[self._additive_axes]])
-        return np.add.accumulate(terms, axis=0)[-1]
+    def _predict(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(accuracy, cost) of the genotypes in the columns of ``cols``."""
+        flat = cols.take(self._first, axis=0)
+        flat *= self._strides
+        flat += self._offsets
+        flat += cols.take(self._second, axis=0)
+        terms = self._table.take(flat)
+        # accumulate adds term by term at every batch size; a reduce would
+        # switch to pairwise summation when there is a single row
+        logits = terms[: self._accuracy_terms]
+        np.add.accumulate(logits, axis=0, out=logits)
+        products = terms[self._factor_slices[0]]
+        for factors in self._factor_slices[1:]:  # block products in axis order
+            products = products * terms[factors]
+        # the logistic of the negated logit; reciprocal rounds as 1.0 / x does
+        return np.reciprocal(np.exp(logits[-1]) + 1.0), np.add.accumulate(products, axis=0)[-1]
 
     def predict_many(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(accuracy, cost) arrays for a ``(rows, num_axes)`` matrix of value
-        indices into ``self.space``."""
+        indices into ``self.space``, each of shape ``(rows,)``."""
         cols = self._columns(indices)
-        return self._accuracy(cols), self._cost(cols)
+        rows = cols.shape[1]
+        if rows <= self._chunk:
+            return self._predict(cols)
+        accuracy, cost = np.empty(rows), np.empty(rows)
+        for start in range(0, rows, self._chunk):
+            part = slice(start, start + self._chunk)
+            accuracy[part], cost[part] = self._predict(cols[:, part])
+        return accuracy, cost
 
     # indices_of checks membership, so the one-genotype methods pass its
-    # indices straight to the kernels as a one-row column matrix
+    # indices straight to the kernel as a one-row column matrix
     def predict_accuracy(self, genotype: Genotype) -> float:
-        return float(self._accuracy(self.space.indices_of(genotype)[:, None])[0])
+        return float(self._predict(self.space.indices_of(genotype)[:, None])[0][0])
 
     def predict_cost(self, genotype: Genotype) -> float:
-        return float(self._cost(self.space.indices_of(genotype)[:, None])[0])
+        return float(self._predict(self.space.indices_of(genotype)[:, None])[1][0])

@@ -519,7 +519,8 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
             points.take(trig_rows, axis=1), fitness[picks.take(trig_rows, axis=1)]
         )
 
-    targets = x if cfg.crossover_target == "self" else np.broadcast_to(x[int(np.argmin(fitness))], x.shape)
+    # the best row broadcasts against the donors
+    targets = x if cfg.crossover_target == "self" else x[fitness.argmin()][None]
     trials = repair_bounds_matrix(binomial_crossover_matrix(targets, donors, cr, rng), state.bounds, x)
     return TrialBatch(x=trials, strategies=strategies, f=f, cr=cr, freq=freq, adaptive=adaptive)
 
@@ -650,12 +651,13 @@ def drive(
     while True:
         # the same bits as np.mean, without its Python-level wrapper
         mean = np.add.reduce(state.fitness) / len(state.fitness)
-        trace.append(state.generation, spent(), state.best_fitness, mean)
+        evaluations = spent()
+        trace.append(state.generation, evaluations, state.best_fitness, mean)
         if state.generation >= max_generations:
             break
         if term.target_fitness is not None and state.best_fitness <= term.target_fitness:
             break
-        if term.max_evaluations is not None and spent() + room > term.max_evaluations:
+        if term.max_evaluations is not None and evaluations + room > term.max_evaluations:
             break
         trials = ask()
         tell(trials, *evaluate(trials))

@@ -14,10 +14,12 @@ from shsade_pids.baselines import (
     vanilla_de_run,
 )
 from shsade_pids.discrete_codec import Axis, DiscreteSpace
-from shsade_pids.nas_search import BiObjectiveConfig, NasConfig, nas_evolve
+from shsade_pids.nas_search import BiObjectiveConfig, NasConfig, nas_evolve, pids_space
 from shsade_pids.objectives import TabularSurrogate, make_benchmark
 from shsade_pids.shsade import Termination
 from shsade_pids.trace import COLUMNS, SearchTrace
+
+from package_calls import package_calls
 
 
 def grid_space(num_axes=5, values=(0, 1, 2, 3)):
@@ -184,3 +186,26 @@ class TestRegularizedEa:
             nas_median = float(np.median([t.best_at(checkpoint) for t in nas_traces]))
             ea_median = float(np.median([t.best_at(checkpoint) for t in ea_traces]))
             assert nas_median <= ea_median
+
+
+# Python-level calls into the package from one aging-evolution child new to
+# the memo to the next: its tell, the step that draws the following child,
+# the trace row, and scoring that child as a one-row batch through
+# score_rows and predict_many. 51 before the one-row path was cut (20 when
+# the best did not move), 17 since (14 to 15 when it did not)
+MAX_PACKAGE_CALLS_PER_NEW_CHILD = 17
+
+
+def test_package_calls_per_new_child_stay_bounded():
+    space = pids_space(7)  # 120**7 genotypes, so few children are memo hits
+    surrogate = TabularSurrogate(space, seed=2024)
+    mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
+    bio = BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid), omega=1.0)
+    cfg = RegularizedEaConfig(population_size=25, tournament_size=5, budget=60)
+    with package_calls(split="tell") as counts:
+        _, trace = regularized_ea_run(space, surrogate, cfg, bio, np.random.default_rng(1))
+    # seed 1 takes no memo-hit step: each of its 35 steps scores a new child
+    assert trace.final_evaluations == cfg.budget
+    assert trace.rows[-1].generation == cfg.budget - cfg.population_size
+    per_child = counts[1:]  # from one tell to the next; counts[0] is the warm-up
+    assert max(per_child) <= MAX_PACKAGE_CALLS_PER_NEW_CHILD, per_child

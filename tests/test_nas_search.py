@@ -4,6 +4,7 @@ and its brute-force oracle."""
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shsade_pids import nas_search
+from shsade_pids.baselines import RegularizedEaConfig, regularized_ea_run
 from shsade_pids.discrete_codec import Axis, DiscreteSpace, Genotype
 from shsade_pids.nas_search import (
     BiObjectiveConfig,
@@ -29,6 +31,7 @@ from shsade_pids.shsade import ShsadeConfig
 from space_strategies import index_rows, spaces
 
 import reference_drivers
+from package_calls import package_calls
 
 
 def grid_space(num_axes=5, values=(0, 1, 2, 3)):
@@ -150,6 +153,15 @@ class TestScore:
         for k, (a, c) in enumerate(zip(accuracy, cost)):
             assert values[k] == loop_score(a, c, cfg)
             assert score(Genotype((0,)), ConstPredictor(a, c), cfg) == values[k]
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 2.5])
+    def test_non_finite_costs_match_the_loop(self, omega):
+        # a NaN cost is not within budget, so it takes the penalty
+        cfg = BiObjectiveConfig(cost_budget=2.0, omega=omega)
+        accuracy = [0.5, 0.25, 0.75, 0.5]
+        cost = [math.nan, math.inf, 1.0, 3.0]
+        expected = [loop_score(a, c, cfg) for a, c in zip(accuracy, cost)]
+        assert np.array_equal(score_many(accuracy, cost, cfg), expected, equal_nan=True)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -576,3 +588,154 @@ def test_result_document_schema():
     assert doc["evaluations"] == trace.final_evaluations
     assert all(len(row) == 4 for row in doc["trace"])
     json.dumps(doc)  # JSON-serializable end to end
+
+
+class WrongShapePredictor:
+    """A batch predictor whose ``predict_many`` returns ``array`` (accuracy
+    or cost) in the wrong shape, from call ``first_bad`` (from 0) on."""
+
+    def __init__(self, surrogate, array, wrong, first_bad=0):
+        self.surrogate = surrogate
+        self.array = array
+        self.wrong = wrong
+        self.first_bad = first_bad
+        self.calls = 0
+
+    def predict_many(self, indices):
+        accuracy, cost = self.surrogate.predict_many(indices)
+        self.calls += 1
+        if self.calls > self.first_bad:
+            if self.array == "accuracy":
+                accuracy = self.wrong(accuracy)
+            else:
+                cost = self.wrong(cost)
+        return accuracy, cost
+
+    def predict_accuracy(self, genotype):
+        raise AssertionError("a batch predictor should not be called per genotype")
+
+    predict_cost = predict_accuracy
+
+
+WRONG_SHAPES = {"one_row_short": lambda values: values[:-1], "column": lambda values: values[:, None]}
+
+
+class TestPredictorResultShapes:
+    """A ``predict_many`` result of the wrong shape raises ValueError naming
+    both shapes, before anything is charged to the budget or memoized."""
+
+    space = grid_space(3)  # 64 genotypes
+    surrogate = TabularSurrogate(space, seed=3)
+    config = BiObjectiveConfig(cost_budget=surrogate.predict_cost(Genotype((1, 1, 1))), omega=1.0)
+
+    def message(self, array, wrong, rows):
+        received = WRONG_SHAPES[wrong](np.zeros(rows)).shape
+        return re.escape(f"{array} of shape {received}") + r".*" + re.escape(f"expected ({rows},) each")
+
+    @pytest.mark.parametrize("wrong", sorted(WRONG_SHAPES))
+    @pytest.mark.parametrize("array", ["accuracy", "cost"])
+    def test_score_rows(self, array, wrong):
+        predictor = WrongShapePredictor(self.surrogate, array, WRONG_SHAPES[wrong])
+        scorer = BudgetedScorer(self.space, predictor, self.config, budget=10)
+        with pytest.raises(ValueError, match=self.message(array, wrong, 3)):
+            scorer.score_rows(np.array([[0, 1, 2], [3, 3, 3], [0, 1, 2], [1, 0, 0]]))
+        assert scorer.evaluations == 0 and scorer.scores == {} and scorer.best_genotype is None
+
+    @pytest.mark.parametrize("first_bad", [0, 1], ids=["initial_population", "first_generation"])
+    @pytest.mark.parametrize("wrong", sorted(WRONG_SHAPES))
+    @pytest.mark.parametrize("array", ["accuracy", "cost"])
+    def test_nas_evolve(self, array, wrong, first_bad):
+        predictor = WrongShapePredictor(self.surrogate, array, WRONG_SHAPES[wrong], first_bad)
+        cfg = NasConfig(biobjective=self.config, shsade=ShsadeConfig(pop_size=8, max_generations=20), budget=40)
+        with pytest.raises(ValueError, match=r"expected \(\d+,\) each"):
+            nas_evolve(self.space, predictor, cfg, np.random.default_rng(0))
+        assert predictor.calls == first_bad + 1
+
+    @pytest.mark.parametrize("first_bad", [0, 1], ids=["initial_population", "first_child"])
+    @pytest.mark.parametrize("wrong", sorted(WRONG_SHAPES))
+    @pytest.mark.parametrize("array", ["accuracy", "cost"])
+    def test_regularized_ea_run(self, array, wrong, first_bad):
+        predictor = WrongShapePredictor(self.surrogate, array, WRONG_SHAPES[wrong], first_bad)
+        cfg = RegularizedEaConfig(population_size=6, tournament_size=2, budget=30)
+        # seed 0 draws six distinct genotypes, and each child is one row
+        rows = 6 if first_bad == 0 else 1
+        with pytest.raises(ValueError, match=self.message(array, wrong, rows)):
+            regularized_ea_run(self.space, predictor, cfg, self.config, np.random.default_rng(0))
+        assert predictor.calls == first_bad + 1
+
+    @pytest.mark.parametrize("wrong", sorted(WRONG_SHAPES))
+    @pytest.mark.parametrize("array", ["accuracy", "cost"])
+    def test_rank_space(self, array, wrong):
+        predictor = WrongShapePredictor(self.surrogate, array, WRONG_SHAPES[wrong])
+        with pytest.raises(ValueError, match=self.message(array, wrong, 64)):
+            rank_space(self.space, predictor, self.config)
+
+
+# Python-level calls into the package for a score_rows batch whose rows all
+# hit the memo: 3 while the output arrays came from two comprehensions, 1
+# since
+MAX_PACKAGE_CALLS_PER_MEMO_HIT_BATCH = 1
+
+
+def test_package_calls_for_a_batch_of_memo_hits_stay_bounded():
+    space = pids_space(7)
+    surrogate = TabularSurrogate(space, seed=2024)
+    mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
+    scorer = BudgetedScorer(space, surrogate, BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid)), 100)
+    rows = index_rows(space, 50, 0)
+    first, _ = scorer.score_rows(rows)
+    with package_calls() as counts:
+        values, scored = scorer.score_rows(rows)
+    assert scored.all() and values.tobytes() == first.tobytes() and scorer.evaluations == 50
+    assert counts[0] <= MAX_PACKAGE_CALLS_PER_MEMO_HIT_BATCH, counts
+
+
+# blocks b0 and b1 take one and two padding slots in the surrogate's cost
+# products; "b1_depth" and "fixed" have a single value
+UNEVEN_BLOCKS = DiscreteSpace((
+    Axis("b0_width", (16, 32, 64)),
+    Axis("b0_depth", (1, 2, 3)),
+    Axis("mode", ("p", "q", "r")),
+    Axis("b1_width", (8, 24)),
+    Axis("b1_depth", (2,)),
+    Axis("b2_width", (4, 8, 12)),
+    Axis("b2_expansion", (1, 3, 6)),
+    Axis("b2_depth", (1, 2)),
+    Axis("fixed", (0.5,)),
+))
+
+
+class TestRowInvariance:
+    """A row alone gets the same bits from ``predict_many``, ``score_many``
+    and ``score_rows`` as inside a batch of 200 rows."""
+
+    def check(self, space, seed, omega):
+        surrogate = TabularSurrogate(space, seed)
+        batch = index_rows(space, 200, seed)
+        accuracy, cost = surrogate.predict_many(batch)
+        # about half the rows over budget, when the costs differ at all
+        config = BiObjectiveConfig(cost_budget=float(np.median(cost)), omega=omega)
+        scores = score_many(accuracy, cost, config)
+        values, _ = BudgetedScorer(space, surrogate, config, len(batch)).score_rows(batch)
+        assert values.tobytes() == scores.tobytes()
+        alone = BudgetedScorer(space, surrogate, config, len(batch))
+        for k in range(len(batch)):
+            row = slice(k, k + 1)
+            one_accuracy, one_cost = surrogate.predict_many(batch[row])
+            assert one_accuracy.tobytes() == accuracy[row].tobytes()
+            assert one_cost.tobytes() == cost[row].tobytes()
+            assert score_many(one_accuracy, one_cost, config).tobytes() == scores[row].tobytes()
+            value, scored = alone.score_rows(batch[row])
+            assert value.tobytes() == scores[row].tobytes() and scored.all()
+        return cost > config.cost_budget
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    @pytest.mark.parametrize("space", [UNEVEN_BLOCKS, pids_space(3), grid_space()], ids=["uneven", "pids3", "grid"])
+    def test_fixed_spaces(self, space, omega):
+        over = self.check(space, 7, omega)
+        assert over.any() and not over.all()  # rows under and over the cost budget
+
+    @settings(max_examples=40, deadline=None)
+    @given(space=spaces(), seed=st.integers(0, 2**32 - 1), omega=st.sampled_from([0.0, 1.0]))
+    def test_random_spaces(self, space, seed, omega):
+        self.check(space, seed, omega)

@@ -4,10 +4,7 @@ generation loop and full seeded runs."""
 import dataclasses
 import itertools
 import math
-import os
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +45,7 @@ from shsade_pids.shsade import (
 )
 
 import reference_generation
+from package_calls import package_calls
 
 
 def memories_all(value_cr=0.5, value_f=0.5, value_freq=0.5, size=5):
@@ -822,29 +820,17 @@ MAX_PACKAGE_CALLS_PER_GENERATION = 36
 
 
 def test_package_calls_per_generation_stay_bounded():
-    # counts calls into the package's own functions only, so numpy's Python
-    # wrappers, which change between numpy versions, do not count; the
-    # sampler rejection rounds make the count vary a little from one
+    # the sampler rejection rounds make the count vary a little from one
     # generation to the next
-    package = str(Path(shsade_generation.__code__.co_filename).parent) + os.sep
     spec = make_benchmark("rastrigin", 10).to_objective_spec()
     cfg = ShsadeConfig(pop_size=50, max_generations=40)
     rng = np.random.default_rng(0)
     state = init_state(cfg, spec, rng)
     calls = []
-
-    def count(frame, event, _arg):
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls[-1] += 1
-
-    previous = sys.getprofile()
     for _ in range(cfg.max_generations):  # both F phases
-        calls.append(0)
-        sys.setprofile(count)
-        try:
+        with package_calls() as counts:
             shsade_generation(state, spec, rng)
-        finally:
-            sys.setprofile(previous)
+        calls += counts
     assert state.generation == cfg.max_generations
     assert max(calls) <= MAX_PACKAGE_CALLS_PER_GENERATION, calls
 
