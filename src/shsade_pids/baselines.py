@@ -21,6 +21,7 @@ from .de_core import (
     repair_bounds_matrix,
     replace_rows,
     sample_distinct_triplets,
+    uniform_index,
 )
 from .discrete_codec import DiscreteSpace, Genotype
 from .nas_search import BiObjectiveConfig, BudgetedScorer, PredictorInterface
@@ -257,11 +258,11 @@ def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, rng):
         u = rng.random((REA_DRAW_BLOCK, pop_size + 2))
         smallest = np.argpartition(u[:, :pop_size], tournament_size - 1, axis=1)[:, :tournament_size]
         tournaments = np.sort(smallest, axis=1)
-        # floor(u * n) of a u just below 1 can round up to n
-        axes = np.minimum((u[:, pop_size] * num_axes).astype(np.intp), num_axes - 1)
+        axes = uniform_index(u[:, pop_size], num_axes)
         size = sizes[axes]
-        span = size - 1  # the values an axis can move to
-        offsets = np.minimum((u[:, pop_size + 1] * span).astype(np.intp), np.maximum(span - 1, 0))
+        # over the values an axis can move to; -1 on a single-value axis,
+        # which _move_axis leaves where it is
+        offsets = uniform_index(u[:, pop_size + 1], size - 1)
         return zip(tournaments.tolist(), axes.tolist(), offsets.tolist(), size.tolist())
 
     return chain.from_iterable(map(block, repeat(None)))

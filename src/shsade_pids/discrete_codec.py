@@ -9,6 +9,7 @@ nearest genotype, so a continuous optimizer can search a categorical space.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -86,15 +87,12 @@ class DiscreteSpace:
 
     @cached_property
     def _tops(self) -> np.ndarray:
-        """Each axis's highest value index, as floats, for decoding."""
+        """Each axis's highest value index, as floats, for encoding and decoding."""
         return np.array(self.sizes, dtype=float) - 1.0
 
     @property
     def size(self) -> int:
-        n = 1
-        for a in self.axes:
-            n *= a.size
-        return n
+        return math.prod(self.sizes)
 
     def indices_of(self, genotype: Genotype) -> np.ndarray:
         if len(genotype.choices) != self.num_axes:
@@ -171,8 +169,8 @@ def encode_indices(indices, space: DiscreteSpace) -> np.ndarray:
     """Map each row of a ``(rows, num_axes)`` matrix of value indices to
     [0, 1]^m: index k on an axis with n values maps to k / (n - 1), and a
     single-value axis, which carries no search information, to 0.5."""
-    top = np.array(space.sizes) - 1
-    return np.where(top > 0, np.asarray(indices) / np.maximum(top, 1), 0.5)
+    top = space._tops
+    return np.where(top > 0, np.asarray(indices) / np.maximum(top, 1.0), 0.5)
 
 
 def decode_indices(us, space: DiscreteSpace) -> np.ndarray:

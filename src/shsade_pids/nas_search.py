@@ -27,16 +27,17 @@ ENUMERATION_CHUNK = 1 << 16
 class PredictorInterface(Protocol):
     """Pure, total estimators of a genotype's accuracy and cost.
 
-    A predictor may also offer ``predict_many(indices) -> (accuracy, cost)``
-    over a ``(rows, num_axes)`` integer matrix of value indices into the
-    space being searched, returning two float arrays of shape ``(rows,)``;
-    any other shape raises ``ValueError``. ``BudgetedScorer.score_rows``,
-    which both searches score through, then scores each batch of new
-    genotypes with one call.
-    Without it, every new genotype goes through the two methods below, one
-    genotype after another in row order. Both paths must give the same
-    scores.
+    ``predict_many(indices) -> (accuracy, cost)`` scores a ``(rows,
+    num_axes)`` integer matrix of value indices into the space being
+    searched and returns two float arrays of shape ``(rows,)``; any other
+    shape raises ``ValueError``. It is how the searches and the oracle
+    score: ``BudgetedScorer.score_rows`` (and so ``nas_evolve`` and aging
+    evolution) calls it once per batch of new genotypes, and ``rank_space``
+    once per enumeration chunk. The one-genotype helper ``score`` calls
+    ``predict_accuracy`` and ``predict_cost``.
     """
+
+    def predict_many(self, indices) -> tuple[np.ndarray, np.ndarray]: ...
 
     def predict_accuracy(self, genotype: Genotype) -> float: ...
 
@@ -85,28 +86,18 @@ def score(genotype: Genotype, predictor: PredictorInterface, config: BiObjective
     return float(score_many([accuracy], [cost], config)[0])
 
 
-def _predict_rows(predictor: PredictorInterface, space: DiscreteSpace, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Accuracy and cost arrays for rows of value indices into ``space``:
-    one ``predict_many`` call when the predictor has it, otherwise its
-    one-genotype methods in row order."""
-    predict_many = getattr(predictor, "predict_many", None)
-    if predict_many is not None:
-        accuracy, cost = predict_many(indices)
-        accuracy = np.asarray(accuracy, dtype=float)
-        cost = np.asarray(cost, dtype=float)
-        expected = (len(indices),)
-        if accuracy.shape != expected or cost.shape != expected:
-            raise ValueError(
-                f"predict_many returned accuracy of shape {accuracy.shape} and cost of shape "
-                f"{cost.shape}, expected {expected} each"
-            )
-        return accuracy, cost
-    accuracy = np.empty(len(indices))
-    cost = np.empty(len(indices))
-    for k, row in enumerate(indices):
-        genotype = space.genotype_from_indices(row)
-        accuracy[k] = float(predictor.predict_accuracy(genotype))
-        cost[k] = float(predictor.predict_cost(genotype))
+def _predict_rows(predictor: PredictorInterface, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracy and cost arrays for rows of value indices, from one
+    ``predict_many`` call whose result shapes are checked."""
+    accuracy, cost = predictor.predict_many(indices)
+    accuracy = np.asarray(accuracy, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    expected = (len(indices),)
+    if accuracy.shape != expected or cost.shape != expected:
+        raise ValueError(
+            f"predict_many returned accuracy of shape {accuracy.shape} and cost of shape "
+            f"{cost.shape}, expected {expected} each"
+        )
     return accuracy, cost
 
 
@@ -152,7 +143,8 @@ class BudgetedScorer:
     ``score_rows`` is the only code that writes it, checks the budget or
     updates the best; ``try_score`` is a one-row call into it. A batch whose
     rows all hit the memo costs one lookup per row and no predictor call;
-    the other rows go to ``_score_new``, which makes the one predictor call.
+    the other rows go to ``_score_new``, which makes the one ``predict_many``
+    call; the scorer never calls the predictor's one-genotype methods.
     Aging evolution scores each new child as a one-row batch, and its
     memo-hit steps read ``scores`` directly, since a hit spends nothing.
     ``search`` runs a search on ``drive`` under the budget.
@@ -207,7 +199,7 @@ class BudgetedScorer:
             if not rows:
                 return
         new = indices if len(rows) == len(keys) else indices.take(rows, axis=0)
-        accuracy, cost = _predict_rows(self.predictor, self.space, new)
+        accuracy, cost = _predict_rows(self.predictor, new)
         memo = self.scores
         best_row = None
         for row, value in zip(rows, score_many(accuracy, cost, self.biobjective).tolist()):
@@ -339,7 +331,7 @@ def rank_space(
     for start in range(0, space.size, ENUMERATION_CHUNK):
         stop = min(start + ENUMERATION_CHUNK, space.size)
         indices = np.stack(np.unravel_index(np.arange(start, stop), space.sizes), axis=1)
-        accuracy[start:stop], cost[start:stop] = _predict_rows(predictor, space, indices)
+        accuracy[start:stop], cost[start:stop] = _predict_rows(predictor, indices)
         # scored per chunk: score_many's over-budget penalties go through a
         # Python list, which for a whole space would dwarf the arrays
         scores[start:stop] = score_many(accuracy[start:stop], cost[start:stop], config)

@@ -20,6 +20,7 @@ from shsade_pids.shsade import Termination
 from shsade_pids.trace import COLUMNS, SearchTrace
 
 from package_calls import package_calls
+from predictors import constant
 
 
 def grid_space(num_axes=5, values=(0, 1, 2, 3)):
@@ -130,16 +131,8 @@ class TestRegularizedEa:
     def test_singleton_space(self):
         space = DiscreteSpace((Axis("only", ("x",)),))
         _, surrogate, bio = surrogate_setup()
-
-        class Const:
-            def predict_accuracy(self, g):
-                return 0.5
-
-            def predict_cost(self, g):
-                return 1.0
-
         cfg = RegularizedEaConfig(population_size=2, tournament_size=2, budget=4)
-        best, trace = regularized_ea_run(space, Const(), cfg, bio, np.random.default_rng(0))
+        best, trace = regularized_ea_run(space, constant(space), cfg, bio, np.random.default_rng(0))
         assert best.choices == ("x",)
 
     def test_population_equals_budget_is_pure_random_search(self):

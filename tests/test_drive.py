@@ -21,6 +21,7 @@ from shsade_pids.trace import TraceError
 from space_strategies import spaces
 
 import reference_drivers
+from predictors import RowPredictor, SurrogateLog, constant
 
 
 def _rows(trace):
@@ -106,14 +107,6 @@ def test_nas_runs_match_the_loop_reference(
     _assert_nas_matches_reference(space, surrogate, config, seed)
 
 
-class _FlatPredictor:
-    def predict_accuracy(self, genotype):
-        return 0.5
-
-    def predict_cost(self, genotype):
-        return 1.0
-
-
 @pytest.mark.parametrize("flat", [False, True])
 def test_nas_redraws_of_a_collapsed_population_match_the_loop_reference(flat):
     # without trial noise the population collapses within a few generations
@@ -129,7 +122,7 @@ def test_nas_redraws_of_a_collapsed_population_match_the_loop_reference(flat):
         sigma_trial_noise=0.0,
     )
     for seed in range(5):
-        _assert_nas_matches_reference(space, _FlatPredictor() if flat else surrogate, config, seed)
+        _assert_nas_matches_reference(space, constant(space) if flat else surrogate, config, seed)
 
 
 def _assert_nas_matches_reference(space, predictor, config, seed):
@@ -180,24 +173,13 @@ def test_regularized_ea_runs_match_the_loop_reference(space, pop_size, extra_bud
     _assert_rea_matches_reference(space, objectives.TabularSurrogate(space, surrogate_seed), config, seed)
 
 
-class _FirstAxisPredictor:
-    """Accuracy read from the first axis alone, so distinct genotypes tie
-    and tournaments must break ties the same way on both sides."""
-
-    def __init__(self, space):
-        self.axis = space.axes[0]
-
-    def predict_accuracy(self, genotype):
-        return (1 + self.axis.index_of(genotype.choices[0])) / (1 + self.axis.size)
-
-    def predict_cost(self, genotype):
-        return 1.0
-
-
 def test_regularized_ea_run_with_tied_scores_matches_the_loop_reference():
     space = DiscreteSpace((Axis("a", (0, 1)),) + tuple(Axis(f"b{i}", (0, 1, 2, 3)) for i in range(4)))
     config = baselines.RegularizedEaConfig(population_size=8, tournament_size=4, budget=100)
-    _assert_rea_matches_reference(space, _FirstAxisPredictor(space), config, seed=0)
+    # accuracy read from the first axis alone, so distinct genotypes tie and
+    # tournaments must break ties the same way on both sides
+    predictor = RowPredictor(space, lambda row: (1 + row[0]) / (1 + space.axes[0].size))
+    _assert_rea_matches_reference(space, predictor, config, seed=0)
 
 
 def test_regularized_ea_run_stopped_by_the_step_cap_matches_the_loop_reference():
@@ -275,36 +257,6 @@ def test_regularized_ea_runs_one_generation_per_scored_genotype(monkeypatch):
     assert trace.rows[-1].generation > 5 * scored  # most steps were memo hits
 
 
-class _ScoreRecorder:
-    """A surrogate that records the genotypes it scores, in order."""
-
-    def __init__(self, surrogate):
-        self.surrogate = surrogate
-        self.scored = []
-
-    def predict_accuracy(self, genotype):
-        self.scored.append(genotype.choices)
-        return self.surrogate.predict_accuracy(genotype)
-
-    def predict_cost(self, genotype):
-        return self.surrogate.predict_cost(genotype)
-
-
-class _OneNonFinite:
-    """A surrogate whose accuracy for one genotype is ``value``."""
-
-    def __init__(self, surrogate, choices, value):
-        self.surrogate, self.choices, self.value = surrogate, choices, value
-
-    def predict_accuracy(self, genotype):
-        if genotype.choices == self.choices:
-            return self.value
-        return self.surrogate.predict_accuracy(genotype)
-
-    def predict_cost(self, genotype):
-        return self.surrogate.predict_cost(genotype)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["new child", "memo hit"])
 def test_regularized_ea_run_fails_on_a_non_finite_score_like_the_loop_reference(where, value):
@@ -313,21 +265,22 @@ def test_regularized_ea_run_fails_on_a_non_finite_score_like_the_loop_reference(
     config = baselines.RegularizedEaConfig(population_size=5, tournament_size=2, budget=12)
     seed = 0
     if where == "new child":
-        recorder = _ScoreRecorder(surrogate)
+        recorder = SurrogateLog(surrogate)
         _, trace = baselines.regularized_ea_run(_HIT_HEAVY_SPACE, recorder, config, bio, np.random.default_rng(seed))
         # the third genotype scored after initialisation; on a finite
         # landscape more memo hits than the population size follow it, so
         # a hit loop that did not stop would let it age out unrecorded
         first = trace.rows[0].evaluations
-        target = recorder.scored[first + 2]
+        target = recorder.rows[first + 2]
         assert trace.rows[3].generation - trace.rows[2].generation - 1 > config.population_size
     else:
         # a non-finite child fails the row after it enters, so only the
         # initial population can hit a non-finite score in the memo
         rng = np.random.default_rng(seed)
-        initial = [_HIT_HEAVY_SPACE.random_genotype(rng).choices for _ in range(config.population_size)]
-        target = next(choices for choices in initial if initial.count(choices) > 1)
-    predictor = _OneNonFinite(surrogate, target, value)
+        initial = [tuple(_HIT_HEAVY_SPACE.indices_of(_HIT_HEAVY_SPACE.random_genotype(rng)).tolist())
+                   for _ in range(config.population_size)]
+        target = next(row for row in initial if initial.count(row) > 1)
+    predictor = SurrogateLog(surrogate, {target: value})
     outcomes = []
     for run in (baselines.regularized_ea_run, reference_drivers.regularized_ea_run):
         rng = np.random.default_rng(seed)

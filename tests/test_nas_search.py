@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shsade_pids import nas_search
+from shsade_pids import baselines, nas_search
 from shsade_pids.baselines import RegularizedEaConfig, regularized_ea_run
 from shsade_pids.discrete_codec import Axis, DiscreteSpace, Genotype
 from shsade_pids.nas_search import (
@@ -32,72 +32,15 @@ from space_strategies import index_rows, spaces
 
 import reference_drivers
 from package_calls import package_calls
+from predictors import RowPredictor, SurrogateLog, constant
 
 
 def grid_space(num_axes=5, values=(0, 1, 2, 3)):
+    # with values 0, 1, 2, ..., a row of value indices is also a genotype's choices
     return DiscreteSpace(tuple(Axis(f"a{i}", values) for i in range(num_axes)))
 
 
-class TablePredictor:
-    """Accuracy looked up from an explicit table; constant unit cost."""
-
-    def __init__(self, table, cost=1.0):
-        self.table = table
-        self.cost = cost
-        self.calls = 0
-
-    def predict_accuracy(self, genotype):
-        self.calls += 1
-        return self.table[genotype.choices]
-
-    def predict_cost(self, genotype):
-        return self.cost
-
-
-class ConstPredictor:
-    def __init__(self, accuracy=0.5, cost=1.0):
-        self.accuracy = accuracy
-        self.cost = cost
-
-    def predict_accuracy(self, genotype):
-        return self.accuracy
-
-    def predict_cost(self, genotype):
-        return self.cost
-
-
-class LoggingPredictor:
-    """One-genotype predictor (no predict_many) over a surrogate that logs
-    every call in order."""
-
-    def __init__(self, surrogate):
-        self.surrogate = surrogate
-        self.log = []
-
-    def predict_accuracy(self, genotype):
-        self.log.append(("accuracy", genotype.choices))
-        return self.surrogate.predict_accuracy(genotype)
-
-    def predict_cost(self, genotype):
-        self.log.append(("cost", genotype.choices))
-        return self.surrogate.predict_cost(genotype)
-
-
-class BatchLoggingPredictor:
-    """Surrogate whose predict_many logs the rows of every call."""
-
-    def __init__(self, surrogate):
-        self.surrogate = surrogate
-        self.batches = []
-
-    def predict_many(self, indices):
-        self.batches.append(np.array(indices))
-        return self.surrogate.predict_many(indices)
-
-    def predict_accuracy(self, genotype):
-        raise AssertionError("a batch predictor should not be called per genotype")
-
-    predict_cost = predict_accuracy
+SINGLE = grid_space(1, (0,))  # one genotype, (0,)
 
 
 def loop_score(accuracy, cost, config):
@@ -125,19 +68,19 @@ def loop_brute_force(space, predictor, config):
 class TestScore:
     def test_at_budget_no_penalty(self):
         cfg = BiObjectiveConfig(cost_budget=4.0, omega=3.0)
-        assert score(Genotype((0,)), ConstPredictor(0.9, 4.0), cfg) == pytest.approx(-0.9)
+        assert score(Genotype((0,)), constant(SINGLE, 0.9, 4.0), cfg) == pytest.approx(-0.9)
 
     def test_omega_zero_ignores_cost(self):
         cfg = BiObjectiveConfig(cost_budget=1.0, omega=0.0)
-        assert score(Genotype((0,)), ConstPredictor(0.8, 500.0), cfg) == pytest.approx(-0.8)
+        assert score(Genotype((0,)), constant(SINGLE, 0.8, 500.0), cfg) == pytest.approx(-0.8)
 
     def test_over_budget_penalty(self):
         cfg = BiObjectiveConfig(cost_budget=2.0, omega=1.0)
-        assert score(Genotype((0,)), ConstPredictor(0.9, 4.0), cfg) == pytest.approx(-0.45)
+        assert score(Genotype((0,)), constant(SINGLE, 0.9, 4.0), cfg) == pytest.approx(-0.45)
 
     def test_under_budget_no_bonus(self):
         cfg = BiObjectiveConfig(cost_budget=10.0, omega=2.0)
-        assert score(Genotype((0,)), ConstPredictor(0.6, 1.0), cfg) == pytest.approx(-0.6)
+        assert score(Genotype((0,)), constant(SINGLE, 0.6, 1.0), cfg) == pytest.approx(-0.6)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -152,7 +95,7 @@ class TestScore:
         values = score_many(accuracy, cost, cfg)
         for k, (a, c) in enumerate(zip(accuracy, cost)):
             assert values[k] == loop_score(a, c, cfg)
-            assert score(Genotype((0,)), ConstPredictor(a, c), cfg) == values[k]
+            assert score(Genotype((0,)), constant(SINGLE, a, c), cfg) == values[k]
 
     @pytest.mark.parametrize("omega", [0.0, 1.0, 2.5])
     def test_non_finite_costs_match_the_loop(self, omega):
@@ -175,16 +118,14 @@ class TestScore:
 class TestBruteForce:
     def test_singleton_space(self):
         space = DiscreteSpace((Axis("only", (7,)),))
-        best, ranking = brute_force_optimum(
-            space, ConstPredictor(), BiObjectiveConfig(cost_budget=1.0)
-        )
+        best, ranking = brute_force_optimum(space, constant(space), BiObjectiveConfig(cost_budget=1.0))
         assert best.choices == (7,)
         assert len(ranking) == 1
 
     def test_hand_built_table(self):
         space = grid_space(2, (0, 1))
         table = {(0, 0): 0.1, (0, 1): 0.4, (1, 0): 0.3, (1, 1): 0.2}
-        predictor = TablePredictor(table)
+        predictor = RowPredictor(space, table.__getitem__)
         cfg = BiObjectiveConfig(cost_budget=1.0, omega=0.0)
         best, ranking = brute_force_optimum(space, predictor, cfg)
         assert best.choices == (0, 1)
@@ -192,16 +133,14 @@ class TestBruteForce:
 
     def test_ties_break_lexicographically(self):
         space = grid_space(2, (0, 1))
-        best, ranking = brute_force_optimum(
-            space, ConstPredictor(), BiObjectiveConfig(cost_budget=1.0)
-        )
+        best, ranking = brute_force_optimum(space, constant(space), BiObjectiveConfig(cost_budget=1.0))
         assert best.choices == (0, 0)
         assert [g.choices for g, _ in ranking] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_rejects_oversized_space(self):
         space = grid_space(12, tuple(range(8)))  # 8^12 configurations
         with pytest.raises(ValueError):
-            brute_force_optimum(space, ConstPredictor(), BiObjectiveConfig(cost_budget=1.0))
+            brute_force_optimum(space, constant(space), BiObjectiveConfig(cost_budget=1.0))
 
     @settings(max_examples=30, deadline=None)
     @given(space=spaces(max_axes=5), seed=st.integers(0, 2**32 - 1), omega=st.sampled_from([0.0, 0.5, 1.0, 2.5]))
@@ -213,8 +152,6 @@ class TestBruteForce:
         best, ranking = brute_force_optimum(space, surrogate, cfg)
         assert ranking == expected
         assert best == expected[0][0]
-        # the one-genotype path gives the same ranking, ties included
-        assert brute_force_optimum(space, LoggingPredictor(surrogate), cfg)[1] == expected
 
     def test_rank_space_columns(self):
         space = grid_space(3)
@@ -239,26 +176,27 @@ class TestBruteForce:
 
 class TestBudgetedScorer:
     def test_memoizes_and_counts_once(self):
-        predictor = TablePredictor({(0,): 0.5, (1,): 0.6})
-        scorer = BudgetedScorer(grid_space(1, (0, 1)), predictor, BiObjectiveConfig(cost_budget=1.0, omega=0.0), 10)
+        space = grid_space(1, (0, 1))
+        predictor = RowPredictor(space, {(0,): 0.5, (1,): 0.6}.__getitem__)
+        scorer = BudgetedScorer(space, predictor, BiObjectiveConfig(cost_budget=1.0, omega=0.0), 10)
         g = Genotype((1,))
         first = scorer.try_score(g)
         second = scorer.try_score(g)
         assert first == second == pytest.approx(-0.6)
         assert scorer.evaluations == 1
-        assert predictor.calls == 1
+        assert len(predictor.rows) == 1
 
     def test_budget_exhaustion_returns_none(self):
-        scorer = BudgetedScorer(grid_space(1, (0, 1)), ConstPredictor(), BiObjectiveConfig(cost_budget=1.0), 1)
+        space = grid_space(1, (0, 1))
+        scorer = BudgetedScorer(space, constant(space), BiObjectiveConfig(cost_budget=1.0), 1)
         assert scorer.try_score(Genotype((0,))) is not None
         assert scorer.try_score(Genotype((1,))) is None
         assert scorer.try_score(Genotype((0,))) is not None  # memoized stays free
 
     def test_tracks_best(self):
-        table = {(0,): 0.2, (1,): 0.9, (2,): 0.5}
-        scorer = BudgetedScorer(
-            grid_space(1, (0, 1, 2)), TablePredictor(table), BiObjectiveConfig(cost_budget=1.0, omega=0.0), 10
-        )
+        space = grid_space(1, (0, 1, 2))
+        predictor = RowPredictor(space, {(0,): 0.2, (1,): 0.9, (2,): 0.5}.__getitem__)
+        scorer = BudgetedScorer(space, predictor, BiObjectiveConfig(cost_budget=1.0, omega=0.0), 10)
         for c in ((0,), (1,), (2,)):
             scorer.try_score(Genotype(c))
         assert scorer.best_genotype.choices == (1,)
@@ -271,32 +209,32 @@ class TestScoreRows:
 
     def test_in_batch_duplicates_pay_once(self):
         space = grid_space(1, (0, 1, 2))
-        predictor = TablePredictor({(0,): 0.1, (1,): 0.5, (2,): 0.3})
+        predictor = RowPredictor(space, {(0,): 0.1, (1,): 0.5, (2,): 0.3}.__getitem__)
         scorer = self.scorer(space, predictor)
         values, scored = scorer.score_rows(np.array([[1], [2], [1], [0], [2]]))
         assert values.tolist() == [-0.5, -0.3, -0.5, -0.1, -0.3]
         assert scored.all()
-        assert predictor.calls == 3
+        assert len(predictor.rows) == 3
         assert scorer.evaluations == 3
         # a second batch only hits the memo
         values, scored = scorer.score_rows(np.array([[0], [1]]))
         assert values.tolist() == [-0.1, -0.5] and scored.all()
-        assert predictor.calls == 3 and scorer.evaluations == 3
+        assert len(predictor.rows) == 3 and scorer.evaluations == 3
 
     def test_budget_runs_out_mid_batch(self):
         space = grid_space(1, (0, 1, 2, 3))
-        predictor = TablePredictor({(i,): 0.1 * (i + 1) for i in range(4)})
+        predictor = RowPredictor(space, {(i,): 0.1 * (i + 1) for i in range(4)}.__getitem__)
         scorer = self.scorer(space, predictor, budget=2)
         values, scored = scorer.score_rows(np.array([[0], [1], [0], [2], [3], [1], [2]]))
         assert scored.tolist() == [True, True, True, False, False, True, False]
         assert values[scored].tolist() == [-0.1, -0.2, -0.1, -0.2]
         assert np.isinf(values[~scored]).all() and (values[~scored] > 0).all()
-        assert scorer.evaluations == 2 and predictor.calls == 2
+        assert scorer.evaluations == 2 and len(predictor.rows) == 2
         assert scorer.best_genotype.choices == (1,)
 
     def test_tie_keeps_the_first_best(self):
         space = grid_space(1, (0, 1, 2, 3))
-        predictor = TablePredictor({(0,): 0.2, (1,): 0.7, (2,): 0.7, (3,): 0.7})
+        predictor = RowPredictor(space, {(0,): 0.2, (1,): 0.7, (2,): 0.7, (3,): 0.7}.__getitem__)
         scorer = self.scorer(space, predictor)
         scorer.score_rows(np.array([[0], [2], [1]]))
         assert scorer.best_genotype.choices == (2,)
@@ -306,7 +244,7 @@ class TestScoreRows:
 
     def test_predict_many_once_per_batch_on_new_rows_only(self):
         space = grid_space(3)
-        predictor = BatchLoggingPredictor(TabularSurrogate(space, seed=4))
+        predictor = SurrogateLog(TabularSurrogate(space, seed=4))
         scorer = self.scorer(space, predictor, budget=4)
         scorer.score_rows(np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0]]))
         scorer.score_rows(np.array([[1, 1, 1], [2, 2, 2], [3, 3, 3], [2, 2, 2], [0, 1, 2]]))
@@ -316,32 +254,19 @@ class TestScoreRows:
             [[2, 2, 2], [3, 3, 3]],
         ]
 
-    def test_one_genotype_fallback_calls_in_row_order(self):
-        space = grid_space(2, (0, 1, 2))
-        predictor = LoggingPredictor(TabularSurrogate(space, seed=2))
-        scorer = self.scorer(space, predictor)
-        scorer.score_rows(np.array([[2, 1], [0, 0], [2, 1], [1, 2]]))
-        assert predictor.log == [
-            ("accuracy", (2, 1)), ("cost", (2, 1)),
-            ("accuracy", (0, 0)), ("cost", (0, 0)),
-            ("accuracy", (1, 2)), ("cost", (1, 2)),
-        ]
-
     @settings(max_examples=60, deadline=None)
     @given(
         space=spaces(max_axes=4),
         seed=st.integers(0, 2**32 - 1),
         budget=st.integers(1, 40),
         batches=st.lists(st.integers(1, 25), min_size=1, max_size=6),
-        batch_predictor=st.booleans(),
     )
-    def test_matches_try_score_row_by_row(self, space, seed, budget, batches, batch_predictor):
+    def test_matches_try_score_row_by_row(self, space, seed, budget, batches):
         # the reference is the one-genotype scorer keyed by choices
         surrogate = TabularSurrogate(space, seed)
         mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
         cfg = BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid), omega=1.0)
-        predictor = surrogate if batch_predictor else LoggingPredictor(surrogate)
-        batched = BudgetedScorer(space, predictor, cfg, budget)
+        batched = BudgetedScorer(space, surrogate, cfg, budget)
         reference = reference_drivers.ReferenceScorer(surrogate, cfg, budget)
         for k, rows in enumerate(batches):
             indices = index_rows(space, rows, seed + k)
@@ -381,7 +306,7 @@ class TestNasEvolve:
             shsade=ShsadeConfig(pop_size=4, max_generations=10),
             budget=10,
         )
-        best, trace = nas_evolve(space, ConstPredictor(0.9, 1.0), cfg, np.random.default_rng(0))
+        best, trace = nas_evolve(space, constant(space, 0.9, 1.0), cfg, np.random.default_rng(0))
         assert best.choices == (7,)
         assert trace.final_evaluations == 1  # one distinct architecture exists
 
@@ -392,27 +317,13 @@ class TestNasEvolve:
             shsade=ShsadeConfig(pop_size=20, max_generations=500, crossover_target="best"),
             budget=100,
         )
-        best, trace = nas_evolve(space, ConstPredictor(0.5, 1.0), cfg, np.random.default_rng(3))
+        best, trace = nas_evolve(space, constant(space, 0.5, 1.0), cfg, np.random.default_rng(3))
         assert trace.final_evaluations == 100
         assert trace.final_best == pytest.approx(-0.5)
 
     def test_budget_never_exceeded_and_all_genotypes_valid(self):
         space = grid_space(4)
-        surrogate = TabularSurrogate(space, seed=1)
-
-        class CheckingPredictor:
-            def __init__(self):
-                self.seen = []
-
-            def predict_accuracy(self, genotype):
-                space.indices_of(genotype)  # membership check
-                self.seen.append(genotype.choices)
-                return surrogate.predict_accuracy(genotype)
-
-            def predict_cost(self, genotype):
-                return surrogate.predict_cost(genotype)
-
-        checker = CheckingPredictor()
+        checker = SurrogateLog(TabularSurrogate(space, seed=1))
         cfg = NasConfig(
             biobjective=BiObjectiveConfig(cost_budget=10.0),
             shsade=ShsadeConfig(pop_size=10, max_generations=60, crossover_target="best"),
@@ -420,7 +331,8 @@ class TestNasEvolve:
         )
         _, trace = nas_evolve(space, checker, cfg, np.random.default_rng(5))
         assert trace.final_evaluations <= 80
-        assert len(set(checker.seen)) == len(checker.seen) == trace.final_evaluations
+        # the surrogate rejects index rows outside the space
+        assert len(set(checker.rows)) == len(checker.rows) == trace.final_evaluations
 
     def test_rows_the_budget_cannot_pay_for_are_not_evaluated(self, monkeypatch):
         # the budget runs out within a generation: its unscored rows reach
@@ -447,19 +359,8 @@ class TestNasEvolve:
 
     def test_returned_best_minimizes_over_everything_scored(self):
         space = grid_space(4)
-        surrogate = TabularSurrogate(space, seed=2)
-        scores = []
-        real_score = score
-
-        class RecordingPredictor:
-            def predict_accuracy(self, genotype):
-                return surrogate.predict_accuracy(genotype)
-
-            def predict_cost(self, genotype):
-                return surrogate.predict_cost(genotype)
-
+        predictor = TabularSurrogate(space, seed=2)
         bio = BiObjectiveConfig(cost_budget=20.0)
-        predictor = RecordingPredictor()
         cfg = NasConfig(
             biobjective=bio,
             shsade=ShsadeConfig(pop_size=10, max_generations=40, crossover_target="best"),
@@ -469,7 +370,7 @@ class TestNasEvolve:
         best, trace = nas_evolve(space, predictor, cfg, rng)
         # replay: every genotype's score is deterministic, so the best found
         # must equal the trace's final best and be reachable from the space
-        assert real_score(best, predictor, bio) == pytest.approx(trace.final_best)
+        assert score(best, predictor, bio) == pytest.approx(trace.final_best)
         values = [r.best_fitness for r in trace.rows]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -484,20 +385,6 @@ class TestNasEvolve:
         )
         best_a, trace_a = nas_evolve(space, surrogate, cfg, np.random.default_rng(9))
         best_b, trace_b = nas_evolve(space, surrogate, cfg, np.random.default_rng(9))
-        assert best_a == best_b
-        assert [r.as_tuple() for r in trace_a.rows] == [r.as_tuple() for r in trace_b.rows]
-
-    def test_batch_and_one_genotype_predictors_give_the_same_run(self):
-        space = pids_space(num_blocks=2)
-        surrogate = TabularSurrogate(space, seed=4)
-        mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
-        cfg = NasConfig(
-            biobjective=BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid)),
-            shsade=ShsadeConfig(pop_size=16, max_generations=25, crossover_target="best"),
-            budget=200,
-        )
-        best_a, trace_a = nas_evolve(space, surrogate, cfg, np.random.default_rng(3))
-        best_b, trace_b = nas_evolve(space, LoggingPredictor(surrogate), cfg, np.random.default_rng(3))
         assert best_a == best_b
         assert [r.as_tuple() for r in trace_a.rows] == [r.as_tuple() for r in trace_b.rows]
 
@@ -580,7 +467,7 @@ def test_result_document_schema():
         shsade=ShsadeConfig(pop_size=4, max_generations=5, crossover_target="best"),
         budget=4,
     )
-    best, trace = nas_evolve(space, ConstPredictor(0.7, 1.0), cfg, np.random.default_rng(2))
+    best, trace = nas_evolve(space, constant(space, 0.7, 1.0), cfg, np.random.default_rng(2))
     doc = result_document(best, trace.final_best, trace.final_evaluations, trace, space)
     assert set(doc) == {"best_genotype", "best_score", "evaluations", "trace"}
     assert set(doc["best_genotype"]) == {"a0", "a1"}
@@ -610,11 +497,6 @@ class WrongShapePredictor:
             else:
                 cost = self.wrong(cost)
         return accuracy, cost
-
-    def predict_accuracy(self, genotype):
-        raise AssertionError("a batch predictor should not be called per genotype")
-
-    predict_cost = predict_accuracy
 
 
 WRONG_SHAPES = {"one_row_short": lambda values: values[:-1], "column": lambda values: values[:, None]}
@@ -669,6 +551,51 @@ class TestPredictorResultShapes:
         predictor = WrongShapePredictor(self.surrogate, array, WRONG_SHAPES[wrong])
         with pytest.raises(ValueError, match=self.message(array, wrong, 64)):
             rank_space(self.space, predictor, self.config)
+
+
+class OneGenotypePredictor:
+    """A predictor with the one-genotype methods and no ``predict_many``."""
+
+    def predict_accuracy(self, genotype):
+        return 0.5
+
+    def predict_cost(self, genotype):
+        return 1.0
+
+
+class TestPredictorWithoutPredictMany:
+    """The searches and the oracle score only through ``predict_many``: a
+    predictor without it fails at the first batch, before anything is
+    charged to the budget or memoized."""
+
+    space = grid_space(3)
+    config = BiObjectiveConfig(cost_budget=1.0)
+
+    @pytest.mark.parametrize("search", ["score_rows", "nas_evolve", "regularized_ea_run"])
+    def test_searches(self, search, monkeypatch):
+        scorers = []
+
+        class KeptScorer(BudgetedScorer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scorers.append(self)
+
+        monkeypatch.setattr(nas_search, "BudgetedScorer", KeptScorer)
+        monkeypatch.setattr(baselines, "BudgetedScorer", KeptScorer)
+        predictor = OneGenotypePredictor()
+        with pytest.raises(AttributeError, match="predict_many"):
+            if search == "score_rows":
+                KeptScorer(self.space, predictor, self.config, 10).score_rows(np.array([[0, 1, 2], [3, 3, 3]]))
+            elif search == "nas_evolve":
+                nas_evolve(self.space, predictor, NasConfig(self.config, ShsadeConfig(pop_size=8), budget=40), 0)
+            else:
+                regularized_ea_run(self.space, predictor, RegularizedEaConfig(6, 2, 30), self.config, 0)
+        [scorer] = scorers
+        assert scorer.evaluations == 0 and scorer.scores == {} and scorer.best_genotype is None
+
+    def test_rank_space(self):
+        with pytest.raises(AttributeError, match="predict_many"):
+            rank_space(self.space, OneGenotypePredictor(), self.config)
 
 
 # Python-level calls into the package for a score_rows batch whose rows all
