@@ -84,7 +84,7 @@ def vanilla_de_run(
     def ask():
         picks = sample_distinct_triplets(config.pop_size, rows, rng.random((3, config.pop_size)))
         # take() gathers the same rows as fancy indexing, without its overhead
-        x1, x2, x3 = state.x.take(np.array(picks), axis=0)
+        x1, x2, x3 = state.x.take(picks, axis=0)
         donors = x1 + config.f * (x2 - x3)
         trials = binomial_crossover_matrix(state.x, donors, cr, rng)
         return repair_bounds_matrix(trials, spec.bounds, state.x)

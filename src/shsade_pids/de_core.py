@@ -130,15 +130,6 @@ def uniform_index(u, m):
     return np.minimum((u * m).astype(np.intp), m - 1)
 
 
-def skip(v: np.ndarray, excluded: np.ndarray) -> np.ndarray:
-    """The ``v``-th index, from 0, of those other than ``excluded``. Chained
-    skips pick distinct indices without redraws: ``skip(skip(v2, v1), i)``
-    skips the first pick's place ``v1`` among the indices other than i,
-    then i. Uniform ``v``s below the count of indices left give every
-    ordered tuple of distinct picks exactly once."""
-    return v + (v >= excluded)
-
-
 def binomial_crossover_matrix(
     targets: np.ndarray, donors: np.ndarray, cr: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -150,15 +141,33 @@ def binomial_crossover_matrix(
     n, dim = donors.shape
     u = rng.random((n, dim + 1))
     mask = u[:, :dim] < cr[:, None]
-    mask[np.arange(n), uniform_index(u[:, dim], dim)] = True
+    # row i's j_rand sits at i * dim + j_rand in the flat mask
+    mask.put(uniform_index(u[:, dim], dim) + np.arange(0, n * dim, dim), True)
     return np.where(mask, donors, targets)
 
 
-def sample_distinct_triplets(
-    pop_size: int, rows: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# Distinct picks without redraws. A pick v, drawn uniformly below the count
+# of indices left to it, skips an excluded index x by ``v += v >= x``, which
+# makes it the v-th index, from 0, of those other than x. Chained skips, the
+# latest exclusion first, keep picks distinct: the second pick skips the
+# first pick's place among the indices other than i, then i itself. Every
+# ordered tuple of distinct picks comes from exactly one tuple of v's.
+
+# per pick, the count of indices it cannot take: the row, then each earlier pick
+_TRIPLET_TAKEN = np.array([[1], [2], [3]])
+
+
+def sample_distinct_triplets(pop_size: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """For each row index i, r1, r2, r3 mutually distinct and distinct from
     i, uniformly over the population, from a ``(3, rows.size)`` block of
-    uniforms, one row of it per pick (see ``skip``). Needs pop_size >= 4."""
-    v1, v2, v3 = uniform_index(u, pop_size - np.array([[1], [2], [3]]))
-    return skip(v1, rows), skip(skip(v2, v1), rows), skip(skip(skip(v3, v2), v1), rows)
+    uniforms, one row of it per pick (see the skips above). Returns the
+    picks as one ``(3, rows.size)`` block, r1 first. Raises ``ValueError``
+    below ``MIN_POP_SIZE``, where no such triplet exists."""
+    if pop_size < MIN_POP_SIZE:
+        raise ValueError(f"distinct triplets need a population of at least {MIN_POP_SIZE}, got {pop_size}")
+    v = uniform_index(u, pop_size - _TRIPLET_TAKEN)
+    # v3 skips v2, then v2 and v3 skip v1, then all three skip i
+    v[2] += v[2] >= v[1]
+    v[1:] += v[1:] >= v[0]
+    v += v >= rows
+    return v

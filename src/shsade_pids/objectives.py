@@ -123,7 +123,11 @@ class TabularSurrogate:
     every accuracy term and cost factor of a batch in one gather. The sums
     run term by term in a fixed order (axis weights, then pairs in ``(i, j)``
     order; block products, then additive axes), so every row's result is
-    the same to the bit whatever the batch around it.
+    the same to the bit whatever the batch around it. A gather of two or
+    more rows sums with an axis-0 reduce, which over a C-ordered ``(terms,
+    rows)`` block is exactly that left fold per column; a one-row gather
+    would reduce pairwise, so it sums with an accumulate. A numpy that
+    changed either order would fail ``tests/test_objectives.py``.
     """
 
     def __init__(self, space: DiscreteSpace, seed: int):
@@ -210,15 +214,22 @@ class TabularSurrogate:
         flat += self._offsets
         flat += cols.take(self._second, axis=0)
         terms = self._table.take(flat)
-        # accumulate adds term by term at every batch size; a reduce would
-        # switch to pairwise summation when there is a single row
-        logits = terms[: self._accuracy_terms]
-        np.add.accumulate(logits, axis=0, out=logits)
         products = terms[self._factor_slices[0]]
         for factors in self._factor_slices[1:]:  # block products in axis order
             products = products * terms[factors]
+        # each column sums its terms one by one from the first, so a row's
+        # bits do not depend on its batch. Over a C-ordered (terms, rows)
+        # block of two or more columns, an axis-0 reduce adds row after row
+        # into one row of partial sums: that left fold, several times faster
+        # than an accumulate. A single column is one contiguous run, which a
+        # reduce sums pairwise, so it keeps the accumulate
+        logits = terms[: self._accuracy_terms]
+        if terms.shape[1] > 1:
+            logits, cost = np.add.reduce(logits, axis=0), np.add.reduce(products, axis=0)
+        else:
+            logits, cost = np.add.accumulate(logits, axis=0)[-1], np.add.accumulate(products, axis=0)[-1]
         # the logistic of the negated logit; reciprocal rounds as 1.0 / x does
-        return np.reciprocal(np.exp(logits[-1]) + 1.0), np.add.accumulate(products, axis=0)[-1]
+        return np.reciprocal(np.exp(logits) + 1.0), cost
 
     def predict_many(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(accuracy, cost) arrays for a ``(rows, num_axes)`` matrix of value

@@ -29,7 +29,6 @@ from .de_core import (
     init_population,
     repair_bounds_matrix,
     replace_rows,
-    skip,
     uniform_index,
 )
 from .trace import SearchTrace
@@ -319,9 +318,10 @@ def lehmer_mean(values) -> float:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("lehmer_mean needs at least one value")
-    if np.any(values <= 0):
+    if (values <= 0).any():
         raise ValueError("lehmer_mean requires strictly positive values")
-    return float(np.sum(values * values) / np.sum(values))
+    # np.add.reduce: the bits of np.sum, without its Python-level wrapper
+    return float(np.add.reduce(values * values) / np.add.reduce(values))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def _select_partners(
 ) -> np.ndarray:
     """Per row i: three partners, distinct from i and from each other, as a
     ``(3, rows.size)`` array, from a ``(3, rows.size)`` block of uniforms,
-    one row of it per pick (see ``de_core.skip``).
+    one row of it per pick (see the skips in ``de_core``).
 
     On current-to-pbest rows (``pbest`` True) the first pick comes from the
     top ceil(p * NP) (at least 2, so an alternative to i always exists), the
@@ -364,20 +364,20 @@ def _select_partners(
     place = np.empty(pop_size, dtype=np.intp)
     place[order] = np.arange(pop_size)
     own = place[rows]
-    # per pick and row, the count of indices to choose from; pbest skips i
-    # only when i lies in the top k
-    counts = np.where(
-        pbest,
-        [[k], [pop_size - 2], [pop_size + archive_size - 3]],
-        [[pop_size - 1], [pop_size - 2], [pop_size - 3]],
-    )
+    # per pick and row, the count of indices to choose from: column 0 of
+    # the table for trigonometric rows, column 1 for current-to-pbest ones,
+    # which skip i in the first pick only when i lies in the top k
+    counts = np.array(
+        (pop_size - 1, k, pop_size - 2, pop_size - 2, pop_size - 3, pop_size + archive_size - 3)
+    ).reshape(3, 2).take(pbest, axis=1)
     counts[0] -= pbest & (own < k)
     v = uniform_index(u, counts)
-    first = skip(v[0], np.where(pbest, own, rows))
-    v[0] = np.where(pbest, order[first], first)
+    v[0] += v[0] >= np.where(pbest, own, rows)
+    v[0] = np.where(pbest, order.take(v[0]), v[0])
     p = v[0] - (v[0] > rows)  # the first pick's place among the indices other than i
-    v[2] = skip(v[2], v[1])
-    v[1:] = skip(skip(v[1:], p), rows)
+    v[2] += v[2] >= v[1]
+    v[1:] += v[1:] >= p
+    v[1:] += v[1:] >= rows
     return v
 
 
@@ -394,10 +394,23 @@ def _trigonometric_donors(points: np.ndarray, fitness: np.ndarray) -> np.ndarray
     a = np.abs(fitness)
     x1, x2, x3 = points
     total = a[0] + a[1] + a[2]
-    centroid = (x1 + x2 + x3) / 3.0
     # a zero total means three zero |fitness| values, and so zero weights
     w1, w2, w3 = (a / np.where(total > 0, total, 1.0))[:, :, None]
-    return centroid + (w2 - w1) * (x1 - x2) + (w3 - w2) * (x2 - x3) + (w1 - w3) * (x3 - x1)
+    # (x1 + x2 + x3) / 3 + (w2 - w1) (x1 - x2) + (w3 - w2) (x2 - x3) + (w1 - w3) (x3 - x1),
+    # in place: the same operations in the same order, without the temporaries
+    donors = x1 + x2
+    donors += x3
+    donors /= 3.0
+    leg = x1 - x2
+    leg *= w2 - w1
+    donors += leg
+    np.subtract(x2, x3, out=leg)
+    leg *= w3 - w2
+    donors += leg
+    np.subtract(x3, x1, out=leg)
+    leg *= w1 - w3
+    donors += leg
+    return donors
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +476,9 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     block for both strategies. The first block's rows give each individual
     its strategy, its one memory slot (read for CR and for F or the
     frequency, as in SHADE), its sinusoid coin and three partner uniforms
-    (see ``de_core.skip``), which pick the partners of both strategies in
-    one pass; one gather then reads their rows from the population and the
-    archive. Earlier versions made about 22 calls per
+    (see the skips in ``de_core``), which pick the partners of both
+    strategies in one pass; one gather then reads their rows from the
+    population and the archive. Earlier versions made about 22 calls per
     generation, redrew clashing partners and drew a slot per parameter, so
     their runs differ from these from the same seed.
     """
@@ -581,17 +594,19 @@ def commit_generation(
         evaluated = np.asarray(evaluated, dtype=bool)
         accepted &= evaluated
         improved &= evaluated
-        tried = tried[evaluated]
+        tried = tried.compress(evaluated)
 
+    # compress() picks the same entries as a boolean index, at less overhead
     uses_f = improved & (batch.strategies == CURRENT_TO_PBEST)
-    success = SuccessSets(scr=batch.cr[uses_f], sf=batch.f[uses_f], sfreq=batch.freq[improved & batch.adaptive])
-    # the archive takes the parents before the trials replace them;
-    # compress() picks the same rows as a boolean index, at less overhead
+    success = SuccessSets(
+        scr=batch.cr.compress(uses_f), sf=batch.f.compress(uses_f), sfreq=batch.freq.compress(improved & batch.adaptive)
+    )
+    # the archive takes the parents before the trials replace them
     _archive_parents(state, state.x.compress(accepted, axis=0), rng)
-    replace_rows(state, accepted, batch.x.compress(accepted, axis=0), tf[accepted])
+    replace_rows(state, accepted, batch.x.compress(accepted, axis=0), tf.compress(accepted))
 
     n_strategies = state.strategy.success_counts.size
-    won = np.bincount(batch.strategies[improved], minlength=n_strategies)
+    won = np.bincount(batch.strategies.compress(improved), minlength=n_strategies)
     state.strategy.success_counts += won
     state.strategy.failure_counts += np.bincount(tried, minlength=n_strategies) - won
     state.strategy.generations_in_window += 1

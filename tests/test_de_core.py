@@ -311,6 +311,14 @@ def test_sample_distinct_triplets():
             assert i not in picks
 
 
+@pytest.mark.parametrize("pop_size", [0, 1, 2, 3])
+def test_sample_distinct_triplets_reject_populations_below_four(pop_size):
+    # no triplet distinct from i exists; the third pick used to come back
+    # as -1, which a gather wraps to the last row
+    with pytest.raises(ValueError, match="at least 4"):
+        sample_distinct_triplets(pop_size, np.arange(pop_size), np.full((3, pop_size), 0.5))
+
+
 @settings(max_examples=100, deadline=None)
 @given(pop_size=st.integers(4, 20), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_sample_distinct_triplets_match_loop_reference(pop_size, seed, data):

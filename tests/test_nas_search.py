@@ -617,6 +617,25 @@ def test_package_calls_for_a_batch_of_memo_hits_stay_bounded():
     assert counts[0] <= MAX_PACKAGE_CALLS_PER_MEMO_HIT_BATCH, counts
 
 
+# Python-level calls into the package per nas_evolve generation on
+# pids_space(7), from one ask to the next: building the trials, decoding and
+# scoring them through score_rows and predict_many, committing them and the
+# trace row. 51 while the partner picks skipped through a helper, 47 since
+MAX_PACKAGE_CALLS_PER_NAS_GENERATION = 47
+
+
+def test_package_calls_per_nas_generation_stay_bounded():
+    space = pids_space(7)  # nearly every trial is new, so every batch calls the predictor
+    surrogate = TabularSurrogate(space, seed=2024)
+    mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
+    bio = BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid))
+    with package_calls(split="ask") as counts:
+        _, trace = nas_evolve(space, surrogate, NasConfig(bio, budget=2000), np.random.default_rng(0))
+    per_generation = counts[1:]  # counts[0] is the initial population
+    assert len(per_generation) == trace.rows[-1].generation > 30
+    assert max(per_generation) <= MAX_PACKAGE_CALLS_PER_NAS_GENERATION, per_generation
+
+
 # blocks b0 and b1 take one and two padding slots in the surrogate's cost
 # products; "b1_depth" and "fixed" have a single value
 UNEVEN_BLOCKS = DiscreteSpace((

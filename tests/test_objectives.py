@@ -271,3 +271,102 @@ class TestSurrogateKernelsBitIdentical:
             part_accuracy, part_cost = surrogate.predict_many(indices[lo : lo + 700])
             assert np.array_equal(part_accuracy, accuracy[lo : lo + 700])
             assert np.array_equal(part_cost, cost[lo : lo + 700])
+
+    def test_gather_boundaries_match_the_loop_reference(self):
+        # chunk + 1 and 2 * chunk + 1 rows end on a one-row gather, which
+        # sums differently from the gathers before it
+        space = pids_space(7)
+        surrogate = TabularSurrogate(space, 2024)
+        reference = LoopSurrogate(space, 2024)
+        chunk = surrogate._chunk
+        indices = index_rows(space, 2 * chunk + 1, 3)
+        expected = [
+            (reference.predict_accuracy(g), reference.predict_cost(g))
+            for g in map(space.genotype_from_indices, indices)
+        ]
+        for rows in (0, 1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            accuracy, cost = surrogate.predict_many(indices[:rows])
+            assert list(zip(accuracy.tolist(), cost.tolist())) == expected[:rows], rows
+
+    def test_index_layouts_give_the_same_bytes(self):
+        space = pids_space(7)
+        surrogate = TabularSurrogate(space, 2024)
+        rows = surrogate._chunk + 1
+        indices = index_rows(space, rows, 4)
+        expected = [a.tobytes() for a in surrogate.predict_many(np.ascontiguousarray(indices))]
+        wide = np.zeros((2 * rows, 2 * space.num_axes), dtype=indices.dtype)
+        wide[::2, ::2] = indices
+        for layout in (wide[::2, ::2], np.asfortranarray(indices)):
+            assert [a.tobytes() for a in surrogate.predict_many(layout)] == expected
+
+
+def left_fold(values) -> float:
+    """Python's sum from the first value, one addition at a time."""
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return total
+
+
+def canary_block(terms: int, rows: int, seed: int) -> np.ndarray:
+    """A ``(terms, rows)`` block whose columns a pairwise sum and a left fold
+    add up differently: small terms of mixed sign around a +1e16 / -1e16
+    pair, which a left fold rounds while the large term is in the sum."""
+    rng = np.random.default_rng(seed)
+    block = rng.choice([-1.0, 0.5, 1.0, 3.0], size=(terms, rows))
+    columns = np.arange(rows)
+    block[columns % 7, columns] = 1e16
+    block[terms // 2 + columns % 11, columns] = -1e16
+    return block
+
+
+def block_kernel(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``TabularSurrogate._predict`` on tables rigged so that its gather
+    reads exactly ``block``, as the accuracy terms and as the one cost
+    factor: the returned cost is each column's sum of ``block``."""
+    terms, rows = block.shape
+    surrogate = TabularSurrogate(grid_space(2), seed=0)
+    # term t of column r reads the flat table at t + r * terms: index row 0
+    # holds r with stride ``terms``, index row 1 holds zeros
+    surrogate._table = block.T.ravel()
+    surrogate._offsets = np.arange(terms)[:, None]
+    surrogate._first = np.zeros(terms, dtype=np.intp)
+    surrogate._strides = np.full((terms, 1), terms)
+    surrogate._second = np.ones(terms, dtype=np.intp)
+    surrogate._accuracy_terms = terms
+    surrogate._factor_slices = [slice(0, terms)]
+    return surrogate._predict(np.stack((np.arange(rows), np.zeros(rows, dtype=np.intp))))
+
+
+class TestReductionOrderCanary:
+    """The kernel sums each column of a ``(terms, rows)`` gather with an
+    axis-0 reduce when it has two or more rows, and with an accumulate when
+    it has one. Both must add term by term from the first: numpy is not
+    pinned, and an upgrade that reorders either sum fails here."""
+
+    TERMS = 448  # the gather's terms on pids_space(7)
+
+    def check(self, block):
+        sums = [left_fold(column) for column in block.T.tolist()]
+        accuracy, cost = block_kernel(block)
+        assert cost.tobytes() == np.array(sums).tobytes()
+        assert accuracy.tobytes() == np.reciprocal(np.exp(np.array(sums)) + 1.0).tobytes()
+
+    def test_the_block_tells_pairwise_from_left_fold(self):
+        # without this the canary has no teeth: numpy's pairwise sum of one
+        # contiguous column must differ from the left fold somewhere
+        block = canary_block(self.TERMS, 64, 0)
+        pairwise = [np.add.reduce(np.ascontiguousarray(column)) for column in block.T]
+        assert pairwise != [left_fold(column) for column in block.T.tolist()]
+
+    def test_two_to_64_rows(self):
+        for rows in range(2, 65):
+            self.check(canary_block(self.TERMS, rows, rows))
+
+    def test_a_chunk_of_rows(self):
+        rows = TabularSurrogate(pids_space(7), 2024)._chunk
+        self.check(canary_block(self.TERMS, rows, 1))
+
+    def test_one_row(self):
+        for seed in range(20):
+            self.check(canary_block(self.TERMS, 1, seed))

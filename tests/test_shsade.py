@@ -815,8 +815,9 @@ def test_shsade_generation_draw_counts():
 
 # Python-level calls into the package per SHSADE generation at D=10, pop 50
 # over the test below: at most 51 before the partners of both strategies
-# were drawn in one pass and the archive became one array, 36 since
-MAX_PACKAGE_CALLS_PER_GENERATION = 36
+# were drawn in one pass and the archive became one array, 36 until the
+# partner picks skipped in place instead of through a helper, 32 since
+MAX_PACKAGE_CALLS_PER_GENERATION = 32
 
 
 def test_package_calls_per_generation_stay_bounded():
