@@ -4,8 +4,8 @@ Each hash is the first 16 hex digits of the sha256 of a run's ``repr``:
 ``(best.x.tolist(), best.fitness, rows)`` for the continuous runs (rastrigin,
 pop 50, ``max_generations`` 1000, D=10 with 50 000 evaluations and D=100
 with 10 000) and ``(best.choices, rows)`` for the searches (``pids_space(7)``
-with budget 2000 and the 1024-configuration criteria 3/4 space with budget
-500, surrogate seed 2024, the mid-grid architecture's cost as the cost
+with budget 2000, ``pids_space(12)`` with budget 300 and the
+1024-configuration criteria 3/4 space with budget 500, surrogate seed 2024, the mid-grid architecture's cost as the cost
 budget, omega 1, aging evolution 25/5), where ``rows`` lists every trace row
 as a tuple. Seeds 0-2 here are the first three entries of the ten-seed lists
 in ``CHANGES.md``. The CLI value hashes the sorted ``(name, bytes)`` pairs of
@@ -37,6 +37,8 @@ PINNED = {
     ("regularized_ea", "pids7"): "7535d9d689933ce1 e3f1b2188e9ce80e ab29d8b25039c312",
     ("nas_evolve", "acceptance"): "24ce324eb2c20b0e 744c6b742af0a5fc 893db4a5c3409cf5",
     ("regularized_ea", "acceptance"): "5380df19be9c8822 b3b8bb2f0bd07c17 5464dab8e81eec7b",
+    ("nas_evolve", "pids12"): "190f389a32825937 caf9b8668a8d0c05 baf21ea3e97fead2",
+    ("regularized_ea", "pids12"): "37ff085513e05432 5e83a559e0945618 4eb6701a54903120",
 }
 
 PINNED_CLI = "100add8f567b1b51"
@@ -52,6 +54,8 @@ CLI_CONFIG = {
 EVALUATIONS = {10: 50_000, 100: 10_000}
 SPACES = {
     "pids7": (nas_search.pids_space(7), 2000),
+    # 120**12 configurations, more than an int64 flat index can hold
+    "pids12": (nas_search.pids_space(12), 300),
     "acceptance": (DiscreteSpace(tuple(Axis(f"a{i}", (0, 1, 2, 3)) for i in range(5))), 500),
 }
 
@@ -83,7 +87,7 @@ def test_continuous_trajectories_are_pinned(algorithm, dimension):
 
 
 @pytest.mark.parametrize("algorithm", ["nas_evolve", "regularized_ea"])
-@pytest.mark.parametrize("space_name", ["pids7", "acceptance"])
+@pytest.mark.parametrize("space_name", ["pids7", "pids12", "acceptance"])
 def test_search_trajectories_are_pinned(algorithm, space_name):
     space, budget = SPACES[space_name]
     surrogate = objectives.TabularSurrogate(space, 2024)
