@@ -126,13 +126,15 @@ class RegularizedEaConfig:
             raise ValueError("budget must cover the initial population")
 
 
-def _move_axis(indices: tuple, axis_idx: int, offset: int, size: int) -> tuple:
-    """``indices`` with axis ``axis_idx``, of ``size`` values, moved to the
-    ``offset``-th of its value indices other than the current one. A
-    single-value axis keeps its value."""
+def _move_axis(flat: int, stride: int, offset: int, size: int) -> int:
+    """The flat index ``flat`` with the axis of ``stride`` and ``size``
+    values moved to the ``offset``-th of its value indices other than the
+    current one. A single-value axis keeps its value. Aging evolution's
+    step runs this arithmetic inline."""
     if size == 1:
-        return indices
-    return indices[:axis_idx] + (offset + (offset >= indices[axis_idx]),) + indices[axis_idx + 1 :]
+        return flat
+    old = flat // stride % size
+    return flat + (offset + (offset >= old) - old) * stride
 
 
 def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, offset: int) -> Genotype:
@@ -144,22 +146,24 @@ def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, off
     axis = space.axes[axis_idx]
     if not 0 <= offset < max(axis.size - 1, 1):
         raise ValueError(f"offset {offset} is outside [0, {max(axis.size - 2, 0)}] on axis {axis.name!r}")
-    indices = tuple(space.indices_of(genotype).tolist())
-    return space.genotype_from_indices(_move_axis(indices, axis_idx, offset, axis.size))
+    indices = space.indices_of(genotype).tolist()
+    # one axis's value index is the flat index of a one-axis space
+    indices[axis_idx] = _move_axis(indices[axis_idx], 1, offset, axis.size)
+    return space.genotype_from_indices(indices)
 
 
 @dataclass
 class RegularizedEaState:
-    """The population in age order, oldest first: each member's value
-    indices (a tuple) and, in ``fitness``, its score; the step count and the
-    best score found so far. ``held`` is the next step's child, drawn ahead
-    because the memo does not know it."""
+    """The population in age order, oldest first: each member's row-major
+    flat index (an ``int``, the scorer's memo key) and, in ``fitness``, its
+    score; the step count and the best score found so far. ``held`` is the
+    next step's child, drawn ahead because the memo does not know it."""
 
-    population: list[tuple]
+    population: list[int]
     fitness: list[float]
     generation: int
     best_fitness: float
-    held: tuple | None = None
+    held: int | None = None
 
 
 def regularized_ea_run(
@@ -184,6 +188,11 @@ def regularized_ea_run(
     budget`` steps. A NaN or infinite score fails the run with
     ``TraceError`` at the trace row after it enters the population.
 
+    Members are row-major flat indices, the scorer's memo keys, so a step
+    moves an axis with integer arithmetic on the parent's index and looks
+    the child up as it is. A child turns back into a row of value indices
+    only when it is scored.
+
     One ``drive`` generation covers one newly scored genotype: ``ask``
     returns the held child, ``evaluate`` scores it, and ``tell`` commits it,
     runs the following steps whose child the memo knows (they spend nothing),
@@ -194,12 +203,13 @@ def regularized_ea_run(
     """
     rng = np.random.default_rng(rng)
     scorer = BudgetedScorer(space, predictor, biobjective, config.budget)
-    sizes = space.sizes
+    strides = scorer.strides
+    sizes = np.array(space.sizes)
     # the draws of random_genotype, one genotype after another
-    population = [tuple(int(rng.integers(size)) for size in sizes) for _ in range(config.population_size)]
-    values, _ = scorer.score_rows(np.array(population))  # budget >= population_size
-    state = RegularizedEaState(population, values.tolist(), 0, scorer.best_score)
-    draws = _step_draws(space, config, rng)
+    rows = np.array([[int(rng.integers(size)) for size in space.sizes] for _ in range(config.population_size)])
+    values, _ = scorer.score_rows(rows)  # budget >= population_size
+    state = RegularizedEaState((rows @ strides).tolist(), values.tolist(), 0, scorer.best_score)
+    draws = _step_draws(space, config, strides, rng)
     max_steps = REA_STEPS_PER_BUDGET_UNIT * config.budget
     memo = scorer.scores
 
@@ -213,8 +223,11 @@ def regularized_ea_run(
         if finite and scorer.evaluations < scorer.budget:
             score_of, lookup, join, record = scores.__getitem__, memo.get, population.append, scores.append
             # islice draws no step beyond the cap
-            for picks, axis_idx, offset, size in islice(draws, max_steps - step):
-                child = _move_axis(population[min(picks, key=score_of)], axis_idx, offset, size)  # ties to the oldest
+            for picks, stride, offset, size in islice(draws, max_steps - step):
+                child = population[min(picks, key=score_of)]  # ties to the oldest
+                if size > 1:  # _move_axis, inline
+                    old = child // stride % size
+                    child += (offset + (offset >= old) - old) * stride
                 value = lookup(child)
                 if value is None:
                     state.held = child
@@ -239,17 +252,19 @@ def regularized_ea_run(
     return scorer.search(
         state,
         ask=lambda: state.held,
-        evaluate=lambda child: scorer.score_rows(np.array([child])),
+        # the held child's value indices, as one row
+        evaluate=lambda child: scorer.score_rows((child // strides % sizes).astype(np.intp, copy=False)[None]),
         tell=tell,
         algorithm="regularized_ea",
         max_generations=max_steps,
     )
 
 
-def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, rng):
+def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, strides: np.ndarray, rng):
     """An iterator over each step's tournament (population slots in age
-    order, sorted), axis index, value offset and axis size. It draws a block
-    of steps when it reaches one, not before."""
+    order, sorted), the stride of its axis in ``strides``, its value offset
+    and the axis size. It draws a block of steps when it reaches one, not
+    before."""
     pop_size, tournament_size = config.population_size, config.tournament_size
     num_axes = space.num_axes
     sizes = np.array(space.sizes)
@@ -261,8 +276,8 @@ def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, rng):
         axes = uniform_index(u[:, pop_size], num_axes)
         size = sizes[axes]
         # over the values an axis can move to; -1 on a single-value axis,
-        # which _move_axis leaves where it is
+        # which the step leaves where it is
         offsets = uniform_index(u[:, pop_size + 1], size - 1)
-        return zip(tournaments.tolist(), axes.tolist(), offsets.tolist(), size.tolist())
+        return zip(tournaments.tolist(), strides.take(axes).tolist(), offsets.tolist(), size.tolist())
 
     return chain.from_iterable(map(block, repeat(None)))

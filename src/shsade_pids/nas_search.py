@@ -139,15 +139,19 @@ class BudgetedScorer:
     budget unit. ``budget`` is clamped to the size of the space, so a search
     whose evaluations reach it has spent its budget or scored every genotype.
 
-    The memo maps a genotype's value indices, as a tuple, to its score.
-    ``score_rows`` is the only code that writes it, checks the budget or
-    updates the best; ``try_score`` is a one-row call into it. A batch whose
-    rows all hit the memo costs one lookup per row and no predictor call;
-    the other rows go to ``_score_new``, which makes the one ``predict_many``
-    call; the scorer never calls the predictor's one-genotype methods.
-    Aging evolution scores each new child as a one-row batch, and its
-    memo-hit steps read ``scores`` directly, since a hit spends nothing.
-    ``search`` runs a search on ``drive`` under the budget.
+    The memo maps a genotype's row-major flat index, a Python ``int`` (the
+    value ``np.ravel_multi_index`` gives for its value indices), to its
+    score. A row's key is ``row @ strides``: the strides are int64 while the
+    space has fewer than 2**63 genotypes, and Python ints in an object array
+    beyond, so a key is exact on any space. ``score_rows`` is the only code
+    that writes the memo, checks the budget or updates the best;
+    ``try_score`` is a one-row call into it. A batch whose rows all hit the
+    memo costs one lookup per row and no predictor call; the other rows go
+    to ``_score_new``, which makes the one ``predict_many`` call; the scorer
+    never calls the predictor's one-genotype methods. Aging evolution keeps
+    its population as flat indices, scores each new child as a one-row
+    batch, and its memo-hit steps read ``scores`` directly, since a hit
+    spends nothing. ``search`` runs a search on ``drive`` under the budget.
     """
 
     def __init__(
@@ -157,10 +161,14 @@ class BudgetedScorer:
         self.predictor = predictor
         self.biobjective = biobjective
         self.budget = min(int(budget), space.size)
-        self.scores: dict[tuple, float] = {}
+        self.scores: dict[int, float] = {}
         self.evaluations = 0
         self.best_genotype: Genotype | None = None
         self.best_score = math.inf
+        strides = [math.prod(space.sizes[k + 1 :]) for k in range(space.num_axes)]
+        self.strides = np.array(strides, dtype=np.int64 if space.size < 2**63 else object)
+        # one unsigned comparison checks both ends of each index's range
+        self._sizes = np.array(space.sizes, dtype=np.uintp)
 
     def try_score(self, genotype: Genotype) -> float | None:
         """Score a genotype, or return None when it is unseen and the budget
@@ -174,9 +182,18 @@ class BudgetedScorer:
         never consume budget; a new one is scored while budget is left.
         Returns the scores and a mask of the rows scored; a row left
         unscored for want of budget reads +inf. The best is the first row
-        of the lowest new score."""
+        of the lowest new score. ``indices`` must be a ``(rows, num_axes)``
+        integer array of indices into each axis's values; anything else
+        raises ``ValueError`` before any lookup, charge or memo write."""
         indices = np.asarray(indices)
-        keys = list(map(tuple, indices.tolist()))
+        if indices.ndim != 2 or indices.shape[1] != len(self._sizes):
+            raise ValueError(f"index rows of shape {indices.shape} do not match the space's {len(self._sizes)} axes")
+        if indices.dtype.kind not in "iu":
+            raise ValueError(f"value indices must be integers, not {indices.dtype}")
+        indices = indices.astype(np.intp, copy=False)
+        if np.count_nonzero(indices.view(np.uintp) >= self._sizes):
+            raise ValueError("value index out of range for the space")
+        keys = (indices @ self.strides).tolist()
         found = list(map(self.scores.get, keys))  # None: not in the memo
         if None in found:
             self._score_new(indices, keys, found)
@@ -188,7 +205,7 @@ class BudgetedScorer:
     def _score_new(self, indices: np.ndarray, keys: list, found: list) -> None:
         """Score the genotypes of the rows that ``found`` lacks (None), the
         first ones while budget is left, and fill in ``found``."""
-        fresh: dict[tuple, int] = {}  # genotype new to the memo -> its first row
+        fresh: dict[int, int] = {}  # genotype new to the memo -> its first row
         for k, value in enumerate(found):
             if value is None:
                 fresh.setdefault(keys[k], k)
@@ -209,7 +226,7 @@ class BudgetedScorer:
                 best_row = row
         self.evaluations += len(rows)
         if best_row is not None:
-            self.best_genotype = self.space.genotype_from_indices(keys[best_row])
+            self.best_genotype = self.space.genotype_from_indices(indices[best_row].tolist())
         if len(rows) < len(keys) and None in found:  # later rows of a new genotype, or rows left unscored
             for k, value in enumerate(found):
                 if value is None:

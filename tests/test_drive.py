@@ -225,6 +225,23 @@ def test_regularized_ea_run_with_budget_equal_to_the_population_matches_the_loop
     assert trace.final_evaluations == config.budget
 
 
+@pytest.mark.parametrize("search", ["nas_evolve", "regularized_ea"])
+def test_searches_on_a_space_past_int64_match_the_loop_reference(search):
+    # 120**12 genotypes: the memo keys and aging evolution's members are
+    # flat indices beyond int64
+    space = nas_search.pids_space(12)
+    surrogate = objectives.TabularSurrogate(space, 2024)
+    for seed in range(2):
+        if search == "nas_evolve":
+            mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
+            bio = nas_search.BiObjectiveConfig(cost_budget=surrogate.predict_cost(mid), omega=1.0)
+            config = nas_search.NasConfig(biobjective=bio, budget=300)
+            _assert_nas_matches_reference(space, surrogate, config, seed)
+        else:
+            config = baselines.RegularizedEaConfig(population_size=25, tournament_size=5, budget=300)
+            _assert_rea_matches_reference(space, surrogate, config, seed)
+
+
 def test_regularized_ea_runs_one_generation_per_scored_genotype(monkeypatch):
     # aging evolution's memo hits run inside the tell: a later edit that
     # goes back to one drive generation per step fails here
@@ -240,8 +257,12 @@ def test_regularized_ea_runs_one_generation_per_scored_genotype(monkeypatch):
 
     class SpyScorer(nas_search.BudgetedScorer):
         def score_rows(self, indices):
-            calls.append([tuple(row) in self.scores for row in indices.tolist()])
-            return super().score_rows(indices)
+            keys = np.ravel_multi_index(np.asarray(indices).T, self.space.sizes).tolist()
+            calls.append([key in self.scores for key in keys])
+            values, scored = super().score_rows(indices)
+            # the spy reads the memo's own keys: every row scored is in it now
+            assert all(key in self.scores for key in np.compress(scored, keys).tolist())
+            return values, scored
 
     monkeypatch.setattr(nas_search, "drive", spy_drive)
     monkeypatch.setattr(baselines, "BudgetedScorer", SpyScorer)

@@ -279,9 +279,83 @@ class TestScoreRows:
             assert batched.best_genotype == reference.best_genotype
         # the same genotypes and scores, in the order they were first scored
         assert list(batched.scores.items()) == [
-            (tuple(space.indices_of(Genotype(choices)).tolist()), value)
+            (np.ravel_multi_index(space.indices_of(Genotype(choices)), space.sizes), value)
             for choices, value in reference.scores.items()
         ]
+
+    # rows a predictor that does not validate would score: each must raise
+    # before any lookup, charge or memo write
+    BAD_ROWS = {
+        "negative_index": np.array([[0, 0, -1]]),
+        "index_at_size": np.array([[0, 4, 0]]),
+        "bad_row_first": np.array([[9, 0, -1], [0, 0, 0]]),
+        "bad_row_last": np.array([[1, 1, 1], [0, 0, 4]]),
+        "huge_unsigned": np.array([[0, 0, 2**64 - 1]], dtype=np.uint64),
+        "float_dtype": np.array([[0.0, 0.0, 0.0]]),
+        "bool_dtype": np.array([[False, True, False]]),
+        "object_dtype": np.array([[0, 0, 0]], dtype=object),
+        "one_dimensional": np.array([0, 0, 0]),
+        "three_dimensional": np.zeros((1, 1, 3), dtype=int),
+        "short_row": np.array([[0, 0]]),
+        "long_row": np.array([[0, 0, 0, 0]]),
+    }
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "after_a_batch"])
+    @pytest.mark.parametrize("name", sorted(BAD_ROWS))
+    def test_rows_outside_the_space_raise_and_change_nothing(self, name, fresh):
+        space = grid_space(3)
+        predictor = RowPredictor(space, lambda row: 0.1 * sum(row))
+        scorer = self.scorer(space, predictor, budget=10)
+        if not fresh:
+            scorer.score_rows(np.array([[0, 0, 0], [1, 2, 3]]))
+        before = (dict(scorer.scores), scorer.evaluations, scorer.best_genotype, scorer.best_score)
+        batches = len(predictor.batches)
+        with pytest.raises(ValueError):
+            scorer.score_rows(self.BAD_ROWS[name])
+        assert (dict(scorer.scores), scorer.evaluations, scorer.best_genotype, scorer.best_score) == before
+        assert len(predictor.batches) == batches
+
+    def test_an_empty_batch_returns_empty_arrays(self):
+        space = grid_space(3)
+        predictor = RowPredictor(space, lambda row: 0.5)
+        scorer = self.scorer(space, predictor)
+        values, scored = scorer.score_rows(np.empty((0, 3), dtype=int))
+        assert values.shape == scored.shape == (0,)
+        assert values.dtype == float and scored.dtype == bool
+        assert scorer.evaluations == 0 and scorer.scores == {} and predictor.batches == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=spaces(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30))
+    def test_memo_keys_are_row_major_flat_indices(self, space, seed, rows):
+        indices = index_rows(space, rows, seed)
+        scorer = self.scorer(space, constant(space), budget=space.size)
+        scorer.score_rows(indices)
+        flat = np.ravel_multi_index(indices.T, space.sizes).tolist()
+        assert list(scorer.scores) == list(dict.fromkeys(flat))
+        assert all(type(key) is int for key in scorer.scores)
+
+    @pytest.mark.parametrize(
+        "space",
+        [grid_space(63, (0, 1)), pids_space(12)],
+        ids=["two_to_the_63", "pids12"],
+    )
+    def test_memo_keys_are_exact_past_int64(self, space):
+        # spaces of 2**63 and 120**12 genotypes key through Python int
+        # strides; a key must equal the exact flat index, however large
+        strides = [math.prod(space.sizes[k + 1 :]) for k in range(space.num_axes)]
+        tops = [size - 1 for size in space.sizes]
+        indices = np.vstack([index_rows(space, 20, 5), np.zeros(space.num_axes, dtype=int), tops])
+        scorer = self.scorer(space, constant(space), budget=100)
+        assert scorer.strides.dtype == object
+        values, scored = scorer.score_rows(indices)
+        expected = [sum(i * stride for i, stride in zip(row, strides)) for row in indices.tolist()]
+        assert list(scorer.scores) == list(dict.fromkeys(expected))
+        assert expected[-1] == space.size - 1
+        # the memo answers the same rows again without a predictor call
+        predictor_batches = len(scorer.predictor.batches)
+        assert scorer.score_rows(indices)[0].tolist() == values.tolist()
+        assert len(scorer.predictor.batches) == predictor_batches
+        assert scorer.best_genotype == space.genotype_from_indices(indices[0])
 
 
 class TestNasEvolve:

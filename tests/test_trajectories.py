@@ -5,11 +5,13 @@ Each hash is the first 16 hex digits of the sha256 of a run's ``repr``:
 pop 50, ``max_generations`` 1000, D=10 with 50 000 evaluations and D=100
 with 10 000) and ``(best.choices, rows)`` for the searches (``pids_space(7)``
 with budget 2000, ``pids_space(12)`` with budget 300 and the
-1024-configuration criteria 3/4 space with budget 500, surrogate seed 2024, the mid-grid architecture's cost as the cost
-budget, omega 1, aging evolution 25/5), where ``rows`` lists every trace row
-as a tuple. Seeds 0-2 here are the first three entries of the ten-seed lists
-in ``CHANGES.md``. The CLI value hashes the sorted ``(name, bytes)`` pairs of
-the files that ``shsade-pids run`` writes for SHSADE on rastrigin D=100, pop
+1024-configuration criteria 3/4 space with budget 500, surrogate seed 2024,
+the mid-grid architecture's cost as the cost budget, omega 1, aging
+evolution 25/5), where ``rows`` lists every trace row as a tuple. Seeds 0-2
+here are the first three entries of the ten-seed lists in ``CHANGES.md``;
+``pids_space(12)``, whose flat indices do not fit in int64, has only these
+three. The CLI value hashes the sorted ``(name, bytes)`` pairs of the files
+that ``shsade-pids run`` writes for SHSADE on rastrigin D=100, pop
 50, 10 000 evaluations, seeds 0-3.
 
 These values pin the random stream. A refactor must leave them unchanged. A
