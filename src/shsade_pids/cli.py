@@ -275,9 +275,7 @@ def _build_runner(cfg: dict):
         best, trace = search(np.random.default_rng(seed))
         entry = {"seed": seed, "final_best": trace.final_best, "evaluations": trace.final_evaluations}
         if task == "nas":
-            entry["result"] = nas_search.result_document(
-                best, trace.final_best, trace.final_evaluations, trace, space
-            )
+            entry["result"] = nas_search.result_document(best, trace, space)
         return trace, entry
 
     return run_seed

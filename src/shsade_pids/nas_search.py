@@ -146,12 +146,14 @@ class BudgetedScorer:
     beyond, so a key is exact on any space. ``score_rows`` is the only code
     that writes the memo, checks the budget or updates the best;
     ``try_score`` is a one-row call into it. A batch whose rows all hit the
-    memo costs one lookup per row and no predictor call; the other rows go
-    to ``_score_new``, which makes the one ``predict_many`` call; the scorer
-    never calls the predictor's one-genotype methods. Aging evolution keeps
-    its population as flat indices, scores each new child as a one-row
-    batch, and its memo-hit steps read ``scores`` directly, since a hit
-    spends nothing. ``search`` runs a search on ``drive`` under the budget.
+    memo costs one lookup per row and no predictor call; otherwise the first
+    row of each new genotype, as many as the budget pays for, goes to one
+    ``predict_many`` call, and the scorer never calls the predictor's
+    one-genotype methods. A negative ``budget`` raises ``ValueError``. Aging
+    evolution keeps its population as flat indices, scores each new child as
+    a one-row batch, and its memo-hit steps read ``scores`` directly, since
+    a hit spends nothing. ``search`` runs a search on ``drive`` under the
+    budget.
     """
 
     def __init__(
@@ -161,6 +163,8 @@ class BudgetedScorer:
         self.predictor = predictor
         self.biobjective = biobjective
         self.budget = min(int(budget), space.size)
+        if self.budget < 0:
+            raise ValueError("budget must not be negative")
         self.scores: dict[int, float] = {}
         self.evaluations = 0
         self.best_genotype: Genotype | None = None
@@ -177,14 +181,16 @@ class BudgetedScorer:
         return values.item() if scored.item() else None
 
     def score_rows(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        """Score rows of value indices into the space in row order, with one
-        predictor call for the rows new to the memo. Repeated genotypes
-        never consume budget; a new one is scored while budget is left.
-        Returns the scores and a mask of the rows scored; a row left
-        unscored for want of budget reads +inf. The best is the first row
-        of the lowest new score. ``indices`` must be a ``(rows, num_axes)``
-        integer array of indices into each axis's values; anything else
-        raises ``ValueError`` before any lookup, charge or memo write."""
+        """Score rows of value indices into the space in row order, in one
+        pass: a memo lookup, one ``predict_many`` call on the first row of
+        each new genotype while budget is left, one memo update and a second
+        lookup. Repeated genotypes never consume budget. Returns the scores
+        and a mask of the rows scored; a row left unscored for want of
+        budget reads +inf. The best is the first row of the lowest new
+        score; a NaN score never becomes it. ``indices`` must be a ``(rows,
+        num_axes)`` integer array of indices into each axis's values;
+        anything else raises ``ValueError`` before any lookup, charge or
+        memo write."""
         indices = np.asarray(indices)
         if indices.ndim != 2 or indices.shape[1] != len(self._sizes):
             raise ValueError(f"index rows of shape {indices.shape} do not match the space's {len(self._sizes)} axes")
@@ -194,43 +200,31 @@ class BudgetedScorer:
         if np.count_nonzero(indices.view(np.uintp) >= self._sizes):
             raise ValueError("value index out of range for the space")
         keys = (indices @ self.strides).tolist()
-        found = list(map(self.scores.get, keys))  # None: not in the memo
+        memo = self.scores
+        found = list(map(memo.get, keys))  # None: not in the memo
         if None in found:
-            self._score_new(indices, keys, found)
+            fresh: dict[int, int] = {}  # genotype new to the memo -> its first row
+            for k, value in enumerate(found):
+                if value is None:
+                    fresh.setdefault(keys[k], k)
+            rows = list(fresh.values())[: self.budget - self.evaluations]
+            if rows:
+                accuracy, cost = _predict_rows(self.predictor, indices.take(rows, axis=0))
+                values = score_many(accuracy, cost, self.biobjective)
+                scores = values.tolist()
+                memo.update(zip(fresh, scores))  # zip stops at the last row paid for
+                self.evaluations += len(rows)
+                # a stable sort puts the first row of the lowest score first
+                # and every NaN last, so a NaN never becomes the best
+                lowest = values.argsort(kind="stable")[0]
+                if scores[lowest] < self.best_score:
+                    self.best_score = scores[lowest]
+                    self.best_genotype = self.space.genotype_from_indices(indices[rows[lowest]].tolist())
+            found = list(map(memo.get, keys))
             if None in found:  # rows the budget could not pay for
                 values = np.array([math.inf if value is None else value for value in found])
                 return values, np.array([value is not None for value in found])
         return np.array(found, dtype=float), np.ones(len(found), dtype=bool)
-
-    def _score_new(self, indices: np.ndarray, keys: list, found: list) -> None:
-        """Score the genotypes of the rows that ``found`` lacks (None), the
-        first ones while budget is left, and fill in ``found``."""
-        fresh: dict[int, int] = {}  # genotype new to the memo -> its first row
-        for k, value in enumerate(found):
-            if value is None:
-                fresh.setdefault(keys[k], k)
-        rows = list(fresh.values())
-        room = self.budget - self.evaluations
-        if len(rows) > room:
-            rows = rows[:room]
-            if not rows:
-                return
-        new = indices if len(rows) == len(keys) else indices.take(rows, axis=0)
-        accuracy, cost = _predict_rows(self.predictor, new)
-        memo = self.scores
-        best_row = None
-        for row, value in zip(rows, score_many(accuracy, cost, self.biobjective).tolist()):
-            memo[keys[row]] = found[row] = value
-            if value < self.best_score:
-                self.best_score = value
-                best_row = row
-        self.evaluations += len(rows)
-        if best_row is not None:
-            self.best_genotype = self.space.genotype_from_indices(indices[best_row].tolist())
-        if len(rows) < len(keys) and None in found:  # later rows of a new genotype, or rows left unscored
-            for k, value in enumerate(found):
-                if value is None:
-                    found[k] = memo.get(keys[k])
 
     def search(self, state, ask, evaluate, tell, algorithm: str, max_generations: int):
         """Run a search that scores through this scorer on ``drive`` and
@@ -370,14 +364,13 @@ def pids_space(num_blocks: int = 7) -> DiscreteSpace:
     return DiscreteSpace(tuple(axes))
 
 
-def result_document(
-    best: Genotype, best_score: float, evaluations: int, trace: SearchTrace, space: DiscreteSpace
-) -> dict:
-    """JSON-ready search result: best genotype keyed by axis name, its score,
-    the budget consumed and the full trace rows."""
+def result_document(best: Genotype, trace: SearchTrace, space: DiscreteSpace) -> dict:
+    """JSON-ready search result: the best genotype keyed by axis name, the
+    trace's final best score and evaluations (the budget consumed), and its
+    full rows."""
     return {
         "best_genotype": genotype_to_dict(best, space),
-        "best_score": float(best_score),
-        "evaluations": int(evaluations),
+        "best_score": float(trace.final_best),
+        "evaluations": int(trace.final_evaluations),
         "trace": [list(row.as_tuple()) for row in trace.rows],
     }

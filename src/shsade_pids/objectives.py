@@ -195,18 +195,6 @@ class TabularSurrogate:
         # one comparison checks both ends of the range
         self._sizes = np.array(sizes, dtype=np.uintp)[:, None]
 
-    def _columns(self, indices) -> np.ndarray:
-        """Validated value indices, one row per genotype, returned transposed."""
-        idx = np.asarray(indices)
-        if idx.ndim != 2 or idx.shape[1] != len(self._sizes):
-            raise ValueError("index rows do not match the space")
-        if idx.dtype.kind not in "iu":
-            raise ValueError("value indices must be integers")
-        cols = idx.T.astype(np.intp, copy=False)  # offsets overflow narrow dtypes
-        if np.count_nonzero(cols.view(np.uintp) >= self._sizes):
-            raise ValueError("value index out of range for the space")
-        return cols
-
     def _predict(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(accuracy, cost) of the genotypes in the columns of ``cols``."""
         flat = cols.take(self._first, axis=0)
@@ -233,8 +221,16 @@ class TabularSurrogate:
 
     def predict_many(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(accuracy, cost) arrays for a ``(rows, num_axes)`` matrix of value
-        indices into ``self.space``, each of shape ``(rows,)``."""
-        cols = self._columns(indices)
+        indices into ``self.space``, each of shape ``(rows,)``; any other
+        input raises ``ValueError``."""
+        idx = np.asarray(indices)
+        if idx.ndim != 2 or idx.shape[1] != len(self._sizes):
+            raise ValueError("index rows do not match the space")
+        if idx.dtype.kind not in "iu":
+            raise ValueError("value indices must be integers")
+        cols = idx.T.astype(np.intp, copy=False)  # offsets overflow narrow dtypes
+        if np.count_nonzero(cols.view(np.uintp) >= self._sizes):
+            raise ValueError("value index out of range for the space")
         rows = cols.shape[1]
         if rows <= self._chunk:
             return self._predict(cols)

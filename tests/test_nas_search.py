@@ -202,6 +202,23 @@ class TestBudgetedScorer:
         assert scorer.best_genotype.choices == (1,)
         assert scorer.best_score == pytest.approx(-0.9)
 
+    @pytest.mark.parametrize("budget", [-1, -3])
+    def test_a_negative_budget_raises(self, budget):
+        # a negative budget once sliced a batch from its end: -3 scored and
+        # charged 7 rows of 10
+        space = grid_space(1, tuple(range(10)))
+        with pytest.raises(ValueError, match="budget"):
+            BudgetedScorer(space, constant(space), BiObjectiveConfig(cost_budget=1.0), budget)
+
+    def test_budget_zero_scores_nothing(self):
+        space = grid_space(1, tuple(range(10)))
+        predictor = constant(space)
+        scorer = BudgetedScorer(space, predictor, BiObjectiveConfig(cost_budget=1.0), 0)
+        values, scored = scorer.score_rows(np.arange(10)[:, None])
+        assert not scored.any() and np.isposinf(values).all()
+        assert scorer.evaluations == 0 and scorer.scores == {} and predictor.batches == []
+        assert scorer.best_genotype is None and scorer.best_score == math.inf
+
 
 class TestScoreRows:
     def scorer(self, space, predictor, budget=100):
@@ -241,6 +258,24 @@ class TestScoreRows:
         assert scorer.best_score == -0.7
         scorer.score_rows(np.array([[3]]))
         assert scorer.best_genotype.choices == (2,)
+
+    def test_a_nan_score_never_becomes_the_best(self):
+        space = grid_space(1, (0, 1, 2, 3))
+        accuracy = {(0,): math.nan, (1,): 0.5, (2,): 0.9, (3,): math.nan}
+        scorer = self.scorer(space, RowPredictor(space, accuracy.__getitem__))
+        values, scored = scorer.score_rows(np.array([[0], [1], [2]]))
+        assert scored.all() and math.isnan(values[0]) and values[1:].tolist() == [-0.5, -0.9]
+        assert scorer.best_score == -0.9 and scorer.best_genotype.choices == (2,)
+        scorer.score_rows(np.array([[3]]))  # a NaN after a best leaves it
+        assert scorer.best_score == -0.9 and scorer.best_genotype.choices == (2,)
+
+    def test_a_batch_of_only_nan_leaves_no_best(self):
+        space = grid_space(1, (0, 1, 2))
+        scorer = self.scorer(space, RowPredictor(space, lambda _row: math.nan))
+        values, scored = scorer.score_rows(np.array([[0], [1], [0]]))
+        assert scored.all() and np.isnan(values).all()
+        assert scorer.evaluations == 2 and len(scorer.scores) == 2
+        assert scorer.best_score == math.inf and scorer.best_genotype is None
 
     def test_predict_many_once_per_batch_on_new_rows_only(self):
         space = grid_space(3)
@@ -542,7 +577,7 @@ def test_result_document_schema():
         budget=4,
     )
     best, trace = nas_evolve(space, constant(space, 0.7, 1.0), cfg, np.random.default_rng(2))
-    doc = result_document(best, trace.final_best, trace.final_evaluations, trace, space)
+    doc = result_document(best, trace, space)
     assert set(doc) == {"best_genotype", "best_score", "evaluations", "trace"}
     assert set(doc["best_genotype"]) == {"a0", "a1"}
     assert doc["best_score"] == pytest.approx(-0.7)
@@ -694,8 +729,10 @@ def test_package_calls_for_a_batch_of_memo_hits_stay_bounded():
 # Python-level calls into the package per nas_evolve generation on
 # pids_space(7), from one ask to the next: building the trials, decoding and
 # scoring them through score_rows and predict_many, committing them and the
-# trace row. 51 while the partner picks skipped through a helper, 47 since
-MAX_PACKAGE_CALLS_PER_NAS_GENERATION = 47
+# trace row. 51 while the partner picks skipped through a helper, then 47,
+# and 45 since score_rows scores new rows in its own body and predict_many
+# validates its input in its own
+MAX_PACKAGE_CALLS_PER_NAS_GENERATION = 45
 
 
 def test_package_calls_per_nas_generation_stay_bounded():
