@@ -7,6 +7,7 @@ curves line up point for point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -126,29 +127,20 @@ class RegularizedEaConfig:
             raise ValueError("budget must cover the initial population")
 
 
-def _move_axis(flat: int, stride: int, offset: int, size: int) -> int:
-    """The flat index ``flat`` with the axis of ``stride`` and ``size``
-    values moved to the ``offset``-th of its value indices other than the
-    current one. A single-value axis keeps its value. Aging evolution's
-    step runs this arithmetic inline."""
-    if size == 1:
-        return flat
-    old = flat // stride % size
-    return flat + (offset + (offset >= old) - old) * stride
-
-
 def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, offset: int) -> Genotype:
     """Move axis ``axis_idx`` of ``genotype`` to a different value: the
     ``offset``-th, in axis order, of the values other than the current one,
-    so ``offset`` lies in [0, size - 2]. A single-value axis keeps its value."""
+    so ``offset`` lies in [0, size - 2]. A single-value axis keeps its value.
+    Aging evolution's step makes the same move on a row-major flat index."""
     if not 0 <= axis_idx < space.num_axes:
         raise ValueError(f"axis index {axis_idx} is outside [0, {space.num_axes - 1}]")
     axis = space.axes[axis_idx]
     if not 0 <= offset < max(axis.size - 1, 1):
         raise ValueError(f"offset {offset} is outside [0, {max(axis.size - 2, 0)}] on axis {axis.name!r}")
     indices = space.indices_of(genotype).tolist()
-    # one axis's value index is the flat index of a one-axis space
-    indices[axis_idx] = _move_axis(indices[axis_idx], 1, offset, axis.size)
+    if axis.size > 1:
+        old = indices[axis_idx]
+        indices[axis_idx] = offset + (offset >= old)
     return space.genotype_from_indices(indices)
 
 
@@ -185,8 +177,9 @@ def regularized_ea_run(
     ``population_size``, the axis ``floor(u * num_axes)`` and the offset
     ``floor(u * (size - 1))``. The run stops once the budget is spent, the
     whole space has been scored, or after ``REA_STEPS_PER_BUDGET_UNIT *
-    budget`` steps. A NaN or infinite score fails the run with
-    ``TraceError`` at the trace row after it enters the population.
+    budget`` steps, capped at ``sys.maxsize``. A NaN or infinite score fails
+    the run with ``TraceError`` at the trace row after it enters the
+    population.
 
     Members are row-major flat indices, the scorer's memo keys, so a step
     moves an axis with integer arithmetic on the parent's index and looks
@@ -210,7 +203,8 @@ def regularized_ea_run(
     values, _ = scorer.score_rows(rows)  # budget >= population_size
     state = RegularizedEaState((rows @ strides).tolist(), values.tolist(), 0, scorer.best_score)
     draws = _step_draws(space, config, strides, rng)
-    max_steps = REA_STEPS_PER_BUDGET_UNIT * config.budget
+    # capped where islice's stop argument ends; no run reaches that many steps
+    max_steps = min(REA_STEPS_PER_BUDGET_UNIT * config.budget, sys.maxsize)
     memo = scorer.scores
 
     def run_hits(finite):
@@ -225,7 +219,7 @@ def regularized_ea_run(
             # islice draws no step beyond the cap
             for picks, stride, offset, size in islice(draws, max_steps - step):
                 child = population[min(picks, key=score_of)]  # ties to the oldest
-                if size > 1:  # _move_axis, inline
+                if size > 1:  # mutate_one_axis's move, on the flat index
                     old = child // stride % size
                     child += (offset + (offset >= old) - old) * stride
                 value = lookup(child)

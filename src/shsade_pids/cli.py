@@ -72,8 +72,9 @@ def _require_known(raw: dict, allowed, where: str) -> None:
 def _load_json(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+    # ValueError: a NUL byte in the path, or bytes that are not UTF-8
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {str(path)!r}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -113,7 +114,11 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
     _require(all(_is_int(s) and s >= 0 for s in seeds), "seeds must be integers >= 0")
     _require(len(set(seeds)) == len(seeds), "seeds must be duplicate-free")
     output = raw.get("output")
-    _require(isinstance(output, str) and output, "output must be a non-empty path string")
+    # no file system takes a path with a NUL byte in it
+    _require(
+        isinstance(output, str) and output and "\0" not in output,
+        "output must be a non-empty path string without NUL bytes",
+    )
     algo_cfg = raw.get("algorithm_config", {})
     _require(isinstance(algo_cfg, dict), "algorithm_config must be an object")
 

@@ -92,9 +92,6 @@ class SuccessSets:
     sf: Sequence[float] = field(default_factory=list)
     sfreq: Sequence[float] = field(default_factory=list)
 
-    def any(self) -> bool:
-        return bool(len(self.scr) or len(self.sf) or len(self.sfreq))
-
 
 @dataclass
 class StrategyState:
@@ -168,9 +165,6 @@ class ShsadeConfig:
             raise ValueError("crossover_target must be 'self' or 'best'")
         if self.archive_capacity is not None and self.archive_capacity < 0:
             raise ValueError("archive_capacity must be non-negative")
-
-    def resolved_archive_capacity(self) -> int:
-        return self.pop_size if self.archive_capacity is None else int(self.archive_capacity)
 
 
 @dataclass
@@ -264,24 +258,14 @@ def _resampled(memory: np.ndarray, rng, slots, sigma: float, upper_reject: bool)
     after ``MAX_SAMPLE_RETRIES`` rounds fall back to their loc."""
     loc = memory[slots]
     values = loc + sigma * rng.standard_cauchy(slots.size)
-
-    def bad_mask(v):
-        bad = v <= 0.0
+    for retry in range(MAX_SAMPLE_RETRIES + 1):
+        bad = values <= 0.0
         if upper_reject:
-            bad |= v > 1.0
-        return bad
-
-    bad = bad_mask(values)
-    n_bad = np.count_nonzero(bad)
-    retries = 0
-    while n_bad:
-        retries += 1
-        if retries > MAX_SAMPLE_RETRIES:
-            values[bad] = loc[bad]
-            break
-        values[bad] = loc[bad] + sigma * rng.standard_cauchy(n_bad)
-        bad = bad_mask(values)
+            bad |= values > 1.0
         n_bad = np.count_nonzero(bad)
+        if not n_bad:
+            break
+        values[bad] = loc[bad] if retry == MAX_SAMPLE_RETRIES else loc[bad] + sigma * rng.standard_cauchy(n_bad)
     return np.minimum(values, 1.0)
 
 
@@ -441,10 +425,10 @@ def update_memories(memories: ParameterMemories, success: SuccessSets) -> Parame
 
     CR and F slots take the arithmetic mean of their success sets, the
     frequency slot the Lehmer mean; each replaces the old entry, as in
-    SHADE. Empty success sets leave the memories bit-identical and do not
-    advance the circular index.
+    SHADE. When all three success sets are empty the memories stay
+    bit-identical and the circular index does not advance.
     """
-    if not success.any():
+    if not (len(success.scr) or len(success.sf) or len(success.sfreq)):
         return memories
     k = memories.next_update_index
     # np.add.reduce(v) / n: the bits of np.mean, without its Python-level wrapper
@@ -547,10 +531,12 @@ def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Gen
     by ``parents``, and one gather builds the new ``(n, dimension)`` array.
     All of a generation's deletions are drawn in one ``rng.random`` call,
     each as ``floor(u * (capacity + 1))``: a batched call yields the same
-    values as one call per deletion. Capacity 0 keeps nothing and draws
-    nothing.
+    values as one call per deletion. The capacity is the config's
+    ``archive_capacity``, or ``pop_size`` when that is None; capacity 0
+    keeps nothing and draws nothing.
     """
-    capacity = state.config.resolved_archive_capacity()
+    capacity = state.config.archive_capacity
+    capacity = state.config.pop_size if capacity is None else int(capacity)
     if capacity == 0:
         return
     combined = np.concatenate((state.archive, parents))
@@ -652,21 +638,20 @@ def drive(
 
     The trace has a row for generation 0 and one after each generation, read
     from ``state.generation``, ``state.best_fitness``, the mean of
-    ``state.fitness`` (an array or any sequence of floats) and ``spent()``,
-    the evaluations charged so far (``state.evaluations`` unless given). A
-    generation starts only while the generation count is below
-    ``max_generations``, the termination's target fitness is not reached, and
-    ``room`` more evaluations fit within its ``max_evaluations``;
+    ``state.fitness`` (an array or any sequence of floats) and the
+    evaluations charged so far, ``spent()`` if given, else
+    ``state.evaluations``. A generation starts only while the generation
+    count is below ``max_generations``, the termination's target fitness is
+    not reached, and ``room`` more evaluations fit within its ``max_evaluations``;
     ``room`` defaults to the population size, so only whole generations run.
     """
     term = termination or Termination()
-    spent = spent or (lambda: state.evaluations)
     room = len(state.fitness) if room is None else room
     trace = SearchTrace(metadata={"algorithm": algorithm})
     while True:
         # the same bits as np.mean, without its Python-level wrapper
         mean = np.add.reduce(state.fitness) / len(state.fitness)
-        evaluations = spent()
+        evaluations = state.evaluations if spent is None else spent()
         trace.append(state.generation, evaluations, state.best_fitness, mean)
         if state.generation >= max_generations:
             break

@@ -219,7 +219,7 @@ def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
             success.sfreq.append(float(batch.freq[i]))
 
     # capacity 0 keeps nothing and draws nothing
-    capacity = state.config.resolved_archive_capacity()
+    capacity = state.config.pop_size if state.config.archive_capacity is None else state.config.archive_capacity
     if capacity > 0:
         archive = list(state.archive)
         for i in np.flatnonzero(accepted):

@@ -340,6 +340,14 @@ class TestRunValidation:
         assert not (tmp_path / "out").exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exits_1_without_files(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"task": "\xff"}')
+        assert cli.main(["run", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_missing_file_exits_1(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 1
 
@@ -354,6 +362,7 @@ class TestRunValidation:
             {"objective": {"name": "mystery", "dimension": 3}},
             {"objective": {"name": "sphere"}},
             {"output": ""},
+            {"output": "a\u0000b"},  # no file system takes a NUL byte
             # integers are JSON integers, never rounded, and seeds are >= 0
             {"objective": {"name": "sphere", "dimension": True}},
             {"objective": {"name": "sphere", "dimension": 10.5}},
@@ -720,6 +729,18 @@ class TestRunValidation:
         assert "seeds must be integers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("output", "a\u0000b"), ("space", "sp\u0000ace.json")])
+    def test_nul_byte_in_a_path_exits_1_without_files(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = nas_config()
+        doc[key] = value
+        path = tmp_path / "nas.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nas.json"]
+
     def test_missing_space_file_exits_1(self, tmp_path):
         doc = nas_config()
         doc["space"] = "nowhere/space.json"
@@ -794,6 +815,19 @@ class TestRunNas:
         assert cli.main(["run", str(path)]) == 0
         trace = (tmp_path / "out_ea" / "trace_seed5.csv").read_text()
         assert "# algorithm: regularized_ea" in trace
+
+    @pytest.mark.parametrize("budget", [10**18, 10**400], ids=["1e18", "1e400"])
+    def test_regularized_ea_runs_on_a_budget_past_the_step_cap(self, tmp_path, monkeypatch, budget):
+        # 40 aging-evolution steps per budget unit pass sys.maxsize; the
+        # budget clamps to the 16 genotypes of the space
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = nas_config(output="out_ea", algorithm="regularized_ea")
+        doc.update(space=space_doc(num_axes=2), budget=budget, seeds=[5])
+        path = tmp_path / "nas.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 0
+        summary = json.loads((tmp_path / "out_ea" / "summary.json").read_text())
+        assert [entry["evaluations"] for entry in summary["per_seed"]] == [16]
 
     @pytest.mark.parametrize("algorithm", ["shsade", "regularized_ea"])
     def test_a_bool_beside_an_equal_number_is_its_own_value(self, tmp_path, monkeypatch, algorithm):

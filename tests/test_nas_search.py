@@ -723,16 +723,18 @@ def test_package_calls_for_a_batch_of_memo_hits_stay_bounded():
     with package_calls() as counts:
         values, scored = scorer.score_rows(rows)
     assert scored.all() and values.tobytes() == first.tobytes() and scorer.evaluations == 50
-    assert counts[0] <= MAX_PACKAGE_CALLS_PER_MEMO_HIT_BATCH, counts
+    assert counts[0] <= MAX_PACKAGE_CALLS_PER_MEMO_HIT_BATCH, counts.worst()
 
 
 # Python-level calls into the package per nas_evolve generation on
 # pids_space(7), from one ask to the next: building the trials, decoding and
 # scoring them through score_rows and predict_many, committing them and the
 # trace row. 51 while the partner picks skipped through a helper, then 47,
-# and 45 since score_rows scores new rows in its own body and predict_many
-# validates its input in its own
-MAX_PACKAGE_CALLS_PER_NAS_GENERATION = 45
+# 45 once score_rows scored new rows in its own body and predict_many
+# validated its input in its own, and 39 since the sampler's reject mask,
+# the success-set test and the archive capacity are computed in their
+# callers (seed 0; 40 and 39 on seeds 1 and 2)
+MAX_PACKAGE_CALLS_PER_NAS_GENERATION = 39
 
 
 def test_package_calls_per_nas_generation_stay_bounded():
@@ -744,7 +746,7 @@ def test_package_calls_per_nas_generation_stay_bounded():
         _, trace = nas_evolve(space, surrogate, NasConfig(bio, budget=2000), np.random.default_rng(0))
     per_generation = counts[1:]  # counts[0] is the initial population
     assert len(per_generation) == trace.rows[-1].generation > 30
-    assert max(per_generation) <= MAX_PACKAGE_CALLS_PER_NAS_GENERATION, per_generation
+    assert max(per_generation) <= MAX_PACKAGE_CALLS_PER_NAS_GENERATION, counts.worst(1)
 
 
 # blocks b0 and b1 take one and two padding slots in the surrogate's cost

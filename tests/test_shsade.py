@@ -816,8 +816,10 @@ def test_shsade_generation_draw_counts():
 # Python-level calls into the package per SHSADE generation at D=10, pop 50
 # over the test below: at most 51 before the partners of both strategies
 # were drawn in one pass and the archive became one array, 36 until the
-# partner picks skipped in place instead of through a helper, 32 since
-MAX_PACKAGE_CALLS_PER_GENERATION = 32
+# partner picks skipped in place instead of through a helper, 32 until the
+# sampler's reject mask, the success-set test and the archive capacity were
+# computed in their callers, 27 since (22 to 27 on seeds 0-2)
+MAX_PACKAGE_CALLS_PER_GENERATION = 27
 
 
 def test_package_calls_per_generation_stay_bounded():
@@ -827,13 +829,11 @@ def test_package_calls_per_generation_stay_bounded():
     cfg = ShsadeConfig(pop_size=50, max_generations=40)
     rng = np.random.default_rng(0)
     state = init_state(cfg, spec, rng)
-    calls = []
-    for _ in range(cfg.max_generations):  # both F phases
-        with package_calls() as counts:
+    with package_calls(split="shsade_generation") as counts:
+        for _ in range(cfg.max_generations):  # both F phases
             shsade_generation(state, spec, rng)
-        calls += counts
-    assert state.generation == cfg.max_generations
-    assert max(calls) <= MAX_PACKAGE_CALLS_PER_GENERATION, calls
+    assert state.generation == cfg.max_generations == len(counts) - 1
+    assert max(counts[1:]) <= MAX_PACKAGE_CALLS_PER_GENERATION, counts.worst(1)
 
 
 def test_vanilla_de_generation_draw_counts():
