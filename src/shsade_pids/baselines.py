@@ -148,13 +148,15 @@ def mutate_one_axis(genotype: Genotype, space: DiscreteSpace, axis_idx: int, off
 class RegularizedEaState:
     """The population in age order, oldest first: each member's row-major
     flat index (an ``int``, the scorer's memo key) and, in ``fitness``, its
-    score; the step count and the best score found so far. ``held`` is the
+    score; the step count, the best score found so far and, in ``best``,
+    the flat index of the first genotype that scored it. ``held`` is the
     next step's child, drawn ahead because the memo does not know it."""
 
     population: list[int]
     fitness: list[float]
     generation: int
     best_fitness: float
+    best: int
     held: int | None = None
 
 
@@ -192,7 +194,8 @@ def regularized_ea_run(
     and holds the first child it does not know. A step is drawn only when
     the run would take it, so the trace, the best genotype and the
     generator's state are those of one generation per step, whose rows
-    ``drive`` collapses at unchanged evaluation counts.
+    ``drive`` collapses at unchanged evaluation counts. The state keeps the
+    best member, which the run returns; only a newly scored child can beat it.
     """
     rng = np.random.default_rng(rng)
     scorer = BudgetedScorer(space, predictor, biobjective, config.budget)
@@ -201,7 +204,9 @@ def regularized_ea_run(
     # the draws of random_genotype, one genotype after another
     rows = np.array([[int(rng.integers(size)) for size in space.sizes] for _ in range(config.population_size)])
     values, _ = scorer.score_rows(rows)  # budget >= population_size
-    state = RegularizedEaState((rows @ strides).tolist(), values.tolist(), 0, scorer.best_score)
+    population = (rows @ strides).tolist()
+    best = int(values.argmin())
+    state = RegularizedEaState(population, values.tolist(), 0, values.item(best), population[best])
     draws = _step_draws(space, config, strides, rng)
     # capped where islice's stop argument ends; no run reaches that many steps
     max_steps = min(REA_STEPS_PER_BUDGET_UNIT * config.budget, sys.maxsize)
@@ -238,12 +243,13 @@ def regularized_ea_run(
         state.population.append(child)
         state.fitness.append(value)
         state.generation += 1
-        state.best_fitness = scorer.best_score
+        if value < state.best_fitness:
+            state.best_fitness, state.best = value, child
         run_hits(math.isfinite(value))
 
     run_hits(all(map(math.isfinite, state.fitness)))
     # a step starts while one unit of budget is left, so every held child is scored
-    return scorer.search(
+    trace = scorer.search(
         state,
         ask=lambda: state.held,
         # the held child's value indices, as one row
@@ -252,6 +258,7 @@ def regularized_ea_run(
         algorithm="regularized_ea",
         max_generations=max_steps,
     )
+    return space.genotype_from_indices(state.best // strides % sizes), trace
 
 
 def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, strides: np.ndarray, rng):

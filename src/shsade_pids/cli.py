@@ -252,7 +252,8 @@ def _build_runner(cfg: dict):
         config = config_class(**settings(config_class))
         if "max_generations" not in acfg and "max_evaluations" in acfg:
             # the generation cap follows the evaluation budget
-            config = replace(config, max_generations=acfg["max_evaluations"] // config.pop_size)
+            generations = acfg["max_evaluations"] // config.pop_size
+            config = replace(config, max_generations=min(generations, shsade.MAX_GENERATIONS))
 
         def search(rng):
             optimize = shsade.run if algorithm == "shsade" else baselines.vanilla_de_run

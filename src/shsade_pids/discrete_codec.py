@@ -181,7 +181,7 @@ def decode_indices(us, space: DiscreteSpace) -> np.ndarray:
     from zero, i.e. toward the higher index. Single-value axes decode to 0.
     """
     us = np.asarray(us, dtype=float)
-    if us.ndim != 2 or us.shape[1] != space.num_axes:
+    if us.ndim != 2 or us.shape[1] != len(space.sizes):
         raise ValueError("row length does not match the space")
     if np.isnan(us).any():
         raise ValueError("cannot decode a NaN coordinate")

@@ -15,8 +15,8 @@ from typing import Protocol
 import numpy as np
 
 from .de_core import Bounds, replace_rows, uniform_index
-from .discrete_codec import DiscreteSpace, Axis, Genotype, decode_indices, encode_indices, genotype_to_dict, perturb
-from .shsade import ShsadeConfig, ShsadeState, Termination, build_trials, commit_generation, drive
+from .discrete_codec import DiscreteSpace, Axis, Genotype, decode, decode_indices, encode_indices, genotype_to_dict, perturb
+from .shsade import MAX_GENERATIONS, ShsadeConfig, ShsadeState, Termination, build_trials, commit_generation, drive
 from .trace import SearchTrace
 
 MAX_ENUMERATION = 10**6
@@ -127,11 +127,11 @@ class NasConfig:
 def search_shsade_config(budget: int, **fields) -> ShsadeConfig:
     """The SHSADE settings of a search with this budget: donors recombine
     with the best encoding, and unless ``fields`` set it, the generation cap
-    is max(10, 10 * budget // pop_size)."""
+    is max(10, 10 * budget // pop_size), at most ``MAX_GENERATIONS``."""
     config = ShsadeConfig(crossover_target="best", **fields)
     if "max_generations" in fields:
         return config
-    return replace(config, max_generations=max(10, (10 * budget) // config.pop_size))
+    return replace(config, max_generations=min(max(10, (10 * budget) // config.pop_size), MAX_GENERATIONS))
 
 
 class BudgetedScorer:
@@ -144,16 +144,16 @@ class BudgetedScorer:
     score. A row's key is ``row @ strides``: the strides are int64 while the
     space has fewer than 2**63 genotypes, and Python ints in an object array
     beyond, so a key is exact on any space. ``score_rows`` is the only code
-    that writes the memo, checks the budget or updates the best;
-    ``try_score`` is a one-row call into it. A batch whose rows all hit the
-    memo costs one lookup per row and no predictor call; otherwise the first
-    row of each new genotype, as many as the budget pays for, goes to one
-    ``predict_many`` call, and the scorer never calls the predictor's
-    one-genotype methods. A negative ``budget`` raises ``ValueError``. Aging
-    evolution keeps its population as flat indices, scores each new child as
-    a one-row batch, and its memo-hit steps read ``scores`` directly, since
-    a hit spends nothing. ``search`` runs a search on ``drive`` under the
-    budget.
+    that writes the memo or checks the budget; ``try_score`` is a one-row
+    call into it. A batch whose rows all hit the memo costs one lookup per
+    row and no predictor call; otherwise the first row of each new genotype,
+    as many as the budget pays for, goes to one ``predict_many`` call, and
+    the scorer never calls the predictor's one-genotype methods. A negative
+    ``budget`` raises ``ValueError``. Aging evolution keeps its population
+    as flat indices, scores each new child as a one-row batch, and its
+    memo-hit steps read ``scores`` directly, since a hit spends nothing.
+    ``search`` runs a search on ``drive`` under the budget. The scorer keeps
+    no best: each search's state keeps its own.
     """
 
     def __init__(
@@ -167,8 +167,6 @@ class BudgetedScorer:
             raise ValueError("budget must not be negative")
         self.scores: dict[int, float] = {}
         self.evaluations = 0
-        self.best_genotype: Genotype | None = None
-        self.best_score = math.inf
         strides = [math.prod(space.sizes[k + 1 :]) for k in range(space.num_axes)]
         self.strides = np.array(strides, dtype=np.int64 if space.size < 2**63 else object)
         # one unsigned comparison checks both ends of each index's range
@@ -186,11 +184,9 @@ class BudgetedScorer:
         each new genotype while budget is left, one memo update and a second
         lookup. Repeated genotypes never consume budget. Returns the scores
         and a mask of the rows scored; a row left unscored for want of
-        budget reads +inf. The best is the first row of the lowest new
-        score; a NaN score never becomes it. ``indices`` must be a ``(rows,
-        num_axes)`` integer array of indices into each axis's values;
-        anything else raises ``ValueError`` before any lookup, charge or
-        memo write."""
+        budget reads +inf. ``indices`` must be a ``(rows, num_axes)`` integer
+        array of indices into each axis's values; anything else raises
+        ``ValueError`` before any lookup, charge or memo write."""
         indices = np.asarray(indices)
         if indices.ndim != 2 or indices.shape[1] != len(self._sizes):
             raise ValueError(f"index rows of shape {indices.shape} do not match the space's {len(self._sizes)} axes")
@@ -210,16 +206,9 @@ class BudgetedScorer:
             rows = list(fresh.values())[: self.budget - self.evaluations]
             if rows:
                 accuracy, cost = _predict_rows(self.predictor, indices.take(rows, axis=0))
-                values = score_many(accuracy, cost, self.biobjective)
-                scores = values.tolist()
+                scores = score_many(accuracy, cost, self.biobjective).tolist()
                 memo.update(zip(fresh, scores))  # zip stops at the last row paid for
                 self.evaluations += len(rows)
-                # a stable sort puts the first row of the lowest score first
-                # and every NaN last, so a NaN never becomes the best
-                lowest = values.argsort(kind="stable")[0]
-                if scores[lowest] < self.best_score:
-                    self.best_score = scores[lowest]
-                    self.best_genotype = self.space.genotype_from_indices(indices[rows[lowest]].tolist())
             found = list(map(memo.get, keys))
             if None in found:  # rows the budget could not pay for
                 values = np.array([math.inf if value is None else value for value in found])
@@ -228,10 +217,11 @@ class BudgetedScorer:
 
     def search(self, state, ask, evaluate, tell, algorithm: str, max_generations: int):
         """Run a search that scores through this scorer on ``drive`` and
-        return ``(best_genotype, trace)``. The evaluation count is the budget
-        spent, and a generation starts while one unit of it is left, so a
-        generation drops the rows it cannot afford."""
-        trace = drive(
+        return its trace; ``state`` keeps the search's best. The evaluation
+        count is the budget spent, read from this scorer, and a generation
+        starts while one unit of it is left, so a generation drops the rows
+        it cannot afford."""
+        return drive(
             state,
             ask,
             evaluate,
@@ -240,10 +230,8 @@ class BudgetedScorer:
             max_generations=max_generations,
             termination=Termination(max_evaluations=self.budget),
             room=1,
-            spent=lambda: self.evaluations,
+            counter=self,
         )
-        assert self.best_genotype is not None
-        return self.best_genotype, trace
 
 
 def nas_evolve(
@@ -263,7 +251,7 @@ def nas_evolve(
     one genotype, all rows but the first are redrawn as at initialization.
     The run stops once the budget is spent, the whole space has been
     scored, or the generation cap is reached, and returns the best genotype
-    ever scored.
+    ever scored (the state's ``best_x``, decoded) and the trace.
     """
     rng = np.random.default_rng(rng)
     sh = config.shsade
@@ -306,7 +294,8 @@ def nas_evolve(
         f, scored = scorer.score_rows(decode_indices(x, space))
         replace_rows(state, 1 + np.flatnonzero(scored), x[scored], f[scored])
 
-    return scorer.search(state, ask, evaluate, tell, algorithm="shsade_pids", max_generations=sh.max_generations)
+    trace = scorer.search(state, ask, evaluate, tell, algorithm="shsade_pids", max_generations=sh.max_generations)
+    return decode(state.best_x, space), trace
 
 
 def brute_force_optimum(

@@ -41,6 +41,9 @@ STRATEGY_NAMES = ("current_to_pbest", "trigonometric")
 # memory entry itself (pathological location; the run must never abort)
 MAX_SAMPLE_RETRIES = 100
 
+# the largest generation cap: the sinusoidal schedules compute with it as a float
+MAX_GENERATIONS = int(sys.float_info.max)
+
 
 # ---------------------------------------------------------------------------
 # state containers
@@ -69,10 +72,6 @@ class ParameterMemories:
             raise ValueError("Mfreq entries must lie in (0, 1]")
         if not 0 <= self.next_update_index < self.mcr.size:
             raise ValueError("next_update_index out of range")
-
-    @property
-    def size(self) -> int:
-        return int(self.mcr.size)
 
     @classmethod
     def initial(cls, size: int, freq: float):
@@ -147,8 +146,7 @@ class ShsadeConfig:
             raise ValueError("memory_size must be at least 1")
         if self.max_generations < 1:
             raise ValueError("max_generations must be at least 1")
-        if self.max_generations > sys.float_info.max:
-            # the sinusoidal schedules and the phase switch compute with it as a float
+        if self.max_generations > MAX_GENERATIONS:
             raise ValueError("max_generations must not exceed the largest float")
         if not 0 < self.p_best_fraction <= 1:
             raise ValueError("p_best_fraction must lie in (0, 1]")
@@ -438,7 +436,7 @@ def update_memories(memories: ParameterMemories, success: SuccessSets) -> Parame
         memories.mf[k] = min(float(np.add.reduce(success.sf) / len(success.sf)), 1.0)
     if len(success.sfreq):
         memories.mfreq[k] = min(lehmer_mean(success.sfreq), 1.0)
-    memories.next_update_index = (k + 1) % memories.size
+    memories.next_update_index = (k + 1) % memories.mcr.size
     return memories
 
 
@@ -476,7 +474,7 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     cdf = state.strategy.probabilities.cumsum()
     cdf /= cdf[-1]
     strategies = cdf.searchsorted(u[0], side="right")
-    slots = uniform_index(u[1], state.memories.size)
+    slots = uniform_index(u[1], state.memories.mcr.size)
     cr = sample_cr(state.memories, rng, slots, cfg.sigma_cr)
 
     pbest = strategies == CURRENT_TO_PBEST
@@ -627,7 +625,7 @@ def drive(
     max_generations: int,
     termination: Termination | None = None,
     room: int | None = None,
-    spent: Callable[[], int] | None = None,
+    counter=None,
 ) -> SearchTrace:
     """Run generations until a termination criterion holds; return the trace.
 
@@ -639,19 +637,20 @@ def drive(
     The trace has a row for generation 0 and one after each generation, read
     from ``state.generation``, ``state.best_fitness``, the mean of
     ``state.fitness`` (an array or any sequence of floats) and the
-    evaluations charged so far, ``spent()`` if given, else
-    ``state.evaluations``. A generation starts only while the generation
+    evaluations charged so far, ``counter.evaluations`` (``counter``
+    defaults to ``state``). A generation starts only while the generation
     count is below ``max_generations``, the termination's target fitness is
     not reached, and ``room`` more evaluations fit within its ``max_evaluations``;
     ``room`` defaults to the population size, so only whole generations run.
     """
     term = termination or Termination()
     room = len(state.fitness) if room is None else room
+    counter = state if counter is None else counter
     trace = SearchTrace(metadata={"algorithm": algorithm})
     while True:
         # the same bits as np.mean, without its Python-level wrapper
         mean = np.add.reduce(state.fitness) / len(state.fitness)
-        evaluations = state.evaluations if spent is None else spent()
+        evaluations = counter.evaluations
         trace.append(state.generation, evaluations, state.best_fitness, mean)
         if state.generation >= max_generations:
             break

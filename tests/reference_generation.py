@@ -159,7 +159,7 @@ def build_trials(state, rng):
         cumulative.append(total)
     cumulative = [c / total for c in cumulative]
     strategies = np.array([next(s for s, c in enumerate(cumulative) if u[0][i] < c) for i in range(pop_size)])
-    slots = [index(u[1][i], state.memories.size) for i in range(pop_size)]
+    slots = [index(u[1][i], state.memories.mcr.size) for i in range(pop_size)]
     cr = sample_cr(state.memories, rng, slots, cfg.sigma_cr)
 
     adaptive = np.zeros(pop_size, dtype=bool)

@@ -656,20 +656,27 @@ class TestRunValidation:
 
     @pytest.mark.parametrize("task", ["benchmark", "nas"])
     def test_generation_cap_beyond_the_float_range_exits_1(self, tmp_path, monkeypatch, capsys, task):
-        # the phase switch computes with the generation cap as a float; on a nas
-        # run the cap follows the budget
+        # the phase switch computes with the generation cap as a float
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
         doc = algorithm_doc(tmp_path, task, "shsade")
-        if task == "benchmark":
-            doc["algorithm_config"]["max_generations"] = 10**400
-        else:
-            del doc["algorithm_config"]["max_generations"]
-            doc["budget"] = 10**400
+        doc["algorithm_config"]["max_generations"] = 10**400
         config = tmp_path / "huge.json"
         config.write_text(json.dumps(doc))
         assert cli.main(["run", str(config)]) == 1
         assert capsys.readouterr().err.startswith("config error: invalid algorithm_config: max_generations")
         assert not (tmp_path / doc["output"]).exists()
+
+    def test_a_derived_generation_cap_past_the_float_range_runs(self, tmp_path, monkeypatch):
+        # max_evaluations // pop_size passes the largest float; the cap
+        # derived from it stops at the largest one a config takes
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        algorithm_config = {"pop_size": 10, "max_evaluations": 10**400, "target_fitness": 0.5}
+        config = write_config(
+            tmp_path / "huge.json", objective={"name": "sphere", "dimension": 2}, algorithm_config=algorithm_config
+        )
+        assert cli.main(["run", str(config)]) == 0
+        for entry in json.loads((tmp_path / "out" / "summary.json").read_text())["per_seed"]:
+            assert entry["final_best"] <= 0.5
 
     @pytest.mark.parametrize("space, message", BAD_SPACE_SHAPES)
     def test_space_document_shape_exits_1(self, tmp_path, monkeypatch, capsys, space, message):
@@ -827,6 +834,20 @@ class TestRunNas:
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path)]) == 0
         summary = json.loads((tmp_path / "out_ea" / "summary.json").read_text())
+        assert [entry["evaluations"] for entry in summary["per_seed"]] == [16]
+
+    def test_shsade_runs_on_a_budget_past_the_float_range(self, tmp_path, monkeypatch):
+        # 10 * budget // pop_size passes the largest float; the generation cap
+        # derived from it stops at the largest one a config takes, and the
+        # budget clamps to the 16 genotypes of the space
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        doc = nas_config()
+        del doc["algorithm_config"]["max_generations"]
+        doc.update(space=space_doc(num_axes=2), budget=10**400, seeds=[5])
+        path = tmp_path / "nas.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 0
+        summary = json.loads((tmp_path / "out_nas" / "summary.json").read_text())
         assert [entry["evaluations"] for entry in summary["per_seed"]] == [16]
 
     @pytest.mark.parametrize("algorithm", ["shsade", "regularized_ea"])
