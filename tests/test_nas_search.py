@@ -511,6 +511,16 @@ def tied_accuracy(seed, levels, nan_share):
     return accuracy
 
 
+def run_search(name, space, predictor, bio, budget, seed):
+    """Run ``nas_evolve`` or ``regularized_ea_run`` on ``budget`` evaluations."""
+    if name == "nas_evolve":
+        nas_config = NasConfig(bio, nas_search.search_shsade_config(budget, pop_size=8), budget)
+        return nas_evolve(space, predictor, nas_config, seed)
+    ea_config = RegularizedEaConfig(population_size=6, tournament_size=3, budget=budget)
+    return regularized_ea_run(space, predictor, ea_config, bio, seed)
+
+
+@pytest.mark.parametrize("search", ["nas_evolve", "regularized_ea_run"])
 class TestSearchBest:
     """Each search keeps its best in its own state: the genotype it returns,
     rescored by ``score``, reads the trace's final best. A run may instead
@@ -524,23 +534,24 @@ class TestSearchBest:
         nan_share=st.sampled_from([0.0, 0.1, 0.3]),
         budget=st.integers(8, 60),
     )
-    def test_the_returned_genotype_scores_the_final_best(self, space, seed, levels, nan_share, budget):
+    def test_the_returned_genotype_scores_the_final_best(self, search, space, seed, levels, nan_share, budget):
         predictor = RowPredictor(space, tied_accuracy(seed, levels, nan_share))
         bio = BiObjectiveConfig(cost_budget=1.0)
-        nas_config = NasConfig(bio, nas_search.search_shsade_config(budget, pop_size=8), budget)
-        ea_config = RegularizedEaConfig(population_size=6, tournament_size=3, budget=budget)
-        searches = {
-            "nas_evolve": lambda: nas_evolve(space, predictor, nas_config, seed),
-            "regularized_ea_run": lambda: regularized_ea_run(space, predictor, ea_config, bio, seed),
-        }
-        for name, search in searches.items():
-            predictor.batches.clear()
-            try:
-                best, trace = search()
-            except TraceError:
-                assert any(math.isnan(predictor.accuracy(row)) for row in predictor.rows), name
-                continue
-            assert score(best, predictor, bio) == trace.final_best, name
+        try:
+            best, trace = run_search(search, space, predictor, bio, budget, seed)
+        except TraceError:
+            assert any(math.isnan(predictor.accuracy(row)) for row in predictor.rows)
+            return
+        assert score(best, predictor, bio) == trace.final_best
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_tie_keeps_the_first_scored_genotype(self, search, seed):
+        # every genotype scores the same, so no later one beats the first
+        space = grid_space(3)
+        predictor = constant(space)
+        best, trace = run_search(search, space, predictor, BiObjectiveConfig(cost_budget=1.0), 30, seed)
+        assert trace.final_evaluations == 30
+        assert best.choices == predictor.rows[0]
 
 
 class TestPidsSpace:
