@@ -183,15 +183,15 @@ def regularized_ea_run(
     the run with ``TraceError`` at the trace row after it enters the
     population.
 
-    Members are row-major flat indices, the scorer's memo keys, so a step
-    moves an axis with integer arithmetic on the parent's index and looks
-    the child up as it is. A child turns back into a row of value indices
-    only when it is scored.
+    Members are the space's flat indices (``DiscreteSpace.strides``), the
+    scorer's memo keys, so a step moves an axis with integer arithmetic on
+    the parent's index and looks the child up as it is. A child turns back
+    into a row of value indices, by ``space.unravel``, only when it is scored.
 
     One ``drive`` generation covers one newly scored genotype: ``ask``
-    returns the held child, ``evaluate`` scores it, and ``tell`` commits it,
-    runs the following steps whose child the memo knows (they spend nothing),
-    and holds the first child it does not know. A step is drawn only when
+    returns the held child's row, ``score_rows`` scores it, and ``tell``
+    commits it, runs the following steps whose child the memo knows (they
+    spend nothing), and holds the first child it does not know. A step is drawn only when
     the run would take it, so the trace, the best genotype and the
     generator's state are those of one generation per step, whose rows
     ``drive`` collapses at unchanged evaluation counts. The state keeps the
@@ -199,18 +199,15 @@ def regularized_ea_run(
     """
     rng = np.random.default_rng(rng)
     scorer = BudgetedScorer(space, predictor, biobjective, config.budget)
-    strides = scorer.strides
-    sizes = np.array(space.sizes)
     # the draws of random_genotype, one genotype after another
     rows = np.array([[int(rng.integers(size)) for size in space.sizes] for _ in range(config.population_size)])
     values, _ = scorer.score_rows(rows)  # budget >= population_size
-    population = (rows @ strides).tolist()
+    population = (rows @ space.strides).tolist()
     best = int(values.argmin())
     state = RegularizedEaState(population, values.tolist(), 0, values.item(best), population[best])
-    draws = _step_draws(space, config, strides, rng)
+    draws = _step_draws(space, config, rng)
     # capped where islice's stop argument ends; no run reaches that many steps
     max_steps = min(REA_STEPS_PER_BUDGET_UNIT * config.budget, sys.maxsize)
-    memo = scorer.scores
 
     def run_hits(finite):
         """Run the steps whose child the memo knows and hold the first child
@@ -220,7 +217,7 @@ def regularized_ea_run(
         population, scores = state.population, state.fitness
         step = state.generation
         if finite and scorer.evaluations < scorer.budget:
-            score_of, lookup, join, record = scores.__getitem__, memo.get, population.append, scores.append
+            score_of, lookup, join, record = scores.__getitem__, scorer.scores.get, population.append, scores.append
             # islice draws no step beyond the cap
             for picks, stride, offset, size in islice(draws, max_steps - step):
                 child = population[min(picks, key=score_of)]  # ties to the oldest
@@ -237,8 +234,8 @@ def regularized_ea_run(
                 step += 1
         state.generation = step
 
-    def tell(child, values, _scored):
-        value = values.item()
+    def tell(_row, values, _scored):
+        child, value = state.held, values.item()
         del state.population[0], state.fitness[0]  # oldest dies
         state.population.append(child)
         state.fitness.append(value)
@@ -251,34 +248,32 @@ def regularized_ea_run(
     # a step starts while one unit of budget is left, so every held child is scored
     trace = scorer.search(
         state,
-        ask=lambda: state.held,
-        # the held child's value indices, as one row
-        evaluate=lambda child: scorer.score_rows((child // strides % sizes).astype(np.intp, copy=False)[None]),
+        ask=lambda: space.unravel(state.held),
+        evaluate=scorer.score_rows,
         tell=tell,
         algorithm="regularized_ea",
         max_generations=max_steps,
     )
-    return space.genotype_from_indices(state.best // strides % sizes), trace
+    return space.genotype_from_indices(space.unravel(state.best)[0]), trace
 
 
-def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, strides: np.ndarray, rng):
+def _step_draws(space: DiscreteSpace, config: RegularizedEaConfig, rng):
     """An iterator over each step's tournament (population slots in age
-    order, sorted), the stride of its axis in ``strides``, its value offset
-    and the axis size. It draws a block of steps when it reaches one, not
-    before."""
+    order, sorted), the stride of its axis in ``space.strides``, its value
+    offset and the axis size. It draws a block of steps when it reaches one,
+    not before."""
     pop_size, tournament_size = config.population_size, config.tournament_size
-    num_axes = space.num_axes
     sizes = np.array(space.sizes)
 
     def block(_):
         u = rng.random((REA_DRAW_BLOCK, pop_size + 2))
         smallest = np.argpartition(u[:, :pop_size], tournament_size - 1, axis=1)[:, :tournament_size]
         tournaments = np.sort(smallest, axis=1)
-        axes = uniform_index(u[:, pop_size], num_axes)
+        axes = uniform_index(u[:, pop_size], len(sizes))
         size = sizes[axes]
         # over the values an axis can move to; -1 on a single-value axis,
         # which the step leaves where it is
         offsets = uniform_index(u[:, pop_size + 1], size - 1)
-        return zip(tournaments.tolist(), strides.take(axes).tolist(), offsets.tolist(), size.tolist())
+        return zip(tournaments.tolist(), space.strides.take(axes).tolist(), offsets.tolist(), size.tolist())
 
     return chain.from_iterable(map(block, repeat(None)))

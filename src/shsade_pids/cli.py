@@ -150,10 +150,7 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
     else:
         space_ref = raw.get("space")
         if isinstance(space_ref, str):
-            space_path = Path(space_ref)
-            if not space_path.is_absolute():
-                space_path = base_dir / space_path
-            space_doc = _load_json(space_path)
+            space_doc = _load_json(base_dir / space_ref)  # an absolute path stays as it is
         elif isinstance(space_ref, dict):
             space_doc = space_ref
         else:
@@ -185,10 +182,8 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
             _require(_is_int(value) and value >= low, f"algorithm_config.{key} must be an integer >= {low}")
         elif kind == "bool":
             _require(isinstance(value, bool), f"algorithm_config.{key} must be true or false")
-        elif kind == "float":
-            _require(_is_number(value), f"algorithm_config.{key} must be a number")
         else:
-            _require(isinstance(value, str), f"algorithm_config.{key} must be a string")
+            _require(_is_number(value), f"algorithm_config.{key} must be a number")
     if task == "benchmark" and "max_evaluations" in algo_cfg:
         # the initial population alone spends pop_size evaluations
         pop_size = algo_cfg.get("pop_size", classes[0].pop_size)
@@ -223,7 +218,7 @@ _CLI_SET_FIELDS = ("budget", "biobjective", "shsade", "crossover_target")
 
 def _config_keys(*classes) -> dict:
     """The algorithm_config keys of config classes, each with the type its
-    field's annotation names: "bool", "int", "float" or "str". The classes'
+    field's annotation names: "bool", "int" or "float". The classes'
     modules postpone annotations, so these are source text; ``X | None``
     names X."""
     return {
@@ -285,12 +280,6 @@ def _build_runner(cfg: dict):
         return trace, entry
 
     return run_seed
-
-
-def resolve_output_dir(output: str) -> Path:
-    root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
-    out = Path(output)
-    return out if out.is_absolute() else root / out
 
 
 # the runner that forked seed workers call. They inherit it through the
@@ -360,7 +349,7 @@ def run_experiment(config_path: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    outdir = resolve_output_dir(cfg["output"])
+    outdir = Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / cfg["output"]  # an absolute output stays as it is
     written: list[Path] = []
     entries = []
     try:
@@ -476,7 +465,7 @@ def dump_oracle(space_path: str, seed: int, omega: float | None, cost_budget: fl
         yield _csv_text([["rank", "score", "accuracy", "cost"] + [a.name for a in space.axes]])
         for start in range(0, order.size, nas_search.ENUMERATION_CHUNK):
             part = order[start : start + nas_search.ENUMERATION_CHUNK]
-            choices = space.choices_from_indices(np.stack(np.unravel_index(part, space.sizes), axis=1))
+            choices = space.choices_from_indices(space.unravel(part))
             rows = zip(scores[part].tolist(), accuracy[part].tolist(), cost[part].tolist(), choices)
             yield _csv_text(
                 [str(rank), repr(s), repr(a), repr(c)] + [str(v) for v in values]

@@ -94,6 +94,25 @@ class DiscreteSpace:
     def size(self) -> int:
         return math.prod(self.sizes)
 
+    @cached_property
+    def strides(self) -> np.ndarray:
+        """A genotype's row-major flat index is ``row @ strides`` for its row
+        of value indices, as ``np.ravel_multi_index`` gives it, and exact on
+        any space: the strides are int64 below 2**63 genotypes and Python
+        ints beyond. It keys the scorer's memo and aging evolution's members."""
+        strides = [math.prod(self.sizes[k + 1 :]) for k in range(len(self.sizes))]
+        return np.array(strides, dtype=np.int64 if self.size < 2**63 else object)
+
+    @cached_property
+    def _unravel_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.strides[:, None], np.array(self.sizes)[:, None]
+
+    def unravel(self, flat) -> np.ndarray:
+        """The ``(rows, num_axes)`` intp value indices of a flat index or of
+        each in a 1-D sequence of them; exact past 2**63."""
+        strides, sizes = self._unravel_columns
+        return (flat // strides % sizes).T.astype(np.intp, copy=False)
+
     def indices_of(self, genotype: Genotype) -> np.ndarray:
         if len(genotype.choices) != self.num_axes:
             raise ValueError("genotype length does not match the space")

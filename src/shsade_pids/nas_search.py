@@ -139,16 +139,13 @@ class BudgetedScorer:
     budget unit. ``budget`` is clamped to the size of the space, so a search
     whose evaluations reach it has spent its budget or scored every genotype.
 
-    The memo maps a genotype's row-major flat index, a Python ``int`` (the
-    value ``np.ravel_multi_index`` gives for its value indices), to its
-    score. A row's key is ``row @ strides``: the strides are int64 while the
-    space has fewer than 2**63 genotypes, and Python ints in an object array
-    beyond, so a key is exact on any space. ``score_rows`` is the only code
-    that writes the memo or checks the budget; ``try_score`` is a one-row
-    call into it. A batch whose rows all hit the memo costs one lookup per
-    row and no predictor call; otherwise the first row of each new genotype,
-    as many as the budget pays for, goes to one ``predict_many`` call, and
-    the scorer never calls the predictor's one-genotype methods. A negative
+    The memo maps a genotype's flat index (``DiscreteSpace.strides``), a
+    Python ``int``, to its score. ``score_rows`` is the only code that
+    writes the memo or checks the budget; ``try_score`` is a one-row call
+    into it. A batch whose rows all hit the memo costs one lookup per row
+    and no predictor call; otherwise the first row of each new genotype, as
+    many as the budget pays for, goes to one ``predict_many`` call, and the
+    scorer never calls the predictor's one-genotype methods. A negative
     ``budget`` raises ``ValueError``. Aging evolution keeps its population
     as flat indices, scores each new child as a one-row batch, and its
     memo-hit steps read ``scores`` directly, since a hit spends nothing.
@@ -167,8 +164,6 @@ class BudgetedScorer:
             raise ValueError("budget must not be negative")
         self.scores: dict[int, float] = {}
         self.evaluations = 0
-        strides = [math.prod(space.sizes[k + 1 :]) for k in range(space.num_axes)]
-        self.strides = np.array(strides, dtype=np.int64 if space.size < 2**63 else object)
         # one unsigned comparison checks both ends of each index's range
         self._sizes = np.array(space.sizes, dtype=np.uintp)
 
@@ -195,7 +190,7 @@ class BudgetedScorer:
         indices = indices.astype(np.intp, copy=False)
         if np.count_nonzero(indices.view(np.uintp) >= self._sizes):
             raise ValueError("value index out of range for the space")
-        keys = (indices @ self.strides).tolist()
+        keys = (indices @ self.space.strides).tolist()
         memo = self.scores
         found = list(map(memo.get, keys))  # None: not in the memo
         if None in found:
@@ -306,7 +301,7 @@ def brute_force_optimum(
     """Exhaustively score every genotype; ties break by lexicographic index
     order. Test oracle for the evolutionary pipeline, guarded to 10^6 configs."""
     order, _, _, scores = rank_space(space, predictor, config)
-    choices = space.choices_from_indices(np.stack(np.unravel_index(order, space.sizes), axis=1))
+    choices = space.choices_from_indices(space.unravel(order))
     ranking = [(Genotype(c), value) for c, value in zip(choices, scores[order].tolist())]
     return ranking[0][0], ranking
 
@@ -319,9 +314,9 @@ def rank_space(
     """Score every genotype of a space of at most 10^6 configurations.
 
     Returns ``(order, accuracy, cost, scores)``: the last three hold one entry
-    per genotype in lexicographic index order (that of ``np.unravel_index``
-    over ``space.sizes``), and ``order`` lists those positions from
-    the best score to the worst, ties in lexicographic index order.
+    per genotype in flat-index order (``space.unravel`` turns a position
+    into its row), and ``order`` lists those positions from the best score
+    to the worst, ties in flat-index order.
     """
     if space.size > MAX_ENUMERATION:
         raise ValueError(f"space has {space.size} configurations, enumeration caps at {MAX_ENUMERATION}")
@@ -330,7 +325,7 @@ def rank_space(
     scores = np.empty(space.size)
     for start in range(0, space.size, ENUMERATION_CHUNK):
         stop = min(start + ENUMERATION_CHUNK, space.size)
-        indices = np.stack(np.unravel_index(np.arange(start, stop), space.sizes), axis=1)
+        indices = space.unravel(np.arange(start, stop))
         accuracy[start:stop], cost[start:stop] = _predict_rows(predictor, indices)
         # scored per chunk: score_many's over-budget penalties go through a
         # Python list, which for a whole space would dwarf the arrays

@@ -72,7 +72,7 @@ class BenchmarkFunction:
             dimension=self.dimension,
             bounds=self.bounds,
             evaluator=self.evaluate,
-            batch_evaluator=self.evaluate_many,
+            batch_evaluator=_BENCHMARKS[self.name][0],
         )
 
 

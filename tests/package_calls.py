@@ -22,10 +22,11 @@ class CallCounts(list):
         super().__init__([0])
         self.tallies = [Counter()]
 
-    def worst(self, start: int = 0) -> str:
-        """The largest count from entry ``start`` on and its tally, most
-        frequent function first, for an assertion message."""
-        i = max(range(start, len(self)), key=self.__getitem__)
+    def worst(self, start: int = 0, stop: int | None = None) -> str:
+        """The largest count of entries ``start`` to ``stop`` (the last, by
+        default) and its tally, most frequent function first, for an
+        assertion message."""
+        i = max(range(start, len(self) if stop is None else stop), key=self.__getitem__)
         return f"entry {i} of {len(self)}: {self[i]} calls, {dict(self.tallies[i].most_common())}"
 
 

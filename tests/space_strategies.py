@@ -2,7 +2,7 @@
 by the codec, surrogate and search tests."""
 
 import numpy as np
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from shsade_pids.discrete_codec import Axis, DiscreteSpace
 
@@ -26,11 +26,14 @@ axis_values = st.lists(
 
 
 @st.composite
-def spaces(draw, max_axes=8):
-    """Spaces of 1 to ``max_axes`` axes with 1 to 6 values each: single-value
-    axes, non-numeric values and ``<block>_width``-style names included."""
+def spaces(draw, max_axes=8, min_genotypes=1):
+    """Spaces of 1 to ``max_axes`` axes with 1 to 6 values each and at least
+    ``min_genotypes`` genotypes: single-value axes, non-numeric values and
+    ``<block>_width``-style names included."""
     names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=1, max_size=max_axes, unique=True))
-    return DiscreteSpace(tuple(Axis(name, tuple(draw(axis_values))) for name in names))
+    space = DiscreteSpace(tuple(Axis(name, tuple(draw(axis_values))) for name in names))
+    assume(space.size >= min_genotypes)
+    return space
 
 
 def index_rows(space: DiscreteSpace, rows: int, seed: int) -> np.ndarray:

@@ -85,6 +85,13 @@ def read_all_bytes(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def run_files(directory: Path, config_path: Path) -> dict:
+    """The files of a run of the config at ``config_path``, with the config
+    hash they record blanked, since a path in the config changes it."""
+    digest = cli.config_hash(json.loads(config_path.read_text())).encode()
+    return {name: data.replace(digest, b"<hash>") for name, data in read_all_bytes(directory).items()}
+
+
 class TestRunBenchmark:
     def test_writes_one_trace_per_seed_plus_summary(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
@@ -126,6 +133,15 @@ class TestRunBenchmark:
         assert cli.main(["run", str(cfg)]) == 0
         trace = (tmp_path / "out_de" / "trace_seed1.csv").read_text()
         assert "# algorithm: vanilla_de" in trace
+
+    def test_an_absolute_output_writes_the_same_files_as_a_relative_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+        relative = write_config(tmp_path / "relative.json")
+        absolute = write_config(tmp_path / "absolute.json", output=str(tmp_path / "elsewhere"))
+        assert cli.main(["run", str(relative)]) == 0
+        assert cli.main(["run", str(absolute)]) == 0
+        assert [p.name for p in (tmp_path / "root").iterdir()] == ["out"]
+        assert run_files(tmp_path / "elsewhere", absolute) == run_files(tmp_path / "root" / "out", relative)
 
 
 def use_cpus(monkeypatch, count: int) -> None:
@@ -755,6 +771,15 @@ class TestRunValidation:
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path)]) == 1
 
+    @pytest.mark.parametrize("space", [5, None, True, ["space.json"]], ids=["number", "null", "bool", "list"])
+    def test_a_space_that_is_neither_an_object_nor_a_path_exits_1(self, tmp_path, monkeypatch, capsys, space):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        path = tmp_path / "nas.json"
+        path.write_text(json.dumps(dict(nas_config(), space=space)))
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: space must be an inline object or a path string\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nas.json"]
+
     def test_runtime_failure_exits_2_and_removes_partial_outputs(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -875,6 +900,18 @@ class TestRunNas:
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path)]) == 0
 
+    def test_an_absolute_space_path_writes_the_same_files_as_a_relative_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        (tmp_path / "spaces").mkdir()
+        (tmp_path / "spaces" / "space.json").write_text(json.dumps(space_doc()))
+        paths = {}
+        for name, space in [("relative", "spaces/space.json"), ("absolute", str(tmp_path / "spaces" / "space.json"))]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(dict(nas_config(output=f"out_{name}"), space=space)))
+            assert cli.main(["run", str(paths[name])]) == 0
+        relative, absolute = (run_files(tmp_path / f"out_{name}", path) for name, path in paths.items())
+        assert absolute == relative and len(relative) == 3
+
 
 class TestCompare:
     @staticmethod
@@ -908,6 +945,43 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "evaluations,median_alpha,median_beta" in out
         assert out.strip().endswith("verdict: alpha")
+
+    def test_dominating_second_directory_wins(self, tmp_path, capsys):
+        a = tmp_path / "alpha"
+        b = tmp_path / "beta"
+        a.mkdir()
+        b.mkdir()
+        self.write_trace(a / "trace_seed1.csv", [2.0, 2.0, 2.0])
+        self.write_trace(b / "trace_seed1.csv", [2.0, 1.0, 1.0])
+        assert cli.main(["compare", str(a), str(b), "--step", "50"]) == 0
+        assert capsys.readouterr().out.strip().endswith("verdict: beta")
+
+    @pytest.mark.parametrize(
+        "beta, step, message",
+        [
+            ("file", "50", "is not a directory"),
+            ("trace", "0", "checkpoint step must be positive"),
+            # beta starts at 200 evaluations, after alpha ends at 100
+            ("late", "50", "traces share no common evaluation checkpoint"),
+        ],
+        ids=["not_a_directory", "step_0", "no_common_checkpoint"],
+    )
+    def test_unusable_inputs_exit_1(self, tmp_path, capsys, beta, step, message):
+        a = tmp_path / "alpha"
+        b = tmp_path / "beta"
+        a.mkdir()
+        self.write_trace(a / "trace_seed1.csv", [1.0, 1.0])
+        if beta == "file":
+            b.write_text("not a directory\n")
+        else:
+            b.mkdir()
+            self.write_trace(b / "trace_seed1.csv", [1.0, 1.0])
+        if beta == "late":
+            (b / "trace_seed1.csv").write_text("generation,evaluations,best_fitness,mean_fitness\n0,200,1.0,1.0\n")
+        assert cli.main(["compare", str(a), str(b), "--step", step]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("compare error: ") and message in captured.err
+        assert captured.out == ""
 
     def test_directory_name_with_a_comma_is_one_field(self, tmp_path, capsys):
         a = tmp_path / "runs,a"

@@ -49,6 +49,10 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(np.array([]), np.array([]))
 
+    def test_an_objective_must_match_its_bounds(self):
+        with pytest.raises(ValueError, match="dimension must match its bounds"):
+            ObjectiveSpec(3, Bounds.cube(0, 1, 2), lambda x: float(np.sum(x * x)))
+
 
 class TestInitPopulation:
     def test_containment_and_evaluation(self):

@@ -140,6 +140,30 @@ def loop_decode_indices(u, space):
     return indices
 
 
+class TestFlatIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(space=spaces(), rows=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+    def test_unravel_inverts_the_strides(self, space, rows, seed):
+        indices = index_rows(space, rows, seed)
+        flat = indices @ space.strides
+        assert flat.tolist() == np.ravel_multi_index(indices.T, space.sizes).tolist()
+        back = space.unravel(flat)
+        assert back.dtype == np.intp and back.tolist() == indices.tolist()
+        for k, row in zip(flat.tolist(), indices.tolist()):
+            assert space.unravel(k).tolist() == [row]
+
+    def test_exact_past_int64(self):
+        # 10**25 genotypes of ten values per axis: a flat index reads the
+        # row's digits
+        space = grid_space(25, tuple(range(10)))
+        assert space.strides.dtype == object
+        rows = [[9] * 25, [0] * 24 + [1], [1] + [0] * 24, [int(d) for d in "3141592653589793238462643"]]
+        flat = [int("".join(map(str, row))) for row in rows]
+        assert (np.array(rows) @ space.strides).tolist() == flat
+        assert space.unravel(flat).tolist() == rows
+        assert space.unravel(flat[0]).tolist() == rows[:1]
+
+
 class TestDecodeIndices:
     @settings(max_examples=80, deadline=None)
     @given(space=spaces(), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shsade_pids import baselines, nas_search, objectives, shsade
@@ -76,9 +76,13 @@ def test_continuous_runs_match_the_loop_reference(optimizer, pop_size, dim, max_
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+# a one-genotype space, where the run ends at generation 0
+ONE_GENOTYPE = DiscreteSpace((Axis("x0", ("only",)),))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    space=spaces(max_axes=5),
+    space=spaces(max_axes=5, min_genotypes=2),
     pop_size=st.integers(4, 10),
     extra_budget=st.integers(0, 60),
     max_generations=st.integers(1, 30),
@@ -86,6 +90,16 @@ def test_continuous_runs_match_the_loop_reference(optimizer, pop_size, dim, max_
     use_trigonometric=st.booleans(),
     surrogate_seed=st.integers(0, 2**16),
     seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    space=ONE_GENOTYPE,
+    pop_size=4,
+    extra_budget=0,
+    max_generations=1,
+    sigma_trial_noise=0.15,
+    use_trigonometric=False,
+    surrogate_seed=0,
+    seed=0,
 )
 def test_nas_runs_match_the_loop_reference(
     space, pop_size, extra_budget, max_generations, sigma_trial_noise, use_trigonometric, surrogate_seed, seed,
@@ -158,17 +172,17 @@ def _assert_rea_matches_reference(space, predictor, config, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    space=spaces(max_axes=5),
-    pop_size=st.integers(1, 8),
+    space=spaces(max_axes=5, min_genotypes=2),
+    sizes=st.integers(1, 8).flatmap(lambda pop: st.tuples(st.just(pop), st.just(pop) | st.integers(1, pop))),
     extra_budget=st.sampled_from([0, 1]) | st.integers(0, 40),
     surrogate_seed=st.integers(0, 2**16),
     seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
 )
-def test_regularized_ea_runs_match_the_loop_reference(space, pop_size, extra_budget, surrogate_seed, seed, data):
+@example(space=ONE_GENOTYPE, sizes=(1, 1), extra_budget=0, surrogate_seed=0, seed=0)
+def test_regularized_ea_runs_match_the_loop_reference(space, sizes, extra_budget, surrogate_seed, seed):
     # single-value axes, whole-population tournaments, budgets equal to the
     # population size and spaces smaller than the budget
-    tournament_size = data.draw(st.just(pop_size) | st.integers(1, pop_size))
+    pop_size, tournament_size = sizes  # the tournament fits in the population
     config = baselines.RegularizedEaConfig(pop_size, tournament_size, pop_size + extra_budget)
     _assert_rea_matches_reference(space, objectives.TabularSurrogate(space, surrogate_seed), config, seed)
 

@@ -89,6 +89,28 @@ def test_read_rejects_a_file_without_rows(tmp_path):
         SearchTrace.read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# seed 1\ngeneration,evaluations,best_fitness,mean_fitness\n0,1,2.0,3.0\n", "bad.csv:1: malformed metadata"),
+        ("generation,evaluations,best_fitness,mean_fitness\n0,1,2.0\n", "bad.csv:2: expected 4 columns"),
+        ("# seed: 1\n", "bad.csv: missing column header"),
+    ],
+    ids=["metadata_without_a_colon", "three_columns", "no_header"],
+)
+def test_read_rejects_a_malformed_file(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(TraceError, match=message):
+        SearchTrace.read_csv(path)
+
+
+@pytest.mark.parametrize("name", ["final_best", "final_evaluations"])
+def test_an_empty_trace_has_no_final_row(name):
+    with pytest.raises(TraceError, match="empty trace"):
+        getattr(SearchTrace(), name)
+
+
 def test_read_rejects_violated_invariants(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
