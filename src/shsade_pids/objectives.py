@@ -128,6 +128,22 @@ class TabularSurrogate:
     rows)`` block is exactly that left fold per column; a one-row gather
     would reduce pairwise, so it sums with an accumulate. A numpy that
     changed either order would fail ``tests/test_objectives.py``.
+
+    All tables lie in one flat vector, so that every term's index is the sum
+    of two per-axis parts. With ``col`` the prefix sums of the axis sizes,
+    value ``b`` of axis ``j`` has the position ``col[j] + b``. The axis
+    weights lie in one row indexed by position, and so do the cost factors.
+    Axis ``i``'s pair tables lie row by row: row ``a`` holds row ``a`` of
+    every pair ``(i, j > i)`` in turn, so pair ``(i, j)`` reads
+    ``(start[i] - col[i + 1] + a * width[i]) + (col[j] + b)``, where
+    ``width[i]`` sums the sizes of the axes after ``i``. The first part is a
+    lookup by ``a``'s position. The table holds each seeded entry once, plus
+    a row of ones that pads short blocks.
+
+    The kernel gathers into buffers the instance keeps and grows to the
+    largest batch it has seen, so one instance is not reentrant: two threads
+    must not call it at once. ``run``'s seed workers are forked processes,
+    each with its own copy.
     """
 
     def __init__(self, space: DiscreteSpace, seed: int):
@@ -141,67 +157,111 @@ class TabularSurrogate:
         pair_sd = 1.6 / np.sqrt(n_pairs)
         # accuracy weights are stored negated: a sum of negated terms is the
         # negated sum, bit for bit, so the logistic needs no negation
-        tables = [-rng.normal(0.0, main_sd, size=n) for n in sizes]
-        first, second, stride = list(range(m)), list(range(m)), [0] * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                tables.append(-rng.normal(0.0, pair_sd, size=(sizes[i], sizes[j])).ravel())
-                first.append(i)
-                second.append(j)
-                stride.append(sizes[j])
-        self._accuracy_terms = len(tables)
+        weights = [-rng.normal(0.0, main_sd, size=n) for n in sizes]
+        # axis i's pair tables side by side: row a holds row a of every pair
+        # (i, j > i), so the pairs keep their (i, j) draw order
+        pair_rows = [
+            np.hstack([np.empty((n, 0))] + [-rng.normal(0.0, pair_sd, size=(n, sizes[j])) for j in range(i + 1, m)])
+            for i, n in enumerate(sizes)
+        ]
         cost_weights = rng.uniform(0.5, 1.5, size=m)
+        col = np.cumsum((0,) + sizes)
+        # source rows of the index parts: the m positions, then the m pair
+        # lookups, then one constant row each for the axis weights, the cost
+        # factors and the ones
+        main_row, cost_row, ones_row = 2 * m, 2 * m + 1, 2 * m + 2
+        first, second = [main_row] * m, list(range(m))
+        for i in range(m):
+            first += [m + i] * (m - 1 - i)
+            second += range(i + 1, m)
+        self._accuracy_terms = len(first)
 
         # axes following the <block>_{width,expansion,depth} convention cost a
         # per-block product; any other axis is a block of its own, after the
-        # named blocks. Each axis gets a table of its per-index factor, and a
-        # block shorter than the longest is padded with ones: x * 1.0 is x.
+        # named blocks. Each axis has its per-index factor in the cost row,
+        # and a block shorter than the longest is padded with ones: x * 1.0
+        # is x.
         blocks: dict[str, list[int]] = {}
         additive: list[list[int]] = []
+        factors = []
         for i, axis in enumerate(space.axes):
             match = _BLOCK_AXIS.match(axis.name)
             if match:
                 blocks.setdefault(match.group("block"), []).append(i)
-                tables.append(np.array([_cost_factor(axis, k) for k in range(axis.size)]))
+                factors.append(np.array([_cost_factor(axis, k) for k in range(axis.size)]))
             else:
                 additive.append([i])
-                tables.append(cost_weights[i] * np.arange(1, axis.size + 1))
-        tables.append(np.ones(sizes[0]))
-        reads = list(range(self._accuracy_terms))  # the table each term reads
+                factors.append(cost_weights[i] * np.arange(1, axis.size + 1))
         slots = list(blocks.values()) + additive
         width = max(map(len, slots))
         # the first factor of every block, then the second, and so on; a
-        # factor reads its axis's table, or past the block's end the ones
-        # table through axis 0, at index[axis] (first = second, stride 0)
+        # factor past the block's end reads the ones at axis 0's position
         start = self._accuracy_terms
         self._factor_slices = [slice(start + k * len(slots), start + (k + 1) * len(slots)) for k in range(width)]
         for k in range(width):
             for axes in slots:
-                table, axis = (start + axes[k], axes[k]) if k < len(axes) else (start + m, 0)
-                reads.append(table)
-                first.append(axis)
-                second.append(axis)
-                stride.append(0)
-        # term t reads the flattened tables at
-        # offset[t] + index[first[t]] * stride[t] + index[second[t]]
-        self._table = np.concatenate(tables)
-        self._offsets = np.cumsum([0] + [t.size for t in tables[:-1]])[reads][:, None]
-        self._first = np.array(first)
-        self._second = np.array(second)
-        self._strides = np.array(stride)[:, None]
+                first.append(cost_row if k < len(axes) else ones_row)
+                second.append(axes[k] if k < len(axes) else 0)
+
+        tables = weights + pair_rows + factors + [np.ones(sizes[0])]
+        offsets = np.cumsum([0] + [t.size for t in tables])
+        self._table = np.concatenate([t.ravel() for t in tables])
+        # position col[i] + a looks up start[i] - col[i + 1] + a * width[i],
+        # with start[i] the offset of axis i's pair rows and width[i] their
+        # length
+        base, row_width = offsets[m : 2 * m] - col[1:], col[-1] - col[1:]
+        self._lookup = np.concatenate(
+            [base[i] + row_width[i] * np.arange(n) for i, n in enumerate(sizes)], dtype=np.intp
+        )
+        self._col = col[:-1, None]
+        # the offsets of the axis weights, cost factors and ones rows
+        self._constants = offsets[[0, 2 * m, 3 * m], None]
+        self._first = np.array(first, dtype=np.intp)
+        self._second = np.array(second, dtype=np.intp)
         # rows per gather, so one (terms, rows) gather stays bounded
-        self._chunk = max(1, _GATHER_ELEMENTS // len(reads))
+        self._chunk = max(1, _GATHER_ELEMENTS // len(first))
+        # the kernel gathers into three buffers of ``_capacity`` rows, the
+        # largest batch yet; ``_views`` shows them at the last batch's rows
+        self._capacity = 0
+        self._buffers = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+        self._resize(0)
         # a column per axis; negative indices wrap to large unsigned ones, so
         # one comparison checks both ends of the range
         self._sizes = np.array(sizes, dtype=np.uintp)[:, None]
 
+    def _resize(self, rows: int) -> None:
+        """Point the kernel's ``(parts, rows)`` views at ``rows`` columns of
+        its buffers, grown to the largest batch yet: positions, lookups, all
+        sources, indices, index scratch and terms."""
+        m, count = len(self._col), len(self._first)
+        if rows > self._capacity:
+            self._capacity = rows
+            self._buffers = (
+                np.empty((2 * m + 3) * rows, np.intp), np.empty(count * rows, np.intp), np.empty(count * rows)
+            )
+        sources, flat, terms = self._buffers
+        sources = sources[: (2 * m + 3) * rows].reshape(2 * m + 3, rows)
+        sources[2 * m :] = self._constants
+        flat = flat[: count * rows].reshape(count, rows)
+        terms = terms[: count * rows].reshape(count, rows)
+        self._rows = rows
+        self._views = sources[:m], sources[m : 2 * m], sources, flat, terms.view(np.intp), terms
+
     def _predict(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(accuracy, cost) of the genotypes in the columns of ``cols``."""
-        flat = cols.take(self._first, axis=0)
-        flat *= self._strides
-        flat += self._offsets
-        flat += cols.take(self._second, axis=0)
-        terms = self._table.take(flat)
+        if cols.shape[1] != self._rows:
+            self._resize(cols.shape[1])
+        positions, lookups, sources, flat, scratch, terms = self._views
+        # every index is in range here: predict_many and indices_of checked
+        # the value indices, and the tables and lookup cover every position,
+        # so mode="clip" never clips. It lets take write straight into out,
+        # where the default mode would buffer and copy
+        np.add(cols, self._col, out=positions)
+        self._lookup.take(positions, out=lookups, mode="clip")
+        sources.take(self._first, axis=0, out=flat, mode="clip")
+        sources.take(self._second, axis=0, out=scratch, mode="clip")
+        flat += scratch
+        self._table.take(flat, out=terms, mode="clip")
         products = terms[self._factor_slices[0]]
         for factors in self._factor_slices[1:]:  # block products in axis order
             products = products * terms[factors]
@@ -210,7 +270,8 @@ class TabularSurrogate:
         # block of two or more columns, an axis-0 reduce adds row after row
         # into one row of partial sums: that left fold, several times faster
         # than an accumulate. A single column is one contiguous run, which a
-        # reduce sums pairwise, so it keeps the accumulate
+        # reduce sums pairwise, so it keeps the accumulate. Either way the
+        # results are new arrays, never views of the buffers
         logits = terms[: self._accuracy_terms]
         if terms.shape[1] > 1:
             logits, cost = np.add.reduce(logits, axis=0), np.add.reduce(products, axis=0)
@@ -228,7 +289,7 @@ class TabularSurrogate:
             raise ValueError("index rows do not match the space")
         if idx.dtype.kind not in "iu":
             raise ValueError("value indices must be integers")
-        cols = idx.T.astype(np.intp, copy=False)  # offsets overflow narrow dtypes
+        cols = idx.T.astype(np.intp, copy=False)  # so negative indices view as large unsigned ones
         if np.count_nonzero(cols.view(np.uintp) >= self._sizes):
             raise ValueError("value index out of range for the space")
         rows = cols.shape[1]

@@ -4,7 +4,9 @@ numpy picks a kernel per CPU at run time among the features its build
 dispatches above its baseline. ``NPY_DISABLE_CPU_FEATURES`` turns those off,
 so rerunning ``test_trajectories.py`` in a subprocess with every dispatched
 feature off checks that the baseline kernels give the same bits as the ones
-this CPU would pick.
+this CPU would pick. The rerun also takes the surrogate's reduce-order canary
+and its bit-identity tests against the loop reference, so the order of its
+sums is pinned at the baseline kernels too.
 """
 
 import os
@@ -34,7 +36,9 @@ def test_trajectories_hold_at_the_baseline_dispatch():
     ).stdout.split()
     assert enabled == []
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_trajectories.py"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_trajectories.py",
+         "tests/test_objectives.py::TestReductionOrderCanary",
+         "tests/test_objectives.py::TestSurrogateKernelsBitIdentical"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]

@@ -76,14 +76,23 @@ def test_continuous_runs_match_the_loop_reference(optimizer, pop_size, dim, max_
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
-# a one-genotype space, where the run ends at generation 0
+# a one-genotype space, where the run ends at generation 0; spaces of two
+# and four genotypes, which a start-up population may score whole
 ONE_GENOTYPE = DiscreteSpace((Axis("x0", ("only",)),))
+TWO_GENOTYPES = DiscreteSpace((Axis("x0", (0, 1)),))
+FOUR_GENOTYPES = DiscreteSpace((Axis("b0_width", (16, 32)), Axis("x0", ("p", "q"))))
+
+
+def above(pop_size):
+    """Spaces of more genotypes than a population of ``pop_size``, so the
+    start-up cannot score them all and the run can reach a generation; the
+    smaller spaces are explicit examples."""
+    return spaces(max_axes=5, min_genotypes=pop_size + 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    space=spaces(max_axes=5, min_genotypes=2),
-    pop_size=st.integers(4, 10),
+    case=st.integers(4, 10).flatmap(lambda pop: st.tuples(st.just(pop), above(pop))),
     extra_budget=st.integers(0, 60),
     max_generations=st.integers(1, 30),
     sigma_trial_noise=st.sampled_from([0.0, 0.15]),
@@ -92,8 +101,7 @@ ONE_GENOTYPE = DiscreteSpace((Axis("x0", ("only",)),))
     seed=st.integers(0, 2**32 - 1),
 )
 @example(
-    space=ONE_GENOTYPE,
-    pop_size=4,
+    case=(4, ONE_GENOTYPE),
     extra_budget=0,
     max_generations=1,
     sigma_trial_noise=0.15,
@@ -101,10 +109,29 @@ ONE_GENOTYPE = DiscreteSpace((Axis("x0", ("only",)),))
     surrogate_seed=0,
     seed=0,
 )
+@example(
+    case=(4, FOUR_GENOTYPES),
+    extra_budget=3,
+    max_generations=5,
+    sigma_trial_noise=0.15,
+    use_trigonometric=True,
+    surrogate_seed=1,
+    seed=1,
+)
+@example(
+    case=(10, TWO_GENOTYPES),
+    extra_budget=0,
+    max_generations=3,
+    sigma_trial_noise=0.0,
+    use_trigonometric=False,
+    surrogate_seed=2,
+    seed=2,
+)
 def test_nas_runs_match_the_loop_reference(
-    space, pop_size, extra_budget, max_generations, sigma_trial_noise, use_trigonometric, surrogate_seed, seed,
+    case, extra_budget, max_generations, sigma_trial_noise, use_trigonometric, surrogate_seed, seed,
 ):
     # budgets that run out mid-generation, and spaces smaller than the budget
+    pop_size, space = case
     surrogate = objectives.TabularSurrogate(space, surrogate_seed)
     mid = space.genotype_from_indices([(a.size - 1) // 2 for a in space.axes])
     config = nas_search.NasConfig(
@@ -172,17 +199,20 @@ def _assert_rea_matches_reference(space, predictor, config, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    space=spaces(max_axes=5, min_genotypes=2),
-    sizes=st.integers(1, 8).flatmap(lambda pop: st.tuples(st.just(pop), st.just(pop) | st.integers(1, pop))),
+    case=st.integers(1, 8).flatmap(
+        lambda pop: st.tuples(st.just(pop), st.just(pop) | st.integers(1, pop), above(pop))
+    ),
     extra_budget=st.sampled_from([0, 1]) | st.integers(0, 40),
     surrogate_seed=st.integers(0, 2**16),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(space=ONE_GENOTYPE, sizes=(1, 1), extra_budget=0, surrogate_seed=0, seed=0)
-def test_regularized_ea_runs_match_the_loop_reference(space, sizes, extra_budget, surrogate_seed, seed):
+@example(case=(1, 1, ONE_GENOTYPE), extra_budget=0, surrogate_seed=0, seed=0)
+@example(case=(4, 2, FOUR_GENOTYPES), extra_budget=6, surrogate_seed=1, seed=1)
+@example(case=(8, 8, TWO_GENOTYPES), extra_budget=1, surrogate_seed=2, seed=2)
+def test_regularized_ea_runs_match_the_loop_reference(case, extra_budget, surrogate_seed, seed):
     # single-value axes, whole-population tournaments, budgets equal to the
     # population size and spaces smaller than the budget
-    pop_size, tournament_size = sizes  # the tournament fits in the population
+    pop_size, tournament_size, space = case  # the tournament fits in the population
     config = baselines.RegularizedEaConfig(pop_size, tournament_size, pop_size + extra_budget)
     _assert_rea_matches_reference(space, objectives.TabularSurrogate(space, surrogate_seed), config, seed)
 

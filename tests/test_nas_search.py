@@ -513,12 +513,16 @@ def tied_accuracy(seed, levels, nan_share):
     return accuracy
 
 
+# the population each search runs with in run_search
+POPULATION = {"nas_evolve": 8, "regularized_ea_run": 6}
+
+
 def run_search(name, space, predictor, bio, budget, seed):
     """Run ``nas_evolve`` or ``regularized_ea_run`` on ``budget`` evaluations."""
     if name == "nas_evolve":
-        nas_config = NasConfig(bio, nas_search.search_shsade_config(budget, pop_size=8), budget)
+        nas_config = NasConfig(bio, nas_search.search_shsade_config(budget, pop_size=POPULATION[name]), budget)
         return nas_evolve(space, predictor, nas_config, seed)
-    ea_config = RegularizedEaConfig(population_size=6, tournament_size=3, budget=budget)
+    ea_config = RegularizedEaConfig(population_size=POPULATION[name], tournament_size=3, budget=budget)
     return regularized_ea_run(space, predictor, ea_config, bio, seed)
 
 
@@ -528,15 +532,20 @@ class TestSearchBest:
     rescored by ``score``, reads the trace's final best. A run may instead
     fail with ``TraceError``, but only once a NaN was scored."""
 
+    # drawn spaces hold more genotypes than either search's population, so
+    # the start-up cannot score them all and the run can reach a generation;
+    # smaller spaces are the explicit examples
     @settings(max_examples=60, deadline=None)
     @given(
-        space=spaces(max_axes=4, min_genotypes=2),
+        space=spaces(max_axes=4, min_genotypes=max(POPULATION.values()) + 1),
         seed=st.integers(0, 2**32 - 1),
         levels=st.integers(1, 3),
         nan_share=st.sampled_from([0.0, 0.1, 0.3]),
         budget=st.integers(8, 60),
     )
     @example(space=DiscreteSpace((Axis("x0", ("only",)),)), seed=0, levels=1, nan_share=0.0, budget=8)
+    @example(space=DiscreteSpace((Axis("x0", (0, 1)),)), seed=1, levels=2, nan_share=0.0, budget=9)
+    @example(space=grid_space(3, (0, 1)), seed=2, levels=3, nan_share=0.1, budget=20)
     def test_the_returned_genotype_scores_the_final_best(self, search, space, seed, levels, nan_share, budget):
         predictor = RowPredictor(space, tied_accuracy(seed, levels, nan_share))
         bio = BiObjectiveConfig(cost_budget=1.0)

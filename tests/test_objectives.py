@@ -1,6 +1,7 @@
 """Benchmark functions and the seeded tabular surrogate."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,80 @@ class TestSurrogateKernelsBitIdentical:
             assert [a.tobytes() for a in surrogate.predict_many(layout)] == expected
 
 
+class TestKernelBuffers:
+    """The kernel gathers into buffers it keeps between calls: they grow to
+    the largest batch, the results never alias them, and the table holds
+    each entry once."""
+
+    def test_a_later_call_leaves_earlier_results_unchanged(self):
+        space = pids_space(7)
+        surrogate = TabularSurrogate(space, 2024)
+        for rows in (1, 50, surrogate._chunk + 1):
+            first = surrogate.predict_many(index_rows(space, rows, 5))
+            kept = [a.copy() for a in first]
+            surrogate.predict_many(index_rows(space, rows, 6))
+            assert [a.tobytes() for a in first] == [a.tobytes() for a in kept], rows
+
+    def test_a_50_row_batch_allocates_little_once_warm(self):
+        space = pids_space(7)
+        surrogate = TabularSurrogate(space, 2024)
+        indices = index_rows(space, 50, 7)
+        surrogate.predict_many(indices)  # the buffers grow here
+        tracemalloc.start()
+        try:
+            surrogate.predict_many(indices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # two (448, 50) gathers alone would take 358,400
+
+    def test_the_buffers_grow_to_the_largest_batch_only(self):
+        space = pids_space(7)
+        surrogate = TabularSurrogate(space, 2024)
+        terms = len(surrogate._first)
+        for rows, capacity in ((50, 50), (1, 50), (0, 50), (3 * surrogate._chunk, surrogate._chunk)):
+            surrogate.predict_many(index_rows(space, rows, rows))
+            assert [buffer.size for buffer in surrogate._buffers[1:]] == [terms * capacity] * 2
+
+    def test_the_table_holds_each_entry_once_on_a_skewed_space(self):
+        space = DiscreteSpace(
+            (Axis("wide", tuple(range(5000))),) + tuple(Axis(f"x{k}", tuple(range(n))) for k, n in enumerate((2, 3, 4)))
+        )
+        surrogate = TabularSurrogate(space, 3)
+        sizes = space.sizes
+        pairs = sum(sizes[i] * sizes[j] for i in range(4) for j in range(i + 1, 4))
+        # axis weights, pair weights, cost factors, and the ones that pad
+        # short blocks, read through axis 0
+        assert surrogate._table.size == sum(sizes) + pairs + sum(sizes) + sizes[0]
+        reference = LoopSurrogate(space, 3)
+        indices = index_rows(space, 200, 8)
+        accuracy, cost = surrogate.predict_many(indices)
+        for k, genotype in enumerate(map(space.genotype_from_indices, indices)):
+            assert (accuracy[k], cost[k]) == (reference.predict_accuracy(genotype), reference.predict_cost(genotype))
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            DiscreteSpace((Axis("x0", (1, 2, 3)),)),
+            DiscreteSpace((Axis("b0_width", (16, 32)),)),
+            DiscreteSpace((Axis("b0_width", (16, 32)), Axis("b0_depth", (1, 2, 3)))),
+        ],
+        ids=["one-axis", "one-block-axis", "blocks-only"],
+    )
+    def test_small_spaces_across_batch_sizes(self, space):
+        # no pairs, no additive axis, and a 0-row batch after larger ones
+        surrogate = TabularSurrogate(space, 11)
+        reference = LoopSurrogate(space, 11)
+        indices = index_rows(space, 3, 9)
+        for rows in (3, 0, 1, 2, 0, 3):
+            accuracy, cost = surrogate.predict_many(indices[:rows])
+            expected = [
+                (reference.predict_accuracy(g), reference.predict_cost(g))
+                for g in map(space.genotype_from_indices, indices[:rows])
+            ]
+            assert list(zip(accuracy.tolist(), cost.tolist())) == expected
+
+
 def left_fold(values) -> float:
     """Python's sum from the first value, one addition at a time."""
     total = values[0]
@@ -326,16 +401,20 @@ def block_kernel(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factor: the returned cost is each column's sum of ``block``."""
     terms, rows = block.shape
     surrogate = TabularSurrogate(grid_space(2), seed=0)
-    # term t of column r reads the flat table at t + r * terms: index row 0
-    # holds r with stride ``terms``, index row 1 holds zeros
+    # term t of column r reads the flat table at r * terms + t: index row 0
+    # holds r at position r, which looks up r * terms, and index row 1 + t
+    # holds 0 at position t. Term t adds row 0's lookup (source row
+    # terms + 1, after the terms + 1 positions) to row 1 + t's position
     surrogate._table = block.T.ravel()
-    surrogate._offsets = np.arange(terms)[:, None]
-    surrogate._first = np.zeros(terms, dtype=np.intp)
-    surrogate._strides = np.full((terms, 1), terms)
-    surrogate._second = np.ones(terms, dtype=np.intp)
+    surrogate._col = np.arange(-1, terms)[:, None].clip(0)
+    surrogate._lookup = np.arange(max(rows, terms)) * terms
+    surrogate._first = np.full(terms, terms + 1, dtype=np.intp)
+    surrogate._second = np.arange(1, terms + 1, dtype=np.intp)
     surrogate._accuracy_terms = terms
     surrogate._factor_slices = [slice(0, terms)]
-    return surrogate._predict(np.stack((np.arange(rows), np.zeros(rows, dtype=np.intp))))
+    cols = np.zeros((terms + 1, rows), dtype=np.intp)
+    cols[0] = np.arange(rows)
+    return surrogate._predict(cols)
 
 
 class TestReductionOrderCanary:
