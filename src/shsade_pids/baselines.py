@@ -78,7 +78,7 @@ def vanilla_de_run(
     rng = np.random.default_rng(rng)
     x, fitness = init_population(spec, config.pop_size, rng)
     state = VanillaDeState(x, fitness, 0, config.pop_size, None, math.inf)
-    replace_rows(state, slice(None), x, fitness)
+    replace_rows(state, np.ones(config.pop_size, dtype=bool), x, fitness)
     rows = np.arange(config.pop_size)
     cr = np.full(config.pop_size, config.cr)
 
@@ -91,9 +91,13 @@ def vanilla_de_run(
         return repair_bounds_matrix(trials, spec.bounds, state.x)
 
     def tell(trials, trial_fitness, _evaluated):
-        # greedy selection; ties accept the trial
+        # greedy selection; ties accept the trial. A NaN or +inf trial fails
+        # the test, and a -inf one is kept out; fmin skips NaN, so one
+        # reduction finds it anywhere
         accepted = trial_fitness <= state.fitness
-        replace_rows(state, accepted, trials.compress(accepted, axis=0), trial_fitness[accepted])
+        if np.fmin.reduce(trial_fitness) == -np.inf:
+            accepted &= trial_fitness > -np.inf
+        replace_rows(state, accepted, trials, trial_fitness)
         state.evaluations += config.pop_size
         state.generation += 1
 

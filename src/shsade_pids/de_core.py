@@ -97,13 +97,14 @@ def init_population(spec: ObjectiveSpec, pop_size: int, rng: np.random.Generator
     return x, fitness
 
 
-def replace_rows(state, rows, x: np.ndarray, fitness: np.ndarray) -> None:
-    """Write ``x`` and ``fitness`` into the population rows ``rows`` of
-    ``state`` (anything with ``x``, ``fitness``, ``best_x`` and
-    ``best_fitness``). The best-so-far moves only on a strict improvement,
-    to the first row that holds the population's new minimum."""
-    state.x[rows] = x
-    state.fitness[rows] = fitness
+def replace_rows(state, accepted: np.ndarray, x: np.ndarray, fitness: np.ndarray) -> None:
+    """Write the rows of ``x`` and ``fitness``, one candidate per population
+    row, into the population of ``state`` (anything with ``x``, ``fitness``,
+    ``best_x`` and ``best_fitness``) where the boolean vector ``accepted``
+    holds. The best-so-far moves only on a strict improvement, to the first
+    row that holds the population's new minimum."""
+    np.copyto(state.x, x, where=accepted[:, None])
+    np.copyto(state.fitness, fitness, where=accepted)
     best = int(state.fitness.argmin())
     if state.fitness[best] < state.best_fitness:
         state.best_fitness = float(state.fitness[best])
@@ -115,19 +116,23 @@ def repair_bounds_matrix(v: np.ndarray, bounds: Bounds, base: np.ndarray) -> np.
     between the violated bound and the base vector's coordinate, which must
     lie within bounds. ``v`` and ``base`` are float arrays; ``v`` itself
     comes back when no coordinate is violated, the common case."""
+    # count_nonzero tests a mask at a fraction of the cost of any()
     low = v < bounds.lower
-    if low.any():
+    if np.count_nonzero(low):
         v = np.where(low, 0.5 * (bounds.lower + base), v)
     high = v > bounds.upper
-    if high.any():
+    if np.count_nonzero(high):
         v = np.where(high, 0.5 * (bounds.upper + base), v)
     return v
 
 
 def uniform_index(u, m):
     """``floor(u * m)`` of uniforms in [0, 1), clamped to ``m - 1`` so the
-    bound holds whatever the rounding; ``m`` broadcasts against ``u``."""
-    return np.minimum((u * m).astype(np.intp), m - 1)
+    bound holds whatever the rounding; ``m`` broadcasts against ``u``. The
+    clamp comes before the truncation, on the float product: the same
+    values for a whole-number ``m`` up to 2**53. A float ``m`` spares numpy
+    a cast of an integer block on every call."""
+    return np.minimum(u * m, m - 1.0).astype(np.intp)
 
 
 def binomial_crossover_matrix(
@@ -141,8 +146,7 @@ def binomial_crossover_matrix(
     n, dim = donors.shape
     u = rng.random((n, dim + 1))
     mask = u[:, :dim] < cr[:, None]
-    # row i's j_rand sits at i * dim + j_rand in the flat mask
-    mask.put(uniform_index(u[:, dim], dim) + np.arange(0, n * dim, dim), True)
+    mask[np.arange(n), uniform_index(u[:, dim], dim)] = True
     return np.where(mask, donors, targets)
 
 
@@ -153,8 +157,9 @@ def binomial_crossover_matrix(
 # first pick's place among the indices other than i, then i itself. Every
 # ordered tuple of distinct picks comes from exactly one tuple of v's.
 
-# per pick, the count of indices it cannot take: the row, then each earlier pick
-_TRIPLET_TAKEN = np.array([[1], [2], [3]])
+# per pick, the count of indices it cannot take: the row, then each earlier
+# pick; floats, so the counts below are a float block (see uniform_index)
+_TRIPLET_TAKEN = np.array([[1.0], [2.0], [3.0]])
 
 
 def sample_distinct_triplets(pop_size: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

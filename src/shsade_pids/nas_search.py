@@ -287,7 +287,13 @@ def nas_evolve(
         # as at initialization; rows the budget cannot pay for stay as they are.
         x = random_encodings(sh.pop_size - 1)
         f, scored = scorer.score_rows(decode_indices(x, space))
-        replace_rows(state, 1 + np.flatnonzero(scored), x[scored], f[scored])
+        # row 0 stays: its candidate is itself, and never accepted
+        replace_rows(
+            state,
+            np.concatenate(([False], scored)),
+            np.concatenate((state.x[:1], x)),
+            np.concatenate((state.fitness[:1], f)),
+        )
 
     trace = scorer.search(state, ask, evaluate, tell, algorithm="shsade_pids", max_generations=sh.max_generations)
     return decode(state.best_x, space), trace

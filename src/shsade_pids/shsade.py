@@ -44,6 +44,9 @@ MAX_SAMPLE_RETRIES = 100
 # the largest generation cap: the sinusoidal schedules compute with it as a float
 MAX_GENERATIONS = int(sys.float_info.max)
 
+# the partner rows that make a trigonometric donor's points: x1, x2, x3, x1
+_TRIGONOMETRIC_LEGS = np.array([0, 1, 2, 0])
+
 
 # ---------------------------------------------------------------------------
 # state containers
@@ -207,7 +210,7 @@ class ShsadeState:
             best_fitness=math.inf,
             config=config,
         )
-        replace_rows(state, slice(None), x, fitness)
+        replace_rows(state, np.ones(len(fitness), dtype=bool), x, fitness)
         return state
 
     @property
@@ -254,7 +257,7 @@ def _resampled(memory: np.ndarray, rng, slots, sigma: float, upper_reject: bool)
     ``memory`` at ``slots``, resampled while non-positive (and above 1 when
     ``upper_reject``), then truncated to 1 from above; entries still rejected
     after ``MAX_SAMPLE_RETRIES`` rounds fall back to their loc."""
-    loc = memory[slots]
+    loc = memory.take(slots)
     values = loc + sigma * rng.standard_cauchy(slots.size)
     for retry in range(MAX_SAMPLE_RETRIES + 1):
         bad = values <= 0.0
@@ -264,7 +267,7 @@ def _resampled(memory: np.ndarray, rng, slots, sigma: float, upper_reject: bool)
         if not n_bad:
             break
         values[bad] = loc[bad] if retry == MAX_SAMPLE_RETRIES else loc[bad] + sigma * rng.standard_cauchy(n_bad)
-    return np.minimum(values, 1.0)
+    return np.minimum(values, 1.0, out=values)
 
 
 def sample_f_cauchy(memories: ParameterMemories, rng, slots: np.ndarray, sigma: float) -> np.ndarray:
@@ -300,7 +303,7 @@ def lehmer_mean(values) -> float:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("lehmer_mean needs at least one value")
-    if (values <= 0).any():
+    if np.count_nonzero(values <= 0):
         raise ValueError("lehmer_mean requires strictly positive values")
     # np.add.reduce: the bits of np.sum, without its Python-level wrapper
     return float(np.add.reduce(values * values) / np.add.reduce(values))
@@ -316,8 +319,8 @@ def trigonometric_donor(x1, x2, x3, f1: float, f2: float, f3: float) -> np.ndarr
     When all three |fitness| values are zero the weights are undefined and the
     donor degenerates to the plain centroid.
     """
-    points = np.array([[x1], [x2], [x3]], dtype=float)
-    return _trigonometric_donors(points, np.array([[f1], [f2], [f3]], dtype=float))[0]
+    points = np.array([[x1], [x2], [x3], [x1]], dtype=float)
+    return _trigonometric_donors(points, np.array([[f1], [f2], [f3], [f1]], dtype=float))[0]
 
 
 def _select_partners(
@@ -328,9 +331,9 @@ def _select_partners(
     p_best_fraction: float,
     u: np.ndarray,
 ) -> np.ndarray:
-    """Per row i: three partners, distinct from i and from each other, as a
-    ``(3, rows.size)`` array, from a ``(3, rows.size)`` block of uniforms,
-    one row of it per pick (see the skips in ``de_core``).
+    """Per row i of ``rows``: three partners, distinct from i and from each
+    other, as a ``(3, rows.size)`` array, from a ``(3, rows.size)`` block of
+    uniforms, one row of it per pick (see the skips in ``de_core``).
 
     On current-to-pbest rows (``pbest`` True) the first pick comes from the
     top ceil(p * NP) (at least 2, so an alternative to i always exists), the
@@ -345,53 +348,64 @@ def _select_partners(
     # fault in numpy's integer sort code, about 0.3 MB of resident memory
     place = np.empty(pop_size, dtype=np.intp)
     place[order] = np.arange(pop_size)
-    own = place[rows]
-    # per pick and row, the count of indices to choose from: column 0 of
-    # the table for trigonometric rows, column 1 for current-to-pbest ones,
-    # which skip i in the first pick only when i lies in the top k
+    # the first pick reads the first k places of the order on
+    # current-to-pbest rows and all places of the identity on trigonometric
+    # ones, skipping i's own place when it lies among them
+    own = np.where(pbest, place.take(rows), rows)
+    # per pick and row, the count of indices to choose from (the first
+    # pick's less i's own place, when among them): column 0 of the table
+    # for trigonometric rows, column 1 for current-to-pbest ones. Floats,
+    # so uniform_index multiplies without a cast
     counts = np.array(
-        (pop_size - 1, k, pop_size - 2, pop_size - 2, pop_size - 3, pop_size + archive_size - 3)
-    ).reshape(3, 2).take(pbest, axis=1)
-    counts[0] -= pbest & (own < k)
+        ((pop_size, k), (pop_size - 2, pop_size - 2), (pop_size - 3, pop_size + archive_size - 3)), dtype=float
+    ).take(pbest, axis=1)
+    counts[0] -= own < counts[0]
     v = uniform_index(u, counts)
-    v[0] += v[0] >= np.where(pbest, own, rows)
-    v[0] = np.where(pbest, order.take(v[0]), v[0])
-    p = v[0] - (v[0] > rows)  # the first pick's place among the indices other than i
-    v[2] += v[2] >= v[1]
-    v[1:] += v[1:] >= p
-    v[1:] += v[1:] >= rows
+    # one pick at a time: on single rows the skips cost less than on the
+    # (2, n) block
+    first, second, third = v
+    first += first >= own
+    np.copyto(first, order.take(first), where=pbest)
+    p = first - (first > rows)  # the first pick's place among the indices other than i
+    third += third >= second
+    second += second >= p
+    third += third >= p
+    second += second >= rows
+    third += third >= rows
     return v
 
 
-def _current_to_pbest_donors(own: np.ndarray, f: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Donors x_i + F_i (x_pbest - x_i) + F_i (x_r1 - x_r2) of the rows
-    ``own``, before boundary repair; ``points`` stacks x_pbest, x_r1, x_r2."""
-    step = f[:, None]
-    return own + step * (points[0] - own) + step * (points[1] - points[2])
+def _current_to_pbest_donors(points: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Donors x_i + F_i (x_pbest - x_i) + F_i (x_r1 - x_r2), before boundary
+    repair, from ``points``, x_pbest, x_r1, x_r2 and x_i stacked as four
+    ``(n, dimension)`` blocks; one subtract forms both differences."""
+    legs = points[:2] - points[:1:-1]
+    legs *= f[:, None]
+    donors = points[3] + legs[0]
+    donors += legs[1]
+    return donors
 
 
 def _trigonometric_donors(points: np.ndarray, fitness: np.ndarray) -> np.ndarray:
-    """Trigonometric donors from ``points``, three stacked ``(n, dimension)``
-    blocks, and ``fitness``, their ``(3, n)`` finite objective values."""
+    """Trigonometric donors from ``points``, x1, x2, x3 and x1 again stacked
+    as four ``(n, dimension)`` blocks, and ``fitness``, their ``(4, n)``
+    finite objective values:
+    (x1 + x2 + x3) / 3 + (w2 - w1) (x1 - x2) + (w3 - w2) (x2 - x3) + (w1 - w3) (x3 - x1),
+    summed left to right. The repeated x1 makes the three legs, and their
+    weight differences, one subtract each."""
     a = np.abs(fitness)
-    x1, x2, x3 = points
-    total = a[0] + a[1] + a[2]
+    total = a[0] + a[1]
+    total += a[2]
     # a zero total means three zero |fitness| values, and so zero weights
-    w1, w2, w3 = (a / np.where(total > 0, total, 1.0))[:, :, None]
-    # (x1 + x2 + x3) / 3 + (w2 - w1) (x1 - x2) + (w3 - w2) (x2 - x3) + (w1 - w3) (x3 - x1),
-    # in place: the same operations in the same order, without the temporaries
-    donors = x1 + x2
-    donors += x3
+    w = a / np.where(total > 0, total, 1.0)
+    legs = points[:3] - points[1:]
+    legs *= (w[1:] - w[:3])[:, :, None]
+    donors = points[0] + points[1]
+    donors += points[2]
     donors /= 3.0
-    leg = x1 - x2
-    leg *= w2 - w1
-    donors += leg
-    np.subtract(x2, x3, out=leg)
-    leg *= w3 - w2
-    donors += leg
-    np.subtract(x3, x1, out=leg)
-    leg *= w1 - w3
-    donors += leg
+    donors += legs[0]
+    donors += legs[1]
+    donors += legs[2]
     return donors
 
 
@@ -459,10 +473,10 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     its strategy, its one memory slot (read for CR and for F or the
     frequency, as in SHADE), its sinusoid coin and three partner uniforms
     (see the skips in ``de_core``), which pick the partners of both
-    strategies in one pass; one gather then reads their rows from the
-    population and the archive. Earlier versions made about 22 calls per
-    generation, redrew clashing partners and drew a slot per parameter, so
-    their runs differ from these from the same seed.
+    strategies in one pass; one gather per strategy then reads its rows'
+    points from the population and the archive. Earlier versions made
+    about 22 calls per generation, redrew clashing partners and drew a slot
+    per parameter, so their runs differ from these from the same seed.
     """
     cfg = state.config
     x = state.x
@@ -471,23 +485,25 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     gen = state.generation + 1
 
     u = rng.random((6, pop_size))
-    cdf = state.strategy.probabilities.cumsum()
-    cdf /= cdf[-1]
-    strategies = cdf.searchsorted(u[0], side="right")
+    # the strategy whose slot of the probabilities' normalised running sum
+    # (p0 / (p0 + p1), 1) holds u: TRIGONOMETRIC (1) from the first entry
+    # up, CURRENT_TO_PBEST (0) below it
+    p0, p1 = state.strategy.probabilities.tolist()
+    trigonometric = u[0] >= p0 / (p0 + p1)
+    strategies = trigonometric.astype(np.intp)
+    pbest = ~trigonometric
     slots = uniform_index(u[1], state.memories.mcr.size)
     cr = sample_cr(state.memories, rng, slots, cfg.sigma_cr)
 
-    pbest = strategies == CURRENT_TO_PBEST
-
     if cfg.use_sinusoidal and gen <= cfg.max_generations / 2:
-        decreasing = u[2] < 0.5
+        increasing = u[2] >= 0.5
         freq = sample_freq(state.memories, rng, slots, cfg.sigma_cauchy_f)
         f = np.where(
-            decreasing,
-            decreasing_sinusoidal_f(gen, cfg.max_generations, cfg.freq_init),
+            increasing,
             adaptive_sinusoidal_f(gen, cfg.max_generations, freq),
+            decreasing_sinusoidal_f(gen, cfg.max_generations, cfg.freq_init),
         )
-        adaptive = pbest & ~decreasing
+        adaptive = pbest & increasing
     else:
         f = sample_f_cauchy(state.memories, rng, slots, cfg.sigma_cauchy_f)
         freq = np.full(pop_size, np.nan)
@@ -497,22 +513,21 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     # draw their third partner beyond the population
     pool = np.concatenate((x, state.archive))
     picks = _select_partners(fitness, len(state.archive), np.arange(pop_size), pbest, cfg.p_best_fraction, u[3:])
-    # take() gathers the same rows as fancy indexing, without its overhead
-    points = pool.take(picks, axis=0)
     pbest_rows = pbest.nonzero()[0]
-    trig_rows = (~pbest).nonzero()[0]
+    trig_rows = trigonometric.nonzero()[0]
     donors = np.empty_like(x)
+    # one gather per strategy reads its rows' points; take() gathers the
+    # same rows as fancy indexing, without its overhead
     if pbest_rows.size:
-        donors[pbest_rows] = _current_to_pbest_donors(
-            x.take(pbest_rows, axis=0), f[pbest_rows], points.take(pbest_rows, axis=1)
-        )
+        # x_pbest, x_r1, x_r2, then the row itself
+        index = np.concatenate((picks.take(pbest_rows, axis=1), pbest_rows[None]))
+        donors[pbest_rows] = _current_to_pbest_donors(pool.take(index, axis=0), f.take(pbest_rows))
     if trig_rows.size:
         # no F is involved here. The donor recombines with the target like any
         # other: taken raw, trigonometric donors collapse the population onto
         # its centroid and stall the search
-        donors[trig_rows] = _trigonometric_donors(
-            points.take(trig_rows, axis=1), fitness[picks.take(trig_rows, axis=1)]
-        )
+        index = picks.take(trig_rows, axis=1).take(_TRIGONOMETRIC_LEGS, axis=0)
+        donors[trig_rows] = _trigonometric_donors(pool.take(index, axis=0), fitness.take(index))
 
     # the best row broadcasts against the donors
     targets = x if cfg.crossover_target == "self" else x[fitness.argmin()][None]
@@ -526,7 +541,10 @@ def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Gen
     rows down, so the archive keeps its list order.
 
     The deletions run on a list of row indices into the old archive followed
-    by ``parents``, and one gather builds the new ``(n, dimension)`` array.
+    by all of ``parents``: each deletion takes a place among the first
+    ``capacity + 1`` entries left, which are the rows that appending one
+    parent at a time would hold at that deletion, with the parents still to
+    come behind them. One gather builds the new ``(n, dimension)`` array.
     All of a generation's deletions are drawn in one ``rng.random`` call,
     each as ``floor(u * (capacity + 1))``: a batched call yields the same
     values as one call per deletion. The capacity is the config's
@@ -542,9 +560,8 @@ def _archive_parents(state: ShsadeState, parents: np.ndarray, rng: np.random.Gen
     if overflow <= 0:
         state.archive = combined
         return
-    kept = list(range(capacity))
-    for row, j in zip(range(capacity, len(combined)), uniform_index(rng.random(overflow), capacity + 1).tolist()):
-        kept.append(row)
+    kept = list(range(len(combined)))
+    for j in uniform_index(rng.random(overflow), capacity + 1).tolist():
         del kept[j]
     state.archive = combined.take(kept, axis=0)
 
@@ -563,44 +580,56 @@ def commit_generation(
     drop trials they could not afford to score.
 
     Non-finite trials: after initialisation, an evaluated trial whose
-    fitness is NaN or +inf never replaces its parent. ``NaN <= parent`` is
-    false, and so is ``inf <= parent`` for any parent that began finite,
-    since a parent is only ever replaced by a trial at or below it. Such a
-    trial enters neither the success sets nor the archive, and it counts as
-    a failed try for its strategy.
+    fitness is NaN, +inf or -inf never replaces its parent. ``NaN <=
+    parent`` is false, and so is ``inf <= parent`` for any parent that
+    began finite, since a parent is only ever replaced by a trial at or
+    below it; a -inf trial is read as NaN. Such a trial enters neither the
+    success sets nor the archive, and it counts as a failed try for its
+    strategy.
     """
     cfg = state.config
     tf = np.asarray(trial_fitness, dtype=float)
+    # fmin skips NaN, so one reduction finds a -inf trial anywhere
+    if np.fmin.reduce(tf) == -np.inf:
+        tf = np.where(tf == -np.inf, np.nan, tf)
     accepted = tf <= state.fitness
     improved = tf < state.fitness
-    tried = batch.strategies
+    pbest = batch.strategies == CURRENT_TO_PBEST
+    tried = tf.size
     if evaluated is not None:
         evaluated = np.asarray(evaluated, dtype=bool)
         accepted &= evaluated
         improved &= evaluated
-        tried = tried.compress(evaluated)
+        pbest &= evaluated
+        tried = np.count_nonzero(evaluated)
 
     # compress() picks the same entries as a boolean index, at less overhead
-    uses_f = improved & (batch.strategies == CURRENT_TO_PBEST)
+    uses_f = improved & pbest
     success = SuccessSets(
         scr=batch.cr.compress(uses_f), sf=batch.f.compress(uses_f), sfreq=batch.freq.compress(improved & batch.adaptive)
     )
     # the archive takes the parents before the trials replace them
     _archive_parents(state, state.x.compress(accepted, axis=0), rng)
-    replace_rows(state, accepted, batch.x.compress(accepted, axis=0), tf.compress(accepted))
+    replace_rows(state, accepted, batch.x, tf)
 
-    n_strategies = state.strategy.success_counts.size
-    won = np.bincount(batch.strategies.compress(improved), minlength=n_strategies)
-    state.strategy.success_counts += won
-    state.strategy.failure_counts += np.bincount(tried, minlength=n_strategies) - won
-    state.strategy.generations_in_window += 1
-    if cfg.use_trigonometric and state.strategy.generations_in_window >= cfg.learning_period:
-        update_strategy_probs(state.strategy, cfg.p_min, cfg.strategy_epsilon)
-        state.strategy.generations_in_window = 0
+    # the tallies from the masks: trigonometric rows are the tried rows
+    # that are not current-to-pbest ones
+    tally = state.strategy
+    won = np.count_nonzero(uses_f)
+    won_trig = np.count_nonzero(improved) - won
+    tried_pbest = np.count_nonzero(pbest)
+    tally.success_counts[CURRENT_TO_PBEST] += won
+    tally.success_counts[TRIGONOMETRIC] += won_trig
+    tally.failure_counts[CURRENT_TO_PBEST] += tried_pbest - won
+    tally.failure_counts[TRIGONOMETRIC] += tried - tried_pbest - won_trig
+    tally.generations_in_window += 1
+    if cfg.use_trigonometric and tally.generations_in_window >= cfg.learning_period:
+        update_strategy_probs(tally, cfg.p_min, cfg.strategy_epsilon)
+        tally.generations_in_window = 0
 
     update_memories(state.memories, success)
     state.generation += 1
-    state.evaluations += tried.size
+    state.evaluations += tried
     return state
 
 

@@ -10,7 +10,8 @@ becomes a ``Generator`` through ``np.random.default_rng``, and
 ``nas_evolve`` draws its initial population as one block of uniform value
 indices and one block of normal noise, and redraws all rows but the first
 the same way once every row decodes to one genotype. The SHSADE states start
-from an empty ``(0, dimension)`` archive array. ``regularized_ea_run`` is aging
+from an empty ``(0, dimension)`` archive array, and vanilla DE's selection
+keeps a -inf trial out, as NaN and +inf ones already were. ``regularized_ea_run`` is aging
 evolution written as a plain list loop over the block-drawn stream that
 ``baselines.regularized_ea_run`` consumes. Both searches score through
 ``ReferenceScorer``, the one-genotype memo keyed by choices that
@@ -158,7 +159,7 @@ def vanilla_de_run(config, spec, termination=None, rng=None):
         trials = binomial_crossover_matrix(x, donors, cr, rng)
         trials = repair_bounds_matrix(trials, spec.bounds, x)
         trial_fitness = spec.evaluate_many(trials)
-        accepted = trial_fitness <= fitness
+        accepted = (trial_fitness <= fitness) & (trial_fitness > -np.inf)
         x[accepted] = trials[accepted]
         fitness[accepted] = trial_fitness[accepted]
         evaluations += pop_size

@@ -10,7 +10,8 @@ is the v-th element of the list of indices still allowed, built as a list.
 Only current-to-pbest rows use their F and CR, and only those whose F
 follows the adaptive sinusoid their frequency. The commit side appends
 replaced parents to a list one at a time, each overflow deleting a row
-drawn with its own ``rng.random()``.
+drawn with its own ``rng.random()``; a trial whose fitness is NaN or -inf
+competes as +inf, so no non-finite trial replaces its parent.
 
 This is the reference that ``shsade.build_trials``,
 ``shsade.commit_generation``, the samplers and the ``de_core`` kernels must
@@ -205,7 +206,8 @@ def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
         evaluated = np.ones(pop_size, dtype=bool)
     else:
         evaluated = np.asarray(evaluated, dtype=bool)
-    safe_tf = np.where(evaluated, tf, np.inf)
+    # a trial that is not evaluated, or whose fitness is NaN or -inf, competes as +inf
+    safe_tf = np.where(evaluated & (tf > -np.inf), tf, np.inf)
     accepted = evaluated & (safe_tf <= fitness)
     improved = evaluated & (safe_tf < fitness)
 

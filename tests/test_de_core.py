@@ -154,18 +154,21 @@ def rows_state(fitness, best_fitness):
 class TestReplaceRows:
     def test_writes_the_rows(self):
         state = rows_state([5.0, 6.0, 7.0, 8.0], 5.0)
-        replace_rows(state, np.array([1, 3]), np.array([[10.0], [30.0]]), np.array([9.0, 5.5]))
+        accepted = np.array([False, True, False, True])
+        replace_rows(state, accepted, np.array([[-5.0], [10.0], [-7.0], [30.0]]), np.array([1.0, 9.0, 1.0, 5.5]))
         assert state.x[:, 0].tolist() == [0.0, 10.0, 2.0, 30.0]
         assert state.fitness.tolist() == [5.0, 9.0, 7.0, 5.5]
 
     def test_a_tie_with_the_best_leaves_it_unchanged(self):
         state = rows_state([5.0, 6.0, 7.0, 8.0], 4.0)
-        replace_rows(state, np.array([2, 3]), np.array([[20.0], [30.0]]), np.array([4.0, 4.0]))
+        accepted = np.array([False, False, True, True])
+        replace_rows(state, accepted, np.array([[0.0], [0.0], [20.0], [30.0]]), np.array([1.0, 1.0, 4.0, 4.0]))
         assert (state.best_fitness, state.best_x.tolist()) == (4.0, [-1.0])
 
     def test_a_strict_improvement_picks_the_first_row_of_the_new_minimum(self):
         state = rows_state([5.0, 6.0, 7.0, 8.0], 4.0)
-        replace_rows(state, np.array([1, 2, 3]), np.array([[10.0], [20.0], [30.0]]), np.array([3.0, 2.0, 2.0]))
+        accepted = np.array([False, True, True, True])
+        replace_rows(state, accepted, np.array([[0.0], [10.0], [20.0], [30.0]]), np.array([1.0, 3.0, 2.0, 2.0]))
         assert (state.best_fitness, state.best_x.tolist()) == (2.0, [20.0])
         # a copy: later writes to the row do not move the best
         state.x[2] = 99.0
@@ -173,7 +176,7 @@ class TestReplaceRows:
 
     def test_an_initial_state_takes_the_first_row_of_its_minimum(self):
         state = rows_state([3.0, 1.0, 1.0, 2.0], np.inf)
-        replace_rows(state, slice(None), state.x, state.fitness)
+        replace_rows(state, np.ones(4, dtype=bool), state.x, state.fitness)
         assert (state.best_fitness, state.best_x.tolist()) == (1.0, [1.0])
 
 
@@ -296,6 +299,29 @@ class TestGreedySelect:
         assert state.strategy.success_counts.tolist() == [1, 0]
         assert state.strategy.failure_counts.tolist() == [1, 2]
 
+    def test_a_minus_inf_trial_loses_like_a_nan_one(self):
+        # -inf passes both comparisons with the parent, so the commit reads
+        # it as NaN: the parent stays, and nothing enters the archive, the
+        # success sets or the best
+        config = shsade.ShsadeConfig(pop_size=4)
+        state = shsade.ShsadeState.initial(config, np.arange(4.0)[:, None], np.full(4, 2.0), Bounds.cube(-100, 100, 1))
+        batch = shsade.TrialBatch(
+            -1.0 - np.arange(4.0)[:, None],
+            strategies=np.array([0, 1, 0, 0]),
+            f=np.array([0.1, 0.2, 0.8, 0.4]),
+            cr=np.array([0.1, 0.2, 0.9, 0.4]),
+            freq=np.full(4, np.nan),
+            adaptive=np.zeros(4, dtype=bool),
+        )
+        shsade.commit_generation(state, batch, np.array([-np.inf, -np.inf, 1.0, 3.0]), np.random.default_rng(0))
+        assert state.x[:, 0].tolist() == [0.0, 1.0, -3.0, 3.0]
+        assert state.fitness.tolist() == [2.0, 2.0, 1.0, 2.0]
+        assert (state.best_fitness, state.best_x.tolist()) == (1.0, [-3.0])
+        assert [row.tolist() for row in state.archive] == [[2.0]]
+        assert (state.memories.mcr[0], state.memories.mf[0]) == (0.9, 0.8)
+        assert state.strategy.success_counts.tolist() == [1, 0]
+        assert state.strategy.failure_counts.tolist() == [2, 1]
+
     def test_never_increases_best_fitness(self):
         rng = np.random.default_rng(5)
         state = selection_state(rng.uniform(0, 10, size=20))
@@ -355,6 +381,22 @@ def test_crossover_and_repair_match_loop_reference(rows, dim, cr, seed):
     repaired = repair_bounds_matrix(new, bounds, targets)
     assert repaired.tobytes() == reference_generation.repair_bounds_matrix(ref, bounds, targets).tobytes()
     assert np.all((repaired >= -1) & (repaired <= 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounds=st.lists(st.integers(0, 2**53), min_size=1, max_size=20), seed=st.integers(0, 2**32 - 1))
+def test_uniform_index_clamps_the_product_like_the_truncated_index(bounds, seed):
+    # clamping the float product before truncating it gives the indices that
+    # truncating first gave, for integer bounds up to 2**53 (0, a
+    # single-value axis, gives -1 both ways), as scalars, as an integer
+    # block and as a float block
+    m = np.array(bounds)
+    u = np.random.default_rng(seed).random(m.size)
+    u[::3] = 1.0 - 2.0**-53
+    expected = np.minimum((u * m).astype(np.intp), m - 1).tolist()
+    assert uniform_index(u, m).tolist() == expected
+    assert uniform_index(u, m.astype(float)).tolist() == expected
+    assert [int(uniform_index(v, b)) for v, b in zip(u.tolist(), bounds)] == expected
 
 
 def test_uniform_index_keeps_the_largest_uniform_below_the_bound():

@@ -76,6 +76,35 @@ def test_continuous_runs_match_the_loop_reference(optimizer, pop_size, dim, max_
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+@pytest.mark.parametrize("optimizer", ["shsade", "vanilla_de"])
+def test_a_minus_inf_trial_never_replaces_its_parent(optimizer):
+    # minimizing -x0 drives the search to the edge x0 > 4.9, where the
+    # objective reads -inf; such trials lose like NaN and +inf ones, so the
+    # run finishes with a finite trace, and it matches the loop reference
+    minus_inf = []
+
+    def batch(xs):
+        values = -xs[:, 0]
+        edge = xs[:, 0] > 4.9
+        minus_inf.append(np.count_nonzero(edge))
+        return np.where(edge, -math.inf, values)
+
+    spec = ObjectiveSpec(3, Bounds.cube(-5, 5, 3), lambda x: float(batch(x[None])[0]), batch)
+    if optimizer == "shsade":
+        config = shsade.ShsadeConfig(pop_size=10, max_generations=60)
+        new, ref = shsade.run, reference_drivers.run
+    else:
+        config = baselines.VanillaDeConfig(pop_size=10, max_generations=60)
+        new, ref = baselines.vanilla_de_run, reference_drivers.vanilla_de_run
+    best_new, trace_new = new(config, spec, None, np.random.default_rng(0))
+    assert minus_inf[0] == 0 and sum(minus_inf) > 0  # a finite start, then -inf trials
+    best_ref, trace_ref = ref(config, spec, None, np.random.default_rng(0))
+    assert trace_new.rows[-1].generation == config.max_generations
+    assert _rows(trace_new) == _rows(trace_ref)
+    assert (best_new.x.tobytes(), best_new.fitness) == (best_ref.x.tobytes(), best_ref.fitness)
+    assert math.isfinite(best_new.fitness) and best_new.x[0] <= 4.9
+
+
 # a one-genotype space, where the run ends at generation 0; spaces of two
 # and four genotypes, which a start-up population may score whole
 ONE_GENOTYPE = DiscreteSpace((Axis("x0", ("only",)),))
@@ -93,7 +122,9 @@ def above(pop_size):
 @settings(max_examples=60, deadline=None)
 @given(
     case=st.integers(4, 10).flatmap(lambda pop: st.tuples(st.just(pop), above(pop))),
-    extra_budget=st.integers(0, 60),
+    # from 1: a budget equal to the population ends the run at generation 0,
+    # which the examples below cover
+    extra_budget=st.integers(1, 60),
     max_generations=st.integers(1, 30),
     sigma_trial_noise=st.sampled_from([0.0, 0.15]),
     use_trigonometric=st.booleans(),
@@ -202,7 +233,10 @@ def _assert_rea_matches_reference(space, predictor, config, seed):
     case=st.integers(1, 8).flatmap(
         lambda pop: st.tuples(st.just(pop), st.just(pop) | st.integers(1, pop), above(pop))
     ),
-    extra_budget=st.sampled_from([0, 1]) | st.integers(0, 40),
+    # from 1: a budget equal to the population ends the run at generation 0
+    # unless the start-up draws a repeat, which the first example and
+    # test_regularized_ea_run_with_budget_equal_to_the_population_... cover
+    extra_budget=st.just(1) | st.integers(1, 40),
     surrogate_seed=st.integers(0, 2**16),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -210,7 +244,7 @@ def _assert_rea_matches_reference(space, predictor, config, seed):
 @example(case=(4, 2, FOUR_GENOTYPES), extra_budget=6, surrogate_seed=1, seed=1)
 @example(case=(8, 8, TWO_GENOTYPES), extra_budget=1, surrogate_seed=2, seed=2)
 def test_regularized_ea_runs_match_the_loop_reference(case, extra_budget, surrogate_seed, seed):
-    # single-value axes, whole-population tournaments, budgets equal to the
+    # single-value axes, whole-population tournaments, budgets one above the
     # population size and spaces smaller than the budget
     pop_size, tournament_size, space = case  # the tournament fits in the population
     config = baselines.RegularizedEaConfig(pop_size, tournament_size, pop_size + extra_budget)

@@ -191,22 +191,22 @@ class TestCurrentToPbest:
     def test_donor_hand_value(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
         pool = np.vstack([x, [[0.0, 2.0]]])  # the archive row is pool index 3
-        picks = np.array([[1], [2], [3]])  # pbest, r1 and r2 of row 0
-        donor = _current_to_pbest_donors(x[[0]], np.array([0.5]), pool[picks])
+        picks = np.array([[1], [2], [3], [0]])  # pbest, r1 and r2 of row 0, then row 0
+        donor = _current_to_pbest_donors(pool[picks], np.array([0.5]))
         assert np.allclose(donor, [[1.5, -0.5]], atol=1e-15)
 
     def test_zero_step_returns_target(self):
         x = np.arange(8.0).reshape(4, 2)
         rows = np.arange(4)
         picks = _select_partners(np.arange(4.0), 0, rows, rows >= 0, 0.5, np.random.default_rng(0).random((3, 4)))
-        donors = _current_to_pbest_donors(x, np.zeros(4), x[picks])
+        donors = _current_to_pbest_donors(x[np.vstack((picks, rows))], np.zeros(4))
         assert np.array_equal(donors, x)
 
     def test_identical_population_returns_target(self):
         x = np.tile([1.5, -2.0], (5, 1))
         rows = np.arange(5)
         picks = _select_partners(np.full(5, 3.0), 0, rows, rows >= 0, 0.3, np.random.default_rng(1).random((3, 5)))
-        donors = _current_to_pbest_donors(x, np.full(5, 0.7), x[picks])
+        donors = _current_to_pbest_donors(x[np.vstack((picks, rows))], np.full(5, 0.7))
         assert np.allclose(donors, x, atol=1e-15)
 
     def test_archive_member_can_be_drawn(self):
@@ -215,7 +215,7 @@ class TestCurrentToPbest:
         rows = np.zeros(200, dtype=int)  # row 0, drawn for 200 times over
         fitness = np.array([1.0, 2.0, 3.0, 4.0])
         picks = _select_partners(fitness, 1, rows, rows == 0, 0.5, np.random.default_rng(2).random((3, 200)))
-        donors = _current_to_pbest_donors(x[rows], np.ones(200), pool[picks])
+        donors = _current_to_pbest_donors(pool[np.vstack((picks, rows))], np.ones(200))
         assert any(np.allclose(d, [-10.0, -10.0]) for d in donors)
 
 
@@ -239,7 +239,7 @@ class TestTrigonometric:
     def test_mutation_on_constant_population(self):
         x = np.tile([4.0, -1.0], (6, 1))
         rows = np.arange(6)
-        picks = np.array(sample_distinct_triplets(6, rows, np.random.default_rng(3).random((3, 6))))
+        picks = sample_distinct_triplets(6, rows, np.random.default_rng(3).random((3, 6)))[[0, 1, 2, 0]]
         donors = _trigonometric_donors(x[picks], (np.arange(6.0) + 1)[picks])
         assert np.allclose(donors, x, atol=1e-12)
 
@@ -247,7 +247,7 @@ class TestTrigonometric:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 2))
         f = np.full(5, 2.0)  # equal fitness: the donor is a plain centroid
-        picks = np.array(sample_distinct_triplets(5, np.array([0]), rng.random((3, 1))))
+        picks = sample_distinct_triplets(5, np.array([0]), rng.random((3, 1)))[[0, 1, 2, 0]]
         donor = _trigonometric_donors(x[picks], f[picks])[0]
         candidates = [
             (x[a] + x[b] + x[c]) / 3.0
@@ -679,6 +679,103 @@ def test_archive_rows_and_order_match_loop_reference_under_overflow(capacity):
         assert new.archive.shape == ref.archive.shape and len(new.archive) <= capacity
         assert [row.tobytes() for row in new.archive] == [row.tobytes() for row in ref.archive]
     assert overflows >= 0.9 * generations
+
+
+def _first_draws(rng, pop_size):
+    """The uniform block the next ``build_trials`` on ``rng`` draws first,
+    read from a copy of the generator."""
+    probe = np.random.Generator(np.random.PCG64())
+    probe.bit_generator.state = rng.bit_generator.state
+    return probe.random((6, pop_size))
+
+
+class TestEdgeShapesMatchLoopReference:
+    """The rewritten kernels against the loop reference on the shapes where
+    a row count, the archive or the dimension reaches an edge. Each case
+    runs both sides from one seed over both F phases, compares every batch,
+    state and generator state, and checks that its edge was reached."""
+
+    POP, GENERATIONS = 7, 8
+
+    def _run(self, seed, dim=3, batch=None, prepare=None, **config):
+        cfg = ShsadeConfig(pop_size=self.POP, max_generations=10, memory_size=3, learning_period=50, **config)
+        batch = batch or (lambda xs: np.sum(xs * xs, axis=1))
+        spec = ObjectiveSpec(dim, Bounds.cube(-3, 3, dim), lambda x: float(batch(x[None])[0]), batch)
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        new, ref = init_state(cfg, spec, rng_new), init_state(cfg, spec, rng_ref)
+        if prepare is not None:
+            prepare(new, rng_new)
+            prepare(ref, rng_ref)
+        seen = []
+        for _ in range(self.GENERATIONS):
+            archive = len(new.archive)
+            batch_new = build_trials(new, rng_new)
+            batch_ref = reference_generation.build_trials(ref, rng_ref)
+            assert _batch_snapshot(batch_new) == _batch_snapshot(batch_ref)
+            trial_fitness = spec.evaluate_many(batch_new.x)
+            accepted = trial_fitness <= new.fitness
+            commit_generation(new, batch_new, trial_fitness, rng_new)
+            reference_generation.commit_generation(ref, batch_ref, trial_fitness.copy(), rng_ref)
+            assert _state_snapshot(new) == _state_snapshot(ref)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+            seen.append((archive, batch_new.strategies.tolist(), accepted))
+        return new, seen
+
+    @staticmethod
+    def _strategies(probabilities):
+        def prepare(state, _rng):
+            state.strategy = StrategyState(np.array(probabilities), np.zeros(2, int), np.zeros(2, int))
+
+        return prepare
+
+    def test_one_trigonometric_row(self):
+        # the current-to-pbest probability sits between the two largest
+        # strategy uniforms of the first generation, so one row draws the
+        # trigonometric strategy
+        def prepare(state, rng):
+            high, top = np.sort(_first_draws(rng, self.POP)[0])[-2:]
+            p = (high + top) / 2
+            state.strategy = StrategyState(np.array([p, 1.0 - p]), np.zeros(2, int), np.zeros(2, int))
+
+        _, seen = self._run(0, prepare=prepare)
+        assert seen[0][1].count(TRIGONOMETRIC) == 1
+
+    def test_no_trigonometric_rows(self):
+        _, seen = self._run(1, prepare=self._strategies([1.0, 0.0]))
+        assert all(TRIGONOMETRIC not in strategies for _, strategies, _ in seen)
+
+    def test_no_current_to_pbest_rows(self):
+        _, seen = self._run(2, prepare=self._strategies([0.0, 1.0]))
+        assert all(strategies == [TRIGONOMETRIC] * self.POP for _, strategies, _ in seen)
+
+    def test_one_dimension(self):
+        state, _ = self._run(3, dim=1)
+        assert state.x.shape == (self.POP, 1)
+
+    def test_empty_archive(self):
+        # generation 1 starts from the empty archive and fills part of it
+        _, seen = self._run(4)
+        assert seen[0][0] == 0 and seen[0][2].any()
+
+    def test_full_archive(self):
+        # a full archive from the start: every accepted parent overflows it
+        def prepare(state, rng):
+            state.archive = rng.uniform(-3, 3, size=(self.POP, 3))
+
+        _, seen = self._run(5, prepare=prepare)
+        assert seen[0][0] == self.POP and seen[0][2].any()
+
+    def test_no_archive(self):
+        state, seen = self._run(6, archive_capacity=0)
+        assert len(state.archive) == 0 and any(accepted.any() for *_, accepted in seen)
+
+    def test_every_trial_ties_and_is_accepted(self):
+        state, seen = self._run(7, batch=lambda xs: np.zeros(len(xs)))
+        assert all(accepted.all() for *_, accepted in seen)
+        assert len(state.archive) == self.POP
+
+    def test_crossover_with_the_best(self):
+        self._run(8, crossover_target="best")
 
 
 @settings(max_examples=100, deadline=None)
