@@ -32,8 +32,10 @@ from .trace import SearchTrace
 # aging evolution stops after this many steps per budget unit even when
 # mutations keep landing on cached genotypes
 REA_STEPS_PER_BUDGET_UNIT = 40
-# aging-evolution steps whose uniforms are drawn in one call
-REA_DRAW_BLOCK = 64
+# aging-evolution steps whose uniforms are drawn in one call; a block's
+# numpy calls cost about 35 us, so a memo-hit step of under 1 us pays for
+# them only when they are spread over many steps
+REA_DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -175,11 +177,13 @@ def regularized_ea_run(
     evolutionary pipeline: memoized scores, one budget unit per distinct
     genotype. The population is a FIFO queue of constant size after warm-up.
 
-    Each step takes the fittest of a uniform tournament (ties to the
-    oldest), mutates it on one uniform axis to a uniform different value,
-    appends the child and drops the oldest member. Steps draw their
-    uniforms in blocks of ``REA_DRAW_BLOCK`` rows of ``population_size + 2``:
-    the tournament is the ``tournament_size`` smallest of a row's first
+    Each step takes the fittest of a uniform tournament, mutates it on one
+    uniform axis to a uniform different value, appends the child and drops
+    the oldest member. The winner is found by a loop over the tournament's
+    slots in age order in which only a strictly lower score replaces the
+    leader, so ties go to the oldest. Steps draw their uniforms in blocks
+    of ``REA_DRAW_BLOCK`` (256) rows of ``population_size + 2``, one row per
+    step: the tournament is the ``tournament_size`` smallest of a row's first
     ``population_size``, the axis ``floor(u * num_axes)`` and the offset
     ``floor(u * (size - 1))``. The run stops once the budget is spent, the
     whole space has been scored, or after ``REA_STEPS_PER_BUDGET_UNIT *
@@ -195,11 +199,14 @@ def regularized_ea_run(
     One ``drive`` generation covers one newly scored genotype: ``ask``
     returns the held child's row, ``score_rows`` scores it, and ``tell``
     commits it, runs the following steps whose child the memo knows (they
-    spend nothing), and holds the first child it does not know. A step is drawn only when
-    the run would take it, so the trace, the best genotype and the
-    generator's state are those of one generation per step, whose rows
-    ``drive`` collapses at unchanged evaluation counts. The state keeps the
-    best member, which the run returns; only a newly scored child can beat it.
+    spend nothing), and holds the first child it does not know. A block is
+    drawn only when the run reaches its first step, so the trace and the
+    best genotype are those of one generation per step, whose rows ``drive``
+    collapses at unchanged evaluation counts, whatever the block size. The
+    generator ends after the last block drawn: past the last step taken, it
+    has drawn the rows of up to ``REA_DRAW_BLOCK - 1`` steps the run did not
+    take. The state keeps the best member, which the run returns; only a
+    newly scored child can beat it.
     """
     rng = np.random.default_rng(rng)
     scorer = BudgetedScorer(space, predictor, biobjective, config.budget)
@@ -221,10 +228,18 @@ def regularized_ea_run(
         population, scores = state.population, state.fitness
         step = state.generation
         if finite and scorer.evaluations < scorer.budget:
-            score_of, lookup, join, record = scores.__getitem__, scorer.scores.get, population.append, scores.append
+            lookup, join, record = scorer.scores.get, population.append, scores.append
             # islice draws no step beyond the cap
             for picks, stride, offset, size in islice(draws, max_steps - step):
-                child = population[min(picks, key=score_of)]  # ties to the oldest
+                # the tournament's winner: picks are in age order and only a
+                # strictly lower score replaces the leader, so ties go to the
+                # oldest; inline, it makes no call per pick
+                winner = picks[0]
+                low = scores[winner]
+                for slot in picks:
+                    if scores[slot] < low:
+                        winner, low = slot, scores[slot]
+                child = population[winner]
                 if size > 1:  # mutate_one_axis's move, on the flat index
                     old = child // stride % size
                     child += (offset + (offset >= old) - old) * stride

@@ -202,7 +202,7 @@ def decode_indices(us, space: DiscreteSpace) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     if us.ndim != 2 or us.shape[1] != len(space.sizes):
         raise ValueError("row length does not match the space")
-    if np.isnan(us).any():
+    if np.count_nonzero(np.isnan(us)):
         raise ValueError("cannot decode a NaN coordinate")
     return np.floor(us.clip(0.0, 1.0) * space._tops + 0.5).astype(np.intp)
 

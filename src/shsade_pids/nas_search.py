@@ -144,8 +144,9 @@ class BudgetedScorer:
     writes the memo or checks the budget; ``try_score`` is a one-row call
     into it. A batch whose rows all hit the memo costs one lookup per row
     and no predictor call; otherwise the first row of each new genotype, as
-    many as the budget pays for, goes to one ``predict_many`` call, and the
-    scorer never calls the predictor's one-genotype methods. A negative
+    many as the budget pays for, goes to one ``predict_many`` call (the
+    batch itself, when all its rows are new, distinct and paid for), and
+    the scorer never calls the predictor's one-genotype methods. A negative
     ``budget`` raises ``ValueError``. Aging evolution keeps its population
     as flat indices, scores each new child as a one-row batch, and its
     memo-hit steps read ``scores`` directly, since a hit spends nothing.
@@ -175,11 +176,13 @@ class BudgetedScorer:
 
     def score_rows(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """Score rows of value indices into the space in row order, in one
-        pass: a memo lookup, one ``predict_many`` call on the first row of
-        each new genotype while budget is left, one memo update and a second
-        lookup. Repeated genotypes never consume budget. Returns the scores
-        and a mask of the rows scored; a row left unscored for want of
-        budget reads +inf. ``indices`` must be a ``(rows, num_axes)`` integer
+        pass. A memo lookup answers the rows the memo knows. A batch whose
+        rows are all new, distinct and paid for goes to ``predict_many`` as
+        it is; otherwise one ``predict_many`` call scores the first row of
+        each new genotype while budget is left, and after the memo update
+        only the rows that missed are looked up again. Repeated genotypes
+        never consume budget. Returns the scores and a mask of the rows
+        scored; a row left unscored for want of budget reads +inf. ``indices`` must be a ``(rows, num_axes)`` integer
         array of indices into each axis's values; anything else raises
         ``ValueError`` before any lookup, charge or memo write."""
         indices = np.asarray(indices)
@@ -194,9 +197,19 @@ class BudgetedScorer:
         memo = self.scores
         found = list(map(memo.get, keys))  # None: not in the memo
         if None in found:
+            n = len(keys)
+            if found.count(None) == n <= self.budget - self.evaluations and len(set(keys)) == n:
+                # every row is new, distinct and paid for: score the batch as it is
+                accuracy, cost = _predict_rows(self.predictor, indices)
+                values = score_many(accuracy, cost, self.biobjective)
+                memo.update(zip(keys, values.tolist()))
+                self.evaluations += n
+                return values, np.ones(n, dtype=bool)
+            missed = []  # rows the memo did not know
             fresh: dict[int, int] = {}  # genotype new to the memo -> its first row
             for k, value in enumerate(found):
                 if value is None:
+                    missed.append(k)
                     fresh.setdefault(keys[k], k)
             rows = list(fresh.values())[: self.budget - self.evaluations]
             if rows:
@@ -204,7 +217,9 @@ class BudgetedScorer:
                 scores = score_many(accuracy, cost, self.biobjective).tolist()
                 memo.update(zip(fresh, scores))  # zip stops at the last row paid for
                 self.evaluations += len(rows)
-            found = list(map(memo.get, keys))
+            lookup = memo.get
+            for k in missed:  # the other rows were found the first time
+                found[k] = lookup(keys[k])
             if None in found:  # rows the budget could not pay for
                 values = np.array([math.inf if value is None else value for value in found])
                 return values, np.array([value is not None for value in found])
@@ -279,7 +294,7 @@ def nas_evolve(
         if state.fitness.min() < state.fitness.max():
             return
         indices = decode_indices(state.x, space)
-        if (indices != indices[0]).any():
+        if np.count_nonzero(indices != indices[0]):
             return
         # every row decodes to one genotype: donor differences are zero, so
         # only trial noise could still move the search, and it rarely leaves

@@ -6,9 +6,11 @@ so rerunning ``test_trajectories.py`` in a subprocess with every dispatched
 feature off checks that the baseline kernels give the same bits as the ones
 this CPU would pick. The rerun also takes the surrogate's reduce-order canary
 and its bit-identity tests against the loop reference, so the order of its
-sums is pinned at the baseline kernels too, and the SHSADE generation step's
+sums is pinned at the baseline kernels too, the SHSADE generation step's
 edge shapes against its loop reference (one or no row of a strategy, D=1,
-an empty, full or absent archive, all ties, crossover with the best).
+an empty, full or absent archive, all ties, crossover with the best), and
+aging evolution's runs at draw blocks of 1 to 256 steps, whose tournaments
+come from numpy's ``argpartition`` and ``sort``.
 """
 
 import os
@@ -40,6 +42,7 @@ def test_trajectories_hold_at_the_baseline_dispatch():
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_trajectories.py",
          "tests/test_shsade.py::TestEdgeShapesMatchLoopReference",
+         "tests/test_baselines.py::TestDrawBlock",
          "tests/test_objectives.py::TestReductionOrderCanary",
          "tests/test_objectives.py::TestSurrogateKernelsBitIdentical"],
         cwd=ROOT, env=env, capture_output=True, text=True,

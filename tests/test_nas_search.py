@@ -279,6 +279,41 @@ class TestScoreRows:
             for choices, value in reference.scores.items()
         ]
 
+    # batches whose rows are all new to the memo: (one level per row, where
+    # row k holds min(level, size - 1) on every axis; budget; whether the
+    # batch goes to predict_many as it is, which it does only when its rows
+    # are distinct and the budget pays for all of them)
+    ALL_NEW = {
+        "one_row": ([2], 10, True),
+        "distinct": ([1, 0, 3, 2], 10, True),
+        "exactly_paid_for": ([1, 0, 3], 3, True),
+        "with_a_repeat": ([1, 0, 1, 2], 10, False),
+        "partly_paid_for": ([1, 0, 3, 2], 2, False),
+    }
+
+    @pytest.mark.parametrize("space", [grid_space(3), pids_space(12)], ids=["small", "past_int64"])
+    @pytest.mark.parametrize("name", sorted(ALL_NEW))
+    def test_an_all_new_batch_matches_one_row_at_a_time(self, name, space):
+        levels, budget, whole = self.ALL_NEW[name]
+        batch = np.minimum(np.array(levels)[:, None], np.array(space.sizes) - 1)
+        rows = batch.tolist()
+        surrogate = TabularSurrogate(space, seed=3)
+        batched, one_by_one = SurrogateLog(surrogate), SurrogateLog(surrogate)
+        scorer, reference = self.scorer(space, batched, budget), self.scorer(space, one_by_one, budget)
+        received = []
+        predict_many = batched.predict_many
+        batched.predict_many = lambda indices: received.append(indices) or predict_many(indices)
+        values, scored = scorer.score_rows(batch)
+        expected = [reference.score_rows(row[None]) for row in batch]
+        assert values.tolist() == [value.item() for value, _ in expected]
+        assert scored.tolist() == [ok.item() for _, ok in expected]
+        assert values.dtype == float and scored.dtype == bool
+        assert scorer.evaluations == reference.evaluations == min(budget, len({tuple(r) for r in rows}))
+        assert list(scorer.scores.items()) == list(reference.scores.items())
+        # one predictor call on the rows the one-row scorer paid for, in order
+        assert len(batched.batches) == 1 and batched.rows == one_by_one.rows
+        assert np.shares_memory(received[0], batch) == whole
+
     # rows a predictor that does not validate would score: each must raise
     # before any lookup, charge or memo write
     BAD_ROWS = {
