@@ -210,8 +210,7 @@ def regularized_ea_run(
     """
     rng = np.random.default_rng(rng)
     scorer = BudgetedScorer(space, predictor, biobjective, config.budget)
-    # the draws of random_genotype, one genotype after another
-    rows = np.array([[int(rng.integers(size)) for size in space.sizes] for _ in range(config.population_size)])
+    rows = rng.integers(space.sizes, size=(config.population_size, space.num_axes))
     values, _ = scorer.score_rows(rows)  # budget >= population_size
     population = (rows @ space.strides).tolist()
     best = int(values.argmin())

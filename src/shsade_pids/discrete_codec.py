@@ -140,8 +140,7 @@ class DiscreteSpace:
         return list(zip(*(values[col] for values, col in zip(self._value_arrays, columns))))
 
     def random_genotype(self, rng) -> Genotype:
-        rng = np.random.default_rng(rng)
-        return Genotype(tuple(a.values[int(rng.integers(a.size))] for a in self.axes))
+        return self.genotype_from_indices(np.random.default_rng(rng).integers(self.sizes))
 
     def iter_genotypes(self) -> Iterator[Genotype]:
         for combo in itertools.product(*(a.values for a in self.axes)):

@@ -73,9 +73,6 @@ class BenchmarkFunction:
         batch = _BENCHMARKS[self.name][0]
         return float(batch(np.asarray(x, dtype=float)[None, :])[0])
 
-    def evaluate_many(self, xs) -> np.ndarray:
-        return _BENCHMARKS[self.name][0](np.asarray(xs, dtype=float))
-
     def to_objective_spec(self) -> ObjectiveSpec:
         return ObjectiveSpec(
             dimension=self.dimension,

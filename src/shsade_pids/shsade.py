@@ -474,9 +474,7 @@ def build_trials(state: ShsadeState, rng: np.random.Generator) -> TrialBatch:
     frequency, as in SHADE), its sinusoid coin and three partner uniforms
     (see the skips in ``de_core``), which pick the partners of both
     strategies in one pass; one gather per strategy then reads its rows'
-    points from the population and the archive. Earlier versions made
-    about 22 calls per generation, redrew clashing partners and drew a slot
-    per parameter, so their runs differ from these from the same seed.
+    points from the population and the archive.
     """
     cfg = state.config
     x = state.x

@@ -18,6 +18,7 @@ from shsade_pids.shsade import Termination
 from shsade_pids.trace import COLUMNS, SearchTrace
 
 import reference_drivers
+from counting_rng import CountingGenerator
 from package_calls import package_calls
 from predictors import constant
 
@@ -316,3 +317,16 @@ def test_package_calls_per_memo_hit_step_stay_bounded():
         assert hits > 10 * cfg.budget
         calls = sum(counts) - (len(counts) - 1)  # less one run_hits call per entry
         assert calls / hits <= MAX_PACKAGE_CALLS_PER_MEMO_HIT_STEP, (seed, calls, hits, counts.worst(1))
+
+
+def test_regularized_ea_run_makes_one_integers_call():
+    # the initial population is one (population_size, num_axes) block, and
+    # the steps draw uniforms only
+    space, surrogate, bio = surrogate_setup()  # the criteria 3/4 space
+    cfg = RegularizedEaConfig(population_size=25, tournament_size=5, budget=500)
+    rng = CountingGenerator(0)
+    best, trace = regularized_ea_run(space, surrogate, cfg, bio, rng)
+    assert rng.integers_calls == 1
+    expected_best, expected_trace = regularized_ea_run(space, surrogate, cfg, bio, np.random.default_rng(0))
+    assert best == expected_best
+    assert [r.as_tuple() for r in trace.rows] == [r.as_tuple() for r in expected_trace.rows]

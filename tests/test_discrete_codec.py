@@ -17,12 +17,14 @@ from shsade_pids.discrete_codec import (
     genotype_to_dict,
     perturb,
 )
+from shsade_pids.nas_search import pids_space
 
 
 def grid_space(num_axes=5, values=(0, 1, 2, 3)):
     return DiscreteSpace(tuple(Axis(f"a{i}", values) for i in range(num_axes)))
 
 
+from counting_rng import CountingGenerator
 from space_strategies import index_rows, spaces
 
 
@@ -162,6 +164,45 @@ class TestFlatIndex:
         assert (np.array(rows) @ space.strides).tolist() == flat
         assert space.unravel(flat).tolist() == rows
         assert space.unravel(flat[0]).tolist() == rows[:1]
+
+
+def loop_random_genotype(space, rng):
+    """A uniform genotype drawn one ``rng.integers(axis.size)`` call per
+    axis, in axis order."""
+    return Genotype(tuple(a.values[int(rng.integers(a.size))] for a in space.axes))
+
+
+class TestRandomGenotype:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space=spaces() | st.just(pids_space(12)),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_axis_loop(self, space, n, seed):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(n):
+            assert space.random_genotype(rng) == loop_random_genotype(space, reference)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space=spaces() | st.just(pids_space(12)),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_block_matches_n_per_axis_loops(self, space, n, seed):
+        # aging evolution draws its initial population as such a block
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = rng.integers(space.sizes, size=(n, space.num_axes))
+        expected = [loop_random_genotype(space, reference) for _ in range(n)]
+        assert [space.genotype_from_indices(row) for row in block] == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_makes_one_integers_call(self):
+        rng = CountingGenerator(0)
+        pids_space(7).random_genotype(rng)
+        assert rng.integers_calls == 1
 
 
 class TestDecodeIndices:

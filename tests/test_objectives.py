@@ -112,7 +112,7 @@ class TestBenchmarks:
         for name in BENCHMARK_NAMES:
             bench = make_benchmark(name, 4)
             xs = rng.uniform(bench.bounds.lower, bench.bounds.upper, size=(50, 4))
-            batch = bench.evaluate_many(xs)
+            batch = bench.to_objective_spec().evaluate_many(xs)
             scalar = np.array([bench.evaluate(row) for row in xs])
             assert np.allclose(batch, scalar, rtol=0, atol=0)
 
