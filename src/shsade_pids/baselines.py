@@ -92,7 +92,7 @@ def vanilla_de_run(
         trials = binomial_crossover_matrix(state.x, donors, cr, rng)
         return repair_bounds_matrix(trials, spec.bounds, state.x)
 
-    def tell(trials, trial_fitness, _evaluated):
+    def tell(trials, trial_fitness):
         # greedy selection; ties accept the trial. A NaN or +inf trial fails
         # the test, and a -inf one is kept out; fmin skips NaN, so one
         # reduction finds it anywhere
@@ -106,7 +106,7 @@ def vanilla_de_run(
     trace = drive(
         state,
         ask,
-        evaluate=lambda trials: (spec.evaluate_many(trials), None),
+        evaluate=spec.evaluate_many,
         tell=tell,
         algorithm="vanilla_de",
         max_generations=config.max_generations,
@@ -252,8 +252,8 @@ def regularized_ea_run(
                 step += 1
         state.generation = step
 
-    def tell(_row, values, _scored):
-        child, value = state.held, values.item()
+    def tell(_row, scored):
+        child, value = state.held, scored[0].item()
         del state.population[0], state.fitness[0]  # oldest dies
         state.population.append(child)
         state.fitness.append(value)

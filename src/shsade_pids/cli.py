@@ -146,6 +146,8 @@ def validate_config(raw: dict, base_dir: Path) -> dict:
             bench = objectives.make_benchmark(str(objective["name"]), dimension)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
+        except MemoryError as exc:  # numpy's allocation error is a MemoryError
+            raise ConfigError(f"objective.dimension {dimension} is too large: {exc}") from None
         normalized["benchmark"] = bench
     else:
         space_ref = raw.get("space")

@@ -182,8 +182,10 @@ class BudgetedScorer:
         each new genotype while budget is left, and after the memo update
         only the rows that missed are looked up again. Repeated genotypes
         never consume budget. Returns the scores and a mask of the rows
-        scored; a row left unscored for want of budget reads +inf. ``indices`` must be a ``(rows, num_axes)`` integer
-        array of indices into each axis's values; anything else raises
+        scored; a row left unscored for want of budget reads +inf, and a
+        search's commit treats it as a failed trial, so its parent
+        survives. ``indices`` must be a ``(rows, num_axes)`` integer array
+        of indices into each axis's values; anything else raises
         ``ValueError`` before any lookup, charge or memo write."""
         indices = np.asarray(indices)
         if indices.ndim != 2 or indices.shape[1] != len(self._sizes):
@@ -256,9 +258,10 @@ def nas_evolve(
     indices), encoded with Gaussian exploration noise (one normal block).
     Each generation mutates every individual, recombines donors with the
     current best encoding, decodes the trials and scores them under the
-    architecture budget; trials that would exceed the budget are dropped
-    and their parents survive. When every row of the population decodes to
-    one genotype, all rows but the first are redrawn as at initialization.
+    architecture budget; trials the budget cannot pay for read +inf and
+    fail, so their parents survive. When every row of the population
+    decodes to one genotype, all rows but the first are redrawn as at
+    initialization.
     The run stops once the budget is spent, the whole space has been
     scored, or the generation cap is reached, and returns the best genotype
     ever scored (the state's ``best_x``, decoded) and the trace.
@@ -284,12 +287,12 @@ def nas_evolve(
         return batch
 
     def evaluate(batch):
-        # rows left unscored once the budget is spent are not evaluated, so
-        # their parents survive unchallenged
-        return scorer.score_rows(decode_indices(batch.x, space))
+        # rows left unscored once the budget is spent read +inf, so their
+        # parents survive, and no generation follows
+        return scorer.score_rows(decode_indices(batch.x, space))[0]
 
-    def tell(batch, fitness, evaluated):
-        commit_generation(state, batch, fitness, rng, evaluated)
+    def tell(batch, fitness):
+        commit_generation(state, batch, fitness, rng)
         # equal scores are cheap to test and necessary for a collapse
         if state.fitness.min() < state.fitness.max():
             return

@@ -569,21 +569,17 @@ def commit_generation(
     batch: TrialBatch,
     trial_fitness: np.ndarray,
     rng: np.random.Generator,
-    evaluated: np.ndarray | None = None,
 ) -> ShsadeState:
     """Apply greedy selection and all end-of-generation bookkeeping.
 
-    Rows with ``evaluated`` False are skipped entirely (parent survives, no
-    strategy tally, no archive entry); this is how budget-limited drivers
-    drop trials they could not afford to score.
-
-    Non-finite trials: after initialisation, an evaluated trial whose
-    fitness is NaN, +inf or -inf never replaces its parent. ``NaN <=
-    parent`` is false, and so is ``inf <= parent`` for any parent that
-    began finite, since a parent is only ever replaced by a trial at or
-    below it; a -inf trial is read as NaN. Such a trial enters neither the
-    success sets nor the archive, and it counts as a failed try for its
-    strategy.
+    Non-finite trials: after initialisation, a trial whose fitness is NaN,
+    +inf or -inf never replaces its parent. ``NaN <= parent`` is false, and
+    so is ``inf <= parent`` for any parent that began finite, since a
+    parent is only ever replaced by a trial at or below it; a -inf trial is
+    read as NaN. Such a trial enters neither the success sets nor the
+    archive, and it counts as a failed try for its strategy. A budgeted
+    search's rows the budget cannot pay for read +inf, so they fail the
+    same way.
     """
     cfg = state.config
     tf = np.asarray(trial_fitness, dtype=float)
@@ -593,13 +589,6 @@ def commit_generation(
     accepted = tf <= state.fitness
     improved = tf < state.fitness
     pbest = batch.strategies == CURRENT_TO_PBEST
-    tried = tf.size
-    if evaluated is not None:
-        evaluated = np.asarray(evaluated, dtype=bool)
-        accepted &= evaluated
-        improved &= evaluated
-        pbest &= evaluated
-        tried = np.count_nonzero(evaluated)
 
     # compress() picks the same entries as a boolean index, at less overhead
     uses_f = improved & pbest
@@ -619,7 +608,7 @@ def commit_generation(
     tally.success_counts[CURRENT_TO_PBEST] += won
     tally.success_counts[TRIGONOMETRIC] += won_trig
     tally.failure_counts[CURRENT_TO_PBEST] += tried_pbest - won
-    tally.failure_counts[TRIGONOMETRIC] += tried - tried_pbest - won_trig
+    tally.failure_counts[TRIGONOMETRIC] += tf.size - tried_pbest - won_trig
     tally.generations_in_window += 1
     if cfg.use_trigonometric and tally.generations_in_window >= cfg.learning_period:
         update_strategy_probs(tally, cfg.p_min, cfg.strategy_epsilon)
@@ -627,7 +616,7 @@ def commit_generation(
 
     update_memories(state.memories, success)
     state.generation += 1
-    state.evaluations += tried
+    state.evaluations += tf.size
     return state
 
 
@@ -646,8 +635,8 @@ def shsade_generation(state: ShsadeState, spec: ObjectiveSpec, rng) -> ShsadeSta
 def drive(
     state,
     ask: Callable[[], object],
-    evaluate: Callable[[object], tuple[np.ndarray, np.ndarray | None]],
-    tell: Callable[[object, np.ndarray, np.ndarray | None], object],
+    evaluate: Callable[[object], np.ndarray],
+    tell: Callable[[object, np.ndarray], object],
     algorithm: str,
     max_generations: int,
     termination: Termination | None = None,
@@ -658,8 +647,8 @@ def drive(
 
     A generation asks for trials, evaluates them and tells the optimizer the
     results: ``ask()`` builds trials from ``state``, ``evaluate(trials)``
-    returns their fitness and a mask of the rows evaluated (None: every row),
-    and ``tell(trials, fitness, evaluated)`` commits them to ``state``.
+    returns their fitness, and ``tell(trials, fitness)`` commits them to
+    ``state``.
 
     The trace has a row for generation 0 and one after each generation, read
     from ``state.generation``, ``state.best_fitness``, the mean of
@@ -686,7 +675,7 @@ def drive(
         if term.max_evaluations is not None and evaluations + room > term.max_evaluations:
             break
         trials = ask()
-        tell(trials, *evaluate(trials))
+        tell(trials, evaluate(trials))
     return trace
 
 
@@ -706,8 +695,8 @@ def run(
     trace = drive(
         state,
         ask=lambda: build_trials(state, rng),
-        evaluate=lambda batch: (spec.evaluate_many(batch.x), None),
-        tell=lambda batch, fitness, evaluated: commit_generation(state, batch, fitness, rng, evaluated),
+        evaluate=lambda batch: spec.evaluate_many(batch.x),
+        tell=lambda batch, fitness: commit_generation(state, batch, fitness, rng),
         algorithm="shsade",
         max_generations=config.max_generations,
         termination=termination,

@@ -11,8 +11,11 @@ becomes a ``Generator`` through ``np.random.default_rng``, and
 indices and one block of normal noise, and redraws all rows but the first
 the same way once every row decodes to one genotype. The SHSADE states start
 from an empty ``(0, dimension)`` archive array, and vanilla DE's selection
-keeps a -inf trial out, as NaN and +inf ones already were. ``regularized_ea_run`` is aging
-evolution written as a plain list loop over the block-drawn stream that
+keeps a -inf trial out, as NaN and +inf ones already were. ``nas_evolve``
+commits the rows the budget could not pay for as +inf trials, which fail
+like any other, instead of masking them out of the commit; no generation
+follows such a commit. ``regularized_ea_run`` is aging evolution written
+as a plain list loop over the block-drawn stream that
 ``baselines.regularized_ea_run`` consumes. Both searches score through
 ``ReferenceScorer``, the one-genotype memo keyed by choices that
 ``nas_search.BudgetedScorer.try_score`` was before the scorer's batch path
@@ -227,10 +230,10 @@ def nas_evolve(space, predictor, config, rng=None):
             batch.x = np.clip(
                 batch.x + rng.normal(0.0, config.sigma_trial_noise, size=batch.x.shape), 0.0, 1.0
             )
-        # rows left unscored once the budget is spent keep +inf and are not
-        # evaluated, so their parents survive unchallenged
-        trial_fitness, evaluated = scorer.score_rows(space, decode_indices(batch.x, space))
-        commit_generation(state, batch, trial_fitness, rng, evaluated)
+        # rows left unscored once the budget is spent keep +inf, so their
+        # parents survive
+        trial_fitness, _ = scorer.score_rows(space, decode_indices(batch.x, space))
+        commit_generation(state, batch, trial_fitness, rng)
         genotypes = {tuple(row) for row in decode_indices(state.x, space).tolist()}
         if len(genotypes) == 1:
             x = random_rows(sh.pop_size - 1)

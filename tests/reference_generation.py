@@ -11,7 +11,9 @@ Only current-to-pbest rows use their F and CR, and only those whose F
 follows the adaptive sinusoid their frequency. The commit side appends
 replaced parents to a list one at a time, each overflow deleting a row
 drawn with its own ``rng.random()``; a trial whose fitness is NaN or -inf
-competes as +inf, so no non-finite trial replaces its parent.
+competes as +inf, so no non-finite trial replaces its parent. Every row is
+a tried row: a budgeted search's unscored rows arrive as +inf trials, and
+the commit takes no mask of rows to skip.
 
 This is the reference that ``shsade.build_trials``,
 ``shsade.commit_generation``, the samplers and the ``de_core`` kernels must
@@ -196,20 +198,16 @@ def build_trials(state, rng):
     return TrialBatch(x=trials, strategies=strategies, f=f, cr=cr, freq=freq, adaptive=adaptive)
 
 
-def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
+def commit_generation(state, batch, trial_fitness, rng):
     cfg = state.config
     x = state.x
     fitness = state.fitness
     pop_size = fitness.size
     tf = np.asarray(trial_fitness, dtype=float)
-    if evaluated is None:
-        evaluated = np.ones(pop_size, dtype=bool)
-    else:
-        evaluated = np.asarray(evaluated, dtype=bool)
-    # a trial that is not evaluated, or whose fitness is NaN or -inf, competes as +inf
-    safe_tf = np.where(evaluated & (tf > -np.inf), tf, np.inf)
-    accepted = evaluated & (safe_tf <= fitness)
-    improved = evaluated & (safe_tf < fitness)
+    # a trial whose fitness is NaN or -inf competes as +inf
+    safe_tf = np.where(tf > -np.inf, tf, np.inf)
+    accepted = safe_tf <= fitness
+    improved = safe_tf < fitness
 
     success = SuccessSets()
     for i in np.flatnonzero(improved):
@@ -234,7 +232,7 @@ def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
     fitness[accepted] = safe_tf[accepted]
 
     for s in (CURRENT_TO_PBEST, TRIGONOMETRIC):
-        attempted = evaluated & (batch.strategies == s)
+        attempted = batch.strategies == s
         state.strategy.success_counts[s] += int(np.count_nonzero(attempted & improved))
         state.strategy.failure_counts[s] += int(np.count_nonzero(attempted & ~improved))
     state.strategy.generations_in_window += 1
@@ -249,5 +247,5 @@ def commit_generation(state, batch, trial_fitness, rng, evaluated=None):
         state.best_fitness = float(fitness[best_idx])
         state.best_x = x[best_idx].copy()
     state.generation += 1
-    state.evaluations += int(np.count_nonzero(evaluated))
+    state.evaluations += pop_size
     return state

@@ -764,6 +764,17 @@ class TestRunValidation:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nas.json"]
 
+    def test_a_dimension_too_large_to_allocate_exits_1_without_files(self, tmp_path, monkeypatch, capsys):
+        # 10**15 doubles are 8 PB, past any address space, so the allocation
+        # fails at once; a size that could be allocated lazily is not tried
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
+        cfg = write_config(tmp_path / "config.json", objective={"name": "sphere", "dimension": 10**15})
+        assert cli.main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: objective.dimension 1000000000000000 is too large")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_missing_space_file_exits_1(self, tmp_path):
         doc = nas_config()
         doc["space"] = "nowhere/space.json"

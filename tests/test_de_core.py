@@ -242,7 +242,7 @@ def selection_state(fitness):
     return shsade.ShsadeState.initial(config, x, fitness, Bounds.cube(-100, 100, 1))
 
 
-def select(state, trial_fitness, evaluated=None):
+def select(state, trial_fitness):
     """Commit trials at x = -1 - i with the given fitness; returns which rows
     took their trial."""
     n = state.fitness.size
@@ -250,7 +250,7 @@ def select(state, trial_fitness, evaluated=None):
     half, unused = np.full(n, 0.5), np.full(n, np.nan)
     batch = shsade.TrialBatch(trials, np.zeros(n, dtype=int), f=half, cr=half, freq=unused, adaptive=np.zeros(n, bool))
     trial_fitness = np.array(trial_fitness, dtype=float)
-    shsade.commit_generation(state, batch, trial_fitness, np.random.default_rng(0), evaluated)
+    shsade.commit_generation(state, batch, trial_fitness, np.random.default_rng(0))
     return state.x[:, 0] < 0
 
 
@@ -270,13 +270,6 @@ class TestGreedySelect:
         state = selection_state([2.0, 2.0, 2.0, 2.0])
         assert not select(state, [3.0, 3.0, 3.0, 3.0]).any()
         assert state.fitness.tolist() == [2.0, 2.0, 2.0, 2.0]
-
-    def test_rejects_unevaluated(self):
-        # a row not evaluated keeps its parent, whatever its trial fitness reads
-        state = selection_state([2.0, 2.0, 2.0, 2.0])
-        taken = select(state, [-np.inf, 1.0, 1.0, 1.0], evaluated=np.array([False, True, True, True]))
-        assert taken.tolist() == [False, True, True, True]
-        assert state.fitness[0] == 2.0
 
     def test_non_finite_trials_lose_and_count_as_failed_tries(self):
         # after initialisation a NaN or +inf trial keeps its parent, enters

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -440,28 +441,53 @@ class TestNasEvolve:
         # the surrogate rejects index rows outside the space
         assert len(set(checker.rows)) == len(checker.rows) == trace.final_evaluations
 
-    def test_rows_the_budget_cannot_pay_for_are_not_evaluated(self, monkeypatch):
+    def test_rows_the_budget_cannot_pay_for_fail_in_the_last_commit(self):
         # the budget runs out within a generation: its unscored rows reach
-        # the commit as not evaluated, so they count as no strategy's try
-        space = grid_space(4)
-        commits = []
-        commit = nas_search.commit_generation
-
-        def spy(state, batch, fitness, rng, evaluated):
-            commits.append((fitness.copy(), evaluated.copy()))
-            return commit(state, batch, fitness, rng, evaluated)
-
-        monkeypatch.setattr(nas_search, "commit_generation", spy)
+        # the commit as +inf trials, none replaces its parent, and no
+        # generation follows
         cfg = NasConfig(
             biobjective=BiObjectiveConfig(cost_budget=10.0),
             shsade=ShsadeConfig(pop_size=10, max_generations=60, crossover_target="best"),
             budget=41,
         )
-        _, trace = nas_evolve(space, TabularSurrogate(space, seed=1), cfg, np.random.default_rng(5))
+        events, trace = check_budget_drops(grid_space(4), cfg, 5)
         assert trace.final_evaluations == 41
-        fitness, evaluated = commits[-1]
-        assert not evaluated.all()
-        assert np.array_equal(np.isinf(fitness), ~evaluated)
+        _, fitness, _ = [event for event in events if event[0] == "commit"][-1]
+        assert np.isposinf(fitness).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space=spaces(),
+        pop_size=st.integers(4, 10),
+        extra_budget=st.integers(0, 60),
+        sigma_trial_noise=st.sampled_from([0.0, 0.15]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(space=grid_space(3), pop_size=4, extra_budget=8, sigma_trial_noise=0.0, seed=5)
+    def test_only_the_last_commit_receives_rows_the_budget_cannot_pay_for(
+        self, space, pop_size, extra_budget, sigma_trial_noise, seed
+    ):
+        budget = pop_size + extra_budget
+        config = NasConfig(
+            BiObjectiveConfig(cost_budget=10.0),
+            nas_search.search_shsade_config(budget, pop_size=pop_size),
+            budget,
+            sigma_trial_noise=sigma_trial_noise,
+        )
+        check_budget_drops(space, config, seed)
+
+    def test_a_redraw_the_budget_cannot_pay_for_ends_the_run(self):
+        # without trial noise the population collapses; here the redraw that
+        # follows runs out of budget, and no commit comes after it
+        config = NasConfig(
+            BiObjectiveConfig(cost_budget=10.0),
+            ShsadeConfig(pop_size=4, max_generations=200, crossover_target="best"),
+            12,
+            sigma_trial_noise=0.0,
+        )
+        events, _ = check_budget_drops(grid_space(3), config, 5)
+        kind, rows, unscored = events[-1]
+        assert (kind, rows) == ("score", 3) and unscored.any()
 
     def test_returned_best_minimizes_over_everything_scored(self):
         space = grid_space(4)
@@ -535,6 +561,46 @@ class TestNasEvolve:
             space.iter_genotypes(), key=lambda g: -surrogate.predict_accuracy(g)
         )
         assert [g.choices for g, _ in ranking][:10] == [g.choices for g in by_accuracy][:10]
+
+
+def check_budget_drops(space, config, seed):
+    """Run ``nas_evolve`` on a surrogate of ``space`` and check that rows the
+    budget cannot pay for reach no commit but the last. Returns the run's
+    events in order, ``("score", rows, unscored mask)`` for each
+    ``score_rows`` call and ``("commit", fitness, population fitness after)``
+    for each commit, and its trace."""
+    events = []
+    score_rows, commit = BudgetedScorer.score_rows, nas_search.commit_generation
+
+    def spy_score(scorer, indices):
+        values, scored = score_rows(scorer, indices)
+        events.append(("score", len(values), ~scored))
+        return values, scored
+
+    def spy_commit(state, batch, fitness, rng):
+        commit(state, batch, fitness, rng)
+        events.append(("commit", fitness.copy(), state.fitness.copy()))
+        return state
+
+    with mock.patch.object(BudgetedScorer, "score_rows", spy_score):
+        with mock.patch.object(nas_search, "commit_generation", spy_commit):
+            _, trace = nas_evolve(space, TabularSurrogate(space, seed=1), config, seed)
+    pop_size = config.shsade.pop_size
+    commits = [k for k, event in enumerate(events) if event[0] == "commit"]
+    assert trace.rows[-1].generation == len(commits)
+    for k in commits:
+        # a commit takes the scores of the batch evaluated just before it:
+        # +inf exactly on the rows left unscored, and no parent turns +inf
+        kind, rows, unscored = events[k - 1]
+        assert (kind, rows) == ("score", pop_size)
+        assert np.array_equal(np.isposinf(events[k][1]), unscored)
+        assert np.isfinite(events[k][2]).all()
+    drops = [k for k, event in enumerate(events) if event[0] == "score" and event[2].any()]
+    if drops:
+        # after the first drop, whether in a generation or in a collapse
+        # redraw, only that generation's own commit may follow
+        assert [k for k in commits if k > drops[0]] in ([], [drops[0] + 1])
+    return events, trace
 
 
 def tied_accuracy(seed, levels, nan_share):

@@ -10,7 +10,7 @@ default, a dataclass field with a default, or an argparse option (an
 import ast
 from pathlib import Path
 
-MAX_OPTIONS = 55
+MAX_OPTIONS = 54
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "shsade_pids").glob("*.py"))
 
 

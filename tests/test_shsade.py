@@ -648,13 +648,12 @@ def test_generation_step_matches_loop_reference(
         batch_ref = reference_generation.build_trials(ref, rng_ref)
         assert _batch_snapshot(batch_new) == _batch_snapshot(batch_ref)
         trial_fitness = spec.evaluate_many(batch_new.x)
-        # rows left unevaluated carry a value that would win, so a row that
-        # is wrongly committed shows up in the state
-        evaluated = masks.random(pop_size) < 0.7 if drop_rows else None
-        if evaluated is not None:
-            trial_fitness = np.where(evaluated, trial_fitness, -np.inf)
-        commit_generation(new, batch_new, trial_fitness, rng_new, evaluated)
-        reference_generation.commit_generation(ref, batch_ref, trial_fitness.copy(), rng_ref, evaluated)
+        # dropped rows read -inf, a value that would win if taken as it is,
+        # so a row that is wrongly committed shows up in the state
+        if drop_rows:
+            trial_fitness = np.where(masks.random(pop_size) < 0.7, trial_fitness, -np.inf)
+        commit_generation(new, batch_new, trial_fitness, rng_new)
+        reference_generation.commit_generation(ref, batch_ref, trial_fitness.copy(), rng_ref)
         assert _state_snapshot(new) == _state_snapshot(ref)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
